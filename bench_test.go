@@ -2,6 +2,7 @@ package rtd_test
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"sync"
@@ -11,9 +12,12 @@ import (
 	"repro/internal/compress/codepack"
 	"repro/internal/compress/dict"
 	"repro/internal/compress/lzrw1"
+	"repro/internal/cpu"
 	"repro/internal/experiment"
 	"repro/internal/perfwatch"
+	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/telemetry"
 )
 
 // benchScale shortens the benchmark runs so `go test -bench=.` completes
@@ -232,7 +236,8 @@ func BenchmarkDecompressionPath(b *testing.B) {
 // hooks nil — the CPI stack's array adds are the only always-on cost),
 // On attaches the full collector. Compare the two with benchstat; Off
 // must stay within ~2% of the pre-telemetry seed, and the gap between
-// Off and On is the price of the hooks.
+// Off and On is the price of the hooks. Windowed and Attributed add the
+// observers of rtd.WindowedRun and of ccprof on top of On.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	im, err := rtd.BuildBenchmarkScaled("go", 0.1)
 	if err != nil {
@@ -275,6 +280,37 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			instrs += out.Stats.Instrs + out.Stats.HandlerInstrs
+		}
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	})
+	// Attributed is ccprof's observed mode: the collector with the window
+	// sampler and the per-line/per-procedure recorder sharing one
+	// attribution ledger on the collector's commit hook, plus the Verify,
+	// Profile and report every ccprof run pays.
+	b.Run("attributed", func(b *testing.B) {
+		var instrs uint64
+		for i := 0; i < b.N; i++ {
+			c, err := cpu.New(rtd.DefaultMachine())
+			if err != nil {
+				b.Fatal(err)
+			}
+			col := telemetry.New()
+			col.Windows = telemetry.NewWindowSampler(0)
+			col.Recorder = profile.NewRecorder(res.Image)
+			col.Attach(c)
+			c.Out = io.Discard
+			if err := c.Load(res.Image); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := c.Run(); err != nil {
+				b.Fatal(err)
+			}
+			if err := col.Recorder.Verify(); err != nil {
+				b.Fatal(err)
+			}
+			col.Recorder.Profile()
+			telemetry.NewReport(c, col)
+			instrs += c.Stats.Instrs + c.Stats.HandlerInstrs
 		}
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 	})

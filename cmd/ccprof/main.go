@@ -33,11 +33,12 @@
 //	ccprof diff -json old.json new.json
 //
 // Every run embeds a provenance manifest in the report (schema v3) and
-// attaches a profile.Recorder whose attribution invariant — per-line
-// and per-procedure sums bit-identical to the whole-run stats — is
-// verified before anything is written; -manifest additionally writes
-// the sidecar form with wall-clock timings. The simulated program's own
-// output goes to stderr so the report stream stays machine-readable.
+// attaches a profile.Recorder whose attribution invariant — per-line,
+// per-procedure and per-window sums bit-identical to the whole-run
+// stats — is verified before anything is written; -manifest
+// additionally writes the sidecar form with wall-clock timings. The
+// simulated program's own output goes to stderr so the report stream
+// stays machine-readable.
 package main
 
 import (
@@ -184,16 +185,10 @@ func main() {
 
 	col := telemetry.New()
 	col.Windows = telemetry.NewWindowSampler(*window)
+	col.Recorder = profile.NewRecorder(im)
 	man.SetConfig("window", fmt.Sprint(col.Windows.Size))
-	prof, attr, rep, err := profiledRun(im, cfg, col)
+	prof, attr, rep, err := profiledRun(im, cfg, col, *foldPath != "")
 	if err != nil {
-		log.Fatal(err)
-	}
-	// The hard timeline invariant: component-wise window sums must be
-	// bit-identical to the whole-run stats. A violation is a simulator
-	// bug, so it fails the run loudly. (The matching spatial invariant —
-	// attribution sums — was already verified inside profiledRun.)
-	if err := col.Windows.Verify(); err != nil {
 		log.Fatal(err)
 	}
 	rep.SetIdentity(name, schemeOf(im), seed)
@@ -364,19 +359,23 @@ func nativeProfile(im *program.Image, cfg cpu.Config) (*cpu.ProcProfile, error) 
 	return prof, nil
 }
 
-// profiledRun executes im with the collector, the exec/miss profiler
-// and the cost-attribution recorder attached, verifies the attribution
-// sum invariant, and digests the machine into a report.
-func profiledRun(im *program.Image, cfg cpu.Config, col *telemetry.Collector) (*cpu.ProcProfile, *profile.Profile, *telemetry.Report, error) {
+// profiledRun executes im with the collector attached — its recorder
+// and window sampler share one attribution ledger — and, for -folded
+// only, the exec/miss profiler. It verifies the attribution invariant
+// on lines, procedures and windows at once (a violation is a simulator
+// bug, so it fails the run loudly) and digests the machine into a
+// report.
+func profiledRun(im *program.Image, cfg cpu.Config, col *telemetry.Collector, folded bool) (*cpu.ProcProfile, *profile.Profile, *telemetry.Report, error) {
 	c, err := cpu.New(cfg)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	col.Attach(c)
-	rec := profile.NewRecorder(im)
-	rec.Attach(c)
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
+	var prof *cpu.ProcProfile
+	if folded {
+		prof = cpu.NewProcProfile(im)
+		c.Prof = prof
+	}
 	c.Out = os.Stderr
 	if err := c.Load(im); err != nil {
 		return nil, nil, nil, err
@@ -384,10 +383,10 @@ func profiledRun(im *program.Image, cfg cpu.Config, col *telemetry.Collector) (*
 	if _, err := c.Run(); err != nil {
 		return nil, nil, nil, err
 	}
-	if err := rec.Verify(); err != nil {
+	if err := col.Recorder.Verify(); err != nil {
 		return nil, nil, nil, err
 	}
-	return prof, rec.Profile(), telemetry.NewReport(c, col), nil
+	return prof, col.Recorder.Profile(), telemetry.NewReport(c, col), nil
 }
 
 // runDiff is the `ccprof diff` subcommand: load two profile artifacts,

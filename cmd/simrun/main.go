@@ -206,12 +206,15 @@ func run(path string, cfg cpu.Config, profiled bool, traceN int, col *telemetry.
 	if err != nil {
 		log.Fatal(err)
 	}
-	if col != nil {
-		col.Attach(c)
-	}
 	var rec *profile.Recorder
 	if profiled {
 		rec = profile.NewRecorder(im)
+	}
+	// The collector drives the recorder from its own commit hook.
+	if col != nil {
+		col.Recorder = rec
+		col.Attach(c)
+	} else if rec != nil {
 		rec.Attach(c)
 	}
 	var ring *trace.Ring

@@ -219,7 +219,10 @@ type CPU struct {
 	Out    io.Writer
 	// Trace, when set, receives every committed instruction (after
 	// execution): its address, encoding and whether it ran inside the
-	// decompression handler. Used by the trace ring in internal/trace.
+	// decompression handler. It fires after the instruction's Stats
+	// update and after the PC has moved on, so PC() is the address of
+	// the next instruction to fetch (the branch target, the EPC after
+	// iret). Used by the trace ring in internal/trace.
 	// Prefer AttachTrace over assigning directly: attaching composes
 	// with previously installed tracers instead of replacing them.
 	Trace func(pc, instr uint32, handler bool)

@@ -433,13 +433,14 @@ func (c *CPU) execute(p *pinstr) error {
 		}
 	}
 	// The commit tracers fire after every Stats update for this
-	// instruction, so a tracer observing Stats (the telemetry window
-	// sampler) sees a consistent snapshot covering exactly the commits
-	// delivered so far.
+	// instruction and after the PC moves on, so a tracer observing Stats
+	// (the attribution ledger) sees a consistent snapshot covering
+	// exactly the commits delivered so far, and c.PC() is the next
+	// instruction's address.
+	c.pc = next
 	if c.Trace != nil {
 		c.Trace(pc, p.raw, wasHandler)
 	}
-	c.pc = next
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/isa"
 )
 
 // TestAttachTraceMultiplexes is the hook-composition regression: every
@@ -47,6 +48,64 @@ func TestAttachTraceMultiplexes(t *testing.T) {
 		if firstPCs[i] != secondPCs[i] {
 			t.Fatalf("tracers diverged at commit %d: %#x vs %#x", i, firstPCs[i], secondPCs[i])
 		}
+	}
+}
+
+// TestTracersSeeNextPC pins the commit-hook ordering the attribution
+// ledger keys on: every attached tracer runs after the PC has moved on,
+// so c.PC() is the next fetch address — the target after a taken
+// branch, the EPC after iret, and, before a decompression exception
+// redirects the fetch into the handler, the faulting address the
+// handler's EPC then holds.
+func TestTracersSeeNextPC(t *testing.T) {
+	im := buildCopyCompressed(t, excProgram, false)
+	c, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Cfg.MaxInstr = 1_000_000
+	type commit struct {
+		pc, instr, epc uint32
+		handler        bool
+		seen           [2]uint32 // c.PC() in the first and second tracer
+	}
+	var log []commit
+	c.AttachTrace(func(pc, instr uint32, handler bool) {
+		log = append(log, commit{pc: pc, instr: instr, epc: c.C0(4), handler: handler})
+		log[len(log)-1].seen[0] = c.PC()
+	})
+	c.AttachTrace(func(pc, instr uint32, handler bool) { log[len(log)-1].seen[1] = c.PC() })
+	if err := c.Load(im); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var branches, irets, redirects int
+	for i := 0; i+1 < len(log); i++ {
+		cur, next := log[i], log[i+1]
+		if cur.seen[0] != cur.seen[1] {
+			t.Fatalf("commit %d at %#x: tracers saw PC %#x and %#x", i, cur.pc, cur.seen[0], cur.seen[1])
+		}
+		want := next.pc
+		switch {
+		case !cur.handler && next.handler:
+			want = next.epc // the fetch at the faulting address raised the exception
+			redirects++
+		case isa.Classify(cur.instr) == isa.KindIret:
+			if cur.seen[0] != cur.epc {
+				t.Fatalf("iret at %#x: tracer saw PC %#x, EPC is %#x", cur.pc, cur.seen[0], cur.epc)
+			}
+			irets++
+		case isa.Classify(cur.instr) == isa.KindBranch && next.pc != cur.pc+4:
+			branches++
+		}
+		if cur.seen[0] != want {
+			t.Fatalf("commit %d at %#x: tracer saw PC %#x, next commit's fetch address is %#x", i, cur.pc, cur.seen[0], want)
+		}
+	}
+	if branches == 0 || irets == 0 || redirects == 0 {
+		t.Fatalf("vacuous: %d taken branches, %d irets, %d exception redirects", branches, irets, redirects)
 	}
 }
 

@@ -100,6 +100,21 @@ func checkProfiled(t *testing.T, name string, im *program.Image) {
 // testdata — hand-written assembly and compiled MiniC — across every
 // registered codec.
 func TestAttributionInvariantExamples(t *testing.T) {
+	for _, ex := range corpus(t) {
+		ex := ex
+		t.Run(ex.name, func(t *testing.T) { checkProfiled(t, ex.name, ex.im) })
+	}
+}
+
+type example struct {
+	name string
+	im   *program.Image
+}
+
+// corpus builds every example program in testdata: hand-written
+// assembly and compiled MiniC, in file-name order.
+func corpus(t *testing.T) []example {
+	t.Helper()
 	root := filepath.Join("..", "..", "testdata")
 	asmFiles, err := filepath.Glob(filepath.Join(root, "*.s"))
 	if err != nil || len(asmFiles) == 0 {
@@ -109,23 +124,22 @@ func TestAttributionInvariantExamples(t *testing.T) {
 	if err != nil || len(mcFiles) == 0 {
 		t.Fatalf("no MiniC examples found: %v", err)
 	}
+	var out []example
 	for _, path := range append(asmFiles, mcFiles...) {
-		path := path
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			src, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var im *program.Image
-			if strings.HasSuffix(path, ".mc") {
-				im, err = minic.Compile(string(src))
-			} else {
-				im, err = asm.Assemble(string(src))
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkProfiled(t, filepath.Base(path), im)
-		})
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var im *program.Image
+		if strings.HasSuffix(path, ".mc") {
+			im, err = minic.Compile(string(src))
+		} else {
+			im, err = asm.Assemble(string(src))
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out = append(out, example{filepath.Base(path), im})
 	}
+	return out
 }

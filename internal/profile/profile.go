@@ -105,6 +105,25 @@ func (c Cost) MissCost() uint64 {
 	return c.DecompCycles() + c.CPIStack[cpu.CycleFetchStall]
 }
 
+// DecompShare returns the fraction of the bucket's cycles spent on
+// decompression work: handler execution plus exception service.
+func (c Cost) DecompShare() float64 {
+	if c.Cycles == 0 {
+		return 0
+	}
+	return float64(c.DecompCycles()) / float64(c.Cycles)
+}
+
+// CPI returns the bucket's cycles per committed instruction (user +
+// handler — a bucket may be handler-only).
+func (c Cost) CPI() float64 {
+	n := c.Instrs + c.HandlerInstrs
+	if n == 0 {
+		return 0
+	}
+	return float64(c.Cycles) / float64(n)
+}
+
 // IsZero reports whether no event was ever attributed to the bucket.
 func (c Cost) IsZero() bool { return c == Cost{} }
 
@@ -224,8 +243,18 @@ func (p *Profile) Check() error {
 // checkSum compares one decomposition's component-wise sum against the
 // whole-run total, naming the first field that drifts.
 func checkSum(axis string, sum, total Cost) error {
+	if name, got, want := drift(sum, total); name != "" {
+		return fmt.Errorf("profile: %s sum invariant: %s: records sum to %d, whole run has %d (diff %+d)",
+			axis, name, got, want, int64(got)-int64(want))
+	}
+	return nil
+}
+
+// drift names the first field where sum and total differ, with both
+// values; the name is "" when they are equal.
+func drift(sum, total Cost) (string, uint64, uint64) {
 	if sum == total {
-		return nil
+		return "", 0, 0
 	}
 	fields := []struct {
 		name      string
@@ -253,11 +282,10 @@ func checkSum(axis string, sum, total Cost) error {
 	}
 	for _, f := range fields {
 		if f.got != f.want {
-			return fmt.Errorf("profile: %s sum invariant: %s: records sum to %d, whole run has %d (diff %+d)",
-				axis, f.name, f.got, f.want, int64(f.got)-int64(f.want))
+			return f.name, f.got, f.want
 		}
 	}
-	return fmt.Errorf("profile: %s sum invariant violated (unidentified field)", axis)
+	return "(unidentified field)", 0, 0
 }
 
 // NamedCost is the compact per-procedure form carried in perfwatch

@@ -19,7 +19,7 @@ import (
 // on the faulting line, never on handler RAM), and the determinism of
 // zero-line omission.
 
-func assemble(t *testing.T, src string) *program.Image {
+func assemble(t testing.TB, src string) *program.Image {
 	t.Helper()
 	im, err := asm.Assemble(src)
 	if err != nil {
@@ -28,7 +28,7 @@ func assemble(t *testing.T, src string) *program.Image {
 	return im
 }
 
-func compress(t *testing.T, im *program.Image, scheme string) *program.Image {
+func compress(t testing.TB, im *program.Image, scheme string) *program.Image {
 	t.Helper()
 	res, err := core.Compress(im, core.Options{Scheme: program.Scheme(scheme)})
 	if err != nil {

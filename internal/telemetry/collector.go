@@ -9,6 +9,7 @@ package telemetry
 
 import (
 	"repro/internal/cpu"
+	"repro/internal/profile"
 )
 
 // Span is one closed handler-service interval: a decompression
@@ -69,6 +70,12 @@ type Collector struct {
 	// Perfetto counter tracks).
 	Windows *WindowSampler
 
+	// Recorder, when set before Attach, attributes the run per I-cache
+	// line and per procedure. Its ledger also carries the Windows axis,
+	// so lines, procedures and windows share one delta per run and one
+	// Verify.
+	Recorder *profile.Recorder
+
 	cpu     *cpu.CPU
 	openPC  uint32 // pc of the open exception span
 	openAt  uint64
@@ -105,28 +112,32 @@ func (t *Collector) Attach(c *cpu.CPU) {
 			t.BranchMispredicts++
 		}
 	}
-	// One tracer serves both the commit counters and the window sampler:
+	// One tracer serves the commit counters and the attribution ledger:
 	// fusing them keeps the hot path at a single indirect call per
 	// commit instead of an AttachTrace-composed chain.
-	if ws := t.Windows; ws != nil {
-		ws.Bind(c)
-		c.AttachTrace(func(pc, instr uint32, handler bool) {
-			if handler {
-				t.CommittedHandler++
-			} else {
-				t.CommittedUser++
-			}
-			ws.Tick()
-		})
-	} else {
-		c.AttachTrace(func(pc, instr uint32, handler bool) {
-			if handler {
-				t.CommittedHandler++
-			} else {
-				t.CommittedUser++
-			}
-		})
+	var l *profile.Ledger
+	if t.Windows != nil {
+		l = t.Windows.ledger
 	}
+	if t.Recorder != nil {
+		l = t.Recorder.Ledger
+		if t.Windows != nil {
+			t.Windows.share(l)
+		}
+	}
+	if l != nil {
+		l.Bind(c)
+	}
+	c.AttachTrace(func(pc, instr uint32, handler bool) {
+		if handler {
+			t.CommittedHandler++
+		} else {
+			t.CommittedUser++
+		}
+		if l != nil {
+			l.Commit(pc, handler)
+		}
+	})
 }
 
 // CPU returns the machine the collector is attached to (nil before

@@ -4,15 +4,15 @@ package telemetry
 // windows of N committed instructions (user + handler) and records the
 // full cpu.Stats delta of every window — the CPI stack, I-cache
 // miss/fill counts, decompression-exception counts and bus burst bytes.
-// The records are a lossless decomposition of the run: summed
-// component-wise they are bit-identical to the whole-run cpu.Stats
-// (Verify enforces this; rtd.WindowedRun, the diffsim oracle and the
-// batch tests in window_test.go all call it).
+// The records are the window axis of a profile.Ledger, so they are a
+// lossless decomposition of the run: summed component-wise they are
+// bit-identical to the whole-run cpu.Stats (Verify enforces this;
+// rtd.WindowedRun, ccprof, the diffsim oracle and the batch tests in
+// window_test.go all call it).
 
 import (
-	"fmt"
-
 	"repro/internal/cpu"
+	"repro/internal/profile"
 )
 
 // DefaultWindowSize is the default window length in committed
@@ -20,263 +20,47 @@ import (
 // testdata programs, large enough that sampling stays off the hot path.
 const DefaultWindowSize = 8192
 
-// WindowRecord is the Stats delta of one window. All counter fields are
-// deltas over the window except ExcCyclesMax, which is the running
-// whole-run maximum at window close (a maximum has no meaningful delta;
-// the last record therefore equals Stats.ExcCyclesMax).
-type WindowRecord struct {
-	Index int `json:"index"`
-	// StartInstr/EndInstr bound the window in committed instructions
-	// (user + handler): the window covers commits StartInstr+1..EndInstr.
-	StartInstr uint64 `json:"start_instr"`
-	EndInstr   uint64 `json:"end_instr"`
-	// StartCycle/EndCycle bound the window on the cycle axis.
-	StartCycle uint64 `json:"start_cycle"`
-	EndCycle   uint64 `json:"end_cycle"`
+// WindowRecord is the Stats delta of one window (see profile.Window).
+type WindowRecord = profile.Window
 
-	Cycles        uint64 `json:"cycles"`
-	Instrs        uint64 `json:"instrs"`
-	HandlerInstrs uint64 `json:"handler_instrs"`
-
-	IMissNative     uint64 `json:"imiss_native"`
-	IMissCompressed uint64 `json:"imiss_compressed"`
-	Exceptions      uint64 `json:"exceptions"`
-
-	FetchStalls   uint64 `json:"fetch_stalls"`
-	LoadStalls    uint64 `json:"load_stalls"`
-	LoadUseStalls uint64 `json:"load_use_stalls"`
-
-	ExcCyclesTotal uint64 `json:"exc_cycles_total"`
-	ExcCyclesMax   uint64 `json:"exc_cycles_max"` // running max, not a delta
-
-	// CPIStack is the per-window cycle attribution; components sum to
-	// Cycles exactly (the whole-run invariant holds window-locally too,
-	// because both Cycles and every component are deltas of monotone
-	// counters).
-	CPIStack cpu.CPIStack `json:"cpi_stack"`
-
-	// Bus traffic over the window (decompression burst reads included).
-	BusReads uint64 `json:"bus_reads"`
-	BusBytes uint64 `json:"bus_bytes"`
-}
-
-// DecompShare returns the fraction of the window's cycles spent on
-// decompression work: handler execution plus exception service.
-func (r WindowRecord) DecompShare() float64 {
-	if r.Cycles == 0 {
-		return 0
-	}
-	return float64(r.CPIStack[cpu.CycleHandler]+r.CPIStack[cpu.CycleExcService]) / float64(r.Cycles)
-}
-
-// CPI returns the window's cycles per committed instruction (user +
-// handler — a window may be handler-only).
-func (r WindowRecord) CPI() float64 {
-	n := r.Instrs + r.HandlerInstrs
-	if n == 0 {
-		return 0
-	}
-	return float64(r.Cycles) / float64(n)
-}
-
-// WindowSampler snapshots cpu.Stats every Size committed instructions
-// through the composable commit-trace hook (cpu.AttachTrace), so it
-// coexists with the debugging ring and the Collector's commit counters.
-// Rollover is swic-safe and handler-safe: the boundary is taken on the
-// commit hook after the instruction's full Stats update, wherever it
-// lands — mid-exception-handler included — because records are pure
-// deltas of monotone counters.
+// WindowSampler is the time view of a profile.Ledger (create one with
+// NewWindowSampler): a window closes every Size committed instructions
+// (Size may change until Attach), wherever it lands — mid-exception-
+// handler included — because records are pure deltas of monotone
+// counters. Call Finish, or Verify, after the run to flush the final
+// partial window into Records.
 type WindowSampler struct {
-	// Size is the window length in committed instructions (user +
-	// handler). Set before Attach; 0 means DefaultWindowSize.
-	Size uint64
-	// Records are the closed windows, in execution order. Call Finish
-	// (or Verify, which finishes) after the run to flush the final
-	// partial window.
-	Records []WindowRecord
-
-	c         *cpu.CPU
-	committed uint64 // commits seen through the trace hook
-	next      uint64 // commit count that closes the current window
-	prev      cpu.Stats
-	prevReads uint64
-	prevBytes uint64
-	finished  bool
+	profile.Windows
+	ledger *profile.Ledger
 }
 
 // NewWindowSampler returns a sampler with the given window size
-// (0 = DefaultWindowSize).
+// (0 = DefaultWindowSize) on a windows-only ledger of its own.
 func NewWindowSampler(size uint64) *WindowSampler {
 	if size == 0 {
 		size = DefaultWindowSize
 	}
-	return &WindowSampler{Size: size}
+	w := &WindowSampler{Windows: profile.Windows{Size: size}}
+	w.share(profile.NewLedger(nil))
+	return w
 }
 
-// Attach hooks the sampler into the CPU's commit tracer. Call before
-// cpu.Load/Run; composes with previously attached tracers.
-func (w *WindowSampler) Attach(c *cpu.CPU) {
-	w.Bind(c)
-	c.AttachTrace(func(pc, instr uint32, handler bool) { w.Tick() })
-}
+// Attach hooks the sampler's ledger into the CPU's commit tracer. Call
+// before cpu.Load/Run; composes with previously attached tracers.
+func (w *WindowSampler) Attach(c *cpu.CPU) { w.ledger.Attach(c) }
 
-// Bind points the sampler at a machine without installing a tracer, for
-// callers that fuse Tick into an already-installed commit tracer
-// (Collector.Attach does this — one indirect call per commit instead of
-// a composed chain). Bind before the first commit.
-func (w *WindowSampler) Bind(c *cpu.CPU) {
-	if w.Size == 0 {
-		w.Size = DefaultWindowSize
-	}
-	w.c = c
-	w.next = w.Size
-}
-
-// Tick counts one committed instruction and closes the window on
-// rollover. Call once per commit, after the CPU's Stats update.
-func (w *WindowSampler) Tick() {
-	w.committed++
-	if w.committed == w.next {
-		w.roll()
-		w.next += w.Size
-	}
-}
-
-// roll closes the current window at the CPU's present Stats.
-func (w *WindowSampler) roll() {
-	s := w.c.Stats
-	reads, bytes := w.c.Mem.Reads, w.c.Mem.BytesRead
-	rec := WindowRecord{
-		Index:           len(w.Records),
-		StartInstr:      w.prev.Instrs + w.prev.HandlerInstrs,
-		EndInstr:        s.Instrs + s.HandlerInstrs,
-		StartCycle:      w.prev.Cycles,
-		EndCycle:        s.Cycles,
-		Cycles:          s.Cycles - w.prev.Cycles,
-		Instrs:          s.Instrs - w.prev.Instrs,
-		HandlerInstrs:   s.HandlerInstrs - w.prev.HandlerInstrs,
-		IMissNative:     s.IMissNative - w.prev.IMissNative,
-		IMissCompressed: s.IMissCompressed - w.prev.IMissCompressed,
-		Exceptions:      s.Exceptions - w.prev.Exceptions,
-		FetchStalls:     s.FetchStalls - w.prev.FetchStalls,
-		LoadStalls:      s.LoadStalls - w.prev.LoadStalls,
-		LoadUseStalls:   s.LoadUseStalls - w.prev.LoadUseStalls,
-		ExcCyclesTotal:  s.ExcCyclesTotal - w.prev.ExcCyclesTotal,
-		ExcCyclesMax:    s.ExcCyclesMax,
-		BusReads:        reads - w.prevReads,
-		BusBytes:        bytes - w.prevBytes,
-	}
-	for k := range rec.CPIStack {
-		rec.CPIStack[k] = s.CPIStack[k] - w.prev.CPIStack[k]
-	}
-	w.Records = append(w.Records, rec)
-	w.prev = s
-	w.prevReads, w.prevBytes = reads, bytes
+// share moves the sampler's window axis onto l.
+func (w *WindowSampler) share(l *profile.Ledger) {
+	l.Sample(&w.Windows)
+	w.ledger = l
 }
 
 // Finish flushes the final partial window (commits since the last full
 // window, if any). Idempotent; Verify calls it.
-func (w *WindowSampler) Finish() {
-	if w.finished || w.c == nil {
-		return
-	}
-	w.finished = true
-	if w.committed > uint64(len(w.Records))*w.Size {
-		w.roll()
-	}
-}
+func (w *WindowSampler) Finish() { w.ledger.Settle() }
 
-// Committed returns the number of commits the sampler observed.
-func (w *WindowSampler) Committed() uint64 { return w.committed }
-
-// Verify enforces the hard timeline invariant: the component-wise sum
-// of all window records must be bit-identical to the whole-run
-// cpu.Stats (and bus counters) of the attached machine. Any drift means
-// a commit escaped the windows or a counter moved outside the commit
-// hook's view — a simulator bug, never a property of the program.
-// statscomplete proves this sums every cpu.Stats counter, so a new
-// counter must be wired into the window records before cccheck passes.
-//
-//cccheck:stats(sum)
-func (w *WindowSampler) Verify() error {
-	if w.c == nil {
-		return fmt.Errorf("telemetry: window sampler never attached")
-	}
-	w.Finish()
-	s := w.c.Stats
-	var sum WindowRecord
-	for _, r := range w.Records {
-		sum.Cycles += r.Cycles
-		sum.Instrs += r.Instrs
-		sum.HandlerInstrs += r.HandlerInstrs
-		sum.IMissNative += r.IMissNative
-		sum.IMissCompressed += r.IMissCompressed
-		sum.Exceptions += r.Exceptions
-		sum.FetchStalls += r.FetchStalls
-		sum.LoadStalls += r.LoadStalls
-		sum.LoadUseStalls += r.LoadUseStalls
-		sum.ExcCyclesTotal += r.ExcCyclesTotal
-		sum.ExcCyclesMax = r.ExcCyclesMax // running max: last record wins
-		for k := range r.CPIStack {
-			sum.CPIStack[k] += r.CPIStack[k]
-		}
-		sum.BusReads += r.BusReads
-		sum.BusBytes += r.BusBytes
-	}
-	mismatch := func(field string, got, want uint64) error {
-		return fmt.Errorf("telemetry: window sum invariant: %s: windows sum to %d, whole run has %d (diff %+d, %d windows of %d)",
-			field, got, want, int64(got)-int64(want), len(w.Records), w.Size)
-	}
-	switch {
-	case sum.Cycles != s.Cycles:
-		return mismatch("cycles", sum.Cycles, s.Cycles)
-	case sum.Instrs != s.Instrs:
-		return mismatch("instrs", sum.Instrs, s.Instrs)
-	case sum.HandlerInstrs != s.HandlerInstrs:
-		return mismatch("handler_instrs", sum.HandlerInstrs, s.HandlerInstrs)
-	case sum.IMissNative != s.IMissNative:
-		return mismatch("imiss_native", sum.IMissNative, s.IMissNative)
-	case sum.IMissCompressed != s.IMissCompressed:
-		return mismatch("imiss_compressed", sum.IMissCompressed, s.IMissCompressed)
-	case sum.Exceptions != s.Exceptions:
-		return mismatch("exceptions", sum.Exceptions, s.Exceptions)
-	case sum.FetchStalls != s.FetchStalls:
-		return mismatch("fetch_stalls", sum.FetchStalls, s.FetchStalls)
-	case sum.LoadStalls != s.LoadStalls:
-		return mismatch("load_stalls", sum.LoadStalls, s.LoadStalls)
-	case sum.LoadUseStalls != s.LoadUseStalls:
-		return mismatch("load_use_stalls", sum.LoadUseStalls, s.LoadUseStalls)
-	case sum.ExcCyclesTotal != s.ExcCyclesTotal:
-		return mismatch("exc_cycles_total", sum.ExcCyclesTotal, s.ExcCyclesTotal)
-	case sum.ExcCyclesMax != s.ExcCyclesMax:
-		return mismatch("exc_cycles_max", sum.ExcCyclesMax, s.ExcCyclesMax)
-	case sum.BusReads != w.c.Mem.Reads:
-		return mismatch("bus_reads", sum.BusReads, w.c.Mem.Reads)
-	case sum.BusBytes != w.c.Mem.BytesRead:
-		return mismatch("bus_bytes", sum.BusBytes, w.c.Mem.BytesRead)
-	}
-	for k := range sum.CPIStack {
-		if sum.CPIStack[k] != s.CPIStack[k] {
-			return mismatch("cpi_stack."+cpu.CycleKind(k).Key(), sum.CPIStack[k], s.CPIStack[k])
-		}
-	}
-	// Window instruction coverage: the commits the hook delivered are
-	// exactly the commits the machine retired, and the records tile the
-	// commit axis without gaps or overlaps.
-	if w.committed != s.Instrs+s.HandlerInstrs {
-		return fmt.Errorf("telemetry: window sampler saw %d commits, machine retired %d",
-			w.committed, s.Instrs+s.HandlerInstrs)
-	}
-	var at uint64
-	for _, r := range w.Records {
-		if r.StartInstr != at || r.EndInstr < r.StartInstr {
-			return fmt.Errorf("telemetry: window %d covers commits %d..%d, expected to start at %d",
-				r.Index, r.StartInstr, r.EndInstr, at)
-		}
-		at = r.EndInstr
-	}
-	if at != w.committed {
-		return fmt.Errorf("telemetry: windows cover %d commits, sampler saw %d", at, w.committed)
-	}
-	return nil
-}
+// Verify enforces the hard timeline invariant through the ledger's one
+// check: the component-wise sum of all window records must be
+// bit-identical to the whole-run cpu.Stats (and bus counters), and the
+// records must tile the commit axis without gaps or overlaps.
+func (w *WindowSampler) Verify() error { return w.ledger.Verify() }
