@@ -132,14 +132,9 @@ func main() {
 	man.SetConfig("icache_kb", fmt.Sprint(*icacheKB))
 	man.SetConfig("format", *format)
 
-	im, name, seed, err := loadImage(*bench, *scale, flag.Args())
+	im, name, seed, err := loadImage(*bench, *scale, flag.Args(), man)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if *bench == "" {
-		if err := man.AddInputFile(name, flag.Arg(0)); err != nil {
-			log.Fatal(err)
-		}
 	}
 
 	cfg := cpu.DefaultConfig()
@@ -258,10 +253,11 @@ func main() {
 }
 
 // loadImage resolves the run target: a named synthetic benchmark, an
-// assembly or MiniC source file, or a linked image file. The returned
-// seed is the synthetic generator seed (0 for file targets), recorded in
-// the report's config stanza.
-func loadImage(bench string, scale float64, args []string) (*program.Image, string, int64, error) {
+// assembly or MiniC source file, or a linked image file. A file's bytes
+// are recorded in man and built or decoded from that one read. The
+// returned seed is the synthetic generator seed (0 for file targets),
+// recorded in the report's config stanza.
+func loadImage(bench string, scale float64, args []string, man *obs.Manifest) (*program.Image, string, int64, error) {
 	if bench != "" {
 		for _, p := range synth.Benchmarks() {
 			if p.Name != bench {
@@ -277,25 +273,21 @@ func loadImage(bench string, scale float64, args []string) (*program.Image, stri
 	}
 	path := args[0]
 	name := filepath.Base(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	man.AddInput(name, data)
+	var im *program.Image
 	switch {
 	case strings.HasSuffix(path, ".s"):
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		im, err := asm.Assemble(string(src))
-		return im, name, 0, err
+		im, err = asm.Assemble(string(data))
 	case strings.HasSuffix(path, ".mc"):
-		src, err := os.ReadFile(path)
-		if err != nil {
-			return nil, "", 0, err
-		}
-		im, err := minic.Compile(string(src))
-		return im, name, 0, err
+		im, err = minic.Compile(string(data))
 	default:
-		im, err := program.LoadFile(path)
-		return im, name, 0, err
+		im, err = program.Decode(data)
 	}
+	return im, name, 0, err
 }
 
 // sampledRun is the -mode sampled tier: the image goes through the same

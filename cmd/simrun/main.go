@@ -119,11 +119,6 @@ func main() {
 	man := obs.New("simrun")
 	man.SetConfig("icache_kb", fmt.Sprint(*icacheKB))
 	man.SetConfig("mode", *mode)
-	for _, path := range flag.Args() {
-		if err := man.AddInputFile(path, path); err != nil {
-			log.Fatal(err)
-		}
-	}
 	if *manifest != "" {
 		defer func() {
 			man.Finish(start)
@@ -136,7 +131,7 @@ func main() {
 	if *mode != "exact" {
 		runFast(*mode, *restore, flag.Args(), fastpath.SampleConfig{
 			Window: *sWindow, Interval: *sIntv, Warmup: *sWarmup,
-		}, *icacheKB, *maxInstr, *jsonOut)
+		}, *icacheKB, *maxInstr, *jsonOut, man)
 		return
 	}
 
@@ -163,7 +158,7 @@ func main() {
 	c, attr, im := run(flag.Arg(0), cfg, *profTbl, *traceN, col, *jsonOut, *ckPath, *ckAt, man)
 	first := c.Stats
 	if *compare {
-		c2, _, _ := run(flag.Arg(1), cfg, false, 0, nil, *jsonOut, "", 0, nil)
+		c2, _, _ := run(flag.Arg(1), cfg, false, 0, nil, *jsonOut, "", 0, man)
 		fmt.Printf("slowdown: %.3f (%d vs %d cycles)\n",
 			float64(c2.Stats.Cycles)/float64(first.Cycles), c2.Stats.Cycles, first.Cycles)
 		return
@@ -197,11 +192,23 @@ func schemeOf(im *program.Image) string {
 	return string(im.Compress.Scheme)
 }
 
-func run(path string, cfg cpu.Config, profiled bool, traceN int, col *telemetry.Collector, quiet bool, ckPath string, ckAt uint64, man *obs.Manifest) (*cpu.CPU, *profile.Profile, *program.Image) {
-	im, err := program.LoadFile(path)
+// loadImage reads an image file, records the bytes in the manifest and
+// decodes those same bytes, so the digest describes what ran.
+func loadImage(path string, man *obs.Manifest) *program.Image {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		log.Fatal(err)
 	}
+	man.AddInput(path, data)
+	im, err := program.Decode(data)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return im
+}
+
+func run(path string, cfg cpu.Config, profiled bool, traceN int, col *telemetry.Collector, quiet bool, ckPath string, ckAt uint64, man *obs.Manifest) (*cpu.CPU, *profile.Profile, *program.Image) {
+	im := loadImage(path, man)
 	c, err := cpu.New(cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -303,20 +310,18 @@ func restoredMachine(path string) *cpu.CPU {
 // fresh image load, or — with -restore — from a checkpoint, in which
 // case the machine configuration is the checkpointed one and -icache
 // and -max do not apply.
-func runFast(mode, restorePath string, args []string, scfg fastpath.SampleConfig, icacheKB int, maxInstr uint64, jsonOut bool) {
+func runFast(mode, restorePath string, args []string, scfg fastpath.SampleConfig, icacheKB int, maxInstr uint64, jsonOut bool, man *obs.Manifest) {
 	var c *cpu.CPU
 	path := restorePath
 	if restorePath != "" {
 		c = restoredMachine(restorePath)
 	} else {
 		path = args[0]
-		im, err := program.LoadFile(path)
-		if err != nil {
-			log.Fatal(err)
-		}
+		im := loadImage(path, man)
 		cfg := cpu.DefaultConfig()
 		cfg.ICache.SizeBytes = icacheKB * 1024
 		cfg.MaxInstr = maxInstr
+		var err error
 		c, err = cpu.New(cfg)
 		if err != nil {
 			log.Fatal(err)

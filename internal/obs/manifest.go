@@ -94,31 +94,24 @@ func (m *Manifest) SetConfig(key, value string) {
 	m.Config[key] = value
 }
 
-// AddInputFile content-hashes a file and records it under name.
-func (m *Manifest) AddInputFile(name, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	m.addInput(name, data)
-	return nil
+// AddInput content-hashes the bytes of one run input (a source or image
+// file, as read) and records them under name.
+func (m *Manifest) AddInput(name string, data []byte) {
+	h := sha256.Sum256(data)
+	m.Inputs = append(m.Inputs, Input{Name: name, SHA256: hex.EncodeToString(h[:]), Bytes: int64(len(data))})
 }
 
-// AddImage content-hashes an in-memory program image via its canonical
-// JSON serialization (the same deterministic form program.SaveFile
-// writes, minus compression), so the digest is stable across processes.
+// AddImage content-hashes an in-memory program image via its file
+// encoding (program.Encode, the bytes program.SaveFile writes), which
+// is deterministic, so the digest is stable across processes and equals
+// the digest of the image's file.
 func (m *Manifest) AddImage(name string, im *program.Image) error {
-	data, err := json.Marshal(im)
+	data, err := program.Encode(im)
 	if err != nil {
 		return fmt.Errorf("obs: hashing image %s: %v", name, err)
 	}
-	m.addInput(name, data)
+	m.AddInput(name, data)
 	return nil
-}
-
-func (m *Manifest) addInput(name string, data []byte) {
-	h := sha256.Sum256(data)
-	m.Inputs = append(m.Inputs, Input{Name: name, SHA256: hex.EncodeToString(h[:]), Bytes: int64(len(data))})
 }
 
 // Finish stamps the sidecar timing stanza from a start time.

@@ -3,7 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,13 +14,7 @@ import (
 func TestManifestRoundTrip(t *testing.T) {
 	m := New("obstest")
 	m.SetConfig("scheme", "dict")
-	path := filepath.Join(t.TempDir(), "input.bin")
-	if err := os.WriteFile(path, []byte("payload"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.AddInputFile("input.bin", path); err != nil {
-		t.Fatal(err)
-	}
+	m.AddInput("input.bin", []byte("payload"))
 	m.Finish(time.Now().Add(-time.Second))
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
@@ -55,7 +48,7 @@ func TestManifestRoundTrip(t *testing.T) {
 func TestManifestProvenance(t *testing.T) {
 	m := New("obstest")
 	m.SetConfig("k", "v")
-	m.addInput("blob", []byte("data"))
+	m.AddInput("blob", []byte("data"))
 	m.Finish(time.Now())
 
 	p := m.Provenance()
@@ -97,7 +90,7 @@ func TestManifestValidateRejects(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := New("obstest")
-			m.addInput("blob", []byte("data"))
+			m.AddInput("blob", []byte("data"))
 			if len(m.Codecs) < 2 {
 				t.Fatalf("registry too small to test: %v", m.Codecs)
 			}

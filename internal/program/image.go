@@ -213,9 +213,15 @@ func (im *Image) StoredCodeSize() int {
 	return n
 }
 
-// Validate checks structural invariants: no overlapping segments, sorted
-// non-overlapping procedures, entry inside a code segment.
+// Validate checks structural invariants: segments inside the 32-bit
+// address space and not overlapping, sorted non-overlapping procedures,
+// entry inside a segment.
 func (im *Image) Validate() error {
+	for _, s := range im.Segments {
+		if uint64(s.Base)+uint64(len(s.Data)) > 1<<32 {
+			return fmt.Errorf("program: segment %s runs past the 32-bit address space", s.Name)
+		}
+	}
 	segs := append([]*Segment(nil), im.Segments...)
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Base < segs[j].Base })
 	for i := 1; i < len(segs); i++ {

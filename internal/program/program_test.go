@@ -112,6 +112,22 @@ func TestValidateOverlap(t *testing.T) {
 	if err := im2.Validate(); err == nil {
 		t.Fatal("expected proc overlap error")
 	}
+	// A segment running past 2^32 would wrap End() to a low address and
+	// hide its overlap with the segment at 0.
+	im3 := &Image{
+		Entry: 0,
+		Segments: []*Segment{
+			seg(SegText, 0, 1, 2),
+			seg(SegData, 0xFFFFFFFC, 3, 4),
+		},
+	}
+	if err := im3.Validate(); err == nil {
+		t.Fatal("expected error for a segment past the 32-bit address space")
+	}
+	im3.Segments[1] = seg(SegData, 0xFFFFFFFC, 3)
+	if err := im3.Validate(); err != nil {
+		t.Fatalf("a segment ending exactly at 2^32 is valid: %v", err)
+	}
 }
 
 func TestApplyRelocs(t *testing.T) {

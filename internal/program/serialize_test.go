@@ -2,6 +2,9 @@ package program
 
 import (
 	"bytes"
+	"compress/gzip"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -63,8 +66,83 @@ func TestSaveLoadFile(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not gzip"))); err == nil {
-		t.Fatal("garbage must be rejected")
+	valid, err := Encode(sampleImage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := func(edit func(*imageFile)) []byte {
+		im := sampleImage()
+		f := imageFile{Format: fileFormat, Version: fileVersion, Entry: im.Entry, Segments: im.Segments,
+			Symbols: []symbol{{"a", im.Entry}, {"b", im.Entry}}}
+		edit(&f)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var legacy bytes.Buffer
+	zw := gzip.NewWriter(&legacy)
+	zw.Write([]byte(`{"format":"clr32-image","version":1}`))
+	zw.Close()
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"text", []byte("not an image"), "not an image file"},
+		{"empty", nil, "not an image file"},
+		{"truncated", valid[:len(valid)-3], "not an image file"},
+		{"trailing bytes", append(valid[:len(valid):len(valid)], 0), "1 bytes after the image"},
+		{"legacy gzip+JSON", legacy.Bytes(), "rebuild it with ccasm or cccompress"},
+		{"wrong format", file(func(f *imageFile) { f.Format = "elf" }), "unknown format"},
+		{"wrong version", file(func(f *imageFile) { f.Version = 1 }), "unsupported version 1"},
+		{"unsorted symbols", file(func(f *imageFile) { f.Symbols[0].Name = "c" }), "out of order"},
+		{"duplicate symbols", file(func(f *imageFile) { f.Symbols[1].Name = "a" }), "out of order"},
+		{"entry outside segments", file(func(f *imageFile) { f.Entry = 4 }), "not inside any segment"},
+	} {
+		_, err := Load(bytes.NewReader(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+	if _, err := Decode(legacy.Bytes()); !errors.Is(err, ErrLegacyImage) {
+		t.Errorf("legacy file: got %v, want ErrLegacyImage", err)
+	}
+}
+
+// Saving one image twice, or saving what was loaded from a file, gives
+// the file's bytes: gob writes maps in iteration order, so a symbol
+// table large enough to iterate differently from run to run would
+// otherwise change the bytes (and the manifest digest of the file).
+func TestSaveIsDeterministic(t *testing.T) {
+	im := sampleImage()
+	for i := 0; i < 150; i++ {
+		im.Symbols[fmt.Sprintf("sym%03d", i)] = im.Entry + uint32(4*i)
+	}
+	first, err := Encode(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		var buf bytes.Buffer
+		if err := Save(&buf, im); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first) {
+			t.Fatalf("save %d differs from the first", i+2)
+		}
+	}
+	loaded, err := Decode(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := Encode(loaded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, first) {
+		t.Fatal("re-encoding a loaded image changed its bytes")
 	}
 }
 
@@ -74,7 +152,6 @@ func TestLoadRejectsWrongFormat(t *testing.T) {
 	if err := Save(&buf, im); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the format string inside the gzip stream by re-encoding.
 	data := buf.Bytes()
 	// Load the valid one first to prove the baseline works.
 	if _, err := Load(bytes.NewReader(data)); err != nil {
