@@ -13,7 +13,8 @@ import (
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{'a'}, 2*BlockBytes)) // off=1 overlapping copies
-	f.Add(func() []byte { // match at the maximum usable offset (253)
+	// match at the maximum usable offset (253)
+	f.Add(func() []byte {
 		b := append([]byte("XYZ"), bytes.Repeat([]byte{'q'}, BlockBytes-6)...)
 		return append(b, 'X', 'Y', 'Z')
 	}())

@@ -46,42 +46,34 @@ const (
 	hdrSize   = 0x20
 )
 
-// halfCoder assigns ranks to the halfword values of one half (high/low).
+// halfCoder holds the decode tables of one half (high/low): the values
+// of each codeword class in rank order.
 type halfCoder struct {
 	rank0  uint16
 	table1 []uint16 // ranks 1..32
 	table2 []uint16 // ranks 33..288
 	table3 []uint16 // ranks 289..2336
-	rank   map[uint16]int
 }
 
-func buildHalfCoder(values []uint16) *halfCoder {
-	type stat struct {
-		count int
-		first int
-	}
-	freq := make(map[uint16]*stat)
-	for i, v := range values {
-		if s := freq[v]; s != nil {
-			s.count++
-		} else {
-			freq[v] = &stat{count: 1, first: i}
+// buildHalfCoder ranks the halfword values by descending count, ties
+// broken by first appearance, and returns the decode tables. It writes
+// each value's rank into rank (indexed by value, 1<<16 entries) for the
+// encoder. count is a zeroed 1<<16-entry scratch table, zeroed again on
+// return so the other half can reuse it.
+func buildHalfCoder(values []uint16, count []int32, rank []uint16) *halfCoder {
+	var ordered []uint16 // distinct values in order of first appearance
+	for _, v := range values {
+		if count[v] == 0 {
+			ordered = append(ordered, v)
 		}
+		count[v]++
 	}
-	ordered := make([]uint16, 0, len(freq))
-	for v := range freq {
-		ordered = append(ordered, v)
-	}
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := freq[ordered[i]], freq[ordered[j]]
-		if a.count != b.count {
-			return a.count > b.count
-		}
-		return a.first < b.first
-	})
-	hc := &halfCoder{rank: make(map[uint16]int, len(ordered))}
+	// A stable sort by count keeps equal counts in first-appearance order.
+	sort.SliceStable(ordered, func(i, j int) bool { return count[ordered[i]] > count[ordered[j]] })
+	hc := &halfCoder{}
 	for r, v := range ordered {
-		hc.rank[v] = r
+		count[v] = 0
+		rank[v] = uint16(r)
 		switch {
 		case r == 0:
 			hc.rank0 = v
@@ -93,18 +85,11 @@ func buildHalfCoder(values []uint16) *halfCoder {
 			hc.table3 = append(hc.table3, v)
 		}
 	}
-	if len(ordered) == 0 {
-		hc.rank[0] = 0 // degenerate empty input
-	}
 	return hc
 }
 
-// encode appends the codeword for v to w.
-func (hc *halfCoder) encode(w *bitWriter, v uint16) {
-	r, ok := hc.rank[v]
-	if !ok {
-		panic("codepack: value not ranked")
-	}
+// encode appends the codeword for v, of rank r, to w.
+func encode(w *bitWriter, r int, v uint16) {
 	switch {
 	case r == 0:
 		w.writeBits(0b00, 2)
@@ -140,23 +125,6 @@ func (hc *halfCoder) decode(r *bitReader) uint16 {
 	}
 }
 
-// bits returns the codeword length for v, used for size estimation.
-func (hc *halfCoder) bits(v uint16) int {
-	r := hc.rank[v]
-	switch {
-	case r == 0:
-		return 2
-	case r <= class1Size:
-		return 7
-	case r <= class1Size+class2Size:
-		return 10
-	case r <= class1Size+class2Size+class3Size:
-		return 14
-	default:
-		return 19
-	}
-}
-
 // Compressed is a CodePack-compressed code region.
 type Compressed struct {
 	hi, lo *halfCoder
@@ -179,17 +147,23 @@ func Compress(text []byte) (*Compressed, error) {
 		los[i] = uint16(w)
 		his[i] = uint16(w >> 16)
 	}
+	// The rank tables are transient: only the encoder reads them, so
+	// the Compressed value keeps just the decode tables.
+	count := make([]int32, 1<<16)
+	hiRank := make([]uint16, 1<<16)
+	loRank := make([]uint16, 1<<16)
 	c := &Compressed{
-		hi:     buildHalfCoder(his),
-		lo:     buildHalfCoder(los),
+		hi:     buildHalfCoder(his, count, hiRank),
+		lo:     buildHalfCoder(los, count, loRank),
+		LAT:    make([]uint32, 0, n/GroupInstrs),
 		Instrs: n,
 	}
 	w := &bitWriter{}
 	for g := 0; g < n/GroupInstrs; g++ {
 		c.LAT = append(c.LAT, uint32(len(w.bytes())))
 		for i := g * GroupInstrs; i < (g+1)*GroupInstrs; i++ {
-			c.hi.encode(w, his[i])
-			c.lo.encode(w, los[i])
+			encode(w, int(hiRank[his[i]]), his[i])
+			encode(w, int(loRank[los[i]]), los[i])
 		}
 		w.alignHalf()
 	}

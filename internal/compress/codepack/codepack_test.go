@@ -3,9 +3,14 @@ package codepack
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/program"
+	"repro/internal/synth"
 )
 
 func genText(r *rand.Rand, groups int, hiPool, loPool int) []byte {
@@ -201,5 +206,142 @@ func TestAllEscapePath(t *testing.T) {
 	}
 	if !bytes.Equal(c.Decompress(), text) {
 		t.Fatal("escape-heavy round trip failed")
+	}
+}
+
+// refHalfCoder is the map-based ranker buildHalfCoder replaced, kept as
+// the reference its tables and ranks must match.
+func refHalfCoder(values []uint16) (*halfCoder, map[uint16]int) {
+	type stat struct {
+		count int
+		first int
+	}
+	freq := make(map[uint16]*stat)
+	for i, v := range values {
+		if s := freq[v]; s != nil {
+			s.count++
+		} else {
+			freq[v] = &stat{count: 1, first: i}
+		}
+	}
+	ordered := make([]uint16, 0, len(freq))
+	for v := range freq {
+		ordered = append(ordered, v)
+	}
+	sort.Slice(ordered, func(i, j int) bool {
+		a, b := freq[ordered[i]], freq[ordered[j]]
+		if a.count != b.count {
+			return a.count > b.count
+		}
+		return a.first < b.first
+	})
+	hc := &halfCoder{}
+	rank := make(map[uint16]int, len(ordered))
+	for r, v := range ordered {
+		rank[v] = r
+		switch {
+		case r == 0:
+			hc.rank0 = v
+		case r <= class1Size:
+			hc.table1 = append(hc.table1, v)
+		case r <= class1Size+class2Size:
+			hc.table2 = append(hc.table2, v)
+		case r <= class1Size+class2Size+class3Size:
+			hc.table3 = append(hc.table3, v)
+		}
+	}
+	return hc, rank
+}
+
+// refCompress is Compress over the reference ranker.
+func refCompress(text []byte) (*Compressed, error) {
+	if len(text)%GroupBytes != 0 {
+		return nil, fmt.Errorf("codepack: text length %d not a multiple of %d", len(text), GroupBytes)
+	}
+	n := len(text) / 4
+	his := make([]uint16, n)
+	los := make([]uint16, n)
+	for i := 0; i < n; i++ {
+		w := binary.LittleEndian.Uint32(text[4*i:])
+		los[i] = uint16(w)
+		his[i] = uint16(w >> 16)
+	}
+	hi, hiRank := refHalfCoder(his)
+	lo, loRank := refHalfCoder(los)
+	c := &Compressed{hi: hi, lo: lo, Instrs: n}
+	w := &bitWriter{}
+	for g := 0; g < n/GroupInstrs; g++ {
+		c.LAT = append(c.LAT, uint32(len(w.bytes())))
+		for i := g * GroupInstrs; i < (g+1)*GroupInstrs; i++ {
+			encode(w, hiRank[his[i]], his[i])
+			encode(w, loRank[los[i]], los[i])
+		}
+		w.alignHalf()
+	}
+	c.Stream = w.bytes()
+	return c, nil
+}
+
+// sameAsReference reports how Compress and refCompress differ on text,
+// or "" when their streams, LATs and tables are identical.
+func sameAsReference(text []byte) string {
+	got, err := Compress(text)
+	if err != nil {
+		return err.Error()
+	}
+	want, err := refCompress(text)
+	if err != nil {
+		return err.Error()
+	}
+	switch {
+	case !bytes.Equal(got.Stream, want.Stream):
+		return "stream differs"
+	case !bytes.Equal(got.LATBytes(), want.LATBytes()):
+		return "LAT differs"
+	case !bytes.Equal(got.TableBytes(), want.TableBytes()):
+		return "tables differ"
+	case got.Instrs != want.Instrs:
+		return fmt.Sprintf("%d instructions, reference %d", got.Instrs, want.Instrs)
+	}
+	return ""
+}
+
+// TestMatchesReferenceRanker holds Compress to the map-based ranker's
+// exact output on every synthetic benchmark's text, on all-escape
+// input, and on empty input.
+func TestMatchesReferenceRanker(t *testing.T) {
+	for _, p := range synth.Benchmarks() {
+		im, err := synth.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := im.Segment(program.SegText).Data
+		if diff := sameAsReference(text[:len(text)&^(GroupBytes-1)]); diff != "" {
+			t.Errorf("%s: %s", p.Name, diff)
+		}
+	}
+	// Every halfword value once per half: all but the first 2337 ranks
+	// of each half escape to raw literals.
+	escape := make([]byte, 4<<16)
+	for i := 0; i < 1<<16; i++ {
+		binary.LittleEndian.PutUint32(escape[4*i:], uint32(i)<<16|uint32(0xFFFF-i))
+	}
+	for name, text := range map[string][]byte{"all-escape": escape, "empty": nil} {
+		if diff := sameAsReference(text); diff != "" {
+			t.Errorf("%s: %s", name, diff)
+		}
+	}
+}
+
+// Property: Compress matches the reference ranker on random skewed
+// inputs, including many equal counts.
+func TestQuickMatchesReferenceRanker(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		text := genText(r, r.Intn(40), r.Intn(5000)+1, r.Intn(70000)+1)
+		return sameAsReference(text) == ""
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
 	}
 }

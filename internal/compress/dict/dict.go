@@ -55,42 +55,43 @@ func Compress(text []byte, bits IndexBits) (*Compressed, error) {
 		return nil, fmt.Errorf("dict: text length %d not a multiple of 4", len(text))
 	}
 	n := len(text) / 4
-	words := make([]uint32, n)
-	type stat struct {
-		count int
-		first int
-	}
-	freq := make(map[uint32]*stat, n/4)
+	// Number the distinct words in order of first appearance. indices
+	// holds each instruction's word id until the ranking below rewrites
+	// it in place; ids past 16 bits only arise when the dictionary is
+	// full, which returns before they are read.
+	ids := make(map[uint32]int32, n/4)
+	var distinct []uint32
+	var counts []int32
+	indices := make([]uint16, n)
 	for i := 0; i < n; i++ {
 		w := binary.LittleEndian.Uint32(text[4*i:])
-		words[i] = w
-		if s := freq[w]; s != nil {
-			s.count++
-		} else {
-			freq[w] = &stat{count: 1, first: i}
+		id, ok := ids[w]
+		if !ok {
+			id = int32(len(distinct))
+			ids[w] = id
+			distinct = append(distinct, w)
+			counts = append(counts, 0)
 		}
+		counts[id]++
+		indices[i] = uint16(id)
 	}
-	if len(freq) > bits.MaxEntries() {
-		return nil, &ErrDictionaryFull{Unique: len(freq), Max: bits.MaxEntries()}
+	if len(distinct) > bits.MaxEntries() {
+		return nil, &ErrDictionaryFull{Unique: len(distinct), Max: bits.MaxEntries()}
 	}
-	dict := make([]uint32, 0, len(freq))
-	for w := range freq {
-		dict = append(dict, w)
+	// A stable sort by count keeps equal counts in first-appearance order.
+	order := make([]uint16, len(distinct))
+	for id := range order {
+		order[id] = uint16(id)
 	}
-	sort.Slice(dict, func(i, j int) bool {
-		a, b := freq[dict[i]], freq[dict[j]]
-		if a.count != b.count {
-			return a.count > b.count
-		}
-		return a.first < b.first
-	})
-	index := make(map[uint32]uint16, len(dict))
-	for i, w := range dict {
-		index[w] = uint16(i)
+	sort.SliceStable(order, func(i, j int) bool { return counts[order[i]] > counts[order[j]] })
+	dict := make([]uint32, len(order))
+	rank := make([]uint16, len(order))
+	for r, id := range order {
+		dict[r] = distinct[id]
+		rank[id] = uint16(r)
 	}
-	indices := make([]uint16, n)
-	for i, w := range words {
-		indices[i] = index[w]
+	for i, id := range indices {
+		indices[i] = rank[id]
 	}
 	return &Compressed{Bits: bits, Dict: dict, Indices: indices}, nil
 }

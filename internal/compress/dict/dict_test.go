@@ -3,9 +3,14 @@ package dict
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/program"
+	"repro/internal/synth"
 )
 
 func wordsToBytes(ws []uint32) []byte {
@@ -183,6 +188,130 @@ func TestQuickIndexValidity(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// refCompress is the map-based ranker Compress replaced, kept as the
+// reference its output must match byte for byte.
+func refCompress(text []byte, bits IndexBits) (*Compressed, error) {
+	if len(text)%4 != 0 {
+		return nil, fmt.Errorf("dict: text length %d not a multiple of 4", len(text))
+	}
+	n := len(text) / 4
+	words := make([]uint32, n)
+	type stat struct {
+		count int
+		first int
+	}
+	freq := make(map[uint32]*stat, n/4)
+	for i := 0; i < n; i++ {
+		w := binary.LittleEndian.Uint32(text[4*i:])
+		words[i] = w
+		if s := freq[w]; s != nil {
+			s.count++
+		} else {
+			freq[w] = &stat{count: 1, first: i}
+		}
+	}
+	if len(freq) > bits.MaxEntries() {
+		return nil, &ErrDictionaryFull{Unique: len(freq), Max: bits.MaxEntries()}
+	}
+	dict := make([]uint32, 0, len(freq))
+	for w := range freq {
+		dict = append(dict, w)
+	}
+	sort.Slice(dict, func(i, j int) bool {
+		a, b := freq[dict[i]], freq[dict[j]]
+		if a.count != b.count {
+			return a.count > b.count
+		}
+		return a.first < b.first
+	})
+	index := make(map[uint32]uint16, len(dict))
+	for i, w := range dict {
+		index[w] = uint16(i)
+	}
+	indices := make([]uint16, n)
+	for i, w := range words {
+		indices[i] = index[w]
+	}
+	return &Compressed{Bits: bits, Dict: dict, Indices: indices}, nil
+}
+
+// sameAsReference reports how Compress and refCompress differ on text,
+// or "" when their dictionaries, indices and errors are identical.
+func sameAsReference(text []byte, bits IndexBits) string {
+	got, gotErr := Compress(text, bits)
+	want, wantErr := refCompress(text, bits)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		return fmt.Sprintf("error %v, reference %v", gotErr, wantErr)
+	}
+	if wantErr != nil {
+		return ""
+	}
+	switch {
+	case !bytes.Equal(got.DictBytes(), want.DictBytes()):
+		return "dictionary differs"
+	case len(got.Indices) != len(want.Indices):
+		return fmt.Sprintf("%d indices, reference %d", len(got.Indices), len(want.Indices))
+	case !bytes.Equal(got.IndexBytes(), want.IndexBytes()):
+		return "index bytes differ"
+	}
+	for i := range got.Indices {
+		if got.Indices[i] != want.Indices[i] {
+			return fmt.Sprintf("index %d = %d, reference %d", i, got.Indices[i], want.Indices[i])
+		}
+	}
+	return ""
+}
+
+// TestMatchesReferenceRanker holds Compress to the map-based ranker's
+// exact output on every synthetic benchmark's text, on a program whose
+// words are all distinct, on a program too large for the dictionary,
+// and on empty input.
+func TestMatchesReferenceRanker(t *testing.T) {
+	for _, p := range synth.Benchmarks() {
+		im, err := synth.Build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := im.Segment(program.SegText).Data
+		for _, bits := range []IndexBits{Index16, Index8} {
+			if diff := sameAsReference(text, bits); diff != "" {
+				t.Errorf("%s/%d-bit: %s", p.Name, bits, diff)
+			}
+		}
+	}
+	distinct := make([]uint32, 1<<16)
+	for i := range distinct {
+		distinct[i] = uint32(i)
+	}
+	for name, text := range map[string][]byte{
+		"all-distinct": wordsToBytes(distinct),
+		"overfull":     wordsToBytes(append(distinct, 1<<20)),
+		"empty":        nil,
+	} {
+		if diff := sameAsReference(text, Index16); diff != "" {
+			t.Errorf("%s: %s", name, diff)
+		}
+	}
+}
+
+// Property: Compress matches the reference ranker on random streams of
+// varied length and uniqueness, including many equal counts.
+func TestQuickMatchesReferenceRanker(t *testing.T) {
+	f := func(seed int64, nRaw uint16, poolRaw uint16) bool {
+		r := rand.New(rand.NewSource(seed))
+		words := make([]uint32, int(nRaw)%4096)
+		pool := int(poolRaw)%1024 + 1
+		for i := range words {
+			words[i] = uint32(r.Intn(pool)) * 40503
+		}
+		return sameAsReference(wordsToBytes(words), Index16) == "" &&
+			sameAsReference(wordsToBytes(words), Index8) == ""
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,8 +9,8 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/cpu"
@@ -20,15 +20,18 @@ import (
 )
 
 // Suite runs experiments over the benchmark set, caching built images,
-// native baselines and profiles so the tables and figures share work.
+// native baselines, profiles, compressed images and compressed-run
+// outcomes so the tables and figures share work: each distinct
+// (options, I-cache size) configuration is simulated once per Suite.
 //
 // A Suite is safe for concurrent use once its exported fields are set:
 // the parallel shard runner (internal/parallel) fans workloads across
 // goroutines against one shared Suite. Cached artefacts (images,
-// compressed results, native baselines) are built at most once under
-// per-benchmark locks and treated as read-only afterwards; the timed
-// simulations themselves (runImage from MeasureRun) run unlocked, each
-// on its own CPU instance.
+// compressed results, native baselines, compressed-run outcomes) are
+// built at most once under per-benchmark locks and treated as read-only
+// afterwards. MeasureRun, the attributed runs and the fast-tier runs are
+// never memoised: callers time them, so each call simulates afresh,
+// unlocked, on its own CPU instance.
 type Suite struct {
 	// Scale multiplies every benchmark's dynamic length (1.0 = the
 	// calibrated full runs; tests use smaller values).
@@ -48,6 +51,8 @@ type Suite struct {
 
 	mu     sync.Mutex // guards states
 	states map[string]*benchState
+
+	sims atomic.Int64 // simulations run by runImage, for tests
 }
 
 type benchState struct {
@@ -61,7 +66,8 @@ type benchState struct {
 	native   map[int]runOutcome // by I-cache KB
 	profiles map[int]*cpu.ProcProfile
 	attr     map[int]*profile.Profile // native attribution profiles by I-cache KB
-	results  map[string]*core.Result
+	results  map[string]*core.Result  // by optionsKey
+	runs     map[string]runOutcome    // verified compressed runs, by runKey
 }
 
 type runOutcome struct {
@@ -115,6 +121,7 @@ func (s *Suite) state(p synth.Profile) (*benchState, error) {
 		st.profiles = make(map[int]*cpu.ProcProfile)
 		st.attr = make(map[int]*profile.Profile)
 		st.results = make(map[string]*core.Result)
+		st.runs = make(map[string]runOutcome)
 	})
 	return st, st.err
 }
@@ -131,6 +138,7 @@ func (s *Suite) machine(cacheKB int) cpu.Config {
 
 // runImage executes an image and returns its stats and checksum output.
 func (s *Suite) runImage(im *program.Image, cacheKB int, prof cpu.Profiler) (runOutcome, error) {
+	s.sims.Add(1)
 	c, err := cpu.New(s.machine(cacheKB))
 	if err != nil {
 		return runOutcome{}, err
@@ -180,11 +188,23 @@ func (st *benchState) profileAt(cacheKB int) *cpu.ProcProfile {
 	return st.profiles[cacheKB]
 }
 
+// optionsKey names every field of core.Options that changes the
+// compression result: two options with one key give the same Result.
+func optionsKey(opts core.Options) string {
+	return fmt.Sprintf("%s/rf=%v/bits=%d/native=%q/order=%q/lint=%v",
+		opts.Scheme, opts.ShadowRF, opts.IndexBits, sortedNames(opts.NativeProcs), opts.Order, opts.Lint)
+}
+
+// runKey names one compressed run: the options and the I-cache size.
+func runKey(opts core.Options, cacheKB int) string {
+	return fmt.Sprintf("%s@%dKB", optionsKey(opts), cacheKB)
+}
+
 // compressed returns (caching) the compressed image for the options.
 // Like nativeRun, the lock is held across the compression so shards
 // needing the same image build it once.
 func (s *Suite) compressed(st *benchState, opts core.Options) (*core.Result, error) {
-	key := fmt.Sprintf("%s/%v/%d/%v", opts.Scheme, opts.ShadowRF, opts.IndexBits, sortedNames(opts.NativeProcs))
+	key := optionsKey(opts)
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if r, ok := st.results[key]; ok {
@@ -198,17 +218,20 @@ func (s *Suite) compressed(st *benchState, opts core.Options) (*core.Result, err
 	return r, nil
 }
 
-func sortedNames(m map[string]bool) string {
+func sortedNames(m map[string]bool) []string {
 	names := make([]string, 0, len(m))
 	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	return strings.Join(names, ",")
+	return names
 }
 
-// compressedRun runs the compressed image and verifies its checksum
-// matches the native baseline: every experiment self-checks correctness.
+// compressedRun returns (caching) the run of the compressed image at
+// the given cache size, verified against the native baseline's checksum:
+// every experiment self-checks correctness, and a cached outcome has
+// already passed that check. Like nativeRun, the lock is held across
+// the run so concurrent shards share one simulation.
 func (s *Suite) compressedRun(st *benchState, opts core.Options, cacheKB int) (runOutcome, *core.Result, error) {
 	res, err := s.compressed(st, opts)
 	if err != nil {
@@ -218,6 +241,12 @@ func (s *Suite) compressedRun(st *benchState, opts core.Options, cacheKB int) (r
 	if err != nil {
 		return runOutcome{}, nil, err
 	}
+	key := runKey(opts, cacheKB)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if o, ok := st.runs[key]; ok {
+		return o, res, nil
+	}
 	o, err := s.runImage(res.Image, cacheKB, nil)
 	if err != nil {
 		return runOutcome{}, nil, fmt.Errorf("%s %s @%dKB: %v", st.profile.Name, opts.Scheme, cacheKB, err)
@@ -226,6 +255,7 @@ func (s *Suite) compressedRun(st *benchState, opts core.Options, cacheKB int) (r
 		return runOutcome{}, nil, fmt.Errorf("%s %s @%dKB: checksum %q, native %q",
 			st.profile.Name, opts.Scheme, cacheKB, o.checksum, nat.checksum)
 	}
+	st.runs[key] = o
 	return o, res, nil
 }
 
