@@ -37,9 +37,14 @@ func (c Config) Validate() error {
 
 type line struct {
 	valid bool
-	tag   uint32
-	lru   uint64
-	data  []byte // nil when the cache does not store data
+	// derived marks state a client has computed from the line (the
+	// CPU's predecoded records). The cache clears it whenever the
+	// line's identity or contents change, so a set bit means the
+	// client's copy is still current.
+	derived bool
+	tag     uint32
+	lru     uint64
+	data    []byte // nil when the cache does not store data
 }
 
 // Stats counts cache events.
@@ -74,23 +79,28 @@ type Observer interface {
 }
 
 // Cache is one level of the hierarchy.
+//
+// Lines live in one set-major slice, so each has a dense slot number,
+// set*Ways + way, that stays fixed for the cache's lifetime. Clients
+// that keep per-line state index it by slot (Lookup, Slot) and ask
+// Derived whether the line has changed since they computed it.
 type Cache struct {
 	cfg        Config
-	sets       [][]line
+	lines      []line
 	clock      uint64
 	storesData bool
 	lineShift  uint
 	setShift   uint
 	setMask    uint32
 
-	// MRU hint: the line of the last Access hit, keyed by its
+	// MRU hint: the slot of the last Lookup hit, keyed by its
 	// addr>>lineShift (which identifies set and tag uniquely).
 	// Consecutive accesses to one line — the common fetch pattern —
 	// skip the associative lookup; side effects (access count, LRU
 	// clock) are identical. Any operation that moves or invalidates
-	// lines clears the hint.
+	// lines clears the hint (mruSlot < 0).
 	mruIdx  uint32
-	mruLine *line
+	mruSlot int
 
 	Stats Stats
 	// Obs, when set, observes per-set miss/conflict/eviction events.
@@ -104,11 +114,8 @@ func New(cfg Config, storesData bool) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	c := &Cache{cfg: cfg, storesData: storesData}
-	c.sets = make([][]line, cfg.Sets())
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
+	c := &Cache{cfg: cfg, storesData: storesData, mruSlot: -1}
+	c.lines = make([]line, cfg.Sets()*cfg.Ways)
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
 	}
@@ -148,44 +155,76 @@ func log2(n uint32) int {
 	return k
 }
 
-func (c *Cache) find(addr uint32) *line {
+// find returns the slot holding addr's line, or -1.
+func (c *Cache) find(addr uint32) int {
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	base := int(set) * c.cfg.Ways
+	ways := c.lines[base : base+c.cfg.Ways]
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
-			return &ways[i]
+			return base + i
 		}
 	}
-	return nil
+	return -1
 }
 
 // Access looks addr up, counting the access and updating LRU on a hit.
 // It reports whether the line is present.
-func (c *Cache) Access(addr uint32) bool {
+func (c *Cache) Access(addr uint32) bool { return c.Lookup(addr) >= 0 }
+
+// Lookup is Access returning the slot of the hit line, or -1 on a miss.
+func (c *Cache) Lookup(addr uint32) int {
 	c.Stats.Accesses++
-	if c.mruLine != nil && addr>>c.lineShift == c.mruIdx {
+	idx := addr >> c.lineShift
+	if c.mruSlot >= 0 && idx == c.mruIdx {
 		c.clock++
-		c.mruLine.lru = c.clock
-		return true
+		c.lines[c.mruSlot].lru = c.clock
+		return c.mruSlot
 	}
-	if ln := c.find(addr); ln != nil {
+	if s := c.find(addr); s >= 0 {
 		c.clock++
-		ln.lru = c.clock
-		c.mruIdx, c.mruLine = addr>>c.lineShift, ln
-		return true
+		c.lines[s].lru = c.clock
+		c.mruIdx, c.mruSlot = idx, s
+		return s
 	}
 	c.Stats.Misses++
 	if c.Obs != nil {
 		set, _ := c.index(addr)
 		c.Obs.CacheMiss(int(set), c.setFull(set))
 	}
-	return false
+	return -1
 }
+
+// Hit counts an access the caller knows hits slot, with Access's
+// counter and LRU effects. The caller must have established that slot
+// still holds the line (Derived tracks that).
+func (c *Cache) Hit(slot int) {
+	c.Stats.Accesses++
+	c.clock++
+	c.lines[slot].lru = c.clock
+}
+
+// Slot returns the slot holding addr's line, or -1, without touching
+// statistics or LRU state.
+func (c *Cache) Slot(addr uint32) int { return c.find(addr) }
+
+// SlotData returns slot's line contents without copying. The slice is
+// the cache's own storage: it changes with the line.
+func (c *Cache) SlotData(slot int) []byte { return c.lines[slot].data }
+
+// Derived reports whether slot's derived bit is still set: nothing has
+// changed the line's identity or contents since SetDerived.
+func (c *Cache) Derived(slot int) bool { return c.lines[slot].derived }
+
+// SetDerived records that the client has computed state from slot's
+// current line.
+func (c *Cache) SetDerived(slot int) { c.lines[slot].derived = true }
 
 // setFull reports whether every way of set holds a valid line.
 func (c *Cache) setFull(set uint32) bool {
-	for i := range c.sets[set] {
-		if !c.sets[set][i].valid {
+	base := int(set) * c.cfg.Ways
+	for _, ln := range c.lines[base : base+c.cfg.Ways] {
+		if !ln.valid {
 			return false
 		}
 	}
@@ -193,20 +232,25 @@ func (c *Cache) setFull(set uint32) bool {
 }
 
 // Probe reports presence without touching statistics or LRU state.
-func (c *Cache) Probe(addr uint32) bool { return c.find(addr) != nil }
+func (c *Cache) Probe(addr uint32) bool {
+	if c.mruSlot >= 0 && addr>>c.lineShift == c.mruIdx {
+		return true
+	}
+	return c.find(addr) >= 0
+}
 
-func (c *Cache) victim(set uint32) *line {
-	ways := c.sets[set]
-	v := &ways[0]
-	for i := 1; i < len(ways); i++ {
-		if !ways[i].valid {
-			return &ways[i]
+func (c *Cache) victim(set uint32) int {
+	base := int(set) * c.cfg.Ways
+	v := base
+	for i := base + 1; i < base+c.cfg.Ways; i++ {
+		if !c.lines[i].valid {
+			return i
 		}
-		if ways[i].lru < v.lru {
-			v = &ways[i]
+		if c.lines[i].lru < c.lines[v].lru {
+			v = i
 		}
 	}
-	if v.valid {
+	if c.lines[v].valid {
 		c.Stats.Evictions++
 		if c.Obs != nil {
 			c.Obs.CacheEvict(int(set))
@@ -215,16 +259,20 @@ func (c *Cache) victim(set uint32) *line {
 	return v
 }
 
+// allocate claims a slot for addr's line, zeroes its data and returns
+// the line.
 func (c *Cache) allocate(addr uint32) *line {
-	c.mruLine = nil
+	c.mruSlot = -1
 	set, tag := c.index(addr)
 	// Re-use the existing line if present so a set never holds two ways
 	// with the same tag.
-	ln := c.find(addr)
-	if ln == nil {
-		ln = c.victim(set)
+	s := c.find(addr)
+	if s < 0 {
+		s = c.victim(set)
 	}
+	ln := &c.lines[s]
 	ln.valid = true
+	ln.derived = false
 	ln.tag = tag
 	c.clock++
 	ln.lru = c.clock
@@ -232,9 +280,7 @@ func (c *Cache) allocate(addr uint32) *line {
 		if ln.data == nil {
 			ln.data = make([]byte, c.cfg.LineBytes)
 		} else {
-			for i := range ln.data {
-				ln.data[i] = 0
-			}
+			clear(ln.data)
 		}
 	}
 	return ln
@@ -261,13 +307,15 @@ func (c *Cache) WriteWord(addr uint32, w uint32) bool {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("cache: unaligned swic at %#x", addr))
 	}
-	ln := c.find(addr)
+	var ln *line
 	claimed := false
-	if ln == nil {
+	if s := c.find(addr); s < 0 {
 		ln = c.allocate(addr)
 		c.Stats.SwicLines++
 		claimed = true
 	} else {
+		ln = &c.lines[s]
+		ln.derived = false
 		c.clock++
 		ln.lru = c.clock
 	}
@@ -281,12 +329,12 @@ func (c *Cache) WriteWord(addr uint32, w uint32) bool {
 // ReadWord returns the cached word at addr. ok is false when the line is
 // absent (or the cache does not store data).
 func (c *Cache) ReadWord(addr uint32) (w uint32, ok bool) {
-	ln := c.find(addr)
-	if ln == nil || ln.data == nil {
+	s := c.find(addr)
+	if s < 0 || c.lines[s].data == nil {
 		return 0, false
 	}
 	off := addr & uint32(c.cfg.LineBytes-1)
-	return binary.LittleEndian.Uint32(ln.data[off : off+4]), true
+	return binary.LittleEndian.Uint32(c.lines[s].data[off : off+4]), true
 }
 
 // UpdateWord updates addr's word if its line is present (write-through
@@ -295,7 +343,9 @@ func (c *Cache) UpdateWord(addr uint32, w uint32) {
 	if !c.storesData {
 		return
 	}
-	if ln := c.find(addr); ln != nil {
+	if s := c.find(addr); s >= 0 {
+		ln := &c.lines[s]
+		ln.derived = false
 		off := addr & uint32(c.cfg.LineBytes-1)
 		binary.LittleEndian.PutUint32(ln.data[off:off+4], w)
 	}
@@ -303,29 +353,29 @@ func (c *Cache) UpdateWord(addr uint32, w uint32) {
 
 // Invalidate drops addr's line if present.
 func (c *Cache) Invalidate(addr uint32) {
-	c.mruLine = nil
-	if ln := c.find(addr); ln != nil {
-		ln.valid = false
+	c.mruSlot = -1
+	if s := c.find(addr); s >= 0 {
+		c.lines[s].valid = false
+		c.lines[s].derived = false
 	}
 }
 
 // Flush invalidates every line and leaves statistics untouched.
 func (c *Cache) Flush() {
-	c.mruLine = nil
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w].valid = false
-		}
+	c.mruSlot = -1
+	for i := range c.lines {
+		c.lines[i].valid = false
+		c.lines[i].derived = false
 	}
 }
 
 // LineData returns a copy of the line containing addr, or nil if absent.
 func (c *Cache) LineData(addr uint32) []byte {
-	ln := c.find(addr)
-	if ln == nil || ln.data == nil {
+	s := c.find(addr)
+	if s < 0 || c.lines[s].data == nil {
 		return nil
 	}
-	out := make([]byte, len(ln.data))
-	copy(out, ln.data)
+	out := make([]byte, c.cfg.LineBytes)
+	copy(out, c.lines[s].data)
 	return out
 }

@@ -24,11 +24,11 @@ type State struct {
 // Snapshot captures a deep copy of the cache state.
 func (c *Cache) Snapshot() State {
 	st := State{Config: c.cfg, Clock: c.clock, Stats: c.Stats}
-	st.Sets = make([][]LineState, len(c.sets))
-	for s := range c.sets {
-		ways := make([]LineState, len(c.sets[s]))
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
+	st.Sets = make([][]LineState, c.cfg.Sets())
+	for s := range st.Sets {
+		ways := make([]LineState, c.cfg.Ways)
+		for w := range ways {
+			ln := &c.lines[s*c.cfg.Ways+w]
 			ls := LineState{Valid: ln.valid, Tag: ln.tag, LRU: ln.lru}
 			if ln.data != nil {
 				ls.Data = make([]byte, len(ln.data))
@@ -42,22 +42,24 @@ func (c *Cache) Snapshot() State {
 }
 
 // Restore replaces the cache contents with the snapshot. The geometry
-// must match this cache's configuration; the MRU hint is cleared.
+// must match this cache's configuration; the MRU hint and every line's
+// derived bit are cleared.
 func (c *Cache) Restore(st State) error {
 	if st.Config != c.cfg {
 		return fmt.Errorf("cache: snapshot geometry %+v does not match cache %+v", st.Config, c.cfg)
 	}
-	if len(st.Sets) != len(c.sets) {
-		return fmt.Errorf("cache: snapshot has %d sets, cache %d", len(st.Sets), len(c.sets))
+	if len(st.Sets) != c.cfg.Sets() {
+		return fmt.Errorf("cache: snapshot has %d sets, cache %d", len(st.Sets), c.cfg.Sets())
 	}
 	for s := range st.Sets {
-		if len(st.Sets[s]) != len(c.sets[s]) {
-			return fmt.Errorf("cache: snapshot set %d has %d ways, cache %d", s, len(st.Sets[s]), len(c.sets[s]))
+		if len(st.Sets[s]) != c.cfg.Ways {
+			return fmt.Errorf("cache: snapshot set %d has %d ways, cache %d", s, len(st.Sets[s]), c.cfg.Ways)
 		}
 		for w := range st.Sets[s] {
 			ls := st.Sets[s][w]
-			ln := &c.sets[s][w]
+			ln := &c.lines[s*c.cfg.Ways+w]
 			ln.valid = ls.Valid
+			ln.derived = false
 			ln.tag = ls.Tag
 			ln.lru = ls.LRU
 			if ls.Data != nil {
@@ -76,6 +78,6 @@ func (c *Cache) Restore(st State) error {
 	}
 	c.clock = st.Clock
 	c.Stats = st.Stats
-	c.mruIdx, c.mruLine = 0, nil
+	c.mruIdx, c.mruSlot = 0, -1
 	return nil
 }

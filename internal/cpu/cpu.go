@@ -178,16 +178,20 @@ type CPU struct {
 	lastLoad int    // register written by the previous instruction if it was a load (-1 otherwise)
 	excStart uint64 // Stats.Cycles at the last exception entry
 
-	// Predecoded-instruction cache (see predecode.go). pdec maps an
-	// I-cache line base to its decoded records; curBase/curLine cache
-	// the line the PC is streaming through; hdec covers handler RAM;
-	// scratch backs the DisablePredecode reference path.
-	pdec     map[uint32][]pinstr
-	curBase  uint32
-	curLine  []pinstr
-	swicBase uint32
-	hdec     []pinstr
-	scratch  pinstr
+	// Predecoded instructions (see predecode.go). pcode holds wpl
+	// records per I-cache slot, current while the cache keeps the
+	// slot's derived bit set; curIdx/curSlot name the line the last
+	// fetch resolved (its address >> lineShift), for the same-line fast
+	// path; hdec covers handler RAM; fillBuf is the hardware-fill line
+	// buffer; scratch backs the DisablePredecode reference path.
+	pcode     []pinstr
+	wpl       int
+	lineShift uint
+	curIdx    uint32
+	curSlot   int
+	hdec      []pinstr
+	fillBuf   []byte
+	scratch   pinstr
 
 	// Functional-engine state (see funct.go). fsWord/fsOK are the
 	// materialised decompressed code over the compressed region, one
@@ -195,9 +199,10 @@ type CPU struct {
 	// for the I-cache: never evicts); fxtra catches swic stores outside
 	// that region (rare; never fetched). fcdec/fcOK cache decoded
 	// records in lockstep with fsWord; fdec/fdOK do the same over the
-	// native code extent [fdBase,fdEnd). All flat stores are allocated
-	// lazily on first functional execution. flastExc/fexcRepet mirror
-	// the detailed repeated-exception guard.
+	// native code extent [fdBase,fdEnd), and I-cache refills copy their
+	// records from fdec. All flat stores are allocated lazily, on first
+	// functional execution or (fdec) first refill. flastExc/fexcRepet
+	// mirror the detailed repeated-exception guard.
 	fsWord    []uint32
 	fsOK      []uint8
 	fxtra     map[uint32]uint32
@@ -237,6 +242,9 @@ func New(cfg Config) (*CPU, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cpu: I-cache: %v", err)
 	}
+	if lb := cfg.ICache.LineBytes; lb < 4 {
+		return nil, fmt.Errorf("cpu: I-cache: %dB lines cannot hold a 4-byte instruction", lb)
+	}
 	dc, err := cache.New(cfg.DCache, false)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: D-cache: %v", err)
@@ -248,6 +256,12 @@ func New(cfg Config) (*CPU, error) {
 		DC:       dc,
 		BP:       bpred.New(cfg.PredictorEntries),
 		lastLoad: -1,
+		pcode:    make([]pinstr, cfg.ICache.SizeBytes/4),
+		wpl:      cfg.ICache.LineBytes / 4,
+		fillBuf:  make([]byte, cfg.ICache.LineBytes),
+	}
+	for n := cfg.ICache.LineBytes; n > 1; n >>= 1 {
+		c.lineShift++
 	}
 	c.resetPredecode()
 	c.resetFunctional()
@@ -295,6 +309,12 @@ func (c *CPU) Load(im *program.Image) error {
 		if s.End() > c.fdEnd {
 			c.fdEnd = s.End()
 		}
+	}
+	// The decode store holds whole words; a word the segments cover only
+	// partly is decoded where it is fetched instead.
+	c.fdBase, c.fdEnd = (c.fdBase+3)&^3, c.fdEnd&^3
+	if c.fdEnd <= c.fdBase {
+		c.fdBase, c.fdEnd = 0, 0
 	}
 	c.resetPredecode()
 	c.resetFunctional()

@@ -25,6 +25,9 @@ func (c *CPU) Step() error {
 // every cycle — same engine, reference timing.
 func (c *CPU) fetch() (*pinstr, error) {
 	pc := c.pc
+	if p := c.sameLine(pc); p != nil {
+		return p, nil
+	}
 	if pc&3 != 0 {
 		return nil, fmt.Errorf("cpu: unaligned fetch at %#x", pc)
 	}
@@ -43,14 +46,14 @@ func (c *CPU) fetch() (*pinstr, error) {
 		}
 		return p, nil
 	}
-	if !c.IC.Access(pc) {
+	slot := c.IC.Lookup(pc)
+	if slot < 0 {
 		if c.InCompressedRegion(pc) {
-			if c.Cfg.HardwareDecompress {
-				if err := c.hardwareFill(pc); err != nil {
-					return nil, err
-				}
-			} else {
+			if !c.Cfg.HardwareDecompress {
 				return nil, c.raiseDecompress(pc)
+			}
+			if err := c.hardwareFill(pc); err != nil {
+				return nil, err
 			}
 		} else {
 			// Hardware fill from backed memory.
@@ -58,11 +61,8 @@ func (c *CPU) fetch() (*pinstr, error) {
 			if !c.Mem.Backed(base) {
 				return nil, fmt.Errorf("cpu: fetch from unmapped address %#x", pc)
 			}
-			line := make([]byte, c.Cfg.ICache.LineBytes)
 			start := c.Stats.Cycles
-			stall := c.Mem.ReadBlock(base, line)
-			c.IC.Fill(base, line)
-			c.predecodeFill(base, line)
+			stall := c.fillNative(base)
 			c.Stats.Cycles += uint64(stall)
 			c.Stats.FetchStalls += uint64(stall)
 			c.Stats.CPIStack[CycleFetchStall] += uint64(stall)
@@ -74,34 +74,36 @@ func (c *CPU) fetch() (*pinstr, error) {
 				c.Prof.CountMiss(pc)
 			}
 		}
-	}
-	if c.Cfg.DisablePredecode {
-		w, ok := c.IC.ReadWord(pc)
-		if !ok {
+		if slot = c.IC.Slot(pc); slot < 0 {
 			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
 		}
+	}
+	if c.Cfg.DisablePredecode {
+		w, _ := c.IC.ReadWord(pc) // present: slot >= 0
 		c.scratch = decodeInstr(pc, w)
 		return &c.scratch, nil
 	}
-	base := c.IC.LineBase(pc)
-	if base != c.curBase {
-		ln := c.plineFor(base)
-		if ln == nil {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
-		c.curBase, c.curLine = base, ln
-	}
-	p := &c.curLine[(pc-base)>>2]
+	p := c.slotRecord(pc, slot)
 	if c.Cfg.PredecodeCheck {
-		w, ok := c.IC.ReadWord(pc)
-		if !ok {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
+		w, _ := c.IC.ReadWord(pc)
 		if err := c.checkPredecode(p, pc, w); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
+}
+
+// sameLine is the fetch fast path: when pc is in the line the last
+// fetch resolved and the I-cache has not changed that line since, it
+// counts the I-cache hit and returns the record without a tag search.
+// It returns nil otherwise (curIdx is never set under DisablePredecode
+// or PredecodeCheck, so both always take the full path).
+func (c *CPU) sameLine(pc uint32) *pinstr {
+	if pc&3 != 0 || pc>>c.lineShift != c.curIdx || !c.IC.Derived(c.curSlot) {
+		return nil
+	}
+	c.IC.Hit(c.curSlot)
+	return &c.pcode[c.curSlot*c.wpl+int(pc>>2)&(c.wpl-1)]
 }
 
 // hardwareFill models a hardware decompression unit: the compressed
@@ -114,17 +116,9 @@ func (c *CPU) hardwareFill(pc uint32) error {
 	}
 	base := c.IC.LineBase(pc)
 	n := c.Cfg.ICache.LineBytes
-	line := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a := base + uint32(i)
-		if c.goldenText.Contains(a) {
-			line[i] = c.goldenText.Data[a-c.goldenText.Base]
-		}
-	}
 	start := c.Stats.Cycles
 	stall := c.Mem.Burst(n/2) + c.Cfg.HWDecompressCycles
-	c.IC.Fill(base, line)
-	c.predecodeFill(base, line)
+	c.IC.Fill(base, c.goldenLine(base))
 	c.Stats.Cycles += uint64(stall)
 	c.Stats.FetchStalls += uint64(stall)
 	c.Stats.CPIStack[CycleExcService] += uint64(stall)
@@ -371,21 +365,21 @@ func (c *CPU) execute(p *pinstr) error {
 	case pSB:
 		addr := r[p.rs] + p.imm
 		c.Mem.StoreByte(addr, byte(r[p.rt]))
-		c.noteHandlerStore(addr)
+		c.fstoreData(addr)
 	case pSH:
 		addr := r[p.rs] + p.imm
 		if addr&1 != 0 {
 			return fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 		}
 		c.Mem.WriteHalf(addr, uint16(r[p.rt]))
-		c.noteHandlerStore(addr)
+		c.fstoreData(addr)
 	case pSW:
 		addr := r[p.rs] + p.imm
 		if addr&3 != 0 {
 			return fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 		}
 		c.Mem.WriteWord(addr, r[p.rt])
-		c.noteHandlerStore(addr)
+		c.fstoreData(addr)
 
 	case pSWIC:
 		addr := r[p.rs] + p.imm
@@ -393,9 +387,6 @@ func (c *CPU) execute(p *pinstr) error {
 			return fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
 		}
 		c.IC.WriteWord(addr, r[p.rt])
-		if !c.Cfg.DisablePredecode {
-			c.predecodeSwic(addr)
-		}
 		cycles += uint64(c.Cfg.SwicExtraCycles)
 		if wasHandler {
 			c.Stats.CPIStack[CycleHandler] += uint64(c.Cfg.SwicExtraCycles)

@@ -78,8 +78,10 @@ func (c *CPU) resetFunctional() {
 }
 
 // fensure allocates the flat functional stores for the current image
-// geometry. The decode caches are skipped in warming mode (warm fetches
-// go through the real I-cache and predecode lines instead).
+// geometry. The compressed-region decode cache is skipped in warming
+// mode (warm fetches go through the real I-cache and its records
+// instead); the native one is not, because I-cache refills copy their
+// records from it (fillNative).
 func (c *CPU) fensure() {
 	if c.compEnd > c.compStart {
 		n := (c.compEnd - c.compStart) >> 2
@@ -92,11 +94,7 @@ func (c *CPU) fensure() {
 			c.fcOK = make([]uint8, n)
 		}
 	}
-	if !c.Cfg.FunctionalWarm && c.fdec == nil && c.fdEnd > c.fdBase {
-		n := (c.fdEnd - c.fdBase) >> 2
-		c.fdec = make([]pinstr, n)
-		c.fdOK = make([]uint8, n)
-	}
+	c.fdecEnsure()
 	if c.hdec != nil && c.fhdOK == nil {
 		// The handler predecode is always fully decoded (predecodeHandler
 		// builds it eagerly and noteHandlerStore patches it in place), so
@@ -106,6 +104,17 @@ func (c *CPU) fensure() {
 		for i := range c.fhdOK {
 			c.fhdOK[i] = 1
 		}
+	}
+}
+
+// fdecEnsure allocates the native-extent decode store fdec/fdOK. Both
+// engines share it: the functional engine dispatches from it and the
+// detailed engine's I-cache refills copy their records out of it.
+func (c *CPU) fdecEnsure() {
+	if c.fdec == nil && c.fdEnd > c.fdBase {
+		n := (c.fdEnd - c.fdBase) >> 2
+		c.fdec = make([]pinstr, n)
+		c.fdOK = make([]uint8, n)
 	}
 }
 
@@ -215,7 +224,13 @@ func (c *CPU) RunFunctionalFor(n uint64) (bool, error) {
 // extrapolating. Pure probe — no state is touched.
 func (c *CPU) fwouldFault() bool {
 	pc := c.pc
-	return !c.inHandler && pc&3 == 0 && !c.inHandlerRAM(pc) && !c.IC.Probe(pc)
+	if c.inHandler || pc&3 != 0 {
+		return false
+	}
+	if pc>>c.lineShift == c.curIdx && c.IC.Derived(c.curSlot) {
+		return false // the same-line fast path's line is resident
+	}
+	return !c.inHandlerRAM(pc) && !c.IC.Probe(pc)
 }
 
 // RunFunctionalSampled is the sampled driver's fast-forward: it retires
@@ -332,7 +347,7 @@ func (c *CPU) RunDetailedWindow(n uint64, burstCycles, burstInstrs *uint64) (boo
 //
 // Fetch resolves through one of five sources, in order: the handler
 // predecode inside the handler; the warming path (real I-cache and
-// predecode lines) under Config.FunctionalWarm; the compressed-region
+// its slot records) under Config.FunctionalWarm; the compressed-region
 // decode cache; the native-extent decode cache; a per-fetch decode for
 // code executing anywhere else.
 func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
@@ -711,9 +726,6 @@ func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 			}
 			if warm {
 				c.IC.WriteWord(addr, v)
-				if !c.Cfg.DisablePredecode {
-					c.predecodeSwic(addr)
-				}
 			}
 			c.fsPut(addr, v)
 
@@ -748,68 +760,51 @@ func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 }
 
 // ffetchWarm is the detailed fetch path stripped of its timing: same
-// I-cache accesses, fills and predecode maintenance, no cycles, no
-// stall counters, no telemetry. A nil, nil return means a decompression
+// I-cache accesses, fills and predecoded records, no cycles, no stall
+// counters, no telemetry. A nil, nil return means a decompression
 // exception was raised instead of delivering an instruction.
 func (c *CPU) ffetchWarm(pc uint32) (*pinstr, error) {
-	if !c.IC.Access(pc) {
+	if p := c.sameLine(pc); p != nil {
+		return p, nil
+	}
+	slot := c.IC.Lookup(pc)
+	if slot < 0 {
 		if c.InCompressedRegion(pc) {
-			if c.Cfg.HardwareDecompress {
-				if err := c.fhardwareFillWarm(pc); err != nil {
-					return nil, err
-				}
-			} else {
+			if !c.Cfg.HardwareDecompress {
 				return nil, c.fraiseDecompress(pc)
+			}
+			if err := c.fhardwareFillWarm(pc); err != nil {
+				return nil, err
 			}
 		} else {
 			base := c.IC.LineBase(pc)
 			if !c.Mem.Backed(base) {
 				return nil, fmt.Errorf("cpu: fetch from unmapped address %#x", pc)
 			}
-			line := make([]byte, c.Cfg.ICache.LineBytes)
-			c.Mem.ReadBlock(base, line)
-			c.IC.Fill(base, line)
-			c.predecodeFill(base, line)
+			c.fillNative(base)
+		}
+		if slot = c.IC.Slot(pc); slot < 0 {
+			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
 		}
 	}
 	if c.Cfg.DisablePredecode {
-		w, ok := c.IC.ReadWord(pc)
-		if !ok {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
+		w, _ := c.IC.ReadWord(pc) // present: slot >= 0
 		c.scratch = decodeInstr(pc, w)
 		return &c.scratch, nil
 	}
-	base := c.IC.LineBase(pc)
-	if base != c.curBase {
-		ln := c.plineFor(base)
-		if ln == nil {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
-		}
-		c.curBase, c.curLine = base, ln
-	}
-	return &c.curLine[(pc-base)>>2], nil
+	return c.slotRecord(pc, slot), nil
 }
 
 // fhardwareFillWarm is hardwareFill without the cycle charges: the
-// native line is built from golden text, installed in the I-cache and
-// predecoded; the words are also materialised into the functional store
-// so the equivalence oracle sees them.
+// native line is built from golden text and installed in the I-cache;
+// the words are also materialised into the functional store so the
+// equivalence oracle sees them.
 func (c *CPU) fhardwareFillWarm(pc uint32) error {
 	if c.goldenText == nil {
 		return fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
 	}
 	base := c.IC.LineBase(pc)
-	n := c.Cfg.ICache.LineBytes
-	line := make([]byte, n)
-	for i := 0; i < n; i++ {
-		a := base + uint32(i)
-		if c.goldenText.Contains(a) {
-			line[i] = c.goldenText.Data[a-c.goldenText.Base]
-		}
-	}
-	c.IC.Fill(base, line)
-	c.predecodeFill(base, line)
+	c.IC.Fill(base, c.goldenLine(base))
 	return c.fhardwareFill(pc)
 }
 
@@ -908,10 +903,11 @@ func (c *CPU) fhardwareFill(pc uint32) error {
 	return nil
 }
 
-// fstoreData performs a functional data store's coherence work:
-// handler-RAM predecode patching (shared with the detailed engine) and
-// decode-cache invalidation of the stored-to word — O(1) per store, in
-// contrast to the old superblock design's global invalidation.
+// fstoreData performs a data store's coherence work for both engines:
+// handler-RAM predecode patching and decode-cache invalidation of the
+// stored-to word — O(1) per store, in contrast to the old superblock
+// design's global invalidation. The invalidation also keeps fdec true
+// to memory for the detailed engine's refills (fillNative).
 func (c *CPU) fstoreData(addr uint32) {
 	c.noteHandlerStore(addr)
 	c.finvalWord(addr)

@@ -12,24 +12,27 @@ import (
 // The paper's premise is that decompression cost is paid once per
 // I-cache fill while steady-state execution runs at native speed; the
 // simulator mirrors that structure on the host axis. Every line is
-// decoded into pinstr records exactly once — when it enters the
-// I-cache (hardware fill, hardware decompression, or a handler swic) —
-// and the per-cycle hot loop dispatches on a dense opcode instead of
+// decoded into pinstr records once per change of its I-cache contents
+// — a hardware fill, a hardware decompression, a handler swic — and
+// the per-cycle hot loop dispatches on a dense opcode instead of
 // re-extracting isa fields from the raw word.
 //
-// Coherence rule: predecoded content may only be consulted for
-// addresses the I-cache currently holds, and every operation that
-// changes I-cache line content invalidates or re-predecodes it. There
-// are exactly two such operations in the simulator: Cache.Fill
-// re-predecodes eagerly (predecodeFill — the data is in hand), and
-// Cache.WriteWord (swic) invalidates the written line, which is then
-// decoded lazily on its next fetch (predecodeSwic / plineFor) so a
-// line the decompressor writes word-by-word is decoded once, not once
-// per word. Handler RAM is not cached, so it is predecoded once at
-// Load and patched on stores into [handlerPC, handlerEnd)
-// (noteHandlerStore). Entries for evicted lines may go stale in the
-// map, but they are unreachable: a fetch of that base misses, and the
-// refill re-predecodes.
+// The records live with the line: I-cache slot s (cache.Cache numbers
+// its lines set*ways+way) owns pcode[s*wpl : (s+1)*wpl]. Coherence rule:
+// a slot's records may be read only while the cache's derived bit for
+// the slot is set, and the cache clears that bit on every change to the
+// line's identity or contents (fill, swic claim or write, store update,
+// invalidate, flush, restore). The CPU sets the bit after decoding, so
+// no CPU-side hook has to observe the changes. A slot whose bit is
+// clear is decoded from the cache's bytes on its next fetch
+// (slotRecord), so a line the decompressor writes word by word is
+// decoded once, not once per word. Native refills copy their records
+// from the functional engine's per-address decode store (fdec), which
+// every store keeps coherent with memory (fstoreData), so a line that
+// returns after an eviction is not decoded again. Fetches that stay in
+// the last resolved line skip the tag search altogether (sameLine).
+// Handler RAM is not cached, so it is predecoded once at Load and
+// patched on stores into [handlerPC, handlerEnd) (noteHandlerStore).
 //
 // Config.PredecodeCheck turns every fetch into a coherence oracle
 // (cached record vs a fresh decode of the backing word);
@@ -249,25 +252,16 @@ func decodeInstr(pc, w uint32) pinstr {
 	return p
 }
 
-// decodeLine predecodes one full I-cache line.
-func decodeLine(base uint32, data []byte) []pinstr {
-	ins := make([]pinstr, len(data)/4)
-	for i := range ins {
-		a := base + uint32(i*4)
-		ins[i] = decodeInstr(a, binary.LittleEndian.Uint32(data[i*4:]))
-	}
-	return ins
-}
+// curNone is a curIdx no line address can produce: addr>>lineShift
+// with lineShift >= 2 is below 1<<30.
+const curNone = ^uint32(0)
 
-// curBaseInvalid is an unaligned sentinel for "no current line".
-const curBaseInvalid uint32 = 1
-
-// resetPredecode clears all predecoded state (called from Load).
+// resetPredecode clears the CPU-side predecoded state (called from
+// Load and RestoreState). The slot records in pcode need no reset: a
+// slot's records are only read while the I-cache's derived bit for it
+// is set, and the cache clears that bit whenever the line changes.
 func (c *CPU) resetPredecode() {
-	c.pdec = make(map[uint32][]pinstr)
-	c.curBase = curBaseInvalid
-	c.curLine = nil
-	c.swicBase = curBaseInvalid
+	c.curIdx = curNone
 	c.hdec = nil
 }
 
@@ -286,59 +280,75 @@ func (c *CPU) predecodeHandler() {
 	}
 }
 
-// predecodeFill re-decodes a line just installed by Cache.Fill.
-func (c *CPU) predecodeFill(base uint32, data []byte) {
+// slotRecord returns the predecoded record for pc, whose line sits in
+// I-cache slot. A slot whose derived bit is clear (a fill, a swic, a
+// restore) is decoded here from the cache's bytes, once per change.
+// The line becomes the same-line fast path's, unless PredecodeCheck
+// wants every fetch checked or the line overlaps handler RAM (whose
+// fetches must not be served from the I-cache).
+func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
+	recs := c.pcode[slot*c.wpl : (slot+1)*c.wpl]
+	base := c.IC.LineBase(pc)
+	if !c.IC.Derived(slot) {
+		data := c.IC.SlotData(slot)
+		for i := range recs {
+			recs[i] = decodeInstr(base+uint32(4*i), binary.LittleEndian.Uint32(data[4*i:]))
+		}
+		c.IC.SetDerived(slot)
+	}
+	end := base + uint32(c.Cfg.ICache.LineBytes)
+	if !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd) {
+		c.curIdx, c.curSlot = pc>>c.lineShift, slot
+	} else {
+		c.curIdx = curNone
+	}
+	return &recs[int(pc>>2)&(c.wpl-1)]
+}
+
+// fillNative installs the line at base from backed memory — the
+// hardware refill — and returns the bus cycles it takes. The records
+// are copied from the native decode store (fdec), so a line that
+// returns after an eviction is not decoded again; words outside the
+// native extent are decoded from the line.
+func (c *CPU) fillNative(base uint32) int {
+	line := c.fillBuf
+	stall := c.Mem.ReadBlock(base, line)
+	c.IC.Fill(base, line)
 	if c.Cfg.DisablePredecode {
-		return
+		return stall
 	}
-	ln := decodeLine(base, data)
-	c.pdec[base] = ln
-	if c.curBase == base {
-		c.curLine = ln
+	c.fdecEnsure()
+	slot := c.IC.Slot(base)
+	recs := c.pcode[slot*c.wpl : (slot+1)*c.wpl]
+	for i := range recs {
+		a := base + uint32(4*i)
+		if a < c.fdBase || a >= c.fdEnd {
+			recs[i] = decodeInstr(a, binary.LittleEndian.Uint32(line[4*i:]))
+			continue
+		}
+		j := (a - c.fdBase) >> 2
+		if c.fdOK[j] == 0 {
+			c.fdec[j] = decodeInstr(a, binary.LittleEndian.Uint32(line[4*i:]))
+			c.fdOK[j] = 1
+		}
+		recs[i] = c.fdec[j]
 	}
-	if c.swicBase == base {
-		// The line is coherent again; a future swic must not be skipped.
-		c.swicBase = curBaseInvalid
-	}
+	c.IC.SetDerived(slot)
+	return stall
 }
 
-// predecodeSwic keeps the predecoded image coherent with a swic write:
-// the written line's records are invalidated and rebuilt lazily on its
-// next fetch (plineFor), so a line the decompressor writes word-by-word
-// is decoded once, not once per word. swicBase caches the line being
-// written: all but the first word of a line return after one compare.
-// plineFor clears it before rebuilding, so a later swic to the same
-// (now re-decoded) line invalidates again instead of being skipped.
-func (c *CPU) predecodeSwic(addr uint32) {
-	base := c.IC.LineBase(addr)
-	if base == c.swicBase {
-		return
+// goldenLine builds the decompressed line at base from the golden text
+// into the fill buffer (the hardware decompression unit's output).
+func (c *CPU) goldenLine(base uint32) []byte {
+	line := c.fillBuf
+	for i := range line {
+		a := base + uint32(i)
+		line[i] = 0
+		if c.goldenText.Contains(a) {
+			line[i] = c.goldenText.Data[a-c.goldenText.Base]
+		}
 	}
-	delete(c.pdec, base)
-	c.swicBase = base
-	if c.curBase == base {
-		c.curBase, c.curLine = curBaseInvalid, nil
-	}
-}
-
-// plineFor returns the predecoded line at base, building it from the
-// cache contents when absent — swic-written lines (decoded lazily here,
-// once per fill) and lines installed behind the simulator's back (tests
-// poking the I-cache directly).
-func (c *CPU) plineFor(base uint32) []pinstr {
-	if ln := c.pdec[base]; ln != nil {
-		return ln
-	}
-	data := c.IC.LineData(base)
-	if data == nil {
-		return nil
-	}
-	ln := decodeLine(base, data)
-	c.pdec[base] = ln
-	if c.swicBase == base {
-		c.swicBase = curBaseInvalid
-	}
-	return ln
+	return line
 }
 
 // noteHandlerStore re-predecodes the handler-RAM word a store just

@@ -5,10 +5,12 @@ package cpu
 // both register banks, CP0, PC/HI/LO, handler and compressed-region
 // geometry, the golden decompressed text, the pipeline-local hazard
 // and exception-guard state, both engines' statistics, and the
-// functional engine's materialised code store. The predecode caches
-// (pdec/curLine/hdec/swicBase) and the functional decode caches are
-// pure caches over state captured elsewhere (the I-cache, memory, the
-// functional store) and are rebuilt lazily after RestoreState.
+// functional engine's materialised code store. The predecoded records
+// (the per-slot pcode, the fetch fast path's curIdx/curSlot, hdec) and
+// the functional decode caches are pure caches over state captured
+// elsewhere (the I-cache, memory, the functional store) and are rebuilt
+// lazily after RestoreState: restoring the I-cache clears every slot's
+// derived bit.
 //
 // MachineState deliberately excludes the memory image, the caches and
 // the branch predictor: those live in their own packages with their own

@@ -407,3 +407,62 @@ func TestCheckpointDeterministicEncoding(t *testing.T) {
 		t.Fatal("two saves of one state differ; encoding is not deterministic")
 	}
 }
+
+// TestCheckpointSwicLinesUnderPredecodeCheck captures while the
+// I-cache holds lines the decompressor wrote with swic, resumes under
+// the PredecodeCheck oracle, and requires every fetch after Apply to
+// see the restored bytes (a stale record is a run error) and the run
+// to finish bit-identically.
+func TestCheckpointSwicLinesUnderPredecodeCheck(t *testing.T) {
+	im := loadCompressed(t, "sort.s", rtd.Options{Scheme: rtd.SchemeDict, ShadowRF: true})
+	ref, _ := newMachine(t, im)
+	ref.Cfg.PredecodeCheck = true
+	refCode := finish(t, ref)
+	for _, n := range []int{300, 700} {
+		t.Run(fmt.Sprintf("steps=%d", n), func(t *testing.T) {
+			c, _ := newMachine(t, im)
+			c.Cfg.PredecodeCheck = true
+			for i := 0; i < n; i++ {
+				if err := c.Step(); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+			}
+			resident := 0
+			ic := c.IC.Snapshot()
+			for set, ways := range ic.Sets {
+				for _, ln := range ways {
+					addr := (ln.Tag*uint32(len(ic.Sets)) + uint32(set)) * uint32(ic.Config.LineBytes)
+					if ln.Valid && c.InCompressedRegion(addr) {
+						resident++
+					}
+				}
+			}
+			if c.IC.Stats.SwicLines == 0 || resident == 0 {
+				t.Fatalf("no swic-written lines resident at the checkpoint (%d claimed)", c.IC.Stats.SwicLines)
+			}
+			resumed, _ := roundTrip(t, c)
+			if !resumed.Cfg.PredecodeCheck {
+				t.Fatal("checkpoint lost the PredecodeCheck setting")
+			}
+			if code := finish(t, resumed); code != refCode {
+				t.Errorf("exit code %d, reference %d", code, refCode)
+			}
+			compareFinal(t, ref, resumed)
+		})
+	}
+}
+
+// TestCheckpointSubWordICacheLine: a checkpoint whose configuration
+// has an I-cache line shorter than an instruction is refused with an
+// error by Apply, not a panic at the first fetch.
+func TestCheckpointSubWordICacheLine(t *testing.T) {
+	im := loadCompressed(t, "sort.s", rtd.Options{})
+	c, _ := newMachine(t, im)
+	ck := fastpath.Capture(c, nil)
+	ck.Config.ICache.LineBytes = 2
+	if _, err := ck.Apply(); err == nil {
+		t.Fatal("Apply accepted a 2-byte I-cache line")
+	} else if !strings.Contains(err.Error(), "I-cache") {
+		t.Errorf("error does not name the I-cache: %v", err)
+	}
+}

@@ -169,11 +169,21 @@ func (m *Memory) Burst(n int) int {
 	return cycles
 }
 
-// ReadBlock copies n bytes starting at addr into dst and returns the bus
-// cycles the burst takes. It also updates the traffic counters.
+// ReadBlock copies len(dst) bytes starting at addr into dst and returns
+// the bus cycles the burst takes. It also updates the traffic counters.
+// It copies a page at a time; unbacked pages read as zero and the
+// address wraps at the top of the 32-bit space, as LoadByte's do.
 func (m *Memory) ReadBlock(addr uint32, dst []byte) int {
-	for i := range dst {
-		dst[i] = m.LoadByte(addr + uint32(i))
+	for i := 0; i < len(dst); {
+		a := addr + uint32(i)
+		off := a & (pageSize - 1)
+		n := min(len(dst)-i, int(pageSize-off))
+		if p := m.page(a, false); p != nil {
+			copy(dst[i:i+n], p[off:])
+		} else {
+			clear(dst[i : i+n])
+		}
+		i += n
 	}
 	return m.Burst(len(dst))
 }

@@ -121,3 +121,68 @@ func TestQuickWordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestReadBlockMatchesBytewise holds the page-copying ReadBlock to a
+// byte-by-byte LoadByte reference: across a 64 KiB page boundary, over
+// an unbacked page, and at the top of the 32-bit space, where the
+// address wraps to page 0. The traffic counters and the OnBurst hook
+// see one burst of the block's length either way.
+func TestReadBlockMatchesBytewise(t *testing.T) {
+	m := New(DefaultBus())
+	fill := func(base uint32, n int) {
+		for i := 0; i < n; i++ {
+			m.StoreByte(base+uint32(i), byte(base>>8)^byte(i*7+1))
+		}
+	}
+	fill(0x20000-100, 200)  // pages 1 and 2, across their boundary
+	fill(0x50000, 64)       // page 5, preceded by unbacked page 4
+	fill(0xFFFFFFFF-63, 64) // the last page
+	fill(0, 64)             // page 0, where the top wraps to
+	cases := []struct {
+		name string
+		addr uint32
+		n    int
+	}{
+		{"within a page", 0x20000 - 90, 32},
+		{"across a page boundary", 0x20000 - 16, 32},
+		{"ending exactly at a boundary", 0x20000 - 32, 32},
+		{"unbacked page", 0x40010, 32},
+		{"unbacked into backed", 0x50000 - 16, 32},
+		{"wrap at the top", 0xFFFFFFF0, 32},
+		{"longer than a page", 0x20000 - 100, pageSize + 300},
+		{"empty", 0x1234, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := make([]byte, tc.n)
+			for i := range want {
+				want[i] = m.LoadByte(tc.addr + uint32(i))
+			}
+			var bursts, burstBytes, burstCycles int
+			m.OnBurst = func(b, c int) { bursts, burstBytes, burstCycles = bursts+1, b, c }
+			reads, bytesRead := m.Reads, m.BytesRead
+			got := make([]byte, tc.n)
+			for i := range got {
+				got[i] = 0xEE // ReadBlock must overwrite, zeros included
+			}
+			cycles := m.ReadBlock(tc.addr, got)
+			if string(got) != string(want) {
+				t.Fatalf("ReadBlock(%#x, %d) differs from the bytewise reference", tc.addr, tc.n)
+			}
+			if cycles != m.Bus().BurstCycles(tc.n) {
+				t.Errorf("cycles = %d, want %d", cycles, m.Bus().BurstCycles(tc.n))
+			}
+			if m.Reads != reads+1 || m.BytesRead != bytesRead+uint64(tc.n) {
+				t.Errorf("counters moved by %d reads / %d bytes, want 1 / %d",
+					m.Reads-reads, m.BytesRead-bytesRead, tc.n)
+			}
+			if bursts != 1 || burstBytes != tc.n || burstCycles != cycles {
+				t.Errorf("OnBurst saw %d bursts (%d bytes, %d cycles), want 1 (%d, %d)",
+					bursts, burstBytes, burstCycles, tc.n, cycles)
+			}
+		})
+	}
+	if m.Backed(0x40000) {
+		t.Fatal("ReadBlock backed an unbacked page")
+	}
+}
