@@ -70,10 +70,10 @@ type Config struct {
 
 	// DisablePredecode forces the reference decode-every-cycle fetch
 	// path: isa fields are re-extracted from the raw word on every
-	// executed instruction instead of once per I-cache fill. Both paths
-	// feed the same execute engine, so the timing model is identical;
-	// the flag exists so equivalence tests can pin the predecode cache
-	// against the reference behaviour.
+	// executed instruction instead of once per I-cache fill. Only the
+	// fetch differs, so the timing model is identical; the flag exists
+	// so equivalence tests can pin the predecode cache against the
+	// reference behaviour.
 	DisablePredecode bool
 	// PredecodeCheck cross-checks every fetched predecoded instruction
 	// against a fresh decode of the word the backing cache/RAM holds
@@ -368,14 +368,8 @@ func (c *CPU) Run() (int32, error) {
 	if c.Cfg.Functional {
 		return c.runFunctional()
 	}
-	for !c.halted {
-		if err := c.Step(); err != nil {
-			return -1, err
-		}
-		if c.Cfg.MaxInstr > 0 && c.totalInstrs() >= c.Cfg.MaxInstr {
-			return -1, fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x",
-				c.Cfg.MaxInstr, c.pc)
-		}
+	if err := c.run(c.budget(), noLimit, runOn); err != nil {
+		return -1, err
 	}
 	// Hard telemetry invariant: the CPI stack must account for every
 	// cycle the timing model charged. A violation is a simulator bug.

@@ -3,31 +3,44 @@ package cpu
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/isa"
 )
 
+// noLimit disables run's budget or user target.
+const noLimit = math.MaxInt64
+
+// run's modes: stop nowhere else, after one step, or before a miss.
+const (
+	runOn = iota
+	runStep
+	runToFault
+)
+
 // Step fetches, executes and retires one instruction, charging cycles to
 // the timing model.
-func (c *CPU) Step() error {
-	p, err := c.fetch()
-	if err != nil || p == nil {
-		// p == nil: a decompression exception redirected the PC into the
-		// handler instead of delivering an instruction.
-		return err
+func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep) }
+
+// budget is the Config.MaxInstr allowance both engines have left.
+func (c *CPU) budget() int64 {
+	if c.Cfg.MaxInstr == 0 {
+		return noLimit
 	}
-	return c.execute(p)
+	t := c.Stats.Instrs + c.Stats.HandlerInstrs + c.FStats.Instrs + c.FStats.HandlerInstrs
+	return int64(min(c.Cfg.MaxInstr-min(t, c.Cfg.MaxInstr), noLimit))
 }
 
-// fetch returns the predecoded instruction at the current PC, or nil
-// when a decompression exception was raised instead. With
-// Cfg.DisablePredecode the word is decoded afresh into a scratch record
-// every cycle — same engine, reference timing.
+func (c *CPU) budgetError() error {
+	return fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x", c.Cfg.MaxInstr, c.pc)
+}
+
+// fetch is run's slow path: it returns the predecoded instruction at
+// the current PC, or nil when a decompression exception was raised
+// instead. With Cfg.DisablePredecode the word is decoded afresh into a
+// scratch record every cycle — same loop, reference timing.
 func (c *CPU) fetch() (*pinstr, error) {
 	pc := c.pc
-	if p := c.sameLine(pc); p != nil {
-		return p, nil
-	}
 	if pc&3 != 0 {
 		return nil, fmt.Errorf("cpu: unaligned fetch at %#x", pc)
 	}
@@ -168,271 +181,359 @@ func (c *CPU) raiseDecompress(pc uint32) error {
 	return nil
 }
 
-// execute is the single execution engine: both the predecoded fast
-// path and the DisablePredecode reference path feed it, so their
-// timing cannot diverge.
-func (c *CPU) execute(p *pinstr) error {
-	r := &c.regs[c.bank]
-	pc := c.pc
-	next := pc + 4
-	cycles := uint64(1)
-	wasHandler := c.inHandler // iret clears it mid-instruction
-
-	// Load-use interlock: a 5-stage pipeline bubbles one cycle when an
-	// instruction consumes the value the immediately preceding load
-	// produced (MEM -> EX forwarding gap).
-	if c.lastLoad >= 0 {
-		if int(p.srcA) == c.lastLoad || int(p.srcB) == c.lastLoad {
-			cycles += uint64(c.Cfg.LoadUsePenalty)
-			c.Stats.LoadUseStalls++
-			c.Stats.CPIStack[CycleLoadUse] += uint64(c.Cfg.LoadUsePenalty)
-		}
+// run is the detailed engine. It stops when the program halts, after
+// the step that spends left (the budget error), once user user
+// instructions retired outside the handler, or as mode asks. Handler
+// RAM is fetched from hdec directly. pc, lastLoad, the register file,
+// inHandler and the counts charged since the last flush live in locals;
+// flush writes them back where they are read: the slow fetch path,
+// iret, syscall, tracer calls, errors and return.
+func (c *CPU) run(left, user int64, mode int) error {
+	if c.halted && mode != runStep {
+		return nil
 	}
-	c.lastLoad = int(p.ldst)
+	trace, prof := c.Trace, c.Prof
+	hlen := uint32(len(c.hdec)) * 4 * b2u(!c.Cfg.PredecodeCheck) // PredecodeCheck: via fetch
+	pc, lastLoad, inH, r := c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+	var cycles, lu, n uint64 // charged since the last flush
+	lim := limit(left, user, inH, mode == runStep)
+	var p *pinstr
+	var err error
+	for {
+		if pc-c.handlerPC < hlen && pc&3 == 0 {
+			p = &c.hdec[(pc-c.handlerPC)>>2]
+		} else if p = c.sameLine(pc); p == nil {
+			left, user = c.flush(inH, cycles, lu, n, left, user)
+			cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+			if mode == runToFault && c.fwouldFault() {
+				return nil
+			}
+			if p, err = c.fetch(); err != nil {
+				return err
+			}
+			if p == nil { // a decompression exception vectored to the handler
+				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+				if left <= 0 {
+					return c.budgetError()
+				}
+				if mode == runStep {
+					return nil
+				}
+			}
+			if lim = limit(left, user, inH, mode == runStep); p == nil {
+				continue
+			}
+		}
 
-	switch p.op {
-	case pSLL:
-		c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
-	case pSRL:
-		c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
-	case pSRA:
-		c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
-	case pSLLV:
-		c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
-	case pSRLV:
-		c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
-	case pSRAV:
-		c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
-	case pJR:
-		next = r[p.rs]
-		cycles += uint64(c.Cfg.JRPenalty)
-		c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
-	case pJALR:
-		c.setr(r, int(p.rd), pc+4)
-		next = r[p.rs]
-		cycles += uint64(c.Cfg.JRPenalty)
-		c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
-		c.countCall(pc, next)
-	case pSyscall:
-		if err := c.syscall(r); err != nil {
-			return err
+		// Load-use interlock: a 5-stage pipeline bubbles one cycle when an
+		// instruction consumes the value the immediately preceding load
+		// produced (MEM -> EX forwarding gap).
+		cyc := uint64(1)
+		if lastLoad >= 0 && (int(p.srcA) == lastLoad || int(p.srcB) == lastLoad) {
+			cyc += uint64(c.Cfg.LoadUsePenalty)
+			lu++
 		}
-	case pBreak:
-		return fmt.Errorf("cpu: break at %#x", pc)
-	case pMFHI:
-		c.setr(r, int(p.rd), c.hi)
-	case pMFLO:
-		c.setr(r, int(p.rd), c.lo)
-	case pMULT:
-		prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
-		c.lo, c.hi = uint32(prod), uint32(prod>>32)
-	case pMULTU:
-		prod := uint64(r[p.rs]) * uint64(r[p.rt])
-		c.lo, c.hi = uint32(prod), uint32(prod>>32)
-	case pDIV:
-		if r[p.rt] != 0 {
-			c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
-			c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
-		}
-	case pDIVU:
-		if r[p.rt] != 0 {
-			c.lo = r[p.rs] / r[p.rt]
-			c.hi = r[p.rs] % r[p.rt]
-		}
-	case pADD:
-		c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
-	case pSUB:
-		c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
-	case pAND:
-		c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
-	case pOR:
-		c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
-	case pXOR:
-		c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
-	case pNOR:
-		c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
-	case pSLT:
-		c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
-	case pSLTU:
-		c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+		lastLoad = int(p.ldst)
+		next := pc + 4
 
-	case pBLTZ:
-		taken := int32(r[p.rs]) < 0
-		cycles += c.branch(pc, taken)
-		if taken {
+		switch p.op {
+		case pSLL:
+			c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
+		case pSRL:
+			c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
+		case pSRA:
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
+		case pSLLV:
+			c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
+		case pSRLV:
+			c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
+		case pSRAV:
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
+		case pJR:
+			next = r[p.rs]
+			cyc += uint64(c.Cfg.JRPenalty)
+			c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
+		case pJALR:
+			c.setr(r, int(p.rd), pc+4)
+			next = r[p.rs]
+			cyc += uint64(c.Cfg.JRPenalty)
+			c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
+			c.countCall(pc, next)
+		case pSyscall:
+			c.pc = pc // the unknown-syscall error names it
+			if err = c.syscall(r); err != nil {
+				goto fail
+			}
+			lim = 0 // the program may have exited
+		case pBreak:
+			err = fmt.Errorf("cpu: break at %#x", pc)
+			goto fail
+		case pMFHI:
+			c.setr(r, int(p.rd), c.hi)
+		case pMFLO:
+			c.setr(r, int(p.rd), c.lo)
+		case pMULT:
+			prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
+			c.lo, c.hi = uint32(prod), uint32(prod>>32)
+		case pMULTU:
+			prod := uint64(r[p.rs]) * uint64(r[p.rt])
+			c.lo, c.hi = uint32(prod), uint32(prod>>32)
+		case pDIV:
+			if r[p.rt] != 0 {
+				c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
+				c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
+			}
+		case pDIVU:
+			if r[p.rt] != 0 {
+				c.lo = r[p.rs] / r[p.rt]
+				c.hi = r[p.rs] % r[p.rt]
+			}
+		case pADD:
+			c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
+		case pSUB:
+			c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
+		case pAND:
+			c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
+		case pOR:
+			c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
+		case pXOR:
+			c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
+		case pNOR:
+			c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
+		case pSLT:
+			c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
+		case pSLTU:
+			c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+
+		case pBLTZ:
+			taken := int32(r[p.rs]) < 0
+			cyc += c.branch(pc, taken)
+			if taken {
+				next = p.tgt
+			}
+		case pBGEZ:
+			taken := int32(r[p.rs]) >= 0
+			cyc += c.branch(pc, taken)
+			if taken {
+				next = p.tgt
+			}
+
+		case pJ:
 			next = p.tgt
-		}
-	case pBGEZ:
-		taken := int32(r[p.rs]) >= 0
-		cycles += c.branch(pc, taken)
-		if taken {
+		case pJAL:
+			c.setr(r, 31, pc+4)
 			next = p.tgt
+			c.countCall(pc, next)
+
+		case pBEQ:
+			taken := r[p.rs] == r[p.rt]
+			cyc += c.branch(pc, taken)
+			if taken {
+				next = p.tgt
+			}
+		case pBNE:
+			taken := r[p.rs] != r[p.rt]
+			cyc += c.branch(pc, taken)
+			if taken {
+				next = p.tgt
+			}
+		case pBLEZ:
+			taken := int32(r[p.rs]) <= 0
+			cyc += c.branch(pc, taken)
+			if taken {
+				next = p.tgt
+			}
+		case pBGTZ:
+			taken := int32(r[p.rs]) > 0
+			cyc += c.branch(pc, taken)
+			if taken {
+				next = p.tgt
+			}
+
+		case pADDI:
+			c.setr(r, int(p.rt), r[p.rs]+p.imm)
+		case pSLTI:
+			c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
+		case pSLTIU:
+			c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
+		case pANDI:
+			c.setr(r, int(p.rt), r[p.rs]&p.imm)
+		case pORI:
+			c.setr(r, int(p.rt), r[p.rs]|p.imm)
+		case pXORI:
+			c.setr(r, int(p.rt), r[p.rs]^p.imm)
+		case pLUI:
+			c.setr(r, int(p.rt), p.imm)
+
+		case pMFC0:
+			c.setr(r, int(p.rt), c.c0[p.rd])
+		case pMTC0:
+			c.c0[p.rd] = r[p.rt]
+		case pIRET:
+			if !inH {
+				err = fmt.Errorf("cpu: iret outside handler at %#x", pc)
+				goto fail
+			}
+			c.inHandler = false
+			c.bank = c.savedBank
+			c.c0[6] &^= 1
+			lastLoad = -1  // redirect drains the pipeline
+			next = c.c0[4] // EPC
+			cyc += uint64(c.Cfg.IretCycles)
+			c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)
+			lim = 0 // close the exception interval below
+
+		case pLB:
+			addr := r[p.rs] + p.imm
+			cyc += c.dRead(addr)
+			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+		case pLBU:
+			addr := r[p.rs] + p.imm
+			cyc += c.dRead(addr)
+			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+		case pLH:
+			addr := r[p.rs] + p.imm
+			cyc += c.dRead(addr)
+			if addr&1 != 0 {
+				err = fmt.Errorf("cpu: unaligned lh at %#x (addr %#x)", pc, addr)
+				goto fail
+			}
+			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+		case pLHU:
+			addr := r[p.rs] + p.imm
+			cyc += c.dRead(addr)
+			if addr&1 != 0 {
+				err = fmt.Errorf("cpu: unaligned lhu at %#x (addr %#x)", pc, addr)
+				goto fail
+			}
+			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+		case pLW:
+			addr := r[p.rs] + p.imm
+			cyc += c.dRead(addr)
+			if addr&3 != 0 {
+				err = fmt.Errorf("cpu: unaligned lw at %#x (addr %#x)", pc, addr)
+				goto fail
+			}
+			c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+
+		case pSB:
+			addr := r[p.rs] + p.imm
+			c.Mem.StoreByte(addr, byte(r[p.rt]))
+			c.fstoreData(addr)
+		case pSH:
+			addr := r[p.rs] + p.imm
+			if addr&1 != 0 {
+				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
+				goto fail
+			}
+			c.Mem.WriteHalf(addr, uint16(r[p.rt]))
+			c.fstoreData(addr)
+		case pSW:
+			addr := r[p.rs] + p.imm
+			if addr&3 != 0 {
+				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
+				goto fail
+			}
+			c.Mem.WriteWord(addr, r[p.rt])
+			c.fstoreData(addr)
+
+		case pSWIC:
+			addr := r[p.rs] + p.imm
+			if addr&3 != 0 {
+				err = fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
+				goto fail
+			}
+			c.IC.WriteWord(addr, r[p.rt])
+			cyc += uint64(c.Cfg.SwicExtraCycles)
+			if inH {
+				c.Stats.CPIStack[CycleHandler] += uint64(c.Cfg.SwicExtraCycles)
+			} else {
+				c.Stats.CPIStack[CycleUser] += uint64(c.Cfg.SwicExtraCycles)
+			}
+
+		default:
+			err = illegalInstrError(p.raw, pc)
+			goto fail
 		}
 
-	case pJ:
-		next = p.tgt
-	case pJAL:
-		c.setr(r, 31, pc+4)
-		next = p.tgt
-		c.countCall(pc, next)
-
-	case pBEQ:
-		taken := r[p.rs] == r[p.rt]
-		cycles += c.branch(pc, taken)
-		if taken {
-			next = p.tgt
+		cycles += cyc
+		n++
+		if !inH && prof != nil {
+			prof.CountInstr(pc)
 		}
-	case pBNE:
-		taken := r[p.rs] != r[p.rt]
-		cycles += c.branch(pc, taken)
-		if taken {
-			next = p.tgt
-		}
-	case pBLEZ:
-		taken := int32(r[p.rs]) <= 0
-		cycles += c.branch(pc, taken)
-		if taken {
-			next = p.tgt
-		}
-	case pBGTZ:
-		taken := int32(r[p.rs]) > 0
-		cycles += c.branch(pc, taken)
-		if taken {
-			next = p.tgt
+		if n < lim {
+			if trace != nil { // the tracer sees Stats and PC() as of this commit
+				left, user = c.flush(inH, cycles, lu, n, left, user)
+				cycles, lu, n, lim, c.pc, c.lastLoad = 0, 0, 0, lim-n, next, lastLoad
+				trace(pc, p.raw, inH)
+			}
+			pc = next
+			continue
 		}
 
-	case pADDI:
-		c.setr(r, int(p.rt), r[p.rs]+p.imm)
-	case pSLTI:
-		c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
-	case pSLTIU:
-		c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
-	case pANDI:
-		c.setr(r, int(p.rt), r[p.rs]&p.imm)
-	case pORI:
-		c.setr(r, int(p.rt), r[p.rs]|p.imm)
-	case pXORI:
-		c.setr(r, int(p.rt), r[p.rs]^p.imm)
-	case pLUI:
-		c.setr(r, int(p.rt), p.imm)
-
-	case pMFC0:
-		c.setr(r, int(p.rt), c.c0[p.rd])
-	case pMTC0:
-		c.c0[p.rd] = r[p.rt]
-	case pIRET:
-		if !c.inHandler {
-			return fmt.Errorf("cpu: iret outside handler at %#x", pc)
+		// A stop condition may hold, or an iret or syscall ran.
+		left, user = c.flush(inH, cycles, lu, n, left, user)
+		cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, next, lastLoad
+		if inH && !c.inHandler {
+			// This instruction was the iret: close the exception interval.
+			lat := c.Stats.Cycles - c.excStart
+			c.Stats.ExcCyclesTotal += lat
+			if lat > c.Stats.ExcCyclesMax {
+				c.Stats.ExcCyclesMax = lat
+			}
+			if c.Tel != nil {
+				c.Tel.ExcReturn(next, c.Stats.Cycles, lat)
+			}
 		}
-		c.inHandler = false
-		c.bank = c.savedBank
-		c.c0[6] &^= 1
-		c.lastLoad = -1 // redirect drains the pipeline
-		next = c.c0[4]  // EPC
-		cycles += uint64(c.Cfg.IretCycles)
-		c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)
-
-	case pLB:
-		addr := r[p.rs] + p.imm
-		cycles += c.dRead(addr)
-		c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
-	case pLBU:
-		addr := r[p.rs] + p.imm
-		cycles += c.dRead(addr)
-		c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
-	case pLH:
-		addr := r[p.rs] + p.imm
-		cycles += c.dRead(addr)
-		if addr&1 != 0 {
-			return fmt.Errorf("cpu: unaligned lh at %#x (addr %#x)", pc, addr)
+		if trace != nil {
+			trace(pc, p.raw, inH)
 		}
-		c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
-	case pLHU:
-		addr := r[p.rs] + p.imm
-		cycles += c.dRead(addr)
-		if addr&1 != 0 {
-			return fmt.Errorf("cpu: unaligned lhu at %#x (addr %#x)", pc, addr)
+		inH, r = c.inHandler, &c.regs[c.bank]
+		if left <= 0 {
+			return c.budgetError()
 		}
-		c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
-	case pLW:
-		addr := r[p.rs] + p.imm
-		cycles += c.dRead(addr)
-		if addr&3 != 0 {
-			return fmt.Errorf("cpu: unaligned lw at %#x (addr %#x)", pc, addr)
+		if c.halted || mode == runStep || (!inH && user <= 0) {
+			return nil
 		}
-		c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
-
-	case pSB:
-		addr := r[p.rs] + p.imm
-		c.Mem.StoreByte(addr, byte(r[p.rt]))
-		c.fstoreData(addr)
-	case pSH:
-		addr := r[p.rs] + p.imm
-		if addr&1 != 0 {
-			return fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
-		}
-		c.Mem.WriteHalf(addr, uint16(r[p.rt]))
-		c.fstoreData(addr)
-	case pSW:
-		addr := r[p.rs] + p.imm
-		if addr&3 != 0 {
-			return fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
-		}
-		c.Mem.WriteWord(addr, r[p.rt])
-		c.fstoreData(addr)
-
-	case pSWIC:
-		addr := r[p.rs] + p.imm
-		if addr&3 != 0 {
-			return fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
-		}
-		c.IC.WriteWord(addr, r[p.rt])
-		cycles += uint64(c.Cfg.SwicExtraCycles)
-		if wasHandler {
-			c.Stats.CPIStack[CycleHandler] += uint64(c.Cfg.SwicExtraCycles)
-		} else {
-			c.Stats.CPIStack[CycleUser] += uint64(c.Cfg.SwicExtraCycles)
-		}
-
-	default:
-		return illegalInstrError(p.raw, pc)
+		pc = next
+		lim = limit(left, user, inH, mode == runStep)
 	}
 
+fail:
+	c.flush(inH, cycles, lu, n, left, user)
+	c.pc, c.lastLoad = pc, lastLoad
+	return err
+}
+
+// limit is how many retirements after a flush run checks its stops.
+func limit(left, user int64, handler, step bool) uint64 {
+	if !handler && user < left {
+		left = user
+	}
+	if step || left < 1 {
+		return 1
+	}
+	return uint64(left)
+}
+
+// flush adds run's local counts to Stats: cycles, lu load-use
+// interlocks and n retirements, all user or all handler. It returns
+// the budget and user countdowns moved on by n.
+func (c *CPU) flush(handler bool, cycles, lu, n uint64, left, user int64) (int64, int64) {
 	c.Stats.Cycles += cycles
-	if wasHandler {
-		c.Stats.CPIStack[CycleHandler]++ // the instruction's base cycle
+	if lu != 0 {
+		c.Stats.LoadUseStalls += lu
+		c.Stats.CPIStack[CycleLoadUse] += lu * uint64(c.Cfg.LoadUsePenalty)
+	}
+	if handler {
+		c.Stats.HandlerInstrs += n
+		c.Stats.CPIStack[CycleHandler] += n
 	} else {
-		c.Stats.CPIStack[CycleUser]++
+		c.Stats.Instrs += n
+		c.Stats.CPIStack[CycleUser] += n
+		user -= int64(n)
 	}
-	if wasHandler && !c.inHandler {
-		// This instruction was the iret: close the exception interval.
-		lat := c.Stats.Cycles - c.excStart
-		c.Stats.ExcCyclesTotal += lat
-		if lat > c.Stats.ExcCyclesMax {
-			c.Stats.ExcCyclesMax = lat
-		}
-		if c.Tel != nil {
-			c.Tel.ExcReturn(next, c.Stats.Cycles, lat)
-		}
-	}
-	if wasHandler {
-		c.Stats.HandlerInstrs++
-	} else {
-		c.Stats.Instrs++
-		if c.Prof != nil {
-			c.Prof.CountInstr(pc)
-		}
-	}
-	// The commit tracers fire after every Stats update for this
-	// instruction and after the PC moves on, so a tracer observing Stats
-	// (the attribution ledger) sees a consistent snapshot covering
-	// exactly the commits delivered so far, and c.PC() is the next
-	// instruction's address.
-	c.pc = next
-	if c.Trace != nil {
-		c.Trace(pc, p.raw, wasHandler)
-	}
-	return nil
+	return left - int64(n), user
 }
 
 // illegalInstrError reconstructs the decode error for an unrecognised

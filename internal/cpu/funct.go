@@ -198,13 +198,6 @@ func (c *CPU) runFunctional() (int32, error) {
 	return c.exitCode, nil
 }
 
-// totalInstrs is the combined retirement count across both engines;
-// Config.MaxInstr bounds it.
-func (c *CPU) totalInstrs() uint64 {
-	return c.Stats.Instrs + c.Stats.HandlerInstrs +
-		c.FStats.Instrs + c.FStats.HandlerInstrs
-}
-
 // RunFunctionalFor retires at least n user instructions on the
 // functional engine, then continues until the machine is outside the
 // decompression handler (an engine switch must never split a handler
@@ -248,28 +241,19 @@ func (c *CPU) RunFunctionalSampled(n uint64) (bool, bool, error) {
 }
 
 // RunDetailedBurst services exactly one pending decompression event on
-// the detailed engine: the faulting fetch — exception entry, or the
-// hardware fill plus the instruction it unblocks — and, for the
-// software path, the entire handler activation through iret. Cycle
-// charges land in cpu.Stats, so a sampled run accounts every burst
-// exactly. The repeated-exception guard (lastExc/excRepet) is left
-// intact across bursts so a handler that fails to fill its line is
-// still detected after three back-to-back bursts at the same PC, just
-// as in a contiguous detailed run. It reports whether the program
-// halted.
+// the detailed engine, in one call of its loop: the faulting fetch —
+// exception entry, or the hardware fill plus the instruction it
+// unblocks — and, for the software path, the entire handler activation
+// through iret. Cycle charges land in cpu.Stats, so a sampled run
+// accounts every burst exactly. The repeated-exception guard
+// (lastExc/excRepet) is left intact across bursts so a handler that
+// fails to fill its line is still detected after three back-to-back
+// bursts at the same PC, just as in a contiguous detailed run. It
+// reports whether the program halted.
 func (c *CPU) RunDetailedBurst() (bool, error) {
 	c.lastLoad = -1 // exception entry flushes the pipeline anyway
-	if err := c.Step(); err != nil {
+	if err := c.run(c.budget(), 0, runOn); err != nil {
 		return false, err
-	}
-	for !c.halted && c.inHandler {
-		if err := c.Step(); err != nil {
-			return false, err
-		}
-		if c.Cfg.MaxInstr > 0 && c.totalInstrs() >= c.Cfg.MaxInstr {
-			return false, fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x",
-				c.Cfg.MaxInstr, c.pc)
-		}
 	}
 	return c.halted, nil
 }
@@ -283,18 +267,8 @@ func (c *CPU) RunDetailedBurst() (bool, error) {
 func (c *CPU) RunDetailedFor(n uint64) (bool, error) {
 	c.lastLoad = -1
 	c.lastExc, c.excRepet = 0, 0
-	target := c.Stats.Instrs + n
-	for !c.halted {
-		if err := c.Step(); err != nil {
-			return false, err
-		}
-		if c.Cfg.MaxInstr > 0 && c.totalInstrs() >= c.Cfg.MaxInstr {
-			return false, fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x",
-				c.Cfg.MaxInstr, c.pc)
-		}
-		if c.Stats.Instrs >= target && !c.inHandler {
-			break
-		}
+	if err := c.run(c.budget(), int64(min(n, noLimit)), runOn); err != nil {
+		return false, err
 	}
 	return c.halted, nil
 }
@@ -321,14 +295,8 @@ func (c *CPU) RunDetailedWindow(n uint64, burstCycles, burstInstrs *uint64) (boo
 			}
 			*burstCycles += c.Stats.Cycles - preC
 			*burstInstrs += c.Stats.Instrs - preI
-		} else {
-			if err := c.Step(); err != nil {
-				return false, err
-			}
-		}
-		if c.Cfg.MaxInstr > 0 && c.totalInstrs() >= c.Cfg.MaxInstr {
-			return false, fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x",
-				c.Cfg.MaxInstr, c.pc)
+		} else if err := c.run(c.budget(), int64(min(target-min(c.Stats.Instrs, target), noLimit)), runToFault); err != nil {
+			return false, err
 		}
 		if c.Stats.Instrs >= target && !c.inHandler {
 			break
@@ -353,15 +321,11 @@ func (c *CPU) RunDetailedWindow(n uint64, burstCycles, burstInstrs *uint64) (boo
 func (c *CPU) frun(user uint64, stopOnFault bool) (bool, bool, error) {
 	c.fensure()
 	var retired uint64
-	budget := ^uint64(0) // remaining MaxInstr allowance; effectively unbounded by default
-	if c.Cfg.MaxInstr > 0 {
-		t := c.totalInstrs()
-		if t >= c.Cfg.MaxInstr {
-			return false, false, fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x",
-				c.Cfg.MaxInstr, c.pc)
-		}
-		budget = c.Cfg.MaxInstr - t
+	left := c.budget() // remaining MaxInstr allowance (noLimit when unbounded)
+	if left <= 0 {
+		return false, false, c.budgetError()
 	}
+	budget := uint64(left)
 	warm := c.Cfg.FunctionalWarm
 	slow := warm || stopOnFault
 	pc := c.pc

@@ -14,7 +14,7 @@ import (
 // simulator mirrors that structure on the host axis. Every line is
 // decoded into pinstr records once per change of its I-cache contents
 // — a hardware fill, a hardware decompression, a handler swic — and
-// the per-cycle hot loop dispatches on a dense opcode instead of
+// the detailed loop (run) dispatches on a dense opcode instead of
 // re-extracting isa fields from the raw word.
 //
 // The records live with the line: I-cache slot s (cache.Cache numbers
@@ -37,8 +37,8 @@ import (
 // Config.PredecodeCheck turns every fetch into a coherence oracle
 // (cached record vs a fresh decode of the backing word);
 // Config.DisablePredecode forces the reference decode-every-cycle
-// path. Both run the same execute engine, so the timing model cannot
-// drift between them.
+// path. Both only change the fetch: the same detailed loop executes
+// the records, so the timing model cannot drift between them.
 
 // pop is the dense dispatch opcode of a predecoded instruction.
 type pop uint8
@@ -99,8 +99,8 @@ const (
 )
 
 // pinstr is one predecoded instruction. It is a plain comparable value
-// (PredecodeCheck relies on ==) holding everything the execute engine
-// needs without touching the raw encoding: operand register numbers,
+// (PredecodeCheck relies on ==) holding everything the execution loops
+// need without touching the raw encoding: operand register numbers,
 // the load-use hazard sources, the op-specific immediate and the
 // absolute control-flow target (both computable at decode time because
 // a record is bound to its address).
@@ -119,8 +119,8 @@ type pinstr struct {
 }
 
 // decodeInstr decodes the word at pc into a predecoded record. It is
-// total: unrecognised encodings yield pIllegal and the execute engine
-// reconstructs the legacy error text from raw.
+// total: unrecognised encodings yield pIllegal and the execution loops
+// reconstruct the legacy error text from raw.
 func decodeInstr(pc, w uint32) pinstr {
 	a, b := isa.SrcRegs(w)
 	p := pinstr{

@@ -14,6 +14,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
@@ -28,6 +29,22 @@ import (
 // any incompatible change and record the change in docs/performance.md
 // (checkpoint format changelog).
 const CheckpointSchema = 1
+
+// Apply sizes structures by a checkpoint's geometry, so it bounds what
+// a checkpoint may declare. MaxCheckpointCacheBytes bounds each cache
+// (the CPU's predecode store grows with the I-cache; the paper's
+// machines use 1–64 KB). MaxCompressedRegion bounds the compressed
+// code region (the functional engine's code store takes about 26 bytes
+// per word of it); 16 MiB is four million instructions, far beyond any
+// shipped program.
+const (
+	MaxCheckpointCacheBytes = 1 << 20
+	MaxCompressedRegion     = 16 << 20
+)
+
+// ErrInvalidCheckpoint classifies Apply's refusals of a checkpoint that
+// describes a machine no run could have produced.
+var ErrInvalidCheckpoint = errors.New("fastpath: invalid checkpoint")
 
 // Checkpoint is a complete simulated-machine state: configuration,
 // core (registers, HI/LO, CP0, statistics, functional code store),
@@ -70,11 +87,17 @@ func Capture(c *cpu.CPU, man *obs.Manifest) *Checkpoint {
 // Apply builds a fresh CPU in exactly the checkpointed state. No image
 // load is needed (or possible): memory, caches, predictor and core
 // state all come from the checkpoint; derived caches (predecode, the
-// functional decode caches) are rebuilt.
+// functional decode caches) are rebuilt. A checkpoint is untrusted
+// input: Apply refuses forged geometry (see checkGeometry) with an
+// error wrapping ErrInvalidCheckpoint before it allocates anything by
+// it.
 func (ck *Checkpoint) Apply() (*cpu.CPU, error) {
 	if ck.SchemaVersion != CheckpointSchema {
 		return nil, fmt.Errorf("fastpath: checkpoint schema v%d, this build supports v%d",
 			ck.SchemaVersion, CheckpointSchema)
+	}
+	if err := ck.checkConfig(); err != nil {
+		return nil, err
 	}
 	c, err := cpu.New(ck.Config)
 	if err != nil {
@@ -92,9 +115,62 @@ func (ck *Checkpoint) Apply() (*cpu.CPU, error) {
 	if err := c.BP.Restore(ck.Bpred); err != nil {
 		return nil, fmt.Errorf("fastpath: %v", err)
 	}
+	if err := ck.checkGeometry(c.Mem); err != nil {
+		return nil, err
+	}
 	// After memory: RestoreState re-predecodes handler RAM from it.
 	c.RestoreState(ck.Machine)
 	return c, nil
+}
+
+func invalid(format string, a ...any) error {
+	return fmt.Errorf("%w: %s", ErrInvalidCheckpoint, fmt.Sprintf(format, a...))
+}
+
+// checkConfig refuses a configuration cpu.New would panic on or size
+// beyond the cache bound, or a predictor its snapshot contradicts (the
+// file bounds the snapshot; cache snapshots Restore checks).
+func (ck *Checkpoint) checkConfig() error {
+	cfg := ck.Config
+	if cfg.ICache.SizeBytes > MaxCheckpointCacheBytes || cfg.DCache.SizeBytes > MaxCheckpointCacheBytes {
+		return invalid("I-cache %d or D-cache %d bytes exceeds %d", cfg.ICache.SizeBytes, cfg.DCache.SizeBytes, MaxCheckpointCacheBytes)
+	}
+	if n := len(ck.Bpred.Table); n != cfg.PredictorEntries || n&(n-1) != 0 || n == 0 {
+		return invalid("predictor of %d entries, snapshot of %d: want one power of two", cfg.PredictorEntries, n)
+	}
+	if cfg.Bus.WidthBytes <= 0 {
+		return invalid("bus width %d bytes", cfg.Bus.WidthBytes)
+	}
+	return nil
+}
+
+// checkGeometry refuses core state whose geometry would index out of
+// range or size an allocation: a register bank other than 0 or 1; a
+// handler extent that starts unaligned, is reversed or is not backed by
+// memory (handler RAM is predecoded word by word); a compressed region
+// that is unaligned (the functional store indexes it by word), reversed
+// or larger than MaxCompressedRegion; a functional-store word outside
+// the I-cache lines of that region.
+func (ck *Checkpoint) checkGeometry(m *mem.Memory) error {
+	st := ck.Machine
+	if uint(st.Bank) > 1 || uint(st.SavedBank) > 1 {
+		return invalid("register bank %d, saved bank %d (want 0 or 1)", st.Bank, st.SavedBank)
+	}
+	if h, e := st.HandlerPC, st.HandlerEnd; (h != 0 || e != 0) && (h&3 != 0 || h >= e || !m.BackedRange(h, e)) {
+		return invalid("handler extent [%#x, %#x) is not word-aligned, ordered and backed by memory", h, e)
+	}
+	s, e := st.CompStart, st.CompEnd
+	if s&3 != 0 || e&3 != 0 || s > e || e-s > MaxCompressedRegion {
+		return invalid("compressed region [%#x, %#x) is not word-aligned, ordered and at most %d bytes", s, e, MaxCompressedRegion)
+	}
+	line := uint32(ck.Config.ICache.LineBytes)
+	lo, hi := s&^(line-1), (e-1)&^(line-1)+line
+	for _, fw := range st.FStore {
+		if fw.Addr&3 != 0 || e == s || fw.Addr-lo >= hi-lo {
+			return invalid("functional-store word at %#x outside the compressed region [%#x, %#x)", fw.Addr, s, e)
+		}
+	}
+	return nil
 }
 
 // envelope is the on-disk frame around the checkpoint payload: the

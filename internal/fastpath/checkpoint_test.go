@@ -18,7 +18,7 @@ import (
 // loadCompressed assembles a corpus program and compresses it with the
 // paper's dictionary scheme — the state-richest configuration: handler
 // RAM, swic-filled I-cache lines, shadow state, exception counters.
-func loadCompressed(t *testing.T, name string, opts rtd.Options) *rtd.Image {
+func loadCompressed(t testing.TB, name string, opts rtd.Options) *rtd.Image {
 	t.Helper()
 	raw, err := os.ReadFile(filepath.Join("..", "..", "testdata", name))
 	if err != nil {
@@ -38,7 +38,7 @@ func loadCompressed(t *testing.T, name string, opts rtd.Options) *rtd.Image {
 	return res.Image
 }
 
-func newMachine(t *testing.T, im *rtd.Image) (*cpu.CPU, *bytes.Buffer) {
+func newMachine(t testing.TB, im *rtd.Image) (*cpu.CPU, *bytes.Buffer) {
 	t.Helper()
 	cfg := rtd.DefaultMachine()
 	cfg.MaxInstr = 100_000_000

@@ -94,6 +94,20 @@ func (m *Memory) Backed(addr uint32) bool {
 	return m.pages[addr>>pageShift] != nil
 }
 
+// BackedRange reports whether every page of [lo, hi) is backed (an
+// empty range is).
+func (m *Memory) BackedRange(lo, hi uint32) bool {
+	if hi <= lo {
+		return true
+	}
+	for p := lo >> pageShift; p <= (hi-1)>>pageShift; p++ {
+		if m.pages[p] == nil {
+			return false
+		}
+	}
+	return true
+}
+
 // LoadByte returns the byte at addr (zero if unbacked).
 func (m *Memory) LoadByte(addr uint32) byte {
 	p := m.page(addr, false)
