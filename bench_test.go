@@ -234,10 +234,14 @@ func BenchmarkDecompressionPath(b *testing.B) {
 // BenchmarkTelemetryOverhead is the overhead guard for the telemetry
 // layer: Off runs the simulator exactly as the seed did (no collector,
 // hooks nil — the CPI stack's array adds are the only always-on cost),
-// On attaches the full collector. Compare the two with benchstat; Off
-// must stay within ~2% of the pre-telemetry seed, and the gap between
-// Off and On is the price of the hooks. Windowed and Attributed add the
-// observers of rtd.WindowedRun and of ccprof on top of On.
+// On attaches the full collector, which installs no commit tracer and
+// no branch hook, so the detailed loop stays untraced and the gap
+// between Off and On is the price of the fill, exception, cache and bus
+// hooks. Compare the two with benchstat. Windowed and Attributed add the
+// ledgers of rtd.WindowedRun and of ccprof on top of On; a ledger is
+// called out only where the attribution key may change (see
+// cpu.CPU.OnKey), so their gap over On is paid per key change, not per
+// commit.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	im, err := rtd.BuildBenchmarkScaled("go", 0.1)
 	if err != nil {
@@ -285,7 +289,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	})
 	// Attributed is ccprof's observed mode: the collector with the window
 	// sampler and the per-line/per-procedure recorder sharing one
-	// attribution ledger on the collector's commit hook, plus the Verify,
+	// attribution ledger on the CPU's key callouts, plus the Verify,
 	// Profile and report every ccprof run pays.
 	b.Run("attributed", func(b *testing.B) {
 		var instrs uint64

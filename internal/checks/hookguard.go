@@ -17,7 +17,7 @@ import (
 // every invocation must be dominated by a nil check on the same
 // selector path.
 const (
-	defaultHookFields = "Tel,Obs,OnBurst,OnResolve,Trace,Prof,OnCommit"
+	defaultHookFields = "Tel,Obs,OnBurst,OnResolve,Trace,Prof,OnCommit,OnKey"
 	defaultHookTypes  = "TelemetrySink,Observer,Profiler"
 )
 

@@ -7,6 +7,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -192,6 +193,17 @@ type CPU struct {
 	hdec      []pinstr
 	fillBuf   []byte
 	scratch   pinstr
+	// keyLo/keyHi is the address range the attribution observers'
+	// keys hold over, as of the last callout (everything without
+	// observers): a user line outside it stays off the same-line fast
+	// path, so each of its fetches calls them out. cut is their next
+	// retirement count to be called at (never, without observers).
+	// hdecLen is the extent of handler RAM run fetches from hdec
+	// without a callout (hdecSpan); a field rather than a local of run,
+	// so setting it at a phase change costs the loop no register.
+	keyLo, keyHi uint64
+	cut          uint64
+	hdecLen      uint32
 
 	// Functional-engine state (see funct.go). fsWord/fsOK are the
 	// materialised decompressed code over the compressed region, one
@@ -234,6 +246,18 @@ type CPU struct {
 	// Tel, when set, receives timing events (exception spans, I-cache
 	// fill stalls); internal/telemetry implements it. Nil costs nothing.
 	Tel TelemetrySink
+	// OnKey, when set, is the attribution observers' callout
+	// (profile.Ledger installs one). The detailed loop calls it between
+	// two commits wherever the next commit's attribution key may differ
+	// from the last one's: on entry, before every slow-path fetch (every
+	// change of user line takes one), after a decompression exception is
+	// entered, and after every stop (iret, syscall, budget, user target,
+	// Step). It sees Stats and PC() with every earlier commit charged and
+	// nothing of the next. The loop keeps the answer's range (see keyLo)
+	// and stops at its cut, so no commit crosses a key change unseen and
+	// the fast path pays nothing per instruction. Prefer AttachObserver
+	// over assigning directly.
+	OnKey func() Key
 }
 
 // New builds a CPU with the given configuration.
@@ -259,6 +283,8 @@ func New(cfg Config) (*CPU, error) {
 		pcode:    make([]pinstr, cfg.ICache.SizeBytes/4),
 		wpl:      cfg.ICache.LineBytes / 4,
 		fillBuf:  make([]byte, cfg.ICache.LineBytes),
+		keyHi:    AnyKey.Hi,
+		cut:      AnyKey.Cut,
 	}
 	for n := cfg.ICache.LineBytes; n > 1; n >>= 1 {
 		c.lineShift++
@@ -268,11 +294,24 @@ func New(cfg Config) (*CPU, error) {
 	return c, nil
 }
 
+// MaxCompressedRegion bounds the compressed code region a machine
+// accepts (the functional engine's code store takes about 26 bytes per
+// word of it); 16 MiB is four million instructions, far beyond any
+// shipped program.
+const MaxCompressedRegion = 16 << 20
+
+// ErrInvalidImage classifies Load's refusals of an image whose geometry
+// no compressor produces.
+var ErrInvalidImage = errors.New("cpu: invalid image")
+
 // Load installs a program image: loads every non-virtual segment into
 // memory, configures the compressed-region geometry and system registers,
 // and resets the architectural state.
 func (c *CPU) Load(im *program.Image) error {
 	if err := im.Validate(); err != nil {
+		return err
+	}
+	if err := checkRegion(im); err != nil {
 		return err
 	}
 	c.Mem.LoadImage(im)
@@ -320,6 +359,27 @@ func (c *CPU) Load(im *program.Image) error {
 	c.resetFunctional()
 	if !c.Cfg.DisablePredecode {
 		c.predecodeHandler()
+	}
+	return nil
+}
+
+// checkRegion refuses, before anything is sized by it, a compressed
+// region that is unaligned (the functional store indexes it by word),
+// reversed, larger than MaxCompressedRegion or, when non-empty, outside
+// the image's .text segment (the decompressed code it stands for).
+func checkRegion(im *program.Image) error {
+	ci := im.Compress
+	if ci == nil {
+		return nil
+	}
+	s, e := ci.CompStart, ci.CompEnd
+	ok := s&3 == 0 && e&3 == 0 && s <= e && e-s <= MaxCompressedRegion
+	if t := im.Segment(program.SegText); ok && s < e && t != nil {
+		ok = s >= t.Base && uint64(e) <= uint64(t.Base)+uint64(len(t.Data))
+	}
+	if !ok {
+		return fmt.Errorf("%w: compressed region [%#x, %#x) is not word-aligned, ordered, at most %d bytes and inside %s",
+			ErrInvalidImage, s, e, MaxCompressedRegion, program.SegText)
 	}
 	return nil
 }

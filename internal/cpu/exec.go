@@ -187,24 +187,32 @@ func (c *CPU) raiseDecompress(pc uint32) error {
 // RAM is fetched from hdec directly. pc, lastLoad, the register file,
 // inHandler and the counts charged since the last flush live in locals;
 // flush writes them back where they are read: the slow fetch path,
-// iret, syscall, tracer calls, errors and return.
+// iret, syscall, tracer calls, errors and return. The attribution
+// observers (OnKey) are called out only where the locals are already
+// flushed; their cut is folded into lim.
 func (c *CPU) run(left, user int64, mode int) error {
 	if c.halted && mode != runStep {
 		return nil
 	}
 	trace, prof := c.Trace, c.Prof
-	hlen := uint32(len(c.hdec)) * 4 * b2u(!c.Cfg.PredecodeCheck) // PredecodeCheck: via fetch
 	pc, lastLoad, inH, r := c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
 	var cycles, lu, n uint64 // charged since the last flush
-	lim := limit(left, user, inH, mode == runStep)
+	if c.OnKey != nil {
+		c.observe()
+	}
+	c.hdecLen = c.hdecSpan(inH)
+	lim := c.limit(left, user, inH, mode == runStep)
 	var p *pinstr
 	var err error
 	for {
-		if pc-c.handlerPC < hlen && pc&3 == 0 {
+		if pc-c.handlerPC < c.hdecLen && pc&3 == 0 {
 			p = &c.hdec[(pc-c.handlerPC)>>2]
 		} else if p = c.sameLine(pc); p == nil {
 			left, user = c.flush(inH, cycles, lu, n, left, user)
 			cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+			if c.OnKey != nil {
+				c.observe()
+			}
 			if mode == runToFault && c.fwouldFault() {
 				return nil
 			}
@@ -213,6 +221,10 @@ func (c *CPU) run(left, user int64, mode int) error {
 			}
 			if p == nil { // a decompression exception vectored to the handler
 				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+				if c.OnKey != nil {
+					c.observe()
+					c.hdecLen = c.hdecSpan(inH)
+				}
 				if left <= 0 {
 					return c.budgetError()
 				}
@@ -220,7 +232,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 					return nil
 				}
 			}
-			if lim = limit(left, user, inH, mode == runStep); p == nil {
+			if lim = c.limit(left, user, inH, mode == runStep); p == nil {
 				continue
 			}
 		}
@@ -485,6 +497,10 @@ func (c *CPU) run(left, user int64, mode int) error {
 				c.Tel.ExcReturn(next, c.Stats.Cycles, lat)
 			}
 		}
+		if c.OnKey != nil { // before the tracers, as the commit's first observer
+			c.observe()
+			c.hdecLen = c.hdecSpan(c.inHandler)
+		}
 		if trace != nil {
 			trace(pc, p.raw, inH)
 		}
@@ -496,7 +512,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 			return nil
 		}
 		pc = next
-		lim = limit(left, user, inH, mode == runStep)
+		lim = c.limit(left, user, inH, mode == runStep)
 	}
 
 fail:
@@ -505,15 +521,41 @@ fail:
 	return err
 }
 
-// limit is how many retirements after a flush run checks its stops.
-func limit(left, user int64, handler, step bool) uint64 {
+// limit is how many retirements after a flush run checks its stops:
+// the budget, the user target outside the handler and the observers'
+// cut.
+func (c *CPU) limit(left, user int64, handler, step bool) uint64 {
 	if !handler && user < left {
 		left = user
 	}
 	if step || left < 1 {
 		return 1
 	}
+	if r := c.Stats.Instrs + c.Stats.HandlerInstrs; c.cut > r {
+		return min(uint64(left), c.cut-r)
+	}
 	return uint64(left)
+}
+
+// observe calls the attribution observers out and keeps their answer:
+// the range for slotRecord, the cut for limit. run checks OnKey before
+// calling it, so an unobserved slow path pays one compare.
+func (c *CPU) observe() {
+	if c.OnKey != nil {
+		k := c.OnKey()
+		c.keyLo, c.keyHi, c.cut = k.Lo, k.Hi, k.Cut
+	}
+}
+
+// hdecSpan is the handler-RAM extent run fetches from hdec without a
+// callout: none under PredecodeCheck (fetch checks every record), and
+// none outside the handler while observers are attached (a user commit
+// there is keyed by its own address, so its fetch must call them out).
+func (c *CPU) hdecSpan(handler bool) uint32 {
+	if c.Cfg.PredecodeCheck || c.OnKey != nil && !handler {
+		return 0
+	}
+	return uint32(len(c.hdec)) * 4
 }
 
 // flush adds run's local counts to Stats: cycles, lu load-use

@@ -284,8 +284,10 @@ func (c *CPU) predecodeHandler() {
 // I-cache slot. A slot whose derived bit is clear (a fill, a swic, a
 // restore) is decoded here from the cache's bytes, once per change.
 // The line becomes the same-line fast path's, unless PredecodeCheck
-// wants every fetch checked or the line overlaps handler RAM (whose
-// fetches must not be served from the I-cache).
+// wants every fetch checked, the line overlaps handler RAM (whose
+// fetches must not be served from the I-cache) or an attribution key
+// changes inside it (a procedure boundary: each fetch there must call
+// the observers out).
 func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
 	recs := c.pcode[slot*c.wpl : (slot+1)*c.wpl]
 	base := c.IC.LineBase(pc)
@@ -297,7 +299,8 @@ func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
 		c.IC.SetDerived(slot)
 	}
 	end := base + uint32(c.Cfg.ICache.LineBytes)
-	if !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd) {
+	if !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd) &&
+		uint64(base) >= c.keyLo && uint64(base)+uint64(c.Cfg.ICache.LineBytes) <= c.keyHi {
 		c.curIdx, c.curSlot = pc>>c.lineShift, slot
 	} else {
 		c.curIdx = curNone

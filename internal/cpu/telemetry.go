@@ -1,6 +1,9 @@
 package cpu
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CycleKind classifies where one simulated cycle went — the components
 // of the CPI stack. The attribution is exhaustive: every cycle the
@@ -132,6 +135,35 @@ type TelemetrySink interface {
 	// IFill reports a non-exception I-cache line fill for pc that
 	// stalled the pipeline for stall cycles, starting at cycle.
 	IFill(pc uint32, cycle uint64, stall uint64, kind FillKind)
+}
+
+// Key is an attribution observer's answer to a callout (see CPU.OnKey):
+// the user fetch addresses [Lo, Hi) over which its key holds, and the
+// retirement count (Stats.Instrs + Stats.HandlerInstrs) at which it must
+// be called again whatever the fetches do.
+type Key struct {
+	Lo, Hi uint64
+	Cut    uint64
+}
+
+// AnyKey is the answer of an observer that constrains nothing.
+var AnyKey = Key{Hi: 1 << 32, Cut: math.MaxUint64}
+
+// AttachObserver adds fn to the CPU's attribution observers. Like
+// AttachTrace it composes: every observer is called at every callout,
+// in attach order, and the loop keeps the intersection of their ranges
+// and the earliest of their cuts.
+func (c *CPU) AttachObserver(fn func() Key) {
+	c.curIdx = curNone // the current line was vetted against no range
+	prev := c.OnKey
+	if prev == nil {
+		c.OnKey = fn
+		return
+	}
+	c.OnKey = func() Key {
+		a, b := prev(), fn()
+		return Key{Lo: max(a.Lo, b.Lo), Hi: min(a.Hi, b.Hi), Cut: min(a.Cut, b.Cut)}
+	}
 }
 
 // AttachTrace adds fn to the CPU's committed-instruction tracers.

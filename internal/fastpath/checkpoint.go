@@ -33,14 +33,10 @@ const CheckpointSchema = 1
 // Apply sizes structures by a checkpoint's geometry, so it bounds what
 // a checkpoint may declare. MaxCheckpointCacheBytes bounds each cache
 // (the CPU's predecode store grows with the I-cache; the paper's
-// machines use 1–64 KB). MaxCompressedRegion bounds the compressed
-// code region (the functional engine's code store takes about 26 bytes
-// per word of it); 16 MiB is four million instructions, far beyond any
-// shipped program.
-const (
-	MaxCheckpointCacheBytes = 1 << 20
-	MaxCompressedRegion     = 16 << 20
-)
+// machines use 1–64 KB). The compressed code region is bounded by the
+// machine's own cpu.MaxCompressedRegion, which cpu.Load enforces on
+// images.
+const MaxCheckpointCacheBytes = 1 << 20
 
 // ErrInvalidCheckpoint classifies Apply's refusals of a checkpoint that
 // describes a machine no run could have produced.
@@ -149,7 +145,7 @@ func (ck *Checkpoint) checkConfig() error {
 // handler extent that starts unaligned, is reversed or is not backed by
 // memory (handler RAM is predecoded word by word); a compressed region
 // that is unaligned (the functional store indexes it by word), reversed
-// or larger than MaxCompressedRegion; a functional-store word outside
+// or larger than cpu.MaxCompressedRegion; a functional-store word outside
 // the I-cache lines of that region.
 func (ck *Checkpoint) checkGeometry(m *mem.Memory) error {
 	st := ck.Machine
@@ -160,8 +156,8 @@ func (ck *Checkpoint) checkGeometry(m *mem.Memory) error {
 		return invalid("handler extent [%#x, %#x) is not word-aligned, ordered and backed by memory", h, e)
 	}
 	s, e := st.CompStart, st.CompEnd
-	if s&3 != 0 || e&3 != 0 || s > e || e-s > MaxCompressedRegion {
-		return invalid("compressed region [%#x, %#x) is not word-aligned, ordered and at most %d bytes", s, e, MaxCompressedRegion)
+	if s&3 != 0 || e&3 != 0 || s > e || e-s > cpu.MaxCompressedRegion {
+		return invalid("compressed region [%#x, %#x) is not word-aligned, ordered and at most %d bytes", s, e, cpu.MaxCompressedRegion)
 	}
 	line := uint32(ck.Config.ICache.LineBytes)
 	lo, hi := s&^(line-1), (e-1)&^(line-1)+line

@@ -18,6 +18,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/fastpath"
 	"repro/internal/mem"
+	"repro/internal/program"
 )
 
 // sortCheckpoint checkpoints testdata/sort.s, compressed with opts,
@@ -113,6 +114,63 @@ func TestForgedCheckpointsRefused(t *testing.T) {
 			// anything proportional to the forged extent.
 			if alloc > 2*goodAlloc+1<<20 {
 				t.Errorf("refusal allocated %d bytes; the genuine checkpoint needs %d", alloc, goodAlloc)
+			}
+		})
+	}
+}
+
+// TestForgedImageRegionRefused: a dict image whose compressed region
+// is unaligned, reversed, oversized or runs past its own .text segment
+// decodes, but cpu.Load refuses it with an ErrInvalidImage error before
+// anything is sized by the region. Unchecked, a region claiming
+// 256 MiB loads, and the functional engine then allocates 1.6 GiB.
+func TestForgedImageRegionRefused(t *testing.T) {
+	good := loadCompressed(t, "sort.s", rtd.Options{Scheme: rtd.SchemeDict})
+	data, err := program.Encode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, e := good.Compress.CompStart, good.Compress.CompEnd
+	// run decodes data with the region forged to [fs, fe), loads it and,
+	// if that succeeds, runs it on the functional engine, returning the
+	// bytes allocated on the way.
+	run := func(fs, fe uint32) (uint64, error) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		im, err := program.Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		im.Compress.CompStart, im.Compress.CompEnd = fs, fe
+		c, err := cpu.New(rtd.DefaultMachine())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Out = io.Discard
+		if err = c.Load(im); err == nil {
+			_, err = fastpath.Functional(c)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, err
+	}
+	goodAlloc, err := run(s, e)
+	if err != nil {
+		t.Fatalf("genuine image refused: %v", err)
+	}
+	for name, r := range map[string][2]uint32{
+		"oversized-256MiB": {s, s + 256<<20},
+		"past-text":        {s, e + 4},
+		"unaligned":        {s + 2, e},
+		"reversed":         {e, s},
+		"whole-space":      {0, 0xFFFFFFFC},
+	} {
+		t.Run(name, func(t *testing.T) {
+			alloc, err := run(r[0], r[1])
+			if !errors.Is(err, cpu.ErrInvalidImage) {
+				t.Fatalf("want an error wrapping cpu.ErrInvalidImage, got: %v", err)
+			}
+			if alloc > 2*goodAlloc+1<<20 {
+				t.Errorf("refusal allocated %d bytes; the genuine image needs %d", alloc, goodAlloc)
 			}
 		})
 	}

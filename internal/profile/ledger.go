@@ -8,11 +8,11 @@ import (
 	"repro/internal/program"
 )
 
-// Ledger is the one attribution engine behind every per-commit cost
-// view: the Recorder (per I-cache line and per procedure) and
-// telemetry.WindowSampler (per window of committed instructions). It
-// owns a single commit hook and is a pure observer: attaching one
-// changes no simulated state and no cycle count.
+// Ledger is the one attribution engine behind every cost view: the
+// Recorder (per I-cache line and per procedure) and
+// telemetry.WindowSampler (per window of committed instructions). It is
+// a pure observer: attaching one changes no simulated state and no cycle
+// count.
 //
 // Attribution rule: a user commit's delta is charged to the line and
 // procedure of its own PC; a handler commit's delta is charged to the
@@ -22,51 +22,68 @@ import (
 // miss's service ends up on the compressed line that missed, never on
 // the handler RAM.
 //
-// Charging is run-length. After each commit the ledger computes the
-// attribution key of the *next* commit (the CPU fires its tracers once
-// the PC has moved on), and only when that key changes does it take one
-// cpu.Stats + bus delta, adding it to the line, procedure and window
-// accumulators of the run that just ended. The delta of a run is the
-// sum of its per-commit deltas, so every bucket is bit-identical to
-// charging commit by commit. The key has four parts:
+// Charging is run-length and rides the machine's key callouts
+// (cpu.CPU.OnKey): the detailed loop calls the ledger between two
+// commits wherever the next commit's attribution key may differ from
+// the last one's, and only when it does differ does the ledger take one
+// cpu.Stats + bus delta and add it to the line and procedure of the run
+// that just ended. The delta of a run is the sum of its per-commit
+// deltas, so every bucket is bit-identical to charging commit by
+// commit. The key has four parts:
 //
 //   - the charged address: the next PC in user code, the latched EPC in
 //     the handler (a miss's handler is keyed by the line that missed);
 //   - its line and procedure, kept as the one address interval over
-//     which both stay fixed, so the per-commit test is a subtraction;
+//     which both stay fixed. The ledger answers each callout with it,
+//     and the machine keeps a line the interval does not cover (one
+//     with a procedure boundary inside) off its same-line fast path;
 //   - the handler/user phase: iret ends the handler phase, so a run
 //     closes at most one exception-service interval and its
 //     ExcCyclesTotal delta is that interval's latency — max-merging it
-//     reproduces ExcCyclesMax exactly (a handler is at least two
-//     commits, since it must install the line before its iret);
-//   - the window index, committed / Size.
+//     reproduces ExcCyclesMax exactly;
+//   - the window index, retirements / Size. The ledger answers each
+//     callout with the retirement count that closes the open window,
+//     and the machine stops there to call it out. A window's record is
+//     the difference of the counters at its two ends.
 //
 // A ledger without the line and procedure axes keys on the window index
-// alone and costs one compare per commit.
+// alone.
 type Ledger struct {
 	c  *cpu.CPU
 	im *program.Image // line and procedure axes; nil without them
 	w  *Windows       // window axis; nil without it
 
-	committed uint64
-	cut       uint64 // commit count that closes the open window
-	prev      Cost   // whole-run counters at the last flush
+	committed uint64 // retirements charged so far
+	cut       uint64 // retirement count that closes the open window
+	// snap[at] holds the whole-run counters at the last flush, the
+	// baseline; a flush reads the counters into the other slot and
+	// flips at, so no snapshot is ever copied. d is the movement.
+	snap   [2]Cost
+	at     int
+	d      Cost
+	opened Cost // whole-run counters when the open window opened
+	closed int  // windows closed so far
 
 	// Key of the open run: the phase and the address interval
-	// [lo, lo+span) sharing its line and procedure buckets. span is 0
-	// before the first commit, so the first commit always keys.
+	// [lo, hi) sharing its line and procedure buckets. The interval is
+	// empty before the first callout, so the first callout always keys.
 	inHandler bool
-	lo, span  uint32
+	lo, hi    uint64
 	lineMask  uint32
 	lineAddr  uint32
 	line      *Cost
 	proc      int
 
 	lines map[uint32]*Cost
+	// recent caches lines entries by line index, so a loop over a few
+	// lines keys without a map lookup.
+	recent [256]struct {
+		addr uint32
+		cost *Cost
+	}
 	// procs has one bucket per im.Procs entry, in table order, plus a
 	// trailing bucket for commits outside every procedure.
 	procs []Cost
-	acc   Cost // the open window
 }
 
 // Windows is a ledger's time axis: Records holds one Window per Size
@@ -74,7 +91,7 @@ type Ledger struct {
 // partial.
 type Windows struct {
 	// Size is the window length in committed instructions; set it before
-	// the ledger is bound.
+	// the ledger is attached.
 	Size uint64
 	// Records are the closed windows, in execution order; Settle (or
 	// Verify) closes the final partial window.
@@ -105,42 +122,39 @@ func NewLedger(im *program.Image) *Ledger {
 	if im != nil {
 		l.lines = make(map[uint32]*Cost)
 		l.procs = make([]Cost, len(im.Procs)+1)
+	} else {
+		l.hi = cpu.AnyKey.Hi
 	}
 	return l
 }
 
 // Sample adds the window axis: windows of w.Size commits are appended
-// to w.Records. Call before Bind.
+// to w.Records. Call before Attach.
 func (l *Ledger) Sample(w *Windows) { l.w = w }
 
-// Bind points the ledger at a machine without installing a tracer, for
-// callers that call Commit from their own commit tracer (the telemetry
-// Collector does, so a profiled run pays one indirect call per commit).
-// Bind before the first commit.
-func (l *Ledger) Bind(c *cpu.CPU) {
+// Attach binds the ledger to c and installs its callout among c's
+// attribution observers. Call before cpu.Load/Run, once per ledger;
+// composes with previously attached observers.
+func (l *Ledger) Attach(c *cpu.CPU) {
 	l.c = c
 	l.lineMask = uint32(c.Cfg.ICache.LineBytes) - 1
-	if l.w != nil {
+	l.cut = cpu.AnyKey.Cut
+	if l.w != nil && l.w.Size > 0 {
 		l.cut = l.w.Size
 	}
+	c.AttachObserver(l.callout)
 }
 
-// Attach binds the ledger to c and hooks Commit into its commit tracer.
-// Call before cpu.Load/Run, once per ledger; composes with previously
-// attached tracers.
-func (l *Ledger) Attach(c *cpu.CPU) {
-	l.Bind(c)
-	c.AttachTrace(func(pc, instr uint32, handler bool) { l.Commit(pc, handler) })
-}
-
-// Commit counts one committed instruction and closes the open run when
-// the next commit's key differs. Call once per commit from the CPU's
-// commit tracer.
-func (l *Ledger) Commit(pc uint32, handler bool) {
-	l.committed++
-	if l.committed == l.cut || l.im != nil && l.moved() {
-		l.flush(pc, handler)
+// callout is the ledger's observer (see cpu.CPU.OnKey). It closes the
+// open run when the next commit's key differs from it, or when the
+// open window is full, and answers with the interval the key holds
+// over and the retirement count that closes the window.
+func (l *Ledger) callout() cpu.Key {
+	s := &l.c.Stats
+	if s.Instrs+s.HandlerInstrs >= l.cut || l.im != nil && l.moved() {
+		l.flush()
 	}
+	return cpu.Key{Lo: l.lo, Hi: l.hi, Cut: l.cut}
 }
 
 // moved reports whether the next commit falls outside the open run's key.
@@ -148,31 +162,33 @@ func (l *Ledger) moved() bool {
 	if l.c.InHandler() {
 		return !l.inHandler
 	}
-	return l.inHandler || l.c.PC()-l.lo >= l.span
+	pc := uint64(l.c.PC())
+	return l.inHandler || pc < l.lo || pc >= l.hi
 }
 
-// flush charges the run that ends with this commit, closes the window
+// flush charges the run that ends at this callout, closes the window
 // on rollover and keys the next run.
-func (l *Ledger) flush(pc uint32, handler bool) {
+func (l *Ledger) flush() {
 	if l.im != nil && l.line == nil {
-		// The first commit: key it by its own charged address.
-		if handler {
-			pc = l.c.C0(4)
-		}
-		l.key(pc, handler)
+		l.rekey() // the first callout: what came before is the first run's
 	}
-	l.charge(l.delta())
-	if l.committed == l.cut {
+	l.charge()
+	if l.committed >= l.cut {
 		l.closeWindow()
 		l.cut += l.w.Size
 	}
-	if l.im == nil {
-		return
+	if l.im != nil {
+		l.rekey()
 	}
+}
+
+// rekey opens the run of the next commit: keyed by the next PC in user
+// code, by the EPC latched at entry for a whole handler activation.
+func (l *Ledger) rekey() {
 	if !l.c.InHandler() {
 		l.key(l.c.PC(), false)
 	} else if !l.inHandler {
-		l.key(l.c.C0(4), true) // EPC, latched for the whole activation
+		l.key(l.c.C0(4), true)
 	}
 }
 
@@ -181,18 +197,19 @@ func (l *Ledger) key(addr uint32, inHandler bool) {
 	l.inHandler = inHandler
 	la := addr &^ l.lineMask
 	if l.line == nil || la != l.lineAddr {
-		lc := l.lines[la]
-		if lc == nil {
-			lc = new(Cost)
-			l.lines[la] = lc
+		e := &l.recent[la/(l.lineMask+1)%uint32(len(l.recent))]
+		if e.cost == nil || e.addr != la {
+			e.addr, e.cost = la, l.lines[la]
+			if e.cost == nil {
+				e.cost = new(Cost)
+				l.lines[la] = e.cost
+			}
 		}
-		l.lineAddr, l.line = la, lc
+		l.lineAddr, l.line = la, e.cost
 	}
-	lo, hi := uint64(la), uint64(la)+uint64(l.lineMask)+1
 	var plo, phi uint64
 	l.proc, plo, phi = l.procSpan(addr)
-	lo, hi = max(lo, plo), min(hi, phi)
-	l.lo, l.span = uint32(lo), uint32(hi-lo)
+	l.lo, l.hi = max(uint64(la), plo), min(uint64(la)+uint64(l.lineMask)+1, phi)
 }
 
 // procSpan maps addr to its procedure bucket (len(im.Procs) for
@@ -221,59 +238,39 @@ func (l *Ledger) procSpan(addr uint32) (int, uint64, uint64) {
 	return len(procs), lo, hi
 }
 
-// delta returns the whole-run counters' change since the last flush and
-// advances the baseline: the one delta routine behind every axis. Its
-// ExcCyclesMax is the run's ExcCyclesTotal, the latency of the at most
-// one service interval the run closed.
-func (l *Ledger) delta() Cost {
-	now := l.total()
-	p := &l.prev
-	d := Cost{
-		Cycles:          now.Cycles - p.Cycles,
-		Instrs:          now.Instrs - p.Instrs,
-		HandlerInstrs:   now.HandlerInstrs - p.HandlerInstrs,
-		IMissNative:     now.IMissNative - p.IMissNative,
-		IMissCompressed: now.IMissCompressed - p.IMissCompressed,
-		Exceptions:      now.Exceptions - p.Exceptions,
-		FetchStalls:     now.FetchStalls - p.FetchStalls,
-		LoadStalls:      now.LoadStalls - p.LoadStalls,
-		LoadUseStalls:   now.LoadUseStalls - p.LoadUseStalls,
-		ExcCyclesTotal:  now.ExcCyclesTotal - p.ExcCyclesTotal,
-		BusReads:        now.BusReads - p.BusReads,
-		BusBytes:        now.BusBytes - p.BusBytes,
-	}
-	for k := range d.CPIStack {
-		d.CPIStack[k] = now.CPIStack[k] - p.CPIStack[k]
-	}
-	d.ExcCyclesMax = d.ExcCyclesTotal
-	l.prev = now
-	return d
-}
-
-// charge adds a run's delta to its line, procedure and window.
-func (l *Ledger) charge(d Cost) {
+// charge adds the whole-run counters' movement since the last flush to
+// the open run's line and procedure, counts the retirements it charged
+// and advances the baseline. Everything goes through pointers into the
+// ledger: a flush copies no Cost by value.
+func (l *Ledger) charge() {
+	now, prev := &l.snap[1-l.at], &l.snap[l.at]
+	l.read(now)
+	d := &l.d
+	d.delta(now, prev)
+	l.at = 1 - l.at
+	l.committed += d.Instrs + d.HandlerInstrs
 	if l.line != nil {
-		l.line.Add(d)
-		l.procs[l.proc].Add(d)
-	}
-	if l.w != nil {
-		l.acc.Add(d)
+		l.line.add(d)
+		l.procs[l.proc].add(d)
 	}
 }
 
-// closeWindow appends the open window, ending at the last flush. It
-// starts where the last record ended, so a reader may take all but the
-// last record out of Records while the run goes on.
+// closeWindow appends the open window, ending at the last flush: the
+// counters' movement since the window opened, with the whole-run
+// ExcCyclesMax. Records carry their own bounds, so a reader may take
+// records out of Records while the run goes on.
 func (l *Ledger) closeWindow() {
-	rec := Window{Cost: l.acc}
-	if n := len(l.w.Records); n > 0 {
-		last := &l.w.Records[n-1]
-		rec.Index, rec.StartInstr, rec.StartCycle = last.Index+1, last.EndInstr, last.EndCycle
+	o, p := &l.opened, &l.snap[l.at]
+	rec := Window{
+		Index:      l.closed,
+		StartInstr: o.Instrs + o.HandlerInstrs, EndInstr: p.Instrs + p.HandlerInstrs,
+		StartCycle: o.Cycles, EndCycle: p.Cycles,
 	}
-	rec.EndInstr, rec.EndCycle = l.prev.Instrs+l.prev.HandlerInstrs, l.prev.Cycles
-	rec.ExcCyclesMax = l.prev.ExcCyclesMax
+	rec.Cost.delta(p, o)
+	rec.ExcCyclesMax = p.ExcCyclesMax
 	l.w.Records = append(l.w.Records, rec)
-	l.acc = Cost{}
+	l.opened = *p
+	l.closed++
 }
 
 // Settle charges the commits since the last flush to the open run and
@@ -283,50 +280,55 @@ func (l *Ledger) Settle() {
 	if l.c == nil {
 		return
 	}
-	l.charge(l.delta())
-	if l.w != nil && l.committed+l.w.Size > l.cut {
+	l.charge()
+	if l.w != nil && l.committed > l.opened.Instrs+l.opened.HandlerInstrs {
 		l.closeWindow()
 		l.cut = l.committed + l.w.Size
 	}
 }
 
-// total snapshots the whole-run cost from the machine's own counters
-// (not from the attribution buckets — Verify compares the two). It is
-// the ledger's one stats(sum) site: every axis Verify checks is summed
-// against this snapshot, and statscomplete proves it reads every
-// cpu.Stats counter, so a new counter must be wired into Cost before
-// cccheck passes.
+// total snapshots the whole-run cost from the machine's own counters.
+func (l *Ledger) total() Cost {
+	var t Cost
+	l.read(&t)
+	return t
+}
+
+// read fills t from the machine's own counters (not from the
+// attribution buckets — Verify compares the two). It is the ledger's
+// one stats(sum) site: every axis Verify checks is summed against it,
+// and statscomplete proves it reads every cpu.Stats counter, so a new
+// counter must be wired into Cost before cccheck passes.
 //
 //cccheck:stats(sum)
-func (l *Ledger) total() Cost {
+func (l *Ledger) read(t *Cost) {
 	s := &l.c.Stats
-	return Cost{
-		Cycles:          s.Cycles,
-		Instrs:          s.Instrs,
-		HandlerInstrs:   s.HandlerInstrs,
-		IMissNative:     s.IMissNative,
-		IMissCompressed: s.IMissCompressed,
-		Exceptions:      s.Exceptions,
-		FetchStalls:     s.FetchStalls,
-		LoadStalls:      s.LoadStalls,
-		LoadUseStalls:   s.LoadUseStalls,
-		ExcCyclesTotal:  s.ExcCyclesTotal,
-		ExcCyclesMax:    s.ExcCyclesMax,
-		CPIStack:        s.CPIStack,
-		BusReads:        l.c.Mem.Reads,
-		BusBytes:        l.c.Mem.BytesRead,
-	}
+	t.Cycles = s.Cycles
+	t.Instrs = s.Instrs
+	t.HandlerInstrs = s.HandlerInstrs
+	t.IMissNative = s.IMissNative
+	t.IMissCompressed = s.IMissCompressed
+	t.Exceptions = s.Exceptions
+	t.FetchStalls = s.FetchStalls
+	t.LoadStalls = s.LoadStalls
+	t.LoadUseStalls = s.LoadUseStalls
+	t.ExcCyclesTotal = s.ExcCyclesTotal
+	t.ExcCyclesMax = s.ExcCyclesMax
+	t.CPIStack = s.CPIStack
+	t.BusReads = l.c.Mem.Reads
+	t.BusBytes = l.c.Mem.BytesRead
 }
 
 // Verify enforces the hard attribution invariant on every axis the
 // ledger keeps: the component-wise sum of all line buckets, of all
 // procedure buckets and of all window records must each be
 // bit-identical to the whole-run cpu.Stats (and bus counters) of the
-// attached machine; the windows must tile the commit axis; and the hook
-// must have seen exactly the commits the machine retired. Any drift
-// means a commit escaped attribution or a counter moved outside the
-// commit hook's view — a simulator bug, never a property of the
-// program.
+// attached machine; the windows must tile the commit axis, every one
+// but the last exactly Size commits long (the machine stopped at every
+// cut); and the ledger must have charged exactly the retirements the
+// machine counts. Any drift means a commit escaped attribution or a
+// counter moved outside the callouts' view — a simulator bug, never a
+// property of the program.
 func (l *Ledger) Verify() error {
 	if l.c == nil {
 		return fmt.Errorf("profile: ledger never attached")
@@ -360,10 +362,13 @@ func (l *Ledger) Verify() error {
 		// is the last record's.
 		var sum Cost
 		var at uint64
-		for _, r := range l.w.Records {
+		for i, r := range l.w.Records {
 			if r.StartInstr != at || r.EndInstr < r.StartInstr {
 				return fmt.Errorf("profile: window %d covers commits %d..%d, expected to start at %d",
 					r.Index, r.StartInstr, r.EndInstr, at)
+			}
+			if i < len(l.w.Records)-1 && r.EndInstr-r.StartInstr != l.w.Size {
+				return fmt.Errorf("profile: window %d covers %d commits, not %d", r.Index, r.EndInstr-r.StartInstr, l.w.Size)
 			}
 			at = r.EndInstr
 			sum.Add(r.Cost)
@@ -372,11 +377,11 @@ func (l *Ledger) Verify() error {
 			return err
 		}
 		if at != l.committed {
-			return fmt.Errorf("profile: windows cover %d commits, ledger saw %d", at, l.committed)
+			return fmt.Errorf("profile: windows cover %d commits, ledger charged %d", at, l.committed)
 		}
 	}
 	if retired := total.Instrs + total.HandlerInstrs; l.committed != retired {
-		return fmt.Errorf("profile: ledger saw %d commits, machine retired %d", l.committed, retired)
+		return fmt.Errorf("profile: ledger charged %d retirements, machine retired %d", l.committed, retired)
 	}
 	return nil
 }
@@ -386,8 +391,8 @@ func (l *Ledger) Verify() error {
 type Recorder struct{ *Ledger }
 
 // NewRecorder returns a recorder attributing to im's procedure table.
-// Attach it, or hand it to a telemetry Collector to share the
-// collector's commit hook.
+// Attach it, or hand it to a telemetry Collector, which attaches it and
+// lets a Windows sampler share its ledger.
 func NewRecorder(im *program.Image) *Recorder { return &Recorder{NewLedger(im)} }
 
 // Profile materializes the attribution into the serializable artifact:

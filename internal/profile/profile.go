@@ -69,7 +69,10 @@ type Cost struct {
 // Add accumulates o into c. Counter fields sum; ExcCyclesMax merges as
 // a maximum (the max over disjoint interval sets is the max of their
 // maxima, so Merge and the recorder share this one definition).
-func (c *Cost) Add(o Cost) {
+func (c *Cost) Add(o Cost) { c.add(&o) }
+
+// add is Add through a pointer, for the ledger's flush.
+func (c *Cost) add(o *Cost) {
 	c.Cycles += o.Cycles
 	c.Instrs += o.Instrs
 	c.HandlerInstrs += o.HandlerInstrs
@@ -88,6 +91,28 @@ func (c *Cost) Add(o Cost) {
 	}
 	c.BusReads += o.BusReads
 	c.BusBytes += o.BusBytes
+}
+
+// delta sets c to the counters' movement from prev to now. Its
+// ExcCyclesMax is the movement's ExcCyclesTotal: the latency of the at
+// most one service interval a ledger run closes.
+func (c *Cost) delta(now, prev *Cost) {
+	c.Cycles = now.Cycles - prev.Cycles
+	c.Instrs = now.Instrs - prev.Instrs
+	c.HandlerInstrs = now.HandlerInstrs - prev.HandlerInstrs
+	c.IMissNative = now.IMissNative - prev.IMissNative
+	c.IMissCompressed = now.IMissCompressed - prev.IMissCompressed
+	c.Exceptions = now.Exceptions - prev.Exceptions
+	c.FetchStalls = now.FetchStalls - prev.FetchStalls
+	c.LoadStalls = now.LoadStalls - prev.LoadStalls
+	c.LoadUseStalls = now.LoadUseStalls - prev.LoadUseStalls
+	c.ExcCyclesTotal = now.ExcCyclesTotal - prev.ExcCyclesTotal
+	c.ExcCyclesMax = c.ExcCyclesTotal
+	for k := range c.CPIStack {
+		c.CPIStack[k] = now.CPIStack[k] - prev.CPIStack[k]
+	}
+	c.BusReads = now.BusReads - prev.BusReads
+	c.BusBytes = now.BusBytes - prev.BusBytes
 }
 
 // DecompCycles returns the cycles this bucket spent on decompression

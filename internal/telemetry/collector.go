@@ -33,8 +33,12 @@ type FillEvent struct {
 // costs ~24 bytes); past the cap, events are counted but dropped.
 const DefaultMaxEvents = 1 << 20
 
-// Collector gathers a run's telemetry. Zero value is not usable; call
-// New, then Attach before cpu.Load/Run.
+// Collector gathers a run's telemetry: exception spans and fill events
+// from the CPU's telemetry sink, latency and burst histograms, per-set
+// cache heatmaps and, when Windows or Recorder is set, the ledger axes.
+// It observes no commit and no branch itself, so attaching one without
+// ledger axes leaves c.Trace and c.BP.OnResolve nil. Zero value is not
+// usable; call New, then Attach before cpu.Load/Run.
 type Collector struct {
 	// MaxEvents caps Spans and Fills each (DefaultMaxEvents if unset
 	// at Attach time).
@@ -53,16 +57,6 @@ type Collector struct {
 	Spans         []Span
 	Fills         []FillEvent
 	DroppedEvents uint64
-
-	// Committed instruction counts seen through the trace hook; they
-	// must equal Stats.Instrs / Stats.HandlerInstrs (a cross-check that
-	// trace multiplexing delivered every commit).
-	CommittedUser    uint64
-	CommittedHandler uint64
-
-	// Branch events observed through the predictor hook.
-	BranchResolved    uint64
-	BranchMispredicts uint64
 
 	// Windows, when set before Attach, samples the full CPI stack,
 	// miss/exception counts and bus bytes every Windows.Size committed
@@ -91,10 +85,14 @@ func New() *Collector {
 	}
 }
 
-// Attach wires the collector into every layer of the machine: the CPU's
-// telemetry sink and commit tracer, both caches' set observers, the
-// memory bus hook and the branch predictor hook. Attach composes with
-// other tracers (the debugging ring) via cpu.AttachTrace.
+// Attach wires the collector into the machine: the CPU's telemetry
+// sink (exception spans and fills), both caches' set observers and the
+// memory bus hook. With Windows or Recorder set it also attaches their
+// one ledger, which rides the CPU's key callouts (cpu.CPU.OnKey) and
+// composes with other observers. The collector installs no commit
+// tracer and no branch hook: commit and branch counts are in cpu.Stats
+// and the predictor, and a collector without ledger axes leaves the
+// detailed loop as fast as an unobserved one.
 func (t *Collector) Attach(c *cpu.CPU) {
 	if t.MaxEvents == 0 {
 		t.MaxEvents = DefaultMaxEvents
@@ -106,15 +104,6 @@ func (t *Collector) Attach(c *cpu.CPU) {
 	c.IC.Obs = t.IC
 	c.DC.Obs = t.DC
 	c.Mem.OnBurst = func(bytes, cycles int) { t.BurstBytes.Observe(uint64(bytes)) }
-	c.BP.OnResolve = func(pc uint32, taken, correct bool) {
-		t.BranchResolved++
-		if !correct {
-			t.BranchMispredicts++
-		}
-	}
-	// One tracer serves the commit counters and the attribution ledger:
-	// fusing them keeps the hot path at a single indirect call per
-	// commit instead of an AttachTrace-composed chain.
 	var l *profile.Ledger
 	if t.Windows != nil {
 		l = t.Windows.ledger
@@ -126,18 +115,8 @@ func (t *Collector) Attach(c *cpu.CPU) {
 		}
 	}
 	if l != nil {
-		l.Bind(c)
+		l.Attach(c)
 	}
-	c.AttachTrace(func(pc, instr uint32, handler bool) {
-		if handler {
-			t.CommittedHandler++
-		} else {
-			t.CommittedUser++
-		}
-		if l != nil {
-			l.Commit(pc, handler)
-		}
-	})
 }
 
 // CPU returns the machine the collector is attached to (nil before

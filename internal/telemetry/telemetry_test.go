@@ -92,27 +92,30 @@ func runCollected(t *testing.T, im *program.Image, col *Collector, setup func(*c
 }
 
 // TestCollectorCrossChecks verifies every hook delivered exactly the
-// events the always-on counters say happened: the collector is a second,
+// events the always-on counters say happened, and that the report
+// carries the commit and branch counts of Stats and the predictor (the
+// collector counts neither itself): the collector is a second,
 // independently-wired witness of the same run.
 func TestCollectorCrossChecks(t *testing.T) {
 	col := New()
 	c := runCollected(t, buildCompressed(t), col, nil)
 	s := c.Stats
 
-	if s.Exceptions == 0 {
-		t.Fatal("compressed run took no exceptions; test is vacuous")
+	if s.Exceptions == 0 || c.BP.Lookups == 0 || c.BP.Mispredicts == 0 {
+		t.Fatal("compressed run took no exceptions or resolved no branches; test is vacuous")
 	}
-	if col.CommittedUser != s.Instrs {
-		t.Errorf("trace hook saw %d user commits, stats say %d", col.CommittedUser, s.Instrs)
+	rep := NewReport(c, col)
+	if rep.Instrs != s.Instrs || rep.HandlerInstrs != s.HandlerInstrs || rep.Cycles != s.Cycles {
+		t.Errorf("report has %d user + %d handler commits in %d cycles, stats say %d + %d in %d",
+			rep.Instrs, rep.HandlerInstrs, rep.Cycles, s.Instrs, s.HandlerInstrs, s.Cycles)
 	}
-	if col.CommittedHandler != s.HandlerInstrs {
-		t.Errorf("trace hook saw %d handler commits, stats say %d", col.CommittedHandler, s.HandlerInstrs)
+	if rep.Branch.Lookups != c.BP.Lookups || rep.Branch.Mispredicts != c.BP.Mispredicts {
+		t.Errorf("report has %d branches, %d mispredicted; predictor says %d, %d",
+			rep.Branch.Lookups, rep.Branch.Mispredicts, c.BP.Lookups, c.BP.Mispredicts)
 	}
-	if col.BranchResolved != c.BP.Lookups {
-		t.Errorf("predictor hook saw %d resolutions, predictor says %d", col.BranchResolved, c.BP.Lookups)
-	}
-	if col.BranchMispredicts != c.BP.Mispredicts {
-		t.Errorf("predictor hook saw %d mispredicts, predictor says %d", col.BranchMispredicts, c.BP.Mispredicts)
+	if rep.Exceptions != s.Exceptions || rep.ExcCyclesMax != s.ExcCyclesMax {
+		t.Errorf("report has %d exceptions (max %d cycles), stats say %d (max %d)",
+			rep.Exceptions, rep.ExcCyclesMax, s.Exceptions, s.ExcCyclesMax)
 	}
 	if col.BurstBytes.Sum != c.Mem.BytesRead {
 		t.Errorf("bus hook saw %d bytes, memory says %d", col.BurstBytes.Sum, c.Mem.BytesRead)
@@ -145,12 +148,14 @@ func TestCollectorCrossChecks(t *testing.T) {
 	}
 }
 
-// TestCollectorCoexistsWithRing is the trace-multiplexing regression:
-// attaching a debugging ring and the telemetry collector to the same CPU
-// must deliver every commit to both.
+// TestCollectorCoexistsWithRing is the observer-multiplexing
+// regression: a debugging ring on the commit tracer and the collector's
+// ledger on the key callouts, attached to the same CPU, must each see
+// the whole run — the ring every retirement, the ledger every window.
 func TestCollectorCoexistsWithRing(t *testing.T) {
 	im := buildCompressed(t)
 	col := New()
+	col.Windows = NewWindowSampler(7)
 	var ring *trace.Ring
 	c := runCollected(t, im, col, func(c *cpu.CPU) {
 		ring = trace.NewRing(1<<16, im)
@@ -160,8 +165,11 @@ func TestCollectorCoexistsWithRing(t *testing.T) {
 	if ring.Count() != total {
 		t.Errorf("ring saw %d commits, want %d", ring.Count(), total)
 	}
-	if col.CommittedUser+col.CommittedHandler != total {
-		t.Errorf("collector saw %d commits, want %d", col.CommittedUser+col.CommittedHandler, total)
+	if err := col.Windows.Verify(); err != nil {
+		t.Errorf("windows beside the ring: %v", err)
+	}
+	if want := int((total + 6) / 7); len(col.Windows.Records) != want {
+		t.Errorf("%d windows of 7 over %d commits, want %d", len(col.Windows.Records), total, want)
 	}
 	// Mixed-origin entries: the ring must contain both handler and user
 	// instructions from a compressed run.
@@ -175,6 +183,31 @@ func TestCollectorCoexistsWithRing(t *testing.T) {
 	}
 	if !user || !handler {
 		t.Errorf("ring entries user=%v handler=%v, want both", user, handler)
+	}
+}
+
+// TestCollectorInstallsNoCommitHooks pins what makes simrun -json run
+// the untraced loop: a collector without ledger axes installs neither a
+// commit tracer nor a branch hook nor a key observer, and with ledger
+// axes only the observer.
+func TestCollectorInstallsNoCommitHooks(t *testing.T) {
+	for _, axes := range []bool{false, true} {
+		c, err := cpu.New(cpu.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := New()
+		if axes {
+			col.Windows = NewWindowSampler(0)
+		}
+		col.Attach(c)
+		if c.Trace != nil || c.BP.OnResolve != nil {
+			t.Errorf("axes=%v: collector installed a commit tracer (%v) or a branch hook (%v)",
+				axes, c.Trace != nil, c.BP.OnResolve != nil)
+		}
+		if (c.OnKey != nil) != axes {
+			t.Errorf("axes=%v: key observer installed = %v", axes, c.OnKey != nil)
+		}
 	}
 }
 

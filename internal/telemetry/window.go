@@ -45,8 +45,9 @@ func NewWindowSampler(size uint64) *WindowSampler {
 	return w
 }
 
-// Attach hooks the sampler's ledger into the CPU's commit tracer. Call
-// before cpu.Load/Run; composes with previously attached tracers.
+// Attach installs the sampler's ledger among the CPU's attribution
+// observers. Call before cpu.Load/Run; composes with previously
+// attached observers.
 func (w *WindowSampler) Attach(c *cpu.CPU) { w.ledger.Attach(c) }
 
 // share moves the sampler's window axis onto l.
