@@ -2,7 +2,9 @@ package fastpath_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -464,5 +466,63 @@ func TestCheckpointSubWordICacheLine(t *testing.T) {
 		t.Fatal("Apply accepted a 2-byte I-cache line")
 	} else if !strings.Contains(err.Error(), "I-cache") {
 		t.Errorf("error does not name the I-cache: %v", err)
+	}
+}
+
+// TestCheckpointParentFormat restores a checkpoint saved by an earlier
+// build (queens.s under dict, captured after 200 detailed and 500
+// functional user instructions). Its fstats carry a "Blocks" counter
+// and its config a "FunctionalWarm" switch that this build no longer
+// has; encoding/json drops both, and the resumed run must finish with
+// the architectural state of an uninterrupted detailed run.
+func TestCheckpointParentFormat(t *testing.T) {
+	gz, err := os.Open(filepath.Join("..", "..", "testdata", "checkpoint-v1-parent.json.gz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gz.Close()
+	zr, err := gzip.NewReader(gz)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"Blocks":45`, `"FunctionalWarm":false`} {
+		if !bytes.Contains(raw, []byte(key)) {
+			t.Fatalf("fixture lacks %s: it no longer pins the earlier format", key)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := fastpath.Load(path)
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	c, err := ck.Apply()
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	c.Out = &bytes.Buffer{}
+	if fs := c.FStats; fs.Instrs != 500 || fs.HandlerInstrs != 498 || fs.Exceptions != 6 {
+		t.Errorf("restored fstats %+v, want 500 user, 498 handler instructions and 6 exceptions", fs)
+	}
+	ref, _ := newMachine(t, loadCompressed(t, "queens.s", rtd.Options{Scheme: rtd.SchemeDict}))
+	if code, refCode := finish(t, c), finish(t, ref); code != refCode {
+		t.Errorf("exit code %d, reference %d", code, refCode)
+	}
+	if got := c.Stats.Instrs + c.FStats.Instrs; got != ref.Stats.Instrs {
+		t.Errorf("user instructions %d, reference %d", got, ref.Stats.Instrs)
+	}
+	for r := 0; r < 32; r++ {
+		if r == 26 || r == 27 {
+			continue
+		}
+		if a, b := ref.UserReg(r), c.UserReg(r); a != b {
+			t.Errorf("$%d: reference %#x, resumed %#x", r, a, b)
+		}
 	}
 }
