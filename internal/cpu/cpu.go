@@ -46,35 +46,29 @@ type Config struct {
 	// Run returns an error when it is exceeded. 0 means no bound.
 	MaxInstr uint64
 
-	// Functional selects the functional fast-forward engine for Run():
+	// Functional makes Run() use the interpreter's functional policy:
 	// identical architectural semantics, no timing model — no caches,
-	// no branch predictor, no cycle accounting (see funct.go). Work is
-	// counted in CPU.FStats; cpu.Stats stays untouched. The sampled
-	// driver in internal/fastpath switches engines mid-run via
-	// RunDetailedFor/RunFunctionalFor regardless of this flag.
+	// no branch predictor, no cycle accounting (see fstore.go). Work is
+	// counted in CPU.FStats; cpu.Stats stays untouched. The entry points
+	// pick their own policy regardless of this flag: RunFunctionalFor
+	// the functional one, RunFunctionalSampled the warm one (which makes
+	// the detailed engine's cache and predictor state changes and
+	// charges nothing), RunDetailedFor and its kin the detailed one.
 	Functional bool
-	// FunctionalBreak deliberately corrupts the functional engine's
+	// FunctionalBreak deliberately corrupts the functional policy's
 	// handler swic stores (one bit per word). It exists solely as the
 	// equivalence battery's negative control: a broken functional
 	// handler must be caught by the battery, proving the comparison has
 	// teeth.
 	FunctionalBreak bool
-	// FunctionalWarm selects SMARTS-style functional warming for the
-	// functional engine: fetches, loads, branches and swic stores touch
-	// the real I-cache, D-cache and branch predictor exactly as the
-	// detailed engine would — filling, evicting and training, with no
-	// cycle charges — so a fast-forward interval leaves the timing
-	// state where a detailed run would have. fastpath.Sampled turns
-	// this on for its intervals; plain fast-forward leaves it off and
-	// keeps the faster flat-decode dispatch.
-	FunctionalWarm bool
 
 	// DisablePredecode forces the reference decode-every-cycle fetch
 	// path: isa fields are re-extracted from the raw word on every
 	// executed instruction instead of once per I-cache fill. Only the
 	// fetch differs, so the timing model is identical; the flag exists
 	// so equivalence tests can pin the predecode cache against the
-	// reference behaviour.
+	// reference behaviour. The functional policy, which reads no
+	// I-cache, keeps its flat decode stores under it.
 	DisablePredecode bool
 	// PredecodeCheck cross-checks every fetched predecoded instruction
 	// against a fresh decode of the word the backing cache/RAM holds
@@ -183,54 +177,60 @@ type CPU struct {
 	// records per I-cache slot, current while the cache keeps the
 	// slot's derived bit set; curIdx/curSlot name the line the last
 	// fetch resolved (its address >> lineShift), for the same-line fast
-	// path; hdec covers handler RAM; fillBuf is the hardware-fill line
-	// buffer; scratch backs the DisablePredecode reference path.
+	// path; hdec covers handler RAM, with hdecOK its all-ones validity
+	// bytes; fillBuf is the hardware-fill line buffer; scratch backs the
+	// DisablePredecode reference path.
 	pcode     []pinstr
 	wpl       int
 	lineShift uint
 	curIdx    uint32
 	curSlot   int
 	hdec      []pinstr
+	hdecOK    []uint8
 	fillBuf   []byte
 	scratch   pinstr
+	// flatRec/flatOK/flatBase/flatBytes name the flat region run
+	// fetches from with neither a tag search nor a callout (flatHit):
+	// handler RAM under every policy, as far as flatHandler allows, and
+	// under the functional policy the code region its last fetch read
+	// instead. Fields rather than locals of run, so setting them at a
+	// phase change costs the loop no register.
+	flatRec   []pinstr
+	flatOK    []uint8
+	flatBase  uint32
+	flatBytes uint32
 	// keyLo/keyHi is the address range the attribution observers'
 	// keys hold over, as of the last callout (everything without
 	// observers): a user line outside it stays off the same-line fast
 	// path, so each of its fetches calls them out. cut is their next
 	// retirement count to be called at (never, without observers).
-	// hdecLen is the extent of handler RAM run fetches from hdec
-	// without a callout (hdecSpan); a field rather than a local of run,
-	// so setting it at a phase change costs the loop no register.
 	keyLo, keyHi uint64
 	cut          uint64
-	hdecLen      uint32
 
-	// Functional-engine state (see funct.go). fsWord/fsOK are the
-	// materialised decompressed code over the compressed region, one
-	// word and one validity byte per address (the functional stand-in
-	// for the I-cache: never evicts); fxtra catches swic stores outside
-	// that region (rare; never fetched). fcdec/fcOK cache decoded
-	// records in lockstep with fsWord; fdec/fdOK do the same over the
-	// native code extent [fdBase,fdEnd), and I-cache refills copy their
-	// records from fdec. All flat stores are allocated lazily, on first
-	// functional execution or (fdec) first refill. flastExc/fexcRepet
-	// mirror the detailed repeated-exception guard.
-	fsWord    []uint32
-	fsOK      []uint8
-	fxtra     map[uint32]uint32
-	fcdec     []pinstr
-	fcOK      []uint8
-	fdec      []pinstr
-	fdOK      []uint8
-	fdBase    uint32
-	fdEnd     uint32
-	fhdOK     []uint8
-	flastExc  uint32
-	fexcRepet int
+	// The functional policy's fetch source (see fstore.go). fsWord/fsOK
+	// are the materialised decompressed code over the compressed region,
+	// one word and one validity byte per address (the functional
+	// stand-in for the I-cache: never evicts); fxtra holds swic stores
+	// outside that region, which fetch reads before memory. fcdec/fcOK
+	// cache decoded records in lockstep with fsWord; fdec/fdOK do the
+	// same over the native code extent [fdBase,fdEnd), and I-cache
+	// refills copy their records from fdec. All flat stores are
+	// allocated lazily, on first functional execution or (fdec) first
+	// refill.
+	fsWord []uint32
+	fsOK   []uint8
+	fxtra  map[uint32]uint32
+	fcdec  []pinstr
+	fcOK   []uint8
+	fdec   []pinstr
+	fdOK   []uint8
+	fdBase uint32
+	fdEnd  uint32
 
 	Stats Stats
-	// FStats counts functional-engine work; separate from Stats because
-	// functional counters carry no timing meaning (funct.go).
+	// FStats counts the untimed policies' work (functional and warm);
+	// separate from Stats because those counters carry no timing
+	// meaning (fstore.go).
 	FStats FunctStats
 	Prof   Profiler
 	Out    io.Writer
@@ -247,7 +247,7 @@ type CPU struct {
 	// fill stalls); internal/telemetry implements it. Nil costs nothing.
 	Tel TelemetrySink
 	// OnKey, when set, is the attribution observers' callout
-	// (profile.Ledger installs one). The detailed loop calls it between
+	// (profile.Ledger installs one). The detailed policy calls it between
 	// two commits wherever the next commit's attribution key may differ
 	// from the last one's: on entry, before every slow-path fetch (every
 	// change of user line takes one), after a decompression exception is
@@ -397,6 +397,11 @@ func (c *CPU) SetReg(r int, v uint32) {
 	}
 }
 
+// UserReg returns register r of the user (non-shadow) file, regardless
+// of the active bank. Final-state comparisons use it so a machine that
+// halts inside the handler is still comparable.
+func (c *CPU) UserReg(r int) uint32 { return c.regs[0][r] }
+
 // C0 returns system register n.
 func (c *CPU) C0(n int) uint32 { return c.c0[n&7] }
 
@@ -426,9 +431,12 @@ func (c *CPU) inHandlerRAM(addr uint32) bool {
 // with MaxInstr==0 semantics, see Config).
 func (c *CPU) Run() (int32, error) {
 	if c.Cfg.Functional {
-		return c.runFunctional()
+		if err := c.run(c.budget(), noLimit, runOn, functional); err != nil {
+			return -1, err
+		}
+		return c.exitCode, nil
 	}
-	if err := c.run(c.budget(), noLimit, runOn); err != nil {
+	if err := c.run(c.budget(), noLimit, runOn, detailed); err != nil {
 		return -1, err
 	}
 	// Hard telemetry invariant: the CPI stack must account for every

@@ -18,9 +18,123 @@ const (
 	runToFault
 )
 
+// policy is run's timing policy, fixed per call. The policies share
+// the loop's execute, retire, exception and budget code; only what
+// each charges, and the functional policy's fetch source, differ.
+type policy uint8
+
+const (
+	// detailed charges Stats, models the caches and the predictor and
+	// calls Prof, Tel, Trace and OnKey.
+	detailed policy = iota
+	// warm makes detailed's I-cache, D-cache, predictor and swic state
+	// changes and charges nothing (SMARTS functional warming). It runs
+	// only in runToFault mode, which stops before every miss, so its
+	// fetches always hit.
+	warm
+	// functional touches no cache or predictor: it fetches from the
+	// flat stores (fstore.go) and raises a decompression exception for
+	// each word not yet materialised.
+	functional
+)
+
 // Step fetches, executes and retires one instruction, charging cycles to
 // the timing model.
-func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep) }
+func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep, detailed) }
+
+// RunFunctionalFor retires at least n user instructions under the
+// functional policy, then continues until the machine is outside the
+// decompression handler (an engine switch must never split a handler
+// activation: the detailed engine would see a half-decompressed line).
+// Entry resets the repeated-exception guard, which describes the
+// previous period's last exception. It reports whether the program
+// halted.
+func (c *CPU) RunFunctionalFor(n uint64) (bool, error) {
+	c.lastExc, c.excRepet = 0, 0
+	err := c.run(c.budget(), int64(min(n, noLimit)), runOn, functional)
+	return c.halted, err
+}
+
+// RunFunctionalSampled is the sampled driver's fast-forward: it retires
+// up to n user instructions under the warm policy but stops — before
+// any state changes — whenever the next fetch would miss the I-cache.
+// The driver then services that event on the detailed engine
+// (RunDetailedBurst), so every decompression burst in a sampled run is
+// measured exactly rather than estimated; only the steady-state user
+// instructions between events are fast-forwarded. Returns (halted,
+// pending): pending means a miss is due at the current PC.
+func (c *CPU) RunFunctionalSampled(n uint64) (bool, bool, error) {
+	pre := c.FStats.Instrs
+	if err := c.run(c.budget(), int64(min(n, noLimit)), runToFault, warm); err != nil {
+		return false, false, err
+	}
+	return c.halted, !c.halted && c.FStats.Instrs-pre < n, nil
+}
+
+// RunDetailedBurst services exactly one pending decompression event on
+// the detailed engine, in one call of its loop: the faulting fetch —
+// exception entry, or the hardware fill plus the instruction it
+// unblocks — and, for the software path, the entire handler activation
+// through iret. Cycle charges land in cpu.Stats, so a sampled run
+// accounts every burst exactly. The repeated-exception guard
+// (lastExc/excRepet) is left intact across bursts so a handler that
+// fails to fill its line is still detected after three back-to-back
+// bursts at the same PC, just as in a contiguous detailed run. It
+// reports whether the program halted.
+func (c *CPU) RunDetailedBurst() (bool, error) {
+	c.lastLoad = -1 // exception entry flushes the pipeline anyway
+	if err := c.run(c.budget(), 0, runOn, detailed); err != nil {
+		return false, err
+	}
+	return c.halted, nil
+}
+
+// RunDetailedFor retires at least n user instructions on the detailed
+// timing engine, then continues until outside the handler. Entry resets
+// the pipeline-local hazard state (lastLoad) and the repeated-exception
+// guard: both describe the immediately preceding detailed instruction,
+// which after an untimed period does not exist. It reports whether the
+// program halted.
+func (c *CPU) RunDetailedFor(n uint64) (bool, error) {
+	c.lastLoad = -1
+	c.lastExc, c.excRepet = 0, 0
+	if err := c.run(c.budget(), int64(min(n, noLimit)), runOn, detailed); err != nil {
+		return false, err
+	}
+	return c.halted, nil
+}
+
+// RunDetailedWindow is RunDetailedFor with burst attribution: it retires
+// at least n user instructions on the detailed timing engine and
+// separately accumulates, into *burstCycles and *burstInstrs, the cost
+// of the decompression events serviced inside the window (exception
+// entry through iret on the software path; the fill stall plus the
+// instruction it unblocks on the hardware path). All charges still land
+// in cpu.Stats exactly as a plain detailed run would make them — the
+// split only tells the sampled estimator which window cycles are
+// steady-state user execution (safe to extrapolate over fast-forwarded
+// instructions) and which belong to bursts (already counted exactly).
+func (c *CPU) RunDetailedWindow(n uint64, burstCycles, burstInstrs *uint64) (bool, error) {
+	c.lastLoad = -1
+	c.lastExc, c.excRepet = 0, 0
+	target := c.Stats.Instrs + n
+	for !c.halted {
+		if c.missDue() {
+			preC, preI := c.Stats.Cycles, c.Stats.Instrs
+			if _, err := c.RunDetailedBurst(); err != nil {
+				return false, err
+			}
+			*burstCycles += c.Stats.Cycles - preC
+			*burstInstrs += c.Stats.Instrs - preI
+		} else if err := c.run(c.budget(), int64(min(target-min(c.Stats.Instrs, target), noLimit)), runToFault, detailed); err != nil {
+			return false, err
+		}
+		if c.Stats.Instrs >= target && !c.inHandler {
+			break
+		}
+	}
+	return c.halted, nil
+}
 
 // budget is the Config.MaxInstr allowance both engines have left.
 func (c *CPU) budget() int64 {
@@ -37,9 +151,12 @@ func (c *CPU) budgetError() error {
 
 // fetch is run's slow path: it returns the predecoded instruction at
 // the current PC, or nil when a decompression exception was raised
-// instead. With Cfg.DisablePredecode the word is decoded afresh into a
+// instead. Handler RAM is read alike under every policy. The detailed
+// and warm policies read the I-cache; the functional policy reads the
+// flat stores and makes the region it read the flatHit fast path's.
+// With Cfg.DisablePredecode the I-cache word is decoded afresh into a
 // scratch record every cycle — same loop, reference timing.
-func (c *CPU) fetch() (*pinstr, error) {
+func (c *CPU) fetch(pol policy) (*pinstr, error) {
 	pc := c.pc
 	if pc&3 != 0 {
 		return nil, fmt.Errorf("cpu: unaligned fetch at %#x", pc)
@@ -59,11 +176,51 @@ func (c *CPU) fetch() (*pinstr, error) {
 		}
 		return p, nil
 	}
+	if pol == functional {
+		c.flatBytes = 0
+		if c.InCompressedRegion(pc) {
+			i := (pc - c.compStart) >> 2
+			if c.fsOK[i] == 0 {
+				if !c.Cfg.HardwareDecompress {
+					return nil, c.raiseDecompress(pc, pol)
+				}
+				if err := c.materialiseLine(pc); err != nil {
+					return nil, err
+				}
+			}
+			if c.fcOK[i] == 0 {
+				c.fcdec[i], c.fcOK[i] = decodeInstr(pc, c.fsWord[i]), 1
+			}
+			c.flatRec, c.flatOK, c.flatBase, c.flatBytes = c.fcdec, c.fcOK, c.compStart, c.compEnd-c.compStart
+			return &c.fcdec[i], nil
+		}
+		// A word swic'd outside the compressed region shadows memory, as
+		// its I-cache line does in the detailed engine. It is decoded per
+		// fetch, never into fdec, which native refills copy from.
+		w, swic := c.fxtra[pc]
+		if !swic {
+			if !c.Mem.Backed(pc) {
+				return nil, fmt.Errorf("cpu: fetch from unmapped address %#x", pc)
+			}
+			w = c.Mem.ReadWord(pc)
+		}
+		if pc >= c.fdBase && pc < c.fdEnd {
+			c.flatRec, c.flatOK, c.flatBase, c.flatBytes = c.fdec, c.fdOK, c.fdBase, c.fdEnd-c.fdBase
+			if j := (pc - c.fdBase) >> 2; !swic {
+				if c.fdOK[j] == 0 {
+					c.fdec[j], c.fdOK[j] = decodeInstr(pc, w), 1
+				}
+				return &c.fdec[j], nil
+			}
+		}
+		c.scratch = decodeInstr(pc, w)
+		return &c.scratch, nil
+	}
 	slot := c.IC.Lookup(pc)
 	if slot < 0 {
 		if c.InCompressedRegion(pc) {
 			if !c.Cfg.HardwareDecompress {
-				return nil, c.raiseDecompress(pc)
+				return nil, c.raiseDecompress(pc, pol)
 			}
 			if err := c.hardwareFill(pc); err != nil {
 				return nil, err
@@ -106,17 +263,38 @@ func (c *CPU) fetch() (*pinstr, error) {
 	return p, nil
 }
 
-// sameLine is the fetch fast path: when pc is in the line the last
-// fetch resolved and the I-cache has not changed that line since, it
-// counts the I-cache hit and returns the record without a tag search.
-// It returns nil otherwise (curIdx is never set under DisablePredecode
-// or PredecodeCheck, so both always take the full path).
+// sameLine is the I-cache fetch fast path: when pc is in the line the
+// last fetch resolved and the I-cache has not changed that line since,
+// it counts the I-cache hit and returns the record without a tag
+// search. It returns nil otherwise (curIdx is never set under
+// DisablePredecode or PredecodeCheck, so both always take the full
+// path).
 func (c *CPU) sameLine(pc uint32) *pinstr {
 	if pc&3 != 0 || pc>>c.lineShift != c.curIdx || !c.IC.Derived(c.curSlot) {
 		return nil
 	}
 	c.IC.Hit(c.curSlot)
 	return &c.pcode[c.curSlot*c.wpl+int(pc>>2)&(c.wpl-1)]
+}
+
+// flatHit is the flat fetch fast path: the record at pc when pc lies in
+// the current flat region (handler RAM, or the code region the last
+// functional fetch read) and its word is decoded, nil otherwise.
+func (c *CPU) flatHit(pc uint32) *pinstr {
+	if off := pc - c.flatBase; off < c.flatBytes && off&3 == 0 && c.flatOK[off>>2] != 0 {
+		return &c.flatRec[off>>2]
+	}
+	return nil
+}
+
+// missDue reports whether fetching at the PC would miss the I-cache
+// outside the handler: a decompression event in the compressed region
+// or a hardware line fill in the native one. runToFault stops there
+// before any state changes, so the sampled driver services the event
+// on the detailed engine. Pure probe — no state is touched.
+func (c *CPU) missDue() bool {
+	pc := c.pc
+	return !c.inHandler && pc&3 == 0 && !c.inHandlerRAM(pc) && !c.IC.Probe(pc)
 }
 
 // hardwareFill models a hardware decompression unit: the compressed
@@ -145,7 +323,10 @@ func (c *CPU) hardwareFill(pc uint32) error {
 	return nil
 }
 
-func (c *CPU) raiseDecompress(pc uint32) error {
+// raiseDecompress takes the decompression exception for a fetch at pc:
+// the architectural entry every policy shares, then the detailed
+// policy's charges, or FStats' count under the others.
+func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 	if c.inHandler {
 		return fmt.Errorf("cpu: nested decompression exception at %#x", pc)
 	}
@@ -156,6 +337,20 @@ func (c *CPU) raiseDecompress(pc uint32) error {
 		}
 	} else {
 		c.lastExc, c.excRepet = pc, 0
+	}
+	c.c0[4] = pc    // EPC
+	c.c0[5] = pc    // BADVA
+	c.c0[6] |= 1    // StatusEXL
+	c.lastLoad = -1 // the flush drains the pipeline
+	c.inHandler = true
+	c.savedBank = c.bank
+	if c.c0[6]&2 != 0 { // shadow register file enabled
+		c.bank = 1
+	}
+	c.pc = c.handlerPC
+	if pol != detailed {
+		c.FStats.Exceptions++
+		return nil
 	}
 	c.Stats.Exceptions++
 	c.Stats.IMissCompressed++
@@ -168,63 +363,62 @@ func (c *CPU) raiseDecompress(pc uint32) error {
 	if c.Prof != nil {
 		c.Prof.CountMiss(pc)
 	}
-	c.c0[4] = pc    // EPC
-	c.c0[5] = pc    // BADVA
-	c.c0[6] |= 1    // StatusEXL
-	c.lastLoad = -1 // the flush drains the pipeline
-	c.inHandler = true
-	c.savedBank = c.bank
-	if c.c0[6]&2 != 0 { // shadow register file enabled
-		c.bank = 1
-	}
-	c.pc = c.handlerPC
 	return nil
 }
 
-// run is the detailed engine. It stops when the program halts, after
-// the step that spends left (the budget error), once user user
-// instructions retired outside the handler, or as mode asks. Handler
-// RAM is fetched from hdec directly. pc, lastLoad, the register file,
-// inHandler and the counts charged since the last flush live in locals;
-// flush writes them back where they are read: the slow fetch path,
-// iret, syscall, tracer calls, errors and return. The attribution
-// observers (OnKey) are called out only where the locals are already
-// flushed; their cut is folded into lim.
-func (c *CPU) run(left, user int64, mode int) error {
+// run is the interpreter: one fetch/execute/retire loop for every
+// policy. It stops when the program halts, after the step that spends
+// left (the budget error), once user user instructions retired outside
+// the handler, or as mode asks. Two fast paths fetch without a call:
+// flatHit (handler RAM, and the functional policy's flat stores) and,
+// for the policies that read the I-cache, sameLine; everything else
+// takes fetch. pc, lastLoad, the register file, inHandler and the
+// counts charged since the last flush live in locals; flush writes them
+// back where they are read: the slow fetch path, iret, syscall, tracer
+// calls, errors and return. Only the detailed policy calls the
+// observers: the attribution observers (OnKey) are called out only
+// where the locals are already flushed, and their cut is folded into
+// lim.
+func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	if c.halted && mode != runStep {
 		return nil
 	}
-	trace, prof := c.Trace, c.Prof
+	var trace func(pc, instr uint32, handler bool)
+	var prof Profiler
+	if pol == detailed {
+		trace, prof = c.Trace, c.Prof
+		c.observe()
+	} else if pol == functional {
+		c.fensure()
+	}
 	pc, lastLoad, inH, r := c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
 	var cycles, lu, n uint64 // charged since the last flush
-	if c.OnKey != nil {
-		c.observe()
-	}
-	c.hdecLen = c.hdecSpan(inH)
-	lim := c.limit(left, user, inH, mode == runStep)
+	c.flatHandler(inH, pol)
+	lim := c.limit(left, user, inH, mode == runStep, pol)
 	var p *pinstr
 	var err error
 	for {
-		if pc-c.handlerPC < c.hdecLen && pc&3 == 0 {
-			p = &c.hdec[(pc-c.handlerPC)>>2]
-		} else if p = c.sameLine(pc); p == nil {
-			left, user = c.flush(inH, cycles, lu, n, left, user)
+		if p = c.flatHit(pc); p == nil && pol != functional {
+			p = c.sameLine(pc)
+		}
+		if p == nil {
+			left, user = c.flush(pol, inH, cycles, lu, n, left, user)
 			cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
-			if c.OnKey != nil {
+			if pol == detailed {
 				c.observe()
 			}
-			if mode == runToFault && c.fwouldFault() {
+			if mode == runToFault && c.missDue() {
 				return nil
 			}
-			if p, err = c.fetch(); err != nil {
+			if p, err = c.fetch(pol); err != nil {
 				return err
 			}
 			if p == nil { // a decompression exception vectored to the handler
 				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
-				if c.OnKey != nil {
+				if pol == detailed {
 					c.observe()
-					c.hdecLen = c.hdecSpan(inH)
 				}
+				c.flatHandler(inH, pol)
 				if left <= 0 {
 					return c.budgetError()
 				}
@@ -232,7 +426,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 					return nil
 				}
 			}
-			if lim = c.limit(left, user, inH, mode == runStep); p == nil {
+			if lim = c.limit(left, user, inH, mode == runStep, pol); p == nil {
 				continue
 			}
 		}
@@ -264,13 +458,19 @@ func (c *CPU) run(left, user int64, mode int) error {
 		case pJR:
 			next = r[p.rs]
 			cyc += uint64(c.Cfg.JRPenalty)
-			c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
+			if pol == detailed {
+				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
+			}
 		case pJALR:
 			c.setr(r, int(p.rd), pc+4)
 			next = r[p.rs]
 			cyc += uint64(c.Cfg.JRPenalty)
-			c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
-			c.countCall(pc, next)
+			if pol == detailed {
+				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
+			}
+			if prof != nil && !inH {
+				countCall(prof, pc, next)
+			}
 		case pSyscall:
 			c.pc = pc // the unknown-syscall error names it
 			if err = c.syscall(r); err != nil {
@@ -319,13 +519,13 @@ func (c *CPU) run(left, user int64, mode int) error {
 
 		case pBLTZ:
 			taken := int32(r[p.rs]) < 0
-			cyc += c.branch(pc, taken)
+			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGEZ:
 			taken := int32(r[p.rs]) >= 0
-			cyc += c.branch(pc, taken)
+			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
@@ -335,29 +535,31 @@ func (c *CPU) run(left, user int64, mode int) error {
 		case pJAL:
 			c.setr(r, 31, pc+4)
 			next = p.tgt
-			c.countCall(pc, next)
+			if prof != nil && !inH {
+				countCall(prof, pc, next)
+			}
 
 		case pBEQ:
 			taken := r[p.rs] == r[p.rt]
-			cyc += c.branch(pc, taken)
+			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBNE:
 			taken := r[p.rs] != r[p.rt]
-			cyc += c.branch(pc, taken)
+			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBLEZ:
 			taken := int32(r[p.rs]) <= 0
-			cyc += c.branch(pc, taken)
+			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGTZ:
 			taken := int32(r[p.rs]) > 0
-			cyc += c.branch(pc, taken)
+			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
@@ -392,20 +594,22 @@ func (c *CPU) run(left, user int64, mode int) error {
 			lastLoad = -1  // redirect drains the pipeline
 			next = c.c0[4] // EPC
 			cyc += uint64(c.Cfg.IretCycles)
-			c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)
+			if pol == detailed {
+				c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)
+			}
 			lim = 0 // close the exception interval below
 
 		case pLB:
 			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr)
+			cyc += c.dRead(addr, pol)
 			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
 		case pLBU:
 			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr)
+			cyc += c.dRead(addr, pol)
 			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
 		case pLH:
 			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr)
+			cyc += c.dRead(addr, pol)
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lh at %#x (addr %#x)", pc, addr)
 				goto fail
@@ -413,7 +617,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
 		case pLHU:
 			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr)
+			cyc += c.dRead(addr, pol)
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lhu at %#x (addr %#x)", pc, addr)
 				goto fail
@@ -421,7 +625,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
 		case pLW:
 			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr)
+			cyc += c.dRead(addr, pol)
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned lw at %#x (addr %#x)", pc, addr)
 				goto fail
@@ -455,8 +659,22 @@ func (c *CPU) run(left, user int64, mode int) error {
 				err = fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.IC.WriteWord(addr, r[p.rt])
+			v := r[p.rt]
+			if pol == functional {
+				if c.Cfg.FunctionalBreak && inH {
+					// Deliberate fault injection for the equivalence
+					// battery's negative control: corrupt the
+					// materialised stream.
+					v ^= 4
+				}
+				c.fsPut(addr, v)
+				break
+			}
+			c.IC.WriteWord(addr, v)
 			cyc += uint64(c.Cfg.SwicExtraCycles)
+			if pol != detailed {
+				break
+			}
 			if inH {
 				c.Stats.CPIStack[CycleHandler] += uint64(c.Cfg.SwicExtraCycles)
 			} else {
@@ -475,7 +693,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 		}
 		if n < lim {
 			if trace != nil { // the tracer sees Stats and PC() as of this commit
-				left, user = c.flush(inH, cycles, lu, n, left, user)
+				left, user = c.flush(pol, inH, cycles, lu, n, left, user)
 				cycles, lu, n, lim, c.pc, c.lastLoad = 0, 0, 0, lim-n, next, lastLoad
 				trace(pc, p.raw, inH)
 			}
@@ -484,9 +702,9 @@ func (c *CPU) run(left, user int64, mode int) error {
 		}
 
 		// A stop condition may hold, or an iret or syscall ran.
-		left, user = c.flush(inH, cycles, lu, n, left, user)
+		left, user = c.flush(pol, inH, cycles, lu, n, left, user)
 		cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, next, lastLoad
-		if inH && !c.inHandler {
+		if pol == detailed && inH && !c.inHandler {
 			// This instruction was the iret: close the exception interval.
 			lat := c.Stats.Cycles - c.excStart
 			c.Stats.ExcCyclesTotal += lat
@@ -497,9 +715,9 @@ func (c *CPU) run(left, user int64, mode int) error {
 				c.Tel.ExcReturn(next, c.Stats.Cycles, lat)
 			}
 		}
-		if c.OnKey != nil { // before the tracers, as the commit's first observer
+		if pol == detailed { // before the tracers, as the commit's first observer
 			c.observe()
-			c.hdecLen = c.hdecSpan(c.inHandler)
+			c.flatHandler(c.inHandler, pol)
 		}
 		if trace != nil {
 			trace(pc, p.raw, inH)
@@ -512,34 +730,34 @@ func (c *CPU) run(left, user int64, mode int) error {
 			return nil
 		}
 		pc = next
-		lim = c.limit(left, user, inH, mode == runStep)
+		lim = c.limit(left, user, inH, mode == runStep, pol)
 	}
 
 fail:
-	c.flush(inH, cycles, lu, n, left, user)
+	c.flush(pol, inH, cycles, lu, n, left, user)
 	c.pc, c.lastLoad = pc, lastLoad
 	return err
 }
 
 // limit is how many retirements after a flush run checks its stops:
-// the budget, the user target outside the handler and the observers'
-// cut.
-func (c *CPU) limit(left, user int64, handler, step bool) uint64 {
+// the budget, the user target outside the handler and, under the
+// detailed policy, the observers' cut.
+func (c *CPU) limit(left, user int64, handler, step bool, pol policy) uint64 {
 	if !handler && user < left {
 		left = user
 	}
 	if step || left < 1 {
 		return 1
 	}
-	if r := c.Stats.Instrs + c.Stats.HandlerInstrs; c.cut > r {
+	if r := c.Stats.Instrs + c.Stats.HandlerInstrs; pol == detailed && c.cut > r {
 		return min(uint64(left), c.cut-r)
 	}
 	return uint64(left)
 }
 
 // observe calls the attribution observers out and keeps their answer:
-// the range for slotRecord, the cut for limit. run checks OnKey before
-// calling it, so an unobserved slow path pays one compare.
+// the range for slotRecord, the cut for limit. run calls it only under
+// the detailed policy, so an unobserved slow path pays one compare.
 func (c *CPU) observe() {
 	if c.OnKey != nil {
 		k := c.OnKey()
@@ -547,21 +765,33 @@ func (c *CPU) observe() {
 	}
 }
 
-// hdecSpan is the handler-RAM extent run fetches from hdec without a
-// callout: none under PredecodeCheck (fetch checks every record), and
-// none outside the handler while observers are attached (a user commit
-// there is keyed by its own address, so its fetch must call them out).
-func (c *CPU) hdecSpan(handler bool) uint32 {
-	if c.Cfg.PredecodeCheck || c.OnKey != nil && !handler {
-		return 0
+// flatHandler makes handler RAM the flat fast path's region, as far as
+// run may fetch it from hdec without a callout: none of it under
+// PredecodeCheck (fetch checks every record), and none outside the
+// handler while the detailed policy has observers attached (a user
+// commit there is keyed by its own address, so its fetch must call them
+// out).
+func (c *CPU) flatHandler(handler bool, pol policy) {
+	c.flatRec, c.flatOK, c.flatBase, c.flatBytes = c.hdec, c.hdecOK, c.handlerPC, uint32(len(c.hdec))*4
+	if c.Cfg.PredecodeCheck || pol == detailed && c.OnKey != nil && !handler {
+		c.flatBytes = 0
 	}
-	return uint32(len(c.hdec)) * 4
 }
 
 // flush adds run's local counts to Stats: cycles, lu load-use
-// interlocks and n retirements, all user or all handler. It returns
-// the budget and user countdowns moved on by n.
-func (c *CPU) flush(handler bool, cycles, lu, n uint64, left, user int64) (int64, int64) {
+// interlocks and n retirements, all user or all handler. The untimed
+// policies add only the retirements, to FStats. It returns the budget
+// and user countdowns moved on by n.
+func (c *CPU) flush(pol policy, handler bool, cycles, lu, n uint64, left, user int64) (int64, int64) {
+	if pol != detailed {
+		if handler {
+			c.FStats.HandlerInstrs += n
+		} else {
+			c.FStats.Instrs += n
+			user -= int64(n)
+		}
+		return left - int64(n), user
+	}
 	c.Stats.Cycles += cycles
 	if lu != 0 {
 		c.Stats.LoadUseStalls += lu
@@ -596,11 +826,9 @@ func illegalInstrError(w, pc uint32) error {
 	}
 }
 
-func (c *CPU) countCall(from, to uint32) {
-	if c.inHandler || c.Prof == nil {
-		return
-	}
-	if cp, ok := c.Prof.(CallProfiler); ok {
+// countCall reports a user call to prof, if it takes calls.
+func countCall(prof Profiler, from, to uint32) {
+	if cp, ok := prof.(CallProfiler); ok {
 		cp.CountCall(from, to)
 	}
 }
@@ -618,23 +846,44 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// branch trains the predictor and returns the penalty cycles.
-func (c *CPU) branch(pc uint32, taken bool) uint64 {
-	if c.BP.Update(pc, taken) {
+// branch trains the predictor (the detailed and warm policies) and
+// returns the penalty cycles (the detailed policy). It inlines, so the
+// functional policy pays no call.
+func (c *CPU) branch(pc uint32, taken bool, pol policy) uint64 {
+	if pol == functional {
+		return 0
+	}
+	return c.predict(pc, taken, pol)
+}
+
+func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
+	if c.BP.Update(pc, taken) || pol == warm {
 		return 0
 	}
 	c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.MispredictPenalty)
 	return uint64(c.Cfg.MispredictPenalty)
 }
 
-// dRead performs the D-cache access for a load and returns stall cycles.
-// Stores are write-through/no-allocate and charge no stall (write buffer).
-func (c *CPU) dRead(addr uint32) uint64 {
+// dRead performs the D-cache access for a load (the detailed and warm
+// policies) and returns stall cycles (the detailed policy). Stores are
+// write-through/no-allocate and charge no stall (write buffer). It
+// inlines, so the functional policy pays no call.
+func (c *CPU) dRead(addr uint32, pol policy) uint64 {
+	if pol == functional {
+		return 0
+	}
+	return c.dAccess(addr, pol)
+}
+
+func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
 	if c.DC.Access(addr) {
 		return 0
 	}
-	stall := c.Mem.Burst(c.Cfg.DCache.LineBytes)
 	c.DC.Fill(c.DC.LineBase(addr), nil)
+	if pol == warm {
+		return 0
+	}
+	stall := c.Mem.Burst(c.Cfg.DCache.LineBytes)
 	c.Stats.LoadStalls += uint64(stall)
 	c.Stats.CPIStack[CycleLoadStall] += uint64(stall)
 	return uint64(stall)

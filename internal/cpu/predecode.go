@@ -262,7 +262,8 @@ const curNone = ^uint32(0)
 // is set, and the cache clears that bit whenever the line changes.
 func (c *CPU) resetPredecode() {
 	c.curIdx = curNone
-	c.hdec = nil
+	c.hdec, c.hdecOK = nil, nil
+	c.flatBytes = 0
 }
 
 // predecodeHandler decodes the decompression handler's RAM once; the
@@ -274,9 +275,10 @@ func (c *CPU) predecodeHandler() {
 	}
 	n := int((c.handlerEnd - c.handlerPC + 3) / 4)
 	c.hdec = make([]pinstr, n)
+	c.hdecOK = make([]uint8, n)
 	for i := 0; i < n; i++ {
 		a := c.handlerPC + uint32(i*4)
-		c.hdec[i] = decodeInstr(a, c.Mem.ReadWord(a))
+		c.hdec[i], c.hdecOK[i] = decodeInstr(a, c.Mem.ReadWord(a)), 1
 	}
 }
 

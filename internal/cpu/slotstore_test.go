@@ -18,7 +18,9 @@ import (
 // oracle (which bypasses the same-line fast path and checks every
 // record against the cached word), and the plain predecoded path (fast
 // path on). All three must reach the expected exit code with identical
-// statistics.
+// statistics. The cases that change the I-cache only through the
+// program (no poke) also run under the functional policy, which must
+// reach the same exit code.
 
 // oriV0 is `ori $v0, $zero, 7`, the replacement instruction the cases
 // write over `ori $v0, $zero, 1`.
@@ -273,6 +275,11 @@ func TestSlotStoreCoherence(t *testing.T) {
 					t.Errorf("%s: stats diverge from the reference:\n%+v %+v\n%+v %+v",
 						m.name, c.Stats, c.IC.Stats, ref.Stats, ref.IC.Stats)
 				}
+			}
+			if tc.poke == nil {
+				t.Run("functional", func(t *testing.T) {
+					runSlotCase(t, tc, func(c *Config) { c.Functional = true })
+				})
 			}
 			if tc.name == "direct-mapped-eviction" && ref != nil && ref.IC.Stats.Evictions < 40 {
 				t.Errorf("only %d evictions: the case no longer refills slots", ref.IC.Stats.Evictions)

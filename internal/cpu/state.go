@@ -56,12 +56,10 @@ type MachineState struct {
 	Halted   bool  `json:"halted"`
 	ExitCode int32 `json:"exit_code"`
 
-	LastExc   uint32 `json:"last_exc"`
-	ExcRepet  int    `json:"exc_repet"`
-	LastLoad  int    `json:"last_load"`
-	ExcStart  uint64 `json:"exc_start"`
-	FLastExc  uint32 `json:"flast_exc"`
-	FExcRepet int    `json:"fexc_repet"`
+	LastExc  uint32 `json:"last_exc"`
+	ExcRepet int    `json:"exc_repet"`
+	LastLoad int    `json:"last_load"`
+	ExcStart uint64 `json:"exc_start"`
 
 	Stats  Stats      `json:"stats"`
 	FStats FunctStats `json:"fstats"`
@@ -92,12 +90,10 @@ func (c *CPU) CaptureState() MachineState {
 		Halted:   c.halted,
 		ExitCode: c.exitCode,
 
-		LastExc:   c.lastExc,
-		ExcRepet:  c.excRepet,
-		LastLoad:  c.lastLoad,
-		ExcStart:  c.excStart,
-		FLastExc:  c.flastExc,
-		FExcRepet: c.fexcRepet,
+		LastExc:  c.lastExc,
+		ExcRepet: c.excRepet,
+		LastLoad: c.lastLoad,
+		ExcStart: c.excStart,
 
 		Stats:  c.Stats,
 		FStats: c.FStats,
@@ -156,8 +152,6 @@ func (c *CPU) RestoreState(st MachineState) {
 	c.excRepet = st.ExcRepet
 	c.lastLoad = st.LastLoad
 	c.excStart = st.ExcStart
-	c.flastExc = st.FLastExc
-	c.fexcRepet = st.FExcRepet
 
 	c.Stats = st.Stats
 	c.FStats = st.FStats

@@ -4,10 +4,12 @@ package diffsim
 // the functional fast-forward engine (internal/cpu with
 // Config.Functional) and its final architectural state is compared
 // against the detailed lockstep result for the same image. The
-// functional engine shares the ISA interpreter with the detailed one
-// but none of its fetch path — flat per-region decode caches over an
-// exception-materialised code store instead of cache-resident
-// predecode — so a divergence localises a bug to exactly that split.
+// functional engine is the detailed engine's own loop under its
+// functional policy: it shares execute, retire, exception entry and
+// budget code and differs only in its fetch source — flat per-region
+// decode stores over an exception-materialised code store instead of
+// cache-resident predecode — so a divergence localises a bug to
+// exactly that source.
 // Timing state is out of scope by construction; the comparison covers
 // syscall output, exit code, the user register bank (masking $k0/$k1,
 // which the single-register-file decompressor is architecturally

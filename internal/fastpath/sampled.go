@@ -7,11 +7,11 @@ package fastpath
 // rare, individually expensive handler bursts that uniform sampling
 // misses:
 //
-//  1. Functional warming (cpu.Config.FunctionalWarm): the fast-forward
-//     engine drives the caches and branch predictor exactly as the
-//     detailed engine would, so every measured window starts from the
-//     precise timing state of a pure detailed run — no cold-start bias
-//     and no warmup bleed.
+//  1. Functional warming (the interpreter's warm policy): the
+//     fast-forward makes the detailed engine's cache and branch-predictor
+//     state changes and charges nothing, so every measured window starts
+//     from the precise timing state of a pure detailed run — no
+//     cold-start bias and no warmup bleed.
 //
 //  2. Stratified burst accounting: every decompression event — the
 //     exception entry, the whole handler activation, or the hardware
@@ -122,13 +122,6 @@ type SampleResult struct {
 // only the detailed periods' events, so attach none for pure sampling.
 func Sampled(c *cpu.CPU, cfg SampleConfig) (*SampleResult, error) {
 	cfg = cfg.normalize()
-	// Functional warming keeps caches and predictor evolving through the
-	// fast-forward intervals, so each measured window starts from the
-	// exact timing state a pure detailed run would have — the property
-	// that lets short windows estimate CPI without cold-start bias.
-	prevWarm := c.Cfg.FunctionalWarm
-	c.Cfg.FunctionalWarm = true
-	defer func() { c.Cfg.FunctionalWarm = prevWarm }()
 	res := &SampleResult{Confidence: 0.95}
 	var wcpi []float64
 	halted := false
@@ -155,9 +148,12 @@ func Sampled(c *cpu.CPU, cfg SampleConfig) (*SampleResult, error) {
 		if halted {
 			break
 		}
-		// Functional fast-forward. Decompression events stop the
-		// fast-forward before any state changes and run on the detailed
-		// engine, so the rare-event stratum is charged exactly.
+		// Functional fast-forward under the warm policy: caches and
+		// predictor evolve through the interval, so the next window starts
+		// from the timing state a pure detailed run would have. I-cache
+		// misses stop the fast-forward before any state changes and run
+		// on the detailed engine, so the rare-event stratum is charged
+		// exactly.
 		left := cfg.Interval
 		for !halted && left > 0 {
 			preFunct := c.FStats.Instrs

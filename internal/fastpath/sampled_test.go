@@ -18,9 +18,10 @@ import (
 // This file is the sampled-simulation accuracy battery:
 //
 //   - TestWarmFidelity proves functional warming is bit-faithful — a
-//     whole-program warm-functional run leaves the I-cache, D-cache,
-//     and branch predictor in exactly the state a detailed run leaves,
-//     with identical miss/eviction statistics and exception counts.
+//     whole program warmed between detailed bursts leaves the I-cache,
+//     D-cache, and branch predictor in exactly the state a detailed run
+//     leaves, with identical miss/eviction statistics and exception
+//     counts.
 //     This is the property that lets measured windows start without
 //     cold-start bias.
 //   - TestSampledRegistryAccuracy holds sampled CPI within 1% of exact
@@ -83,7 +84,6 @@ func newRegistryMachine(t *testing.T, im *program.Image, cacheKB int, functional
 	cfg.ICache.SizeBytes = cacheKB * 1024
 	cfg.MaxInstr = 2_000_000_000
 	cfg.Functional = functional
-	cfg.FunctionalWarm = functional
 	c, err := cpu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -98,11 +98,14 @@ func newRegistryMachine(t *testing.T, im *program.Image, cacheKB int, functional
 
 // TestWarmFidelity runs three registry workloads — chosen to cover the
 // LZ scheme's expensive handler, the dictionary scheme under eviction
-// churn, and the procedure-dictionary scheme — to completion on both
-// the detailed engine and the warming functional engine, and requires
-// the final timing state to be bit-identical: same cache contents, same
-// cache statistics (misses, evictions, swic fills), same predictor
-// table, same exception count.
+// churn, and the procedure-dictionary scheme — to completion on the
+// detailed engine and, the way fastpath.Sampled drives its intervals,
+// under the warm policy until a miss is due, then one detailed burst,
+// and so on. It requires the final timing state to be bit-identical:
+// same cache contents, same cache statistics (misses, evictions, swic
+// fills), same predictor table, same exception count. Exceptions and
+// user instructions on the warm machine are summed over its detailed
+// (Stats) and untimed (FStats) work.
 func TestWarmFidelity(t *testing.T) {
 	for _, tc := range []struct {
 		bench  string
@@ -130,18 +133,26 @@ func TestWarmFidelity(t *testing.T) {
 		if _, err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		f := newRegistryMachine(t, res.Image, tc.kb, true)
-		if _, err := f.Run(); err != nil {
-			t.Fatal(err)
+		f := newRegistryMachine(t, res.Image, tc.kb, false)
+		for halted := false; !halted; {
+			var pending bool
+			if halted, pending, err = f.RunFunctionalSampled(math.MaxUint64); err != nil {
+				t.Fatal(err)
+			}
+			if pending {
+				if halted, err = f.RunDetailedBurst(); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		name := tc.bench + "/" + string(tc.scheme)
-		if d.Stats.Exceptions != f.FStats.Exceptions {
+		if fe := f.Stats.Exceptions + f.FStats.Exceptions; d.Stats.Exceptions != fe {
 			t.Errorf("%s: exceptions detailed %d, warm-functional %d",
-				name, d.Stats.Exceptions, f.FStats.Exceptions)
+				name, d.Stats.Exceptions, fe)
 		}
-		if d.Stats.Instrs != f.FStats.Instrs {
+		if fi := f.Stats.Instrs + f.FStats.Instrs; d.Stats.Instrs != fi {
 			t.Errorf("%s: user instrs detailed %d, warm-functional %d",
-				name, d.Stats.Instrs, f.FStats.Instrs)
+				name, d.Stats.Instrs, fi)
 		}
 		ds, fs := d.IC.Snapshot(), f.IC.Snapshot()
 		if !reflect.DeepEqual(ds.Sets, fs.Sets) {
