@@ -177,26 +177,23 @@ type CPU struct {
 	// records per I-cache slot, current while the cache keeps the
 	// slot's derived bit set; curIdx/curSlot name the line the last
 	// fetch resolved (its address >> lineShift), for the same-line fast
-	// path; hdec covers handler RAM, with hdecOK its all-ones validity
-	// bytes; fillBuf is the hardware-fill line buffer; scratch backs the
-	// DisablePredecode reference path.
+	// path; hdec covers handler RAM; fillBuf is the hardware-fill line
+	// buffer; scratch backs the DisablePredecode reference path.
 	pcode     []pinstr
 	wpl       int
 	lineShift uint
 	curIdx    uint32
 	curSlot   int
 	hdec      []pinstr
-	hdecOK    []uint8
 	fillBuf   []byte
 	scratch   pinstr
-	// flatRec/flatOK/flatBase/flatBytes name the flat region run
-	// fetches from with neither a tag search nor a callout (flatHit):
+	// flatRec/flatBase/flatBytes name the flat region run fetches from
+	// with neither a tag search nor a callout (flatHit):
 	// handler RAM under every policy, as far as flatHandler allows, and
 	// under the functional policy the code region its last fetch read
 	// instead. Fields rather than locals of run, so setting them at a
 	// phase change costs the loop no register.
 	flatRec   []pinstr
-	flatOK    []uint8
 	flatBase  uint32
 	flatBytes uint32
 	// keyLo/keyHi is the address range the attribution observers'
@@ -211,19 +208,17 @@ type CPU struct {
 	// are the materialised decompressed code over the compressed region,
 	// one word and one validity byte per address (the functional
 	// stand-in for the I-cache: never evicts); fxtra holds swic stores
-	// outside that region, which fetch reads before memory. fcdec/fcOK
-	// cache decoded records in lockstep with fsWord; fdec/fdOK do the
-	// same over the native code extent [fdBase,fdEnd), and I-cache
-	// refills copy their records from fdec. All flat stores are
-	// allocated lazily, on first functional execution or (fdec) first
-	// refill.
+	// outside that region, which fetch reads before memory. fcdec
+	// caches decoded records in lockstep with fsWord; fdec does the same
+	// over the native code extent [fdBase,fdEnd), and I-cache refills
+	// copy their records from it. A record not decoded yet is
+	// pUndecoded. All flat stores are allocated lazily, on first
+	// functional execution or (fdec) first refill.
 	fsWord []uint32
 	fsOK   []uint8
 	fxtra  map[uint32]uint32
 	fcdec  []pinstr
-	fcOK   []uint8
 	fdec   []pinstr
-	fdOK   []uint8
 	fdBase uint32
 	fdEnd  uint32
 

@@ -188,10 +188,10 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 					return nil, err
 				}
 			}
-			if c.fcOK[i] == 0 {
-				c.fcdec[i], c.fcOK[i] = decodeInstr(pc, c.fsWord[i]), 1
+			if c.fcdec[i].op == pUndecoded {
+				c.fcdec[i] = decodeInstr(pc, c.fsWord[i])
 			}
-			c.flatRec, c.flatOK, c.flatBase, c.flatBytes = c.fcdec, c.fcOK, c.compStart, c.compEnd-c.compStart
+			c.flatRec, c.flatBase, c.flatBytes = c.fcdec, c.compStart, c.compEnd-c.compStart
 			return &c.fcdec[i], nil
 		}
 		// A word swic'd outside the compressed region shadows memory, as
@@ -205,10 +205,10 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 			w = c.Mem.ReadWord(pc)
 		}
 		if pc >= c.fdBase && pc < c.fdEnd {
-			c.flatRec, c.flatOK, c.flatBase, c.flatBytes = c.fdec, c.fdOK, c.fdBase, c.fdEnd-c.fdBase
+			c.flatRec, c.flatBase, c.flatBytes = c.fdec, c.fdBase, c.fdEnd-c.fdBase
 			if j := (pc - c.fdBase) >> 2; !swic {
-				if c.fdOK[j] == 0 {
-					c.fdec[j], c.fdOK[j] = decodeInstr(pc, w), 1
+				if c.fdec[j].op == pUndecoded {
+					c.fdec[j] = decodeInstr(pc, w)
 				}
 				return &c.fdec[j], nil
 			}
@@ -281,8 +281,10 @@ func (c *CPU) sameLine(pc uint32) *pinstr {
 // the current flat region (handler RAM, or the code region the last
 // functional fetch read) and its word is decoded, nil otherwise.
 func (c *CPU) flatHit(pc uint32) *pinstr {
-	if off := pc - c.flatBase; off < c.flatBytes && off&3 == 0 && c.flatOK[off>>2] != 0 {
-		return &c.flatRec[off>>2]
+	if off := pc - c.flatBase; off < c.flatBytes && off&3 == 0 {
+		if p := &c.flatRec[off>>2]; p.op != pUndecoded {
+			return p
+		}
 	}
 	return nil
 }
@@ -772,7 +774,7 @@ func (c *CPU) observe() {
 // commit there is keyed by its own address, so its fetch must call them
 // out).
 func (c *CPU) flatHandler(handler bool, pol policy) {
-	c.flatRec, c.flatOK, c.flatBase, c.flatBytes = c.hdec, c.hdecOK, c.handlerPC, uint32(len(c.hdec))*4
+	c.flatRec, c.flatBase, c.flatBytes = c.hdec, c.handlerPC, uint32(len(c.hdec))*4
 	if c.Cfg.PredecodeCheck || pol == detailed && c.OnKey != nil && !handler {
 		c.flatBytes = 0
 	}

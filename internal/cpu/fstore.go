@@ -20,11 +20,11 @@ package cpu
 // Code words are decoded at most once into flat per-word decode stores —
 // fcdec over the compressed region (indexed in lockstep with the
 // functional store) and fdec over the native code extent [fdBase,fdEnd) —
-// each with a validity byte per word. The flat fast path (flatHit)
-// re-validates every word before it executes, so coherence against
-// self-modifying code is O(1): a store or swic that touches a code word
-// clears exactly that word's validity (finvalWord) and the next fetch
-// re-decodes it. Code executing outside both extents (rare: programs
+// where a record not decoded yet is pUndecoded. The flat fast path
+// (flatHit) re-validates every record before it executes, so coherence
+// against self-modifying code is O(1): a store or swic that touches a
+// code word marks exactly that word's record undecoded (finvalWord) and
+// the next fetch re-decodes it. Code executing outside both extents (rare: programs
 // running code out of data memory) is decoded on every fetch and
 // therefore always coherent.
 //
@@ -56,8 +56,7 @@ type FunctStats struct {
 func (c *CPU) resetFunctional() {
 	c.fsWord, c.fsOK = nil, nil
 	c.fxtra = nil
-	c.fcdec, c.fcOK = nil, nil
-	c.fdec, c.fdOK = nil, nil
+	c.fcdec, c.fdec = nil, nil
 	c.flatBytes = 0
 }
 
@@ -71,19 +70,17 @@ func (c *CPU) fensure() {
 			c.fsOK = make([]uint8, n)
 		}
 		c.fcdec = make([]pinstr, n)
-		c.fcOK = make([]uint8, n)
 	}
 	c.fdecEnsure()
 }
 
-// fdecEnsure allocates the native-extent decode store fdec/fdOK. Both
+// fdecEnsure allocates the native-extent decode store fdec. Both
 // policies share it: the functional one fetches from it and the
 // detailed engine's I-cache refills copy their records out of it.
 func (c *CPU) fdecEnsure() {
 	if c.fdec == nil && c.fdEnd > c.fdBase {
 		n := (c.fdEnd - c.fdBase) >> 2
 		c.fdec = make([]pinstr, n)
-		c.fdOK = make([]uint8, n)
 	}
 }
 
@@ -98,8 +95,8 @@ func (c *CPU) fsPut(a, w uint32) {
 			c.fsOK = make([]uint8, n)
 		}
 		i := (a - c.compStart) >> 2
-		if c.fcOK != nil && c.fsOK[i] != 0 && c.fsWord[i] != w {
-			c.fcOK[i] = 0
+		if c.fcdec != nil && c.fsOK[i] != 0 && c.fsWord[i] != w {
+			c.fcdec[i].op = pUndecoded
 		}
 		c.fsWord[i], c.fsOK[i] = w, 1
 		return
@@ -116,12 +113,12 @@ func (c *CPU) fsPut(a, w uint32) {
 // next fetch of that word re-decodes it from its backing store.
 func (c *CPU) finvalWord(addr uint32) {
 	a := addr &^ 3
-	if c.fcOK != nil && c.InCompressedRegion(a) {
-		c.fcOK[(a-c.compStart)>>2] = 0
+	if c.fcdec != nil && c.InCompressedRegion(a) {
+		c.fcdec[(a-c.compStart)>>2].op = pUndecoded
 		return
 	}
-	if c.fdOK != nil && a >= c.fdBase && a < c.fdEnd {
-		c.fdOK[(a-c.fdBase)>>2] = 0
+	if c.fdec != nil && a >= c.fdBase && a < c.fdEnd {
+		c.fdec[(a-c.fdBase)>>2].op = pUndecoded
 	}
 }
 

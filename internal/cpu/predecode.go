@@ -44,7 +44,11 @@ import (
 type pop uint8
 
 const (
-	pIllegal pop = iota
+	// pUndecoded marks a decode-store record not decoded yet (or
+	// invalidated since): it is the zero value, so a fresh store starts
+	// all undecoded, and decodeInstr never yields it.
+	pUndecoded pop = iota
+	pIllegal
 	pSLL
 	pSRL
 	pSRA
@@ -124,6 +128,7 @@ type pinstr struct {
 func decodeInstr(pc, w uint32) pinstr {
 	a, b := isa.SrcRegs(w)
 	p := pinstr{
+		op:    pIllegal,
 		rs:    uint8(isa.Rs(w)),
 		rt:    uint8(isa.Rt(w)),
 		rd:    uint8(isa.Rd(w)),
@@ -262,7 +267,7 @@ const curNone = ^uint32(0)
 // is set, and the cache clears that bit whenever the line changes.
 func (c *CPU) resetPredecode() {
 	c.curIdx = curNone
-	c.hdec, c.hdecOK = nil, nil
+	c.hdec = nil
 	c.flatBytes = 0
 }
 
@@ -275,10 +280,9 @@ func (c *CPU) predecodeHandler() {
 	}
 	n := int((c.handlerEnd - c.handlerPC + 3) / 4)
 	c.hdec = make([]pinstr, n)
-	c.hdecOK = make([]uint8, n)
 	for i := 0; i < n; i++ {
 		a := c.handlerPC + uint32(i*4)
-		c.hdec[i], c.hdecOK[i] = decodeInstr(a, c.Mem.ReadWord(a)), 1
+		c.hdec[i] = decodeInstr(a, c.Mem.ReadWord(a))
 	}
 }
 
@@ -332,9 +336,8 @@ func (c *CPU) fillNative(base uint32) int {
 			continue
 		}
 		j := (a - c.fdBase) >> 2
-		if c.fdOK[j] == 0 {
+		if c.fdec[j].op == pUndecoded {
 			c.fdec[j] = decodeInstr(a, binary.LittleEndian.Uint32(line[4*i:]))
-			c.fdOK[j] = 1
 		}
 		recs[i] = c.fdec[j]
 	}
