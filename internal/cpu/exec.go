@@ -389,7 +389,9 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	var prof Profiler
 	if pol == detailed {
 		trace, prof = c.Trace, c.Prof
-		c.observe()
+		if c.OnKey != nil {
+			c.observe()
+		}
 	} else if pol == functional {
 		c.fensure()
 	}
@@ -404,9 +406,13 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			p = c.sameLine(pc)
 		}
 		if p == nil {
-			left, user = c.flush(pol, inH, cycles, lu, n, left, user)
-			cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
 			if pol == detailed {
+				left, user = c.flush(inH, cycles, lu, n, left, user)
+			} else {
+				left, user = c.count(inH, n, left, user)
+			}
+			cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+			if pol == detailed && c.OnKey != nil {
 				c.observe()
 			}
 			if mode == runToFault && c.missDue() {
@@ -417,7 +423,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			}
 			if p == nil { // a decompression exception vectored to the handler
 				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
-				if pol == detailed {
+				if pol == detailed && c.OnKey != nil {
 					c.observe()
 				}
 				c.flatHandler(inH, pol)
@@ -695,7 +701,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		}
 		if n < lim {
 			if trace != nil { // the tracer sees Stats and PC() as of this commit
-				left, user = c.flush(pol, inH, cycles, lu, n, left, user)
+				left, user = c.flush(inH, cycles, lu, n, left, user)
 				cycles, lu, n, lim, c.pc, c.lastLoad = 0, 0, 0, lim-n, next, lastLoad
 				trace(pc, p.raw, inH)
 			}
@@ -704,7 +710,11 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		}
 
 		// A stop condition may hold, or an iret or syscall ran.
-		left, user = c.flush(pol, inH, cycles, lu, n, left, user)
+		if pol == detailed {
+			left, user = c.flush(inH, cycles, lu, n, left, user)
+		} else {
+			left, user = c.count(inH, n, left, user)
+		}
 		cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, next, lastLoad
 		if pol == detailed && inH && !c.inHandler {
 			// This instruction was the iret: close the exception interval.
@@ -717,7 +727,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				c.Tel.ExcReturn(next, c.Stats.Cycles, lat)
 			}
 		}
-		if pol == detailed { // before the tracers, as the commit's first observer
+		if pol == detailed && c.OnKey != nil { // before the tracers, as the commit's first observer
 			c.observe()
 			c.flatHandler(c.inHandler, pol)
 		}
@@ -736,7 +746,11 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	}
 
 fail:
-	c.flush(pol, inH, cycles, lu, n, left, user)
+	if pol == detailed {
+		c.flush(inH, cycles, lu, n, left, user)
+	} else {
+		c.count(inH, n, left, user)
+	}
 	c.pc, c.lastLoad = pc, lastLoad
 	return err
 }
@@ -758,8 +772,9 @@ func (c *CPU) limit(left, user int64, handler, step bool, pol policy) uint64 {
 }
 
 // observe calls the attribution observers out and keeps their answer:
-// the range for slotRecord, the cut for limit. run calls it only under
-// the detailed policy, so an unobserved slow path pays one compare.
+// the range for slotRecord, the cut for limit. run checks OnKey before
+// calling it, and calls it only under the detailed policy, so an
+// unobserved slow path pays one compare.
 func (c *CPU) observe() {
 	if c.OnKey != nil {
 		k := c.OnKey()
@@ -780,20 +795,10 @@ func (c *CPU) flatHandler(handler bool, pol policy) {
 	}
 }
 
-// flush adds run's local counts to Stats: cycles, lu load-use
-// interlocks and n retirements, all user or all handler. The untimed
-// policies add only the retirements, to FStats. It returns the budget
-// and user countdowns moved on by n.
-func (c *CPU) flush(pol policy, handler bool, cycles, lu, n uint64, left, user int64) (int64, int64) {
-	if pol != detailed {
-		if handler {
-			c.FStats.HandlerInstrs += n
-		} else {
-			c.FStats.Instrs += n
-			user -= int64(n)
-		}
-		return left - int64(n), user
-	}
+// flush adds the detailed policy's local counts to Stats: cycles, lu
+// load-use interlocks and n retirements, all user or all handler. It
+// returns the budget and user countdowns moved on by n.
+func (c *CPU) flush(handler bool, cycles, lu, n uint64, left, user int64) (int64, int64) {
 	c.Stats.Cycles += cycles
 	if lu != 0 {
 		c.Stats.LoadUseStalls += lu
@@ -805,6 +810,18 @@ func (c *CPU) flush(pol policy, handler bool, cycles, lu, n uint64, left, user i
 	} else {
 		c.Stats.Instrs += n
 		c.Stats.CPIStack[CycleUser] += n
+		user -= int64(n)
+	}
+	return left - int64(n), user
+}
+
+// count is flush for the untimed policies: n retirements, to FStats.
+// The two stay apart so that each inlines into run.
+func (c *CPU) count(handler bool, n uint64, left, user int64) (int64, int64) {
+	if handler {
+		c.FStats.HandlerInstrs += n
+	} else {
+		c.FStats.Instrs += n
 		user -= int64(n)
 	}
 	return left - int64(n), user
