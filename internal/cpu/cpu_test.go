@@ -318,13 +318,30 @@ main:   b main
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := New(DefaultConfig())
-	c.Cfg.MaxInstr = 1000
-	if err := c.Load(im); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "budget") {
-		t.Fatalf("err = %v", err)
+	// Both policies stop at exactly MaxInstr retirements, and an entry
+	// point called with the budget spent retires nothing more.
+	for _, functional := range []bool{false, true} {
+		c, _ := New(DefaultConfig())
+		c.Cfg.MaxInstr = 1000
+		c.Cfg.Functional = functional
+		if err := c.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "budget") {
+			t.Fatalf("functional=%v: err = %v", functional, err)
+		}
+		for _, again := range []func() error{
+			func() error { _, err := c.Run(); return err },
+			func() error { _, err := c.RunDetailedFor(10); return err },
+			func() error { _, err := c.RunFunctionalFor(10); return err },
+		} {
+			if err := again(); err == nil || !strings.Contains(err.Error(), "budget") {
+				t.Fatalf("functional=%v: spent budget, err = %v", functional, err)
+			}
+		}
+		if n := c.Stats.Instrs + c.FStats.Instrs; n != 1000 {
+			t.Errorf("functional=%v: %d instructions retired under a budget of 1000", functional, n)
+		}
 	}
 }
 

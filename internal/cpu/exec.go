@@ -385,6 +385,9 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	if c.halted && mode != runStep {
 		return nil
 	}
+	if left <= 0 {
+		return c.budgetError()
+	}
 	var trace func(pc, instr uint32, handler bool)
 	var prof Profiler
 	if pol == detailed {
