@@ -187,22 +187,17 @@ type CPU struct {
 	hdec      []pinstr
 	fillBuf   []byte
 	scratch   pinstr
-	// flatRec/flatBase/flatBytes name the flat region run fetches from
-	// with neither a tag search nor a callout (flatHit):
-	// handler RAM under every policy, as far as flatHandler allows, and
-	// under the functional policy the code region its last fetch read
-	// instead. Fields rather than locals of run, so setting them at a
-	// phase change costs the loop no register.
-	flatRec   []pinstr
-	flatBase  uint32
-	flatBytes uint32
 	// keyLo/keyHi is the address range the attribution observers'
 	// keys hold over, as of the last callout (everything without
 	// observers): a user line outside it stays off the same-line fast
 	// path, so each of its fetches calls them out. cut is their next
 	// retirement count to be called at (never, without observers).
+	// hdecLen is the extent of handler RAM run fetches from hdec
+	// without a callout (hdecSpan); a field rather than a local of run,
+	// so setting it at a phase change costs the loop no register.
 	keyLo, keyHi uint64
 	cut          uint64
+	hdecLen      uint32
 
 	// The functional policy's fetch source (see fstore.go). fsWord/fsOK
 	// are the materialised decompressed code over the compressed region,
@@ -213,14 +208,19 @@ type CPU struct {
 	// over the native code extent [fdBase,fdEnd), and I-cache refills
 	// copy their records from it. A record not decoded yet is
 	// pUndecoded. All flat stores are allocated lazily, on first
-	// functional execution or (fdec) first refill.
-	fsWord []uint32
-	fsOK   []uint8
-	fxtra  map[uint32]uint32
-	fcdec  []pinstr
-	fdec   []pinstr
-	fdBase uint32
-	fdEnd  uint32
+	// functional execution or (fdec) first refill. flatRec/flatBase/
+	// flatBytes name the code region the last functional fetch read,
+	// for the flatHit fast path.
+	fsWord    []uint32
+	fsOK      []uint8
+	fxtra     map[uint32]uint32
+	fcdec     []pinstr
+	fdec      []pinstr
+	fdBase    uint32
+	fdEnd     uint32
+	flatRec   []pinstr
+	flatBase  uint32
+	flatBytes uint32
 
 	Stats Stats
 	// FStats counts the untimed policies' work (functional and warm);

@@ -277,9 +277,9 @@ func (c *CPU) sameLine(pc uint32) *pinstr {
 	return &c.pcode[c.curSlot*c.wpl+int(pc>>2)&(c.wpl-1)]
 }
 
-// flatHit is the flat fetch fast path: the record at pc when pc lies in
-// the current flat region (handler RAM, or the code region the last
-// functional fetch read) and its word is decoded, nil otherwise.
+// flatHit is the functional policy's fetch fast path: the record at pc
+// when pc lies in the code region the last functional fetch read and
+// its word is decoded, nil otherwise.
 func (c *CPU) flatHit(pc uint32) *pinstr {
 	if off := pc - c.flatBase; off < c.flatBytes && off&3 == 0 {
 		if p := &c.flatRec[off>>2]; p.op != pUndecoded {
@@ -371,9 +371,9 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 // run is the interpreter: one fetch/execute/retire loop for every
 // policy. It stops when the program halts, after the step that spends
 // left (the budget error), once user user instructions retired outside
-// the handler, or as mode asks. Two fast paths fetch without a call:
-// flatHit (handler RAM, and the functional policy's flat stores) and,
-// for the policies that read the I-cache, sameLine; everything else
+// the handler, or as mode asks. Handler RAM is fetched from hdec
+// directly; then the functional policy tries its flat stores (flatHit)
+// and the others the current I-cache line (sameLine); everything else
 // takes fetch. pc, lastLoad, the register file, inHandler and the
 // counts charged since the last flush live in locals; flush writes them
 // back where they are read: the slow fetch path, iret, syscall, tracer
@@ -400,12 +400,16 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	}
 	pc, lastLoad, inH, r := c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
 	var cycles, lu, n uint64 // charged since the last flush
-	c.flatHandler(inH, pol)
+	c.hdecLen = c.hdecSpan(inH, pol)
 	lim := c.limit(left, user, inH, mode == runStep, pol)
 	var p *pinstr
 	var err error
 	for {
-		if p = c.flatHit(pc); p == nil && pol != functional {
+		if pc-c.handlerPC < c.hdecLen && pc&3 == 0 {
+			p = &c.hdec[(pc-c.handlerPC)>>2]
+		} else if pol == functional {
+			p = c.flatHit(pc)
+		} else {
 			p = c.sameLine(pc)
 		}
 		if p == nil {
@@ -428,8 +432,8 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
 				if pol == detailed && c.OnKey != nil {
 					c.observe()
+					c.hdecLen = c.hdecSpan(inH, pol)
 				}
-				c.flatHandler(inH, pol)
 				if left <= 0 {
 					return c.budgetError()
 				}
@@ -732,7 +736,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		}
 		if pol == detailed && c.OnKey != nil { // before the tracers, as the commit's first observer
 			c.observe()
-			c.flatHandler(c.inHandler, pol)
+			c.hdecLen = c.hdecSpan(c.inHandler, pol)
 		}
 		if trace != nil {
 			trace(pc, p.raw, inH)
@@ -785,17 +789,16 @@ func (c *CPU) observe() {
 	}
 }
 
-// flatHandler makes handler RAM the flat fast path's region, as far as
-// run may fetch it from hdec without a callout: none of it under
-// PredecodeCheck (fetch checks every record), and none outside the
-// handler while the detailed policy has observers attached (a user
-// commit there is keyed by its own address, so its fetch must call them
-// out).
-func (c *CPU) flatHandler(handler bool, pol policy) {
-	c.flatRec, c.flatBase, c.flatBytes = c.hdec, c.handlerPC, uint32(len(c.hdec))*4
+// hdecSpan is the handler-RAM extent run fetches from hdec without a
+// callout: none under PredecodeCheck (fetch checks every record), and
+// none outside the handler while the detailed policy has observers
+// attached (a user commit there is keyed by its own address, so its
+// fetch must call them out).
+func (c *CPU) hdecSpan(handler bool, pol policy) uint32 {
 	if c.Cfg.PredecodeCheck || pol == detailed && c.OnKey != nil && !handler {
-		c.flatBytes = 0
+		return 0
 	}
+	return uint32(len(c.hdec)) * 4
 }
 
 // flush adds the detailed policy's local counts to Stats: cycles, lu
@@ -869,17 +872,9 @@ func b2u(b bool) uint32 {
 }
 
 // branch trains the predictor (the detailed and warm policies) and
-// returns the penalty cycles (the detailed policy). It inlines, so the
-// functional policy pays no call.
+// returns the penalty cycles (the detailed policy).
 func (c *CPU) branch(pc uint32, taken bool, pol policy) uint64 {
-	if pol == functional {
-		return 0
-	}
-	return c.predict(pc, taken, pol)
-}
-
-func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
-	if c.BP.Update(pc, taken) || pol == warm {
+	if pol == functional || c.BP.Update(pc, taken) || pol == warm {
 		return 0
 	}
 	c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.MispredictPenalty)
@@ -888,17 +883,9 @@ func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
 
 // dRead performs the D-cache access for a load (the detailed and warm
 // policies) and returns stall cycles (the detailed policy). Stores are
-// write-through/no-allocate and charge no stall (write buffer). It
-// inlines, so the functional policy pays no call.
+// write-through/no-allocate and charge no stall (write buffer).
 func (c *CPU) dRead(addr uint32, pol policy) uint64 {
-	if pol == functional {
-		return 0
-	}
-	return c.dAccess(addr, pol)
-}
-
-func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
-	if c.DC.Access(addr) {
+	if pol == functional || c.DC.Access(addr) {
 		return 0
 	}
 	c.DC.Fill(c.DC.LineBase(addr), nil)

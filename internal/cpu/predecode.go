@@ -268,7 +268,6 @@ const curNone = ^uint32(0)
 func (c *CPU) resetPredecode() {
 	c.curIdx = curNone
 	c.hdec = nil
-	c.flatBytes = 0
 }
 
 // predecodeHandler decodes the decompression handler's RAM once; the
