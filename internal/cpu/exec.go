@@ -872,9 +872,17 @@ func b2u(b bool) uint32 {
 }
 
 // branch trains the predictor (the detailed and warm policies) and
-// returns the penalty cycles (the detailed policy).
+// returns the penalty cycles (the detailed policy). It inlines, so the
+// functional policy pays no call.
 func (c *CPU) branch(pc uint32, taken bool, pol policy) uint64 {
-	if pol == functional || c.BP.Update(pc, taken) || pol == warm {
+	if pol == functional {
+		return 0
+	}
+	return c.predict(pc, taken, pol)
+}
+
+func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
+	if c.BP.Update(pc, taken) || pol == warm {
 		return 0
 	}
 	c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.MispredictPenalty)
@@ -883,9 +891,17 @@ func (c *CPU) branch(pc uint32, taken bool, pol policy) uint64 {
 
 // dRead performs the D-cache access for a load (the detailed and warm
 // policies) and returns stall cycles (the detailed policy). Stores are
-// write-through/no-allocate and charge no stall (write buffer).
+// write-through/no-allocate and charge no stall (write buffer). It
+// inlines, so the functional policy pays no call.
 func (c *CPU) dRead(addr uint32, pol policy) uint64 {
-	if pol == functional || c.DC.Access(addr) {
+	if pol == functional {
+		return 0
+	}
+	return c.dAccess(addr, pol)
+}
+
+func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
+	if c.DC.Access(addr) {
 		return 0
 	}
 	c.DC.Fill(c.DC.LineBase(addr), nil)
