@@ -370,8 +370,9 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 
 // run is the interpreter: one fetch/execute/retire loop for every
 // policy. It stops when the program halts, after the step that spends
-// left (the budget error), once user user instructions retired outside
-// the handler, or as mode asks. Handler RAM is fetched from hdec
+// left (the budget error, also returned before any step when nothing
+// is left), once user user instructions retired outside the handler,
+// or as mode asks. Handler RAM is fetched from hdec
 // directly; then the functional policy tries its flat stores (flatHit)
 // and the others the current I-cache line (sameLine); everything else
 // takes fetch. pc, lastLoad, the register file, inHandler and the
