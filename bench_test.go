@@ -238,7 +238,8 @@ func BenchmarkDecompressionPath(b *testing.B) {
 // no branch hook, so the detailed loop stays untraced and the gap
 // between Off and On is the price of the fill, exception, cache and bus
 // hooks. Compare the two with benchstat. Windowed and Attributed add the
-// ledgers of rtd.WindowedRun and of ccprof on top of On; a ledger is
+// ledgers of rtd.WindowedRun and of ccprof on top of On, and Recorded
+// adds ccprof's artifact writes to Attributed; a ledger is
 // called out only where the attribution key may change (see
 // cpu.CPU.OnKey), so their gap over On is paid per key change, not per
 // commit.
@@ -290,8 +291,10 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	// Attributed is ccprof's observed mode: the collector with the window
 	// sampler and the per-line/per-procedure recorder sharing one
 	// attribution ledger on the CPU's key callouts, plus the Verify,
-	// Profile and report every ccprof run pays.
-	b.Run("attributed", func(b *testing.B) {
+	// Profile and report every ccprof run pays. Recorded adds what
+	// ccprof -format json -profile writes: the JSON report and the
+	// profile artifact; its gap over Attributed is the artifact writes.
+	observed := func(b *testing.B, write bool) {
 		var instrs uint64
 		for i := 0; i < b.N; i++ {
 			c, err := cpu.New(rtd.DefaultMachine())
@@ -312,12 +315,23 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 			if err := col.Recorder.Verify(); err != nil {
 				b.Fatal(err)
 			}
-			col.Recorder.Profile()
-			telemetry.NewReport(c, col)
+			attr := col.Recorder.Profile()
+			rep := telemetry.NewReport(c, col)
+			if write {
+				rep.SetAttribution(attr)
+				if err := rep.WriteJSON(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+				if err := attr.WriteJSON(io.Discard); err != nil {
+					b.Fatal(err)
+				}
+			}
 			instrs += c.Stats.Instrs + c.Stats.HandlerInstrs
 		}
 		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
-	})
+	}
+	b.Run("attributed", func(b *testing.B) { observed(b, false) })
+	b.Run("recorded", func(b *testing.B) { observed(b, true) })
 }
 
 // BenchmarkAssembler measures text-assembly throughput on the dictionary

@@ -179,6 +179,9 @@ func main() {
 	}
 
 	col := telemetry.New()
+	if *tracePath != "" {
+		col.MaxEvents = telemetry.DefaultMaxEvents
+	}
 	col.Windows = telemetry.NewWindowSampler(*window)
 	col.Recorder = profile.NewRecorder(im)
 	man.SetConfig("window", fmt.Sprint(col.Windows.Size))

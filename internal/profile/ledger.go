@@ -25,65 +25,68 @@ import (
 // Charging is run-length and rides the machine's key callouts
 // (cpu.CPU.OnKey): the detailed loop calls the ledger between two
 // commits wherever the next commit's attribution key may differ from
-// the last one's, and only when it does differ does the ledger take one
-// cpu.Stats + bus delta and add it to the line and procedure of the run
-// that just ended. The delta of a run is the sum of its per-commit
-// deltas, so every bucket is bit-identical to charging commit by
-// commit. The key has four parts:
+// the last one's, and only when it does differ does the ledger charge
+// the run that just ended: one pass adds every cpu.Stats and bus
+// counter's movement since the last flush to the run's one bucket. The
+// movement of a run is the sum of its per-commit deltas, so every
+// bucket is bit-identical to charging commit by commit. The key has
+// four parts:
 //
 //   - the charged address: the next PC in user code, the latched EPC in
 //     the handler (a miss's handler is keyed by the line that missed);
-//   - its line and procedure, kept as the one address interval over
-//     which both stay fixed. The ledger answers each callout with it,
-//     and the machine keeps a line the interval does not cover (one
-//     with a procedure boundary inside) off its same-line fast path;
+//   - its interval: the address range [lo, hi) over which both its line
+//     and its procedure stay fixed. Each interval has its own bucket.
+//     The ledger answers each callout with it, and the machine keeps a
+//     line the interval does not cover (one with a procedure boundary
+//     inside) off its same-line fast path;
 //   - the handler/user phase: iret ends the handler phase, so a run
 //     closes at most one exception-service interval and its
-//     ExcCyclesTotal delta is that interval's latency — max-merging it
-//     reproduces ExcCyclesMax exactly;
+//     ExcCyclesTotal movement is that interval's latency — max-merging
+//     it reproduces ExcCyclesMax exactly;
 //   - the window index, retirements / Size. The ledger answers each
 //     callout with the retirement count that closes the open window,
 //     and the machine stops there to call it out. A window's record is
 //     the difference of the counters at its two ends.
 //
-// A ledger without the line and procedure axes keys on the window index
-// alone.
+// The line and procedure views are built from the interval buckets
+// after the run (views): an interval lies in exactly one line and one
+// procedure, so counters sum and ExcCyclesMax max-merges exactly. A
+// ledger without the line and procedure axes keys on the window index
+// alone and charges one bucket.
 type Ledger struct {
 	c  *cpu.CPU
 	im *program.Image // line and procedure axes; nil without them
 	w  *Windows       // window axis; nil without it
 
-	committed uint64 // retirements charged so far
-	cut       uint64 // retirement count that closes the open window
-	// snap[at] holds the whole-run counters at the last flush, the
-	// baseline; a flush reads the counters into the other slot and
-	// flips at, so no snapshot is ever copied. d is the movement.
-	snap   [2]Cost
-	at     int
-	d      Cost
+	cut uint64 // retirement count that closes the open window
+	// base holds the whole-run counters at the last flush; charge adds
+	// the movement since then to the open run's bucket and advances it.
+	base   Cost
 	opened Cost // whole-run counters when the open window opened
 	closed int  // windows closed so far
 
-	// Key of the open run: the phase and the address interval
-	// [lo, hi) sharing its line and procedure buckets. The interval is
-	// empty before the first callout, so the first callout always keys.
+	// Key of the open run: the phase and the interval [lo, hi) whose
+	// bucket run is. run is nil before the first callout, and the
+	// interval empty, so the first callout always keys.
 	inHandler bool
 	lo, hi    uint64
+	run       *Cost
 	lineMask  uint32
-	lineAddr  uint32
-	line      *Cost
-	proc      int
+	proc      int // procedure of the last interval keyed
 
-	lines map[uint32]*Cost
-	// recent caches lines entries by line index, so a loop over a few
-	// lines keys without a map lookup.
-	recent [256]struct {
-		addr uint32
-		cost *Cost
-	}
-	// procs has one bucket per im.Procs entry, in table order, plus a
-	// trailing bucket for commits outside every procedure.
-	procs []Cost
+	// buckets holds one bucket per interval, by its lo.
+	buckets map[uint32]*bucket
+	// recent caches buckets by line index, direct-mapped and sized at
+	// Attach to the procedure table's lines, so keying a line seen
+	// before takes no map lookup.
+	recent []*bucket
+}
+
+// bucket is the cost charged to one line ∩ procedure interval.
+type bucket struct {
+	lo, hi uint64
+	proc   int // index into im.Procs; len(im.Procs) outside the table
+	Cost
 }
 
 // Windows is a ledger's time axis: Records holds one Window per Size
@@ -120,10 +123,9 @@ type Window struct {
 func NewLedger(im *program.Image) *Ledger {
 	l := &Ledger{im: im}
 	if im != nil {
-		l.lines = make(map[uint32]*Cost)
-		l.procs = make([]Cost, len(im.Procs)+1)
+		l.buckets = make(map[uint32]*bucket)
 	} else {
-		l.hi = cpu.AnyKey.Hi
+		l.hi, l.run = cpu.AnyKey.Hi, new(Cost)
 	}
 	return l
 }
@@ -141,6 +143,17 @@ func (l *Ledger) Attach(c *cpu.CPU) {
 	l.cut = cpu.AnyKey.Cut
 	if l.w != nil && l.w.Size > 0 {
 		l.cut = l.w.Size
+	}
+	if l.im != nil {
+		var lines uint32
+		if ps := l.im.Procs; len(ps) > 0 {
+			lines = (ps[len(ps)-1].Addr + ps[len(ps)-1].Size - ps[0].Addr) / (l.lineMask + 1)
+		}
+		n := 256
+		for n < int(lines) && n < 1<<14 {
+			n <<= 1
+		}
+		l.recent = make([]*bucket, n)
 	}
 	c.AttachObserver(l.callout)
 }
@@ -169,11 +182,11 @@ func (l *Ledger) moved() bool {
 // flush charges the run that ends at this callout, closes the window
 // on rollover and keys the next run.
 func (l *Ledger) flush() {
-	if l.im != nil && l.line == nil {
+	if l.run == nil {
 		l.rekey() // the first callout: what came before is the first run's
 	}
-	l.charge()
-	if l.committed >= l.cut {
+	l.charge(l.run, &l.base)
+	if l.base.Instrs+l.base.HandlerInstrs >= l.cut {
 		l.closeWindow()
 		l.cut += l.w.Size
 	}
@@ -192,24 +205,31 @@ func (l *Ledger) rekey() {
 	}
 }
 
-// key opens a run charged to addr's line and procedure.
+// key opens a run charged to the bucket of addr's interval.
 func (l *Ledger) key(addr uint32, inHandler bool) {
 	l.inHandler = inHandler
-	la := addr &^ l.lineMask
-	if l.line == nil || la != l.lineAddr {
-		e := &l.recent[la/(l.lineMask+1)%uint32(len(l.recent))]
-		if e.cost == nil || e.addr != la {
-			e.addr, e.cost = la, l.lines[la]
-			if e.cost == nil {
-				e.cost = new(Cost)
-				l.lines[la] = e.cost
-			}
-		}
-		l.lineAddr, l.line = la, e.cost
+	e := &l.recent[addr/(l.lineMask+1)&uint32(len(l.recent)-1)]
+	b := *e
+	if b == nil || uint64(addr) < b.lo || uint64(addr) >= b.hi {
+		b = l.bucket(addr)
+		*e = b
 	}
-	var plo, phi uint64
-	l.proc, plo, phi = l.procSpan(addr)
-	l.lo, l.hi = max(uint64(la), plo), min(uint64(la)+uint64(l.lineMask)+1, phi)
+	l.lo, l.hi, l.run = b.lo, b.hi, &b.Cost
+}
+
+// bucket returns the bucket of addr's interval, the intersection of its
+// line and its procedure's address range, creating it on first use.
+func (l *Ledger) bucket(addr uint32) *bucket {
+	la := uint64(addr &^ l.lineMask)
+	proc, plo, phi := l.procSpan(addr)
+	l.proc = proc
+	lo := max(la, plo)
+	b := l.buckets[uint32(lo)]
+	if b == nil {
+		b = &bucket{lo: lo, hi: min(la+uint64(l.lineMask)+1, phi), proc: proc}
+		l.buckets[uint32(lo)] = b
+	}
+	return b
 }
 
 // procSpan maps addr to its procedure bucket (len(im.Procs) for
@@ -238,21 +258,50 @@ func (l *Ledger) procSpan(addr uint32) (int, uint64, uint64) {
 	return len(procs), lo, hi
 }
 
-// charge adds the whole-run counters' movement since the last flush to
-// the open run's line and procedure, counts the retirements it charged
-// and advances the baseline. Everything goes through pointers into the
-// ledger: a flush copies no Cost by value.
-func (l *Ledger) charge() {
-	now, prev := &l.snap[1-l.at], &l.snap[l.at]
-	l.read(now)
-	d := &l.d
-	d.delta(now, prev)
-	l.at = 1 - l.at
-	l.committed += d.Instrs + d.HandlerInstrs
-	if l.line != nil {
-		l.line.add(d)
-		l.procs[l.proc].add(d)
+// charge is the ledger's one pass over the machine's counters: it adds
+// every counter's movement since base to b and advances base to the
+// counters. b's ExcCyclesMax max-merges the ExcCyclesTotal movement,
+// the latency of the at most one service interval a run closes; base
+// keeps the whole-run ExcCyclesMax. It is the ledger's one stats(sum)
+// site: every axis Verify checks is summed from it, and statscomplete
+// proves it reads every cpu.Stats counter, so a new counter must be
+// wired into Cost before cccheck passes.
+//
+//cccheck:stats(sum)
+func (l *Ledger) charge(b, base *Cost) {
+	s := &l.c.Stats
+	b.Cycles += s.Cycles - base.Cycles
+	base.Cycles = s.Cycles
+	b.Instrs += s.Instrs - base.Instrs
+	base.Instrs = s.Instrs
+	b.HandlerInstrs += s.HandlerInstrs - base.HandlerInstrs
+	base.HandlerInstrs = s.HandlerInstrs
+	b.IMissNative += s.IMissNative - base.IMissNative
+	base.IMissNative = s.IMissNative
+	b.IMissCompressed += s.IMissCompressed - base.IMissCompressed
+	base.IMissCompressed = s.IMissCompressed
+	b.Exceptions += s.Exceptions - base.Exceptions
+	base.Exceptions = s.Exceptions
+	b.FetchStalls += s.FetchStalls - base.FetchStalls
+	base.FetchStalls = s.FetchStalls
+	b.LoadStalls += s.LoadStalls - base.LoadStalls
+	base.LoadStalls = s.LoadStalls
+	b.LoadUseStalls += s.LoadUseStalls - base.LoadUseStalls
+	base.LoadUseStalls = s.LoadUseStalls
+	exc := s.ExcCyclesTotal - base.ExcCyclesTotal
+	b.ExcCyclesTotal += exc
+	b.ExcCyclesMax = max(b.ExcCyclesMax, exc)
+	base.ExcCyclesTotal = s.ExcCyclesTotal
+	base.ExcCyclesMax = s.ExcCyclesMax
+	for k := range s.CPIStack {
+		b.CPIStack[k] += s.CPIStack[k] - base.CPIStack[k]
 	}
+	base.CPIStack = s.CPIStack
+	m := l.c.Mem
+	b.BusReads += m.Reads - base.BusReads
+	base.BusReads = m.Reads
+	b.BusBytes += m.BytesRead - base.BusBytes
+	base.BusBytes = m.BytesRead
 }
 
 // closeWindow appends the open window, ending at the last flush: the
@@ -260,7 +309,7 @@ func (l *Ledger) charge() {
 // ExcCyclesMax. Records carry their own bounds, so a reader may take
 // records out of Records while the run goes on.
 func (l *Ledger) closeWindow() {
-	o, p := &l.opened, &l.snap[l.at]
+	o, p := &l.opened, &l.base
 	rec := Window{
 		Index:      l.closed,
 		StartInstr: o.Instrs + o.HandlerInstrs, EndInstr: p.Instrs + p.HandlerInstrs,
@@ -280,55 +329,59 @@ func (l *Ledger) Settle() {
 	if l.c == nil {
 		return
 	}
-	l.charge()
-	if l.w != nil && l.committed > l.opened.Instrs+l.opened.HandlerInstrs {
+	run := l.run
+	if run == nil {
+		run = new(Cost) // no callout yet: no run is keyed to charge
+	}
+	l.charge(run, &l.base)
+	if committed := l.base.Instrs + l.base.HandlerInstrs; l.w != nil && committed > l.opened.Instrs+l.opened.HandlerInstrs {
 		l.closeWindow()
-		l.cut = l.committed + l.w.Size
+		l.cut = committed + l.w.Size
 	}
 }
 
-// total snapshots the whole-run cost from the machine's own counters.
+// total snapshots the whole-run cost from the machine's own counters,
+// not from the buckets (Verify compares the two): the movement from
+// zero leaves the baseline at the counters.
 func (l *Ledger) total() Cost {
-	var t Cost
-	l.read(&t)
+	var t, moved Cost
+	l.charge(&moved, &t)
 	return t
 }
 
-// read fills t from the machine's own counters (not from the
-// attribution buckets — Verify compares the two). It is the ledger's
-// one stats(sum) site: every axis Verify checks is summed against it,
-// and statscomplete proves it reads every cpu.Stats counter, so a new
-// counter must be wired into Cost before cccheck passes.
-//
-//cccheck:stats(sum)
-func (l *Ledger) read(t *Cost) {
-	s := &l.c.Stats
-	t.Cycles = s.Cycles
-	t.Instrs = s.Instrs
-	t.HandlerInstrs = s.HandlerInstrs
-	t.IMissNative = s.IMissNative
-	t.IMissCompressed = s.IMissCompressed
-	t.Exceptions = s.Exceptions
-	t.FetchStalls = s.FetchStalls
-	t.LoadStalls = s.LoadStalls
-	t.LoadUseStalls = s.LoadUseStalls
-	t.ExcCyclesTotal = s.ExcCyclesTotal
-	t.ExcCyclesMax = s.ExcCyclesMax
-	t.CPIStack = s.CPIStack
-	t.BusReads = l.c.Mem.Reads
-	t.BusBytes = l.c.Mem.BytesRead
+// views builds the line and procedure buckets from the interval
+// buckets: lines ascending by address, zero-cost ones included, and one
+// procedure bucket per im.Procs entry plus the trailing outside bucket.
+// An interval lies in one line and one procedure, so each view's
+// buckets are sums of disjoint sets of runs: counters add, and
+// ExcCyclesMax max-merges exactly (Cost.Add).
+func (l *Ledger) views() ([]LineCost, []Cost) {
+	bs := make([]*bucket, 0, len(l.buckets))
+	for _, b := range l.buckets {
+		bs = append(bs, b)
+	}
+	sort.Slice(bs, func(i, j int) bool { return bs[i].lo < bs[j].lo })
+	var lines []LineCost
+	procs := make([]Cost, len(l.im.Procs)+1)
+	for _, b := range bs {
+		if la := uint32(b.lo) &^ l.lineMask; len(lines) == 0 || lines[len(lines)-1].Addr != la {
+			lines = append(lines, LineCost{Addr: la})
+		}
+		lines[len(lines)-1].add(&b.Cost)
+		procs[b.proc].add(&b.Cost)
+	}
+	return lines, procs
 }
 
 // Verify enforces the hard attribution invariant on every axis the
 // ledger keeps: the component-wise sum of all line buckets, of all
 // procedure buckets and of all window records must each be
 // bit-identical to the whole-run cpu.Stats (and bus counters) of the
-// attached machine; the windows must tile the commit axis, every one
-// but the last exactly Size commits long (the machine stopped at every
-// cut); and the ledger must have charged exactly the retirements the
-// machine counts. Any drift means a commit escaped attribution or a
-// counter moved outside the callouts' view — a simulator bug, never a
-// property of the program.
+// attached machine, and the windows must tile the commit axis, every
+// one but the last exactly Size commits long (the machine stopped at
+// every cut). Any drift means a commit escaped attribution or a counter
+// moved outside the callouts' view — a simulator bug, never a property
+// of the program.
 func (l *Ledger) Verify() error {
 	if l.c == nil {
 		return fmt.Errorf("profile: ledger never attached")
@@ -343,12 +396,13 @@ func (l *Ledger) Verify() error {
 		return nil
 	}
 	if l.im != nil {
+		lines, procs := l.views()
 		var lineSum, procSum Cost
-		for _, lc := range l.lines {
-			lineSum.Add(*lc)
+		for i := range lines {
+			lineSum.add(&lines[i].Cost)
 		}
-		for i := range l.procs {
-			procSum.Add(l.procs[i])
+		for i := range procs {
+			procSum.add(&procs[i])
 		}
 		if err := check("line", lineSum); err != nil {
 			return err
@@ -376,12 +430,9 @@ func (l *Ledger) Verify() error {
 		if err := check(fmt.Sprintf("window (%d of %d)", len(l.w.Records), l.w.Size), sum); err != nil {
 			return err
 		}
-		if at != l.committed {
-			return fmt.Errorf("profile: windows cover %d commits, ledger charged %d", at, l.committed)
+		if retired := total.Instrs + total.HandlerInstrs; at != retired {
+			return fmt.Errorf("profile: windows cover %d commits, machine retired %d", at, retired)
 		}
-	}
-	if retired := total.Instrs + total.HandlerInstrs; l.committed != retired {
-		return fmt.Errorf("profile: ledger charged %d retirements, machine retired %d", l.committed, retired)
 	}
 	return nil
 }
@@ -406,20 +457,16 @@ func (r *Recorder) Profile() *Profile {
 		LineBytes:     int(r.lineMask) + 1,
 		Total:         r.total(),
 	}
-	addrs := make([]uint32, 0, len(r.lines))
-	for a := range r.lines {
-		addrs = append(addrs, a)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		if c := *r.lines[a]; !c.IsZero() {
-			p.Lines = append(p.Lines, LineCost{Addr: a, Cost: c})
+	lines, procs := r.views()
+	for _, lc := range lines {
+		if !lc.Cost.IsZero() {
+			p.Lines = append(p.Lines, lc)
 		}
 	}
 	for i, pr := range r.im.Procs {
-		p.Procs = append(p.Procs, ProcCost{Name: pr.Name, Addr: pr.Addr, Cost: r.procs[i]})
+		p.Procs = append(p.Procs, ProcCost{Name: pr.Name, Addr: pr.Addr, Cost: procs[i]})
 	}
-	if out := r.procs[len(r.im.Procs)]; !out.IsZero() {
+	if out := procs[len(r.im.Procs)]; !out.IsZero() {
 		p.Procs = append(p.Procs, ProcCost{Name: OutsideName, Cost: out})
 	}
 	return p

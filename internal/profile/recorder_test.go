@@ -254,16 +254,16 @@ dead:   addiu $t0, $t0, 1
 	}
 }
 
-// TestVerifyCatchesDrift tampers with a bucket and expects Verify to
-// name the drifted field.
+// TestVerifyCatchesDrift tampers with an interval bucket and expects
+// Verify to name the drifted field.
 func TestVerifyCatchesDrift(t *testing.T) {
 	im := assemble(t, jumpTableSrc)
 	r, _ := runProfiled(t, "drift", im, nil)
 	if err := r.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	for _, lc := range r.lines {
-		lc.Cycles++
+	for _, b := range r.buckets {
+		b.Cycles++
 		break
 	}
 	err := r.Verify()

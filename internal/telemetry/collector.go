@@ -29,8 +29,9 @@ type FillEvent struct {
 	Kind  cpu.FillKind `json:"kind"`
 }
 
-// DefaultMaxEvents bounds the recorded spans and fill events (each
-// costs ~24 bytes); past the cap, events are counted but dropped.
+// DefaultMaxEvents is the cap on recorded spans and fill events (each
+// costs ~24 bytes) for a run whose Chrome trace will be written; past
+// the cap, events are counted but dropped.
 const DefaultMaxEvents = 1 << 20
 
 // Collector gathers a run's telemetry: exception spans and fill events
@@ -40,8 +41,10 @@ const DefaultMaxEvents = 1 << 20
 // ledger axes leaves c.Trace and c.BP.OnResolve nil. Zero value is not
 // usable; call New, then Attach before cpu.Load/Run.
 type Collector struct {
-	// MaxEvents caps Spans and Fills each (DefaultMaxEvents if unset
-	// at Attach time).
+	// MaxEvents caps Spans and Fills each. Only the Chrome trace
+	// exporter reads them, so the zero value records none: set it (to
+	// DefaultMaxEvents, say) before the run when the trace will be
+	// written.
 	MaxEvents int
 
 	// Histograms.
@@ -53,7 +56,8 @@ type Collector struct {
 	IC *SetCounters
 	DC *SetCounters
 
-	// Event streams for the Chrome trace exporter.
+	// Event streams for the Chrome trace exporter; DroppedEvents counts
+	// the events past a nonzero MaxEvents.
 	Spans         []Span
 	Fills         []FillEvent
 	DroppedEvents uint64
@@ -94,9 +98,6 @@ func New() *Collector {
 // and the predictor, and a collector without ledger axes leaves the
 // detailed loop as fast as an unobserved one.
 func (t *Collector) Attach(c *cpu.CPU) {
-	if t.MaxEvents == 0 {
-		t.MaxEvents = DefaultMaxEvents
-	}
 	t.cpu = c
 	c.Tel = t
 	t.IC = NewSetCounters("I-cache", c.IC.Config().Sets())
@@ -140,7 +141,7 @@ func (t *Collector) ExcReturn(epc uint32, cycle uint64, latency uint64) {
 	}
 	if len(t.Spans) < t.MaxEvents {
 		t.Spans = append(t.Spans, Span{PC: pc, Start: start, End: cycle})
-	} else {
+	} else if t.MaxEvents > 0 {
 		t.DroppedEvents++
 	}
 }
@@ -150,7 +151,7 @@ func (t *Collector) IFill(pc uint32, cycle uint64, stall uint64, kind cpu.FillKi
 	t.FillLatency.Observe(stall)
 	if len(t.Fills) < t.MaxEvents {
 		t.Fills = append(t.Fills, FillEvent{PC: pc, Cycle: cycle, Stall: stall, Kind: kind})
-	} else {
+	} else if t.MaxEvents > 0 {
 		t.DroppedEvents++
 	}
 }

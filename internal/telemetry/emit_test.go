@@ -21,6 +21,7 @@ import (
 func collectOnce(t *testing.T, im *program.Image) (*cpu.CPU, *Collector, *cpu.ProcProfile) {
 	t.Helper()
 	col := New()
+	col.MaxEvents = DefaultMaxEvents
 	var prof *cpu.ProcProfile
 	c := runCollected(t, im, col, func(c *cpu.CPU) {
 		prof = cpu.NewProcProfile(im)

@@ -98,6 +98,7 @@ func runCollected(t *testing.T, im *program.Image, col *Collector, setup func(*c
 // independently-wired witness of the same run.
 func TestCollectorCrossChecks(t *testing.T) {
 	col := New()
+	col.MaxEvents = DefaultMaxEvents
 	c := runCollected(t, buildCompressed(t), col, nil)
 	s := c.Stats
 
@@ -229,11 +230,28 @@ func TestCollectorEventCap(t *testing.T) {
 	}
 }
 
+// TestCollectorRecordsNoEventsUnasked: a collector whose MaxEvents is
+// left zero (no Chrome trace will be written) records no span or fill
+// and counts none as dropped, while its histograms still see every
+// event.
+func TestCollectorRecordsNoEventsUnasked(t *testing.T) {
+	col := New()
+	c := runCollected(t, buildCompressed(t), col, nil)
+	if len(col.Spans) != 0 || len(col.Fills) != 0 || col.DroppedEvents != 0 {
+		t.Fatalf("unasked collector kept %d spans and %d fills, dropped %d",
+			len(col.Spans), len(col.Fills), col.DroppedEvents)
+	}
+	if c.Stats.Exceptions == 0 || col.ExcLatency.Count != c.Stats.Exceptions {
+		t.Fatalf("latency histogram has %d samples, %d exceptions taken", col.ExcLatency.Count, c.Stats.Exceptions)
+	}
+}
+
 // TestChromeTraceExport verifies the exporter emits valid trace-event
 // JSON with the spans and fills the run actually took.
 func TestChromeTraceExport(t *testing.T) {
 	im := buildCompressed(t)
 	col := New()
+	col.MaxEvents = DefaultMaxEvents
 	c := runCollected(t, im, col, nil)
 
 	var buf bytes.Buffer

@@ -158,6 +158,7 @@ func InstrumentedRun(im *Image, cfg MachineConfig) (RunResult, *Report, *Collect
 		return RunResult{}, nil, nil, err
 	}
 	col := telemetry.New()
+	col.MaxEvents = telemetry.DefaultMaxEvents
 	col.Attach(c)
 	var out bytes.Buffer
 	c.Out = &out
@@ -194,6 +195,7 @@ func WindowedRun(im *Image, cfg MachineConfig, window uint64) (RunResult, *Repor
 		return RunResult{}, nil, nil, err
 	}
 	col := telemetry.New()
+	col.MaxEvents = telemetry.DefaultMaxEvents
 	col.Windows = telemetry.NewWindowSampler(window)
 	col.Attach(c)
 	var out bytes.Buffer
