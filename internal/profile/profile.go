@@ -2,8 +2,9 @@
 // where telemetry answers "how much did the run cost" (the CPI stack)
 // and "when" (windowed sampling), this package answers "where" — every
 // cpu.Stats cycle component is tagged at its source site with the
-// responsible fetch PC and aggregated live into per-cache-line and
-// per-procedure cost records.
+// responsible fetch PC, aggregated live per address interval that
+// shares one cache line and one procedure, and summed from those into
+// per-cache-line and per-procedure cost records.
 //
 // The house invariant carries over from the timeline layer: the
 // component-wise sum of all line records (and, independently, all
@@ -71,7 +72,7 @@ type Cost struct {
 // maxima, so Merge and the recorder share this one definition).
 func (c *Cost) Add(o Cost) { c.add(&o) }
 
-// add is Add through a pointer, for the ledger's flush.
+// add is Add through a pointer, for the ledger's derived views.
 func (c *Cost) add(o *Cost) {
 	c.Cycles += o.Cycles
 	c.Instrs += o.Instrs
@@ -93,9 +94,9 @@ func (c *Cost) add(o *Cost) {
 	c.BusBytes += o.BusBytes
 }
 
-// delta sets c to the counters' movement from prev to now. Its
-// ExcCyclesMax is the movement's ExcCyclesTotal: the latency of the at
-// most one service interval a ledger run closes.
+// delta sets c's counters to their movement from prev to now, for a
+// window record; its ExcCyclesMax, which has no movement, is left to the
+// caller.
 func (c *Cost) delta(now, prev *Cost) {
 	c.Cycles = now.Cycles - prev.Cycles
 	c.Instrs = now.Instrs - prev.Instrs
@@ -107,7 +108,6 @@ func (c *Cost) delta(now, prev *Cost) {
 	c.LoadStalls = now.LoadStalls - prev.LoadStalls
 	c.LoadUseStalls = now.LoadUseStalls - prev.LoadUseStalls
 	c.ExcCyclesTotal = now.ExcCyclesTotal - prev.ExcCyclesTotal
-	c.ExcCyclesMax = c.ExcCyclesTotal
 	for k := range c.CPIStack {
 		c.CPIStack[k] = now.CPIStack[k] - prev.CPIStack[k]
 	}
