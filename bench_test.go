@@ -121,12 +121,12 @@ func BenchmarkAblations(b *testing.B) {
 // sub-benchmark — the same workloads `ccbench run` records to
 // BENCH_*.json, so `go test -bench Workloads` and the trajectory files
 // measure the same thing. Simulated cycles are reported as a metric;
-// compare wall times across trees with benchstat, or use `ccbench
-// compare` for the gated exact/statistical split.
+// compare wall times across trees with benchstat, and simulated
+// metrics exactly with `ccbench compare`.
 func BenchmarkWorkloads(b *testing.B) {
 	for _, w := range perfwatch.Registry() {
 		b.Run(w.Name, func(b *testing.B) {
-			r := perfwatch.NewRunner(benchScale(), 1)
+			r := perfwatch.NewRunner(benchScale())
 			warm, err := r.RunWorkload(w) // build/compress outside the timing
 			if err != nil {
 				b.Fatal(err)

@@ -1,21 +1,21 @@
 // Command ccbench is the performance-trajectory front end: it runs the
 // perfwatch workload registry (paper benchmarks × compression schemes ×
-// cache configurations), appends two-axis samples — exact simulated
-// metrics and statistical host metrics — to a schema-versioned
-// BENCH_<host>.json trajectory file, and compares or gates trajectories
-// so performance changes are measured claims instead of assertions.
+// cache configurations), appends each workload's simulated metrics to a
+// schema-versioned BENCH_<host>.json trajectory file, and compares or
+// gates trajectories so a change in simulated behaviour is a measured
+// claim instead of an assertion. Host time is measured by the
+// repository benchmark (bash bench/run.sh), not here.
 //
 //	ccbench list                         print the workload registry
 //	ccbench run                          run all workloads, append to BENCH_<hostname>.json
-//	ccbench run -scale 1.0 -reps 10      full-length runs, 10 host repetitions
+//	ccbench run -scale 1.0               full-length runs
 //	ccbench run -host ci -o BENCH_ci.json -only go/dict/16K
 //	ccbench run -sampled                 also measure the fast tier: sampled CPI
-//	                                     drift vs exact + functional host speed
+//	                                     drift vs exact + a functional run
 //	ccbench compare old.json new.json    compare the latest entries of two files
 //	ccbench compare BENCH_myhost.json    compare the last two entries of one file
 //	ccbench gate                         re-run the registry at the baseline's
 //	                                     scale and fail on any simulated change
-//	ccbench gate -host-threshold 0.2     also fail on significant >20% host slowdowns
 //	ccbench gate -perturb 1.05           self-test: inject +5% cycles, must fail
 //	ccbench gate -sampled                also fail if sampled CPI drifts >1% from
 //	                                     exact on any registry workload
@@ -23,20 +23,17 @@
 //	                                     self-test: inflate the sampled estimate
 //	                                     by 5%, the drift gate must fail
 //
-// Progress goes to stderr as structured slog lines; -expvar ADDR serves
-// live counters at http://ADDR/debug/vars for long sweeps.
+// Progress goes to stderr through obs.Reporter, detail as structured
+// slog lines.
 package main
 
 import (
-	"expvar"
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -108,57 +105,6 @@ func cmdList(args []string) error {
 	return nil
 }
 
-// progressVars wires Runner.Progress into an expvar map.
-type progressVars struct {
-	mu             sync.Mutex
-	done, total    int
-	last           string
-	lastCycles     uint64
-	lastMedianNs   int64
-	totalSimCycles uint64
-}
-
-func (p *progressVars) publish() {
-	expvar.Publish("perfwatch", expvar.Func(func() any {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return map[string]any{
-			"workloads_done":   p.done,
-			"workloads_total":  p.total,
-			"last_workload":    p.last,
-			"last_cycles":      p.lastCycles,
-			"last_median_ns":   p.lastMedianNs,
-			"total_sim_cycles": p.totalSimCycles,
-		}
-	}))
-}
-
-func (p *progressVars) update(done, total int, s perfwatch.Sample) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done, p.total = done, total
-	p.last = s.Workload
-	p.lastCycles = s.Sim.Cycles
-	p.lastMedianNs = s.Host.MedianNs
-	p.totalSimCycles += s.Sim.Cycles
-}
-
-func startExpvar(addr string, log *slog.Logger) *progressVars {
-	pv := &progressVars{}
-	if addr == "" {
-		return pv
-	}
-	pv.publish()
-	//cccheck:allow(pool) expvar HTTP server: infrastructure goroutine, never touches simulated output
-	go func() {
-		log.Info("expvar endpoint", "addr", "http://"+addr+"/debug/vars")
-		if err := http.ListenAndServe(addr, nil); err != nil {
-			log.Error("expvar server", "err", err)
-		}
-	}()
-	return pv
-}
-
 func splitOnly(s string) []string {
 	if s == "" {
 		return nil
@@ -166,65 +112,67 @@ func splitOnly(s string) []string {
 	return strings.Split(s, ",")
 }
 
+// measure runs the registry (or the only subset) at scale and returns
+// one fingerprinted entry, reporting progress on stderr.
+func measure(name string, scale float64, only string, workers int, sampled bool, log *slog.Logger) (perfwatch.Entry, error) {
+	fp := perfwatch.NewFingerprint(scale)
+	fp.GitSHA = obs.GitSHA()
+	rep := obs.NewReporter(name, os.Stderr, log)
+	r := perfwatch.NewRunner(scale)
+	r.Log = log
+	r.Progress = func(done, total int, s perfwatch.Sample) { rep.Step(done, total, s.Workload) }
+	r.Workers = workers
+	r.Fast = sampled
+	entry, err := r.Run(fp, splitOnly(only))
+	rep.Done()
+	return entry, err
+}
+
 func cmdRun(args []string, log *slog.Logger) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	var (
 		scale   = fs.Float64("scale", defaultScale(), "dynamic-length multiplier (RTD_BENCH_SCALE)")
-		reps    = fs.Int("reps", 5, "timed repetitions per workload (host metrics)")
-		host    = fs.String("host", "", "host label for the trajectory file (default: hostname)")
+		host    = fs.String("host", "", "host label for the trajectory file (default: the file's label, or the hostname for a new file)")
 		out     = fs.String("o", "", "trajectory file (default: BENCH_<host>.json)")
 		only    = fs.String("only", "", "comma-separated workload names (default: all)")
 		keep    = fs.Int("keep", 0, "keep at most N entries in the file (0 = unlimited)")
-		workers = fs.Int("workers", 1, "worker goroutines for the workload fan-out (<=0 = GOMAXPROCS; >1 perturbs host timings)")
-		sampled = fs.Bool("sampled", false, "also measure the fast tier (sampled CPI + functional host speed) per workload")
-		expAdr  = fs.String("expvar", "", "serve expvar progress at this address (e.g. localhost:8372)")
+		workers = fs.Int("workers", 1, "worker goroutines for the workload fan-out (<=0 = GOMAXPROCS)")
+		sampled = fs.Bool("sampled", false, "also measure the fast tier (sampled CPI + a functional run) per workload")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *host == "" {
+	label := *host
+	if label == "" {
 		if h, err := os.Hostname(); err == nil {
-			*host = h
+			label = h
 		} else {
-			*host = "unknown"
+			label = "unknown"
 		}
 	}
 	path := *out
 	if path == "" {
-		path = perfwatch.FileName(*host)
+		path = perfwatch.FileName(label)
+	}
+	_, statErr := os.Stat(path)
+	traj, err := perfwatch.Load(path)
+	if err != nil {
+		return err
+	}
+	// An existing file keeps its label unless -host names one.
+	if *host != "" || os.IsNotExist(statErr) {
+		traj.Host = label
 	}
 
-	// Note: *host is only the trajectory file label; the fingerprint
-	// keeps the real hostname so host-comparability stays honest.
 	start := time.Now()
-	pv := startExpvar(*expAdr, log)
-	fp := perfwatch.NewFingerprint(*scale, *reps)
-	fp.GitSHA = obs.GitSHA()
-	log.Info("run", "scale", *scale, "reps", *reps, "file", path,
-		"go", fp.GoVersion, "gomaxprocs", fp.GOMAXPROCS, "sha", fp.GitSHA)
-
-	rep := obs.NewReporter("ccbench run", os.Stderr, log)
-	r := perfwatch.NewRunner(*scale, *reps)
-	r.Log = log
-	r.Progress = func(done, total int, s perfwatch.Sample) {
-		pv.update(done, total, s)
-		rep.Step(done, total, s.Workload)
-	}
-	r.Workers = *workers
-	r.Fast = *sampled
-	entry, err := r.Run(fp, splitOnly(*only))
-	rep.Done()
+	log.Info("run", "scale", *scale, "file", path, "host", traj.Host)
+	entry, err := measure("ccbench run", *scale, *only, *workers, *sampled, log)
 	if err != nil {
 		return err
 	}
 	if *sampled {
 		printFast(entry)
 	}
-	traj, err := perfwatch.Load(path)
-	if err != nil {
-		return err
-	}
-	traj.Host = *host
 	if err := traj.Append(path, entry, *keep); err != nil {
 		return err
 	}
@@ -233,9 +181,8 @@ func cmdRun(args []string, log *slog.Logger) error {
 	// Sidecar manifest: what this trajectory entry was measured with.
 	man := obs.New("ccbench")
 	man.SetConfig("scale", fmt.Sprint(*scale))
-	man.SetConfig("reps", fmt.Sprint(*reps))
 	man.SetConfig("workers", fmt.Sprint(*workers))
-	man.SetConfig("host_label", *host)
+	man.SetConfig("host_label", traj.Host)
 	man.Finish(start)
 	if err := man.Write(obs.PathFor(path)); err != nil {
 		return err
@@ -300,16 +247,13 @@ func cmdGate(args []string, log *slog.Logger) error {
 	fs := flag.NewFlagSet("gate", flag.ExitOnError)
 	var (
 		baseline = fs.String("baseline", "BENCH_ci.json", "baseline trajectory file")
-		reps     = fs.Int("reps", 0, "timed repetitions (default: baseline's reps)")
 		only     = fs.String("only", "", "comma-separated workload names (default: all)")
-		hostThr  = fs.Float64("host-threshold", 0, "fail on significant host slowdowns beyond this fraction (0 = sim-only gate)")
 		allowSim = fs.Bool("allow-sim", false, "permit simulated-metric changes (report, don't fail)")
 		perturb  = fs.Float64("perturb", 0, "self-test: multiply measured simulated cycles by this factor")
 		sampled  = fs.Bool("sampled", false, "also gate the fast tier: sampled CPI must stay within -sampled-drift of exact")
 		sDrift   = fs.Float64("sampled-drift", 1.0, "sampled-axis drift limit in percent (with -sampled)")
 		sPerturb = fs.Float64("perturb-sampled", 0, "self-test: multiply the sampled cycle estimates by this factor (implies -sampled)")
-		workers  = fs.Int("workers", 1, "worker goroutines for the workload fan-out (<=0 = GOMAXPROCS; >1 perturbs host timings)")
-		expAdr   = fs.String("expvar", "", "serve expvar progress at this address")
+		workers  = fs.Int("workers", 1, "worker goroutines for the workload fan-out (<=0 = GOMAXPROCS)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -322,29 +266,10 @@ func cmdGate(args []string, log *slog.Logger) error {
 		return fmt.Errorf("loading baseline: %v", err)
 	}
 	scale := base.Fingerprint.Scale
-	if *reps == 0 {
-		*reps = base.Fingerprint.Reps
-		if *reps == 0 {
-			*reps = 5
-		}
-	}
 	log.Info("gate", "baseline", *baseline, "baseline_time", base.Time,
-		"baseline_sha", base.Fingerprint.GitSHA, "scale", scale, "reps", *reps)
+		"baseline_sha", base.Fingerprint.GitSHA, "scale", scale)
 
-	pv := startExpvar(*expAdr, log)
-	fp := perfwatch.NewFingerprint(scale, *reps)
-	fp.GitSHA = obs.GitSHA()
-	rep := obs.NewReporter("ccbench gate", os.Stderr, log)
-	r := perfwatch.NewRunner(scale, *reps)
-	r.Log = log
-	r.Progress = func(done, total int, s perfwatch.Sample) {
-		pv.update(done, total, s)
-		rep.Step(done, total, s.Workload)
-	}
-	r.Workers = *workers
-	r.Fast = *sampled
-	entry, err := r.Run(fp, splitOnly(*only))
-	rep.Done()
+	entry, err := measure("ccbench gate", scale, *only, *workers, *sampled, log)
 	if err != nil {
 		return err
 	}
@@ -360,8 +285,7 @@ func cmdGate(args []string, log *slog.Logger) error {
 	c := perfwatch.CompareEntries(base, entry)
 	c.Format(os.Stdout, true)
 	fmt.Println(c.Summary())
-	policy := perfwatch.GatePolicy{AllowSimChange: *allowSim, HostThreshold: *hostThr}
-	violations := policy.Check(c)
+	violations := perfwatch.GatePolicy{AllowSimChange: *allowSim}.Check(c)
 	if *sampled {
 		printFast(entry)
 		violations = append(violations, perfwatch.CheckFast(entry, *sDrift)...)
@@ -370,29 +294,25 @@ func cmdGate(args []string, log *slog.Logger) error {
 		for _, v := range violations {
 			log.Error("gate violation", "workload", v.Workload, "reason", v.Reason)
 		}
-		return fmt.Errorf("%d gate violation(s); if intentional, re-baseline with: ccbench run -scale %g -reps %d -o %s",
-			len(violations), scale, *reps, *baseline)
+		return fmt.Errorf("%d gate violation(s); if intentional, re-baseline with: ccbench run -scale %g -o %s",
+			len(violations), scale, *baseline)
 	}
 	log.Info("gate passed", "workloads", len(c.Deltas))
 	return nil
 }
 
 // printFast prints the fast-tier table of one entry: per-workload
-// sampled accuracy and functional host speed.
+// sampled accuracy.
 func printFast(e perfwatch.Entry) {
-	fmt.Printf("%-24s %10s %8s %9s %9s %10s\n",
-		"fast tier", "sampled", "drift", "windows", "bursts", "funct")
+	fmt.Printf("%-24s %10s %8s %9s %9s\n",
+		"fast tier", "sampled", "drift", "windows", "bursts")
 	for _, s := range e.Samples {
 		if s.Fast == nil {
 			fmt.Printf("%-24s %10s\n", s.Workload, "(none)")
 			continue
 		}
 		drift, _ := s.SampledDrift()
-		funct := "n/a"
-		if sp, ok := s.FunctSpeedup(); ok {
-			funct = fmt.Sprintf("%.1fx", sp)
-		}
-		fmt.Printf("%-24s %10.4f %+7.3f%% %9d %9d %10s\n",
-			s.Workload, s.Fast.SampledCPI, drift, s.Fast.Windows, s.Fast.Bursts, funct)
+		fmt.Printf("%-24s %10.4f %+7.3f%% %9d %9d\n",
+			s.Workload, s.Fast.SampledCPI, drift, s.Fast.Windows, s.Fast.Bursts)
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"testing"
 )
 
-var updateGoldens = flag.Bool("update", false, "re-record testdata/ccprof-golden")
+var updateGoldens = flag.Bool("update", false, "re-record testdata/ccprof-golden and testdata/ccbench-golden")
 
 var goldenDir = filepath.Join("..", "..", "testdata", "ccprof-golden")
 

@@ -27,8 +27,8 @@ const defaultDetPkgs = "repro," +
 // DetSafe reports sources of run-to-run nondeterminism inside the
 // deterministic packages: time.Now, environment reads, the unseeded
 // global math/rand source, and map iteration that writes to an output
-// stream. perfwatch's host-timing axis is the one legitimate clock
-// consumer; its sites carry //cccheck:allow(det) annotations.
+// stream. perfwatch's trajectory-entry timestamp is the one legitimate
+// clock read; it carries a //cccheck:allow(det) annotation.
 var DetSafe = &analysis.Analyzer{
 	Name: "detsafe",
 	Doc: "forbid time.Now, os.Getenv, unseeded math/rand, and map-ordered output " +

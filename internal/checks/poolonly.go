@@ -15,8 +15,8 @@ import (
 // concurrency primitive whose delivery order is proven deterministic
 // (byte-identical output for any worker count); ad-hoc goroutines
 // reintroduce scheduling order as an observable. Infrastructure
-// goroutines that never touch simulated output (an expvar HTTP server,
-// a timeout watchdog) carry //cccheck:allow(pool) annotations.
+// goroutines that never touch simulated output (a timeout watchdog)
+// carry //cccheck:allow(pool) annotations.
 var PoolOnly = &analysis.Analyzer{
 	Name:     "poolonly",
 	Doc:      "route all concurrency through the internal/parallel ordered pool",

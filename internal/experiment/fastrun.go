@@ -50,9 +50,8 @@ func (s *Suite) SampledRun(bench string, opts core.Options, cacheKB int, scfg fa
 }
 
 // FunctionalRun executes one fresh purely functional run of bench at
-// cacheKB and returns its architectural counters. Callers wrap it in
-// wall-clock timing (it is the fast tier's host-speed datum), so the
-// run is never cached; the checksum check keeps it honest.
+// cacheKB and returns its architectural counters. The run is never
+// cached; the checksum check keeps it honest.
 func (s *Suite) FunctionalRun(bench string, opts core.Options, cacheKB int) (cpu.FunctStats, error) {
 	im, nat, err := s.imageFor(bench, opts, cacheKB)
 	if err != nil {

@@ -26,21 +26,6 @@ func (s *Suite) stateByName(bench string) (*benchState, error) {
 	return s.state(p)
 }
 
-// NativeBaseline returns the cached native run of bench at cacheKB
-// (executing it on first use), collecting the per-procedure profile as a
-// side effect.
-func (s *Suite) NativeBaseline(bench string, cacheKB int) (cpu.Stats, error) {
-	st, err := s.stateByName(bench)
-	if err != nil {
-		return cpu.Stats{}, err
-	}
-	o, err := s.nativeRun(st, cacheKB)
-	if err != nil {
-		return cpu.Stats{}, err
-	}
-	return o.stats, nil
-}
-
 // SelectNative returns the procedures selective compression keeps native
 // for bench under the policy at the coverage fraction, using the
 // per-procedure profile of the native run at the paper's baseline 16KB

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"log/slog"
@@ -104,21 +103,4 @@ func (r *Reporter) render(final bool) {
 	}
 	r.log.Info(msg, "label", r.label, "done", r.done, "total", r.total,
 		"detail", r.detail, "elapsed_ms", time.Since(r.started).Milliseconds())
-}
-
-// Publish exposes the reporter's live state as an expvar variable under
-// name, for -expvar endpoints. Publish panics on duplicate names
-// (expvar semantics), so call at most once per name per process.
-func (r *Reporter) Publish(name string) {
-	expvar.Publish(name, expvar.Func(func() any {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return map[string]any{
-			"label":      r.label,
-			"done":       r.done,
-			"total":      r.total,
-			"detail":     r.detail,
-			"elapsed_ms": time.Since(r.started).Milliseconds(),
-		}
-	}))
 }

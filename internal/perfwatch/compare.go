@@ -14,7 +14,7 @@ type Status string
 
 // Comparison outcomes.
 const (
-	// StatusSame: simulated metrics exactly equal (host may still differ).
+	// StatusSame: simulated metrics exactly equal.
 	StatusSame Status = "same"
 	// StatusFaster / StatusSlower: simulated cycles changed down / up.
 	StatusFaster Status = "faster"
@@ -26,15 +26,6 @@ const (
 	// only one side — no comparison possible.
 	StatusSkipped Status = "skipped"
 )
-
-// HostDelta is the statistical host-axis comparison of one workload.
-type HostDelta struct {
-	OldMedianNs int64   `json:"old_median_ns"`
-	NewMedianNs int64   `json:"new_median_ns"`
-	Delta       float64 `json:"delta"` // (new-old)/old
-	P           float64 `json:"p"`     // Mann–Whitney two-sided p-value
-	Significant bool    `json:"significant"`
-}
 
 // WorkloadDelta is one workload's full comparison.
 type WorkloadDelta struct {
@@ -53,30 +44,19 @@ type WorkloadDelta struct {
 	// cycles" (profile.NamedRegressions; deterministic order). Empty
 	// when nothing changed or either side predates the attribution axis.
 	ProcRegressions string `json:"proc_regressions,omitempty"`
-
-	// Host is nil when the two fingerprints are not host-comparable.
-	Host *HostDelta `json:"host,omitempty"`
 }
 
 // Comparison is the full old-vs-new report.
 type Comparison struct {
-	HostComparable bool            `json:"host_comparable"`
-	ScaleMatch     bool            `json:"scale_match"`
-	Deltas         []WorkloadDelta `json:"deltas"`
+	ScaleMatch bool            `json:"scale_match"`
+	Deltas     []WorkloadDelta `json:"deltas"`
 }
-
-// Alpha is the significance level for the host rank-sum test.
-const Alpha = 0.05
 
 // CompareEntries compares two trajectory entries workload by workload.
 // Simulated metrics require equal Scale in the fingerprints (a scale
-// mismatch marks every workload skipped — different workloads entirely);
-// host metrics additionally require HostComparable fingerprints.
+// mismatch marks every workload skipped — different workloads entirely).
 func CompareEntries(old, new Entry) Comparison {
-	c := Comparison{
-		HostComparable: old.Fingerprint.HostComparable(new.Fingerprint),
-		ScaleMatch:     old.Fingerprint.Scale == new.Fingerprint.Scale,
-	}
+	c := Comparison{ScaleMatch: old.Fingerprint.Scale == new.Fingerprint.Scale}
 	seen := map[string]bool{}
 	names := make([]string, 0, len(old.Samples)+len(new.Samples))
 	for _, s := range old.Samples {
@@ -127,18 +107,6 @@ func CompareEntries(old, new Entry) Comparison {
 			default:
 				d.Status = StatusChanged
 			}
-			if c.HostComparable {
-				h := &HostDelta{
-					OldMedianNs: o.Host.MedianNs,
-					NewMedianNs: n.Host.MedianNs,
-					P:           mannWhitneyP(o.Host.WallNs, n.Host.WallNs),
-				}
-				if h.OldMedianNs != 0 {
-					h.Delta = (float64(h.NewMedianNs) - float64(h.OldMedianNs)) / float64(h.OldMedianNs)
-				}
-				h.Significant = h.P < Alpha
-				d.Host = h
-			}
 		}
 		c.Deltas = append(c.Deltas, d)
 	}
@@ -158,25 +126,15 @@ func (c Comparison) SimChanged() bool {
 // Format renders the comparison as an aligned table. verbose adds the
 // per-field simulated diffs under each changed workload.
 func (c Comparison) Format(w io.Writer, verbose bool) {
-	fmt.Fprintf(w, "%-24s %-8s %14s %14s %9s  %s\n",
-		"workload", "status", "old cycles", "new cycles", "Δcycles", "host wall (median)")
+	fmt.Fprintf(w, "%-24s %-8s %14s %14s %9s\n",
+		"workload", "status", "old cycles", "new cycles", "Δcycles")
 	for _, d := range c.Deltas {
-		host := "n/a"
-		if d.Host != nil {
-			mark := "~" // not significant
-			if d.Host.Significant {
-				mark = "!"
-			}
-			host = fmt.Sprintf("%.2fms -> %.2fms (%+.1f%% %s p=%.3f)",
-				float64(d.Host.OldMedianNs)/1e6, float64(d.Host.NewMedianNs)/1e6,
-				d.Host.Delta*100, mark, d.Host.P)
-		}
 		switch d.Status {
 		case StatusSkipped:
 			fmt.Fprintf(w, "%-24s %-8s %14s %14s %9s  %s\n", d.Workload, d.Status, "-", "-", "-", d.Note)
 		default:
-			fmt.Fprintf(w, "%-24s %-8s %14d %14d %+8.3f%%  %s\n",
-				d.Workload, d.Status, d.OldCycles, d.NewCycles, d.CycleDelta*100, host)
+			fmt.Fprintf(w, "%-24s %-8s %14d %14d %+8.3f%%\n",
+				d.Workload, d.Status, d.OldCycles, d.NewCycles, d.CycleDelta*100)
 			if verbose && len(d.SimDiffs) > 0 {
 				for _, diff := range d.SimDiffs {
 					fmt.Fprintf(w, "    %s\n", diff)
@@ -186,9 +144,6 @@ func (c Comparison) Format(w io.Writer, verbose bool) {
 				}
 			}
 		}
-	}
-	if !c.HostComparable {
-		fmt.Fprintf(w, "note: fingerprints differ (host/go/scale); host wall times not compared\n")
 	}
 }
 

@@ -3,18 +3,16 @@ package perfwatch
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fastpath"
 )
 
 // FastMetrics is the sampled/functional axis of a sample, collected
-// when Runner.Fast is set. The sampled numbers are deterministic (the
-// sampling schedule is systematic and both engines are deterministic);
-// the functional wall time is a host metric. Entries written before
-// the fast tier existed simply lack the stanza (`fast` is omitempty),
-// so old trajectory rows stay bit-identical.
+// when Runner.Fast is set. Every number is deterministic: the sampling
+// schedule is systematic and both engines are deterministic. Entries
+// written before the fast tier existed simply lack the stanza (`fast`
+// is omitempty), so old trajectory rows stay bit-identical.
 type FastMetrics struct {
 	// SampledCPI is the fastpath.Sampled estimate with its 95% bounds.
 	SampledCPI     float64 `json:"sampled_cpi"`
@@ -31,12 +29,9 @@ type FastMetrics struct {
 	DetailedInstrs  uint64  `json:"detailed_instrs"`
 	TotalInstrs     uint64  `json:"total_instrs"`
 
-	// FunctWallNs / FunctInstrs time one purely functional run (user +
-	// handler instructions); FunctNsPerInstr is their ratio, comparable
-	// with Host.NsPerInstr for the fast tier's host-speedup claim.
-	FunctWallNs     int64   `json:"funct_wall_ns"`
-	FunctInstrs     uint64  `json:"funct_instrs"`
-	FunctNsPerInstr float64 `json:"funct_ns_per_instr"`
+	// FunctInstrs counts the user + handler instructions of one purely
+	// functional run, whose output is checked against the native run.
+	FunctInstrs uint64 `json:"funct_instrs"`
 }
 
 // SampledDrift returns the live estimate error of the sampled axis vs
@@ -48,32 +43,14 @@ func (s Sample) SampledDrift() (float64, bool) {
 	return 100 * (float64(s.Fast.SampledEstCycles) - float64(s.Sim.Cycles)) / float64(s.Sim.Cycles), true
 }
 
-// FunctSpeedup returns the fast-forward host speedup: how many times
-// faster the functional engine gets through this workload's program
-// than the detailed engine (median detailed wall over functional wall,
-// both timed around the same cpu.New+Load+run shape). Wall-for-wall is
-// the honest metric — a per-instruction ratio would hide the functional
-// engine's other advantage, that it executes each compressed line's
-// handler burst once instead of once per I-cache re-fault.
-func (s Sample) FunctSpeedup() (float64, bool) {
-	if s.Fast == nil || s.Fast.FunctWallNs == 0 || s.Host.MedianNs == 0 {
-		return 0, false
-	}
-	return float64(s.Host.MedianNs) / float64(s.Fast.FunctWallNs), true
-}
-
 // measureFast fills the fast-tier axis for one workload: one sampled
-// run (deterministic, drift-checked against the exact axis) and one
-// timed functional run (host speed).
+// run, drift-checked against the exact axis, and one functional run.
 func (r *Runner) measureFast(w Workload, opts core.Options, sim SimMetrics) (*FastMetrics, error) {
 	res, err := r.suite.SampledRun(w.Bench, opts, w.CacheKB, fastpath.SampleConfig{})
 	if err != nil {
 		return nil, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
 	}
-	//cccheck:allow(det) host axis: the functional engine's wall-clock speed is the measurement
-	start := time.Now()
 	fstats, err := r.suite.FunctionalRun(w.Bench, opts, w.CacheKB)
-	wall := time.Since(start)
 	if err != nil {
 		return nil, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
 	}
@@ -86,11 +63,7 @@ func (r *Runner) measureFast(w Workload, opts core.Options, sim SimMetrics) (*Fa
 		Bursts:           res.Bursts,
 		DetailedInstrs:   res.DetailedInstrs,
 		TotalInstrs:      res.TotalInstrs,
-		FunctWallNs:      wall.Nanoseconds(),
 		FunctInstrs:      fstats.Instrs + fstats.HandlerInstrs,
-	}
-	if f.FunctInstrs > 0 {
-		f.FunctNsPerInstr = float64(f.FunctWallNs) / float64(f.FunctInstrs)
 	}
 	if sim.Cycles > 0 {
 		f.SampledDriftPct = 100 * (float64(res.EstCycles) - float64(sim.Cycles)) / float64(sim.Cycles)

@@ -13,12 +13,6 @@ type GatePolicy struct {
 	// so a delta is always a real behaviour change that must be either
 	// claimed (re-baseline) or fixed.
 	AllowSimChange bool
-	// HostThreshold is the fractional host wall-time regression
-	// tolerated before a *significant* slowdown fails the gate
-	// (e.g. 0.20 = +20%). <= 0 disables host gating; host gating also
-	// needs HostComparable fingerprints and enough repetitions for the
-	// rank-sum test.
-	HostThreshold float64
 }
 
 // Violation is one gate failure.
@@ -30,30 +24,22 @@ type Violation struct {
 // Check applies the policy to a comparison and returns every violation
 // (empty = gate passes).
 func (p GatePolicy) Check(c Comparison) []Violation {
+	if p.AllowSimChange {
+		return nil
+	}
 	var vs []Violation
 	for _, d := range c.Deltas {
 		switch d.Status {
 		case StatusSlower, StatusFaster, StatusChanged:
-			if !p.AllowSimChange {
-				reason := fmt.Sprintf("simulated metrics changed (%s): cycles %d -> %d (%+.3f%%)",
-					d.Status, d.OldCycles, d.NewCycles, d.CycleDelta*100)
-				if len(d.SimDiffs) > 0 {
-					reason += "; first diff: " + d.SimDiffs[0]
-				}
-				if d.ProcRegressions != "" {
-					reason += "; top regressing procedures: " + d.ProcRegressions
-				}
-				vs = append(vs, Violation{Workload: d.Workload, Reason: reason})
+			reason := fmt.Sprintf("simulated metrics changed (%s): cycles %d -> %d (%+.3f%%)",
+				d.Status, d.OldCycles, d.NewCycles, d.CycleDelta*100)
+			if len(d.SimDiffs) > 0 {
+				reason += "; first diff: " + d.SimDiffs[0]
 			}
-		}
-		if p.HostThreshold > 0 && d.Host != nil &&
-			d.Host.Significant && d.Host.Delta > p.HostThreshold {
-			vs = append(vs, Violation{
-				Workload: d.Workload,
-				Reason: fmt.Sprintf("host wall time regressed %+.1f%% (median %.2fms -> %.2fms, p=%.3f, threshold +%.0f%%)",
-					d.Host.Delta*100, float64(d.Host.OldMedianNs)/1e6,
-					float64(d.Host.NewMedianNs)/1e6, d.Host.P, p.HostThreshold*100),
-			})
+			if d.ProcRegressions != "" {
+				reason += "; top regressing procedures: " + d.ProcRegressions
+			}
+			vs = append(vs, Violation{Workload: d.Workload, Reason: reason})
 		}
 	}
 	return vs

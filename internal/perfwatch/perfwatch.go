@@ -1,20 +1,18 @@
 // Package perfwatch is the repository's performance-trajectory layer:
 // a registry of named, versioned benchmark workloads (paper benchmarks ×
 // compression schemes × cache configurations), a runner that measures
-// each workload on two axes — exact simulated metrics and statistical
-// host metrics — and schema-versioned BENCH_<host>.json trajectory files
-// that accumulate one sample set per run. `ccbench compare` and
-// `ccbench gate` turn the trajectory into a regression gate: simulated
-// cycles are deterministic and compared exactly; host wall times are
-// noisy and compared with a rank-sum significance test over repeated
-// measurements, benchstat-style.
+// each workload's simulated metrics, and schema-versioned
+// BENCH_<host>.json trajectory files that accumulate one sample set per
+// run. `ccbench compare` and `ccbench gate` turn the trajectory into a
+// regression gate: simulated cycles are deterministic, so they are
+// compared exactly and any delta is a behaviour change. Host time is
+// measured by the repository benchmark (bench/run.sh), not here.
 package perfwatch
 
 import (
 	"fmt"
 	"io"
 	"log/slog"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -99,41 +97,33 @@ func Find(name string) (Workload, bool) {
 
 // Runner executes workloads and produces Samples. It wraps an
 // experiment.Suite so image building, compression and native baselines
-// are shared across workloads; the timed simulations themselves always
-// run fresh.
+// are shared across workloads; the measured simulations themselves
+// always run fresh.
 type Runner struct {
 	// Scale is the dynamic-length multiplier applied to every benchmark
 	// (the RTD_BENCH_SCALE axis; 1.0 = the calibrated full runs).
 	Scale float64
-	// Reps is how many timed repetitions feed the host metrics
-	// (minimum 1; host significance testing needs >= 4).
-	Reps int
-	// Log receives per-repetition progress; nil discards it.
+	// Log receives per-workload progress; nil discards it.
 	Log *slog.Logger
 	// Progress, when non-nil, is called after each completed workload
-	// with (done, total) — the hook behind ccbench's expvar endpoint.
-	// With Workers > 1 it is still invoked in registry order.
+	// with (done, total). With Workers > 1 it is still invoked in
+	// registry order.
 	Progress func(done, total int, last Sample)
 	// Workers fans the workloads across that many goroutines (<= 0 or 1
 	// runs serially). Samples keep registry order and simulated metrics
-	// are bit-identical for any worker count, but concurrent timed runs
-	// perturb each other's host wall times — keep 1 when the host axis
-	// feeds a trajectory file, raise it for sim-only or smoke use.
+	// are bit-identical for any worker count.
 	Workers int
 	// Fast additionally measures the fast tier per workload: one sampled
-	// run (its drift vs the exact axis feeds the ccbench sampled gate)
-	// and one timed functional run (the host-speedup claim).
+	// run, whose drift vs the exact axis feeds the ccbench sampled gate,
+	// and one functional run, checked against the native output.
 	Fast bool
 
 	suite *experiment.Suite
 }
 
-// NewRunner returns a Runner at the given scale and repetition count.
-func NewRunner(scale float64, reps int) *Runner {
-	if reps < 1 {
-		reps = 1
-	}
-	return &Runner{Scale: scale, Reps: reps, suite: experiment.NewSuite(scale)}
+// NewRunner returns a Runner at the given scale.
+func NewRunner(scale float64) *Runner {
+	return &Runner{Scale: scale, suite: experiment.NewSuite(scale)}
 }
 
 func (r *Runner) logger() *slog.Logger {
@@ -157,63 +147,33 @@ func (r *Runner) options(w Workload) (core.Options, error) {
 	return opts, nil
 }
 
-// RunWorkload measures one workload: Reps fresh simulations, each
-// checked for identical simulated metrics (the simulator is
-// deterministic — any divergence is a simulator bug and fails the run),
-// host wall time and allocations recorded per repetition.
+// RunWorkload measures one workload: two fresh, independent
+// simulations, a plain one and one under the per-procedure profile
+// recorder, whose simulated metrics must be bit-identical. The
+// simulator is deterministic and the recorder a pure observer, so any
+// divergence is a simulator bug and fails the run — every trajectory
+// run is a standing proof of both properties on every registry
+// workload.
 func (r *Runner) RunWorkload(w Workload) (Sample, error) {
-	log := r.logger()
 	opts, err := r.options(w)
 	if err != nil {
 		return Sample{}, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
 	}
-	// Warm the caches (image build, compression, native baseline)
-	// outside the timed region.
-	if _, err := r.suite.NativeBaseline(w.Bench, w.CacheKB); err != nil {
+	stats, err := r.suite.MeasureRun(w.Bench, opts, w.CacheKB)
+	if err != nil {
 		return Sample{}, fmt.Errorf("perfwatch: %s: %v", w.Name, err)
 	}
-
-	sample := Sample{Workload: w.Name, Version: w.Version}
-	var ms0, ms1 runtime.MemStats
-	for rep := 0; rep < r.Reps; rep++ {
-		runtime.ReadMemStats(&ms0)
-		//cccheck:allow(det) host axis: wall-clock measurement is the point of this timer
-		start := time.Now()
-		stats, err := r.suite.MeasureRun(w.Bench, opts, w.CacheKB)
-		wall := time.Since(start)
-		runtime.ReadMemStats(&ms1)
-		if err != nil {
-			return Sample{}, fmt.Errorf("perfwatch: %s rep %d: %v", w.Name, rep, err)
-		}
-		sim := NewSimMetrics(stats)
-		if rep == 0 {
-			sample.Sim = sim
-		} else if diffs := sample.Sim.Diff(sim); len(diffs) != 0 {
-			return Sample{}, fmt.Errorf("perfwatch: %s: simulated metrics diverged between repetitions (simulator nondeterminism): %v",
-				w.Name, diffs)
-		}
-		sample.Host.WallNs = append(sample.Host.WallNs, wall.Nanoseconds())
-		sample.Host.Allocs = append(sample.Host.Allocs, ms1.Mallocs-ms0.Mallocs)
-		sample.Host.Bytes = append(sample.Host.Bytes, ms1.TotalAlloc-ms0.TotalAlloc)
-		log.Info("rep", "workload", w.Name, "rep", rep,
-			"cycles", sim.Cycles, "instrs", sim.Instrs, "wall_ms", float64(wall.Microseconds())/1000)
-	}
-	sample.Host.Finalize(sample.Sim.Instrs + sample.Sim.HandlerInstrs)
-
-	// One extra untimed profiled run fills the spatial axis. The recorder
-	// is a pure observer, so the profiled run's simulated metrics must be
-	// bit-identical to the timed repetitions — asserted here on every
-	// registry workload, turning each trajectory run into a standing
-	// proof of observer purity.
+	sample := Sample{Workload: w.Name, Version: w.Version, Sim: NewSimMetrics(stats)}
 	prof, err := r.suite.AttributedRun(w.Bench, opts, w.CacheKB)
 	if err != nil {
 		return Sample{}, fmt.Errorf("perfwatch: %s profiled run: %v", w.Name, err)
 	}
 	if diffs := sample.Sim.Diff(simFromCost(prof.Total)); len(diffs) != 0 {
-		return Sample{}, fmt.Errorf("perfwatch: %s: profiled run diverged from timed runs (profile recorder must be a pure observer): %v",
+		return Sample{}, fmt.Errorf("perfwatch: %s: profiled run diverged from the plain run (simulator nondeterminism, or a profile recorder that is not a pure observer): %v",
 			w.Name, diffs)
 	}
 	sample.Procs = prof.NamedCosts()
+	r.logger().Info("measured", "workload", w.Name, "cycles", sample.Sim.Cycles, "instrs", sample.Sim.Instrs)
 
 	if r.Fast {
 		fast, err := r.measureFast(w, opts, sample.Sim)
@@ -221,12 +181,9 @@ func (r *Runner) RunWorkload(w Workload) (Sample, error) {
 			return Sample{}, err
 		}
 		sample.Fast = fast
-		if sp, ok := sample.FunctSpeedup(); ok {
-			log.Info("fast", "workload", w.Name,
-				"sampled_cpi", fmt.Sprintf("%.4f", fast.SampledCPI),
-				"drift_pct", fmt.Sprintf("%+.3f", fast.SampledDriftPct),
-				"funct_speedup", fmt.Sprintf("%.1fx", sp))
-		}
+		r.logger().Info("fast", "workload", w.Name,
+			"sampled_cpi", fmt.Sprintf("%.4f", fast.SampledCPI),
+			"drift_pct", fmt.Sprintf("%+.3f", fast.SampledDriftPct))
 	}
 	return sample, nil
 }

@@ -1,6 +1,7 @@
 package perfwatch
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -38,11 +39,11 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// runEntry measures the named workloads once with the given reps.
-func runEntry(t *testing.T, reps int, only ...string) Entry {
+// runEntry measures the named workloads once.
+func runEntry(t *testing.T, only ...string) Entry {
 	t.Helper()
-	r := NewRunner(testScale, reps)
-	fp := NewFingerprint(testScale, reps)
+	r := NewRunner(testScale)
+	fp := NewFingerprint(testScale)
 	entry, err := r.Run(fp, only)
 	if err != nil {
 		t.Fatal(err)
@@ -53,10 +54,10 @@ func runEntry(t *testing.T, reps int, only ...string) Entry {
 // TestDeterminism runs the same workload in two fresh runners and
 // demands bit-identical simulated metrics — the property the whole
 // exact-comparison axis rests on. (Each RunWorkload additionally
-// cross-checks its own repetitions; reps=2 exercises that too.)
+// cross-checks its plain run against its profiled run.)
 func TestDeterminism(t *testing.T) {
-	a := runEntry(t, 2, "go/dict/16K")
-	b := runEntry(t, 2, "go/dict/16K")
+	a := runEntry(t, "go/dict/16K")
+	b := runEntry(t, "go/dict/16K")
 	sa, _ := a.Sample("go/dict/16K")
 	sb, _ := b.Sample("go/dict/16K")
 	if diffs := sa.Sim.Diff(sb.Sim); len(diffs) != 0 {
@@ -75,9 +76,6 @@ func TestDeterminism(t *testing.T) {
 	}
 	if sum != sa.Sim.Cycles {
 		t.Fatalf("CPI stack sums to %d, cycles %d", sum, sa.Sim.Cycles)
-	}
-	if len(sa.Host.WallNs) != 2 || sa.Host.MedianNs == 0 {
-		t.Fatalf("host metrics not collected: %+v", sa.Host)
 	}
 	// The spatial axis: the profiled observer run filled Procs, its
 	// per-procedure cycles decompose Sim.Cycles exactly, and back-to-back
@@ -109,8 +107,8 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, FileName("unit"))
 
-	e1 := runEntry(t, 1, "go/native/16K", "pegwit/dict+rf/4K")
-	e2 := runEntry(t, 1, "go/native/16K", "pegwit/dict+rf/4K")
+	e1 := runEntry(t, "go/native/16K", "pegwit/dict+rf/4K")
+	e2 := runEntry(t, "go/native/16K", "pegwit/dict+rf/4K")
 
 	traj, err := Load(path) // missing file -> fresh trajectory
 	if err != nil {
@@ -148,9 +146,6 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 		if d.CycleDelta != 0 {
 			t.Errorf("%s: cycle delta %v on identical runs", d.Workload, d.CycleDelta)
 		}
-	}
-	if !c.HostComparable {
-		t.Error("same-process fingerprints should be host-comparable")
 	}
 	if c.SimChanged() {
 		t.Error("identical runs reported a simulated change")
@@ -199,15 +194,15 @@ func TestTrajectorySchemaGuards(t *testing.T) {
 // must produce violations on every perturbed workload, and the clean
 // comparison must pass.
 func TestGateCatchesInjectedRegression(t *testing.T) {
-	base := runEntry(t, 1, "go/dict/16K", "go/native/16K")
-	clean := runEntry(t, 1, "go/dict/16K", "go/native/16K")
+	base := runEntry(t, "go/dict/16K", "go/native/16K")
+	clean := runEntry(t, "go/dict/16K", "go/native/16K")
 
 	policy := GatePolicy{}
 	if vs := policy.Check(CompareEntries(base, clean)); len(vs) != 0 {
 		t.Fatalf("clean run violated the gate: %+v", vs)
 	}
 
-	regressed := runEntry(t, 1, "go/dict/16K", "go/native/16K")
+	regressed := runEntry(t, "go/dict/16K", "go/native/16K")
 	PerturbSim(&regressed, 1.05)
 	vs := policy.Check(CompareEntries(base, regressed))
 	if len(vs) != 2 {
@@ -326,49 +321,88 @@ func TestCompareSkips(t *testing.T) {
 	}
 }
 
-// TestHostGate drives the statistical axis with synthetic wall times:
-// a clearly separated slowdown beyond the threshold fails, an
-// insignificant or sub-threshold one does not.
-func TestHostGate(t *testing.T) {
-	entry := func(ns []int64) Entry {
-		h := HostMetrics{WallNs: ns}
-		h.Finalize(1000)
-		return Entry{
-			Fingerprint: Fingerprint{GoVersion: "go", Scale: 1},
-			Samples: []Sample{{Workload: "w", Version: 1,
-				Sim:  SimMetrics{Cycles: 10, Instrs: 1, CPIStack: map[string]uint64{"user_execute": 10}},
-				Host: h}},
+// TestTrajectoryWritesSimAxisOnly loads a trajectory in the format
+// written before the host axis was retired — a host stanza per sample
+// and host fields in the fingerprint — writes it back through
+// Trajectory.Write, and requires neither in the output: the loader
+// drops them and the writer has nothing to write them from.
+func TestTrajectoryWritesSimAxisOnly(t *testing.T) {
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "BENCH_legacy.json")
+	os.WriteFile(legacy, []byte(`{"schema_version": 1, "host": "ci", "entries": [{
+	  "time": "2026-08-08T08:31:01Z",
+	  "fingerprint": {"go_version": "go1.24.0", "goos": "linux", "goarch": "amd64",
+	    "gomaxprocs": 1, "num_cpu": 1, "hostname": "vm", "scale": 0.1, "reps": 5,
+	    "git_sha": "a026a5688f53", "codecs": ["dict"]},
+	  "samples": [{"workload": "go/dict/16K", "version": 1,
+	    "sim": {"cycles": 10, "instrs": 5, "cpi_stack": {"user_execute": 10}},
+	    "host": {"wall_ns": [1, 2], "allocs": [3, 4], "bytes": [5, 6],
+	      "median_ns": 1, "iqr_ns": 1, "ns_per_instr": 0.1}}]}]}`), 0o644)
+	traj, err := Load(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "BENCH_w.json")
+	if err := traj.Write(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Entries []struct {
+			Fingerprint map[string]json.RawMessage   `json:"fingerprint"`
+			Samples     []map[string]json.RawMessage `json:"samples"`
+		} `json:"entries"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Entries) != 1 || len(doc.Entries[0].Samples) != 1 {
+		t.Fatalf("written trajectory lost its entry: %s", data)
+	}
+	e := doc.Entries[0]
+	for key := range e.Fingerprint {
+		switch key {
+		case "scale", "git_sha", "codecs":
+		default:
+			t.Errorf("fingerprint carries %q", key)
 		}
 	}
-	fast := entry([]int64{100, 101, 99, 100, 102, 98})
-	slow := entry([]int64{150, 151, 149, 150, 152, 148}) // +50%, cleanly separated
+	if _, ok := e.Samples[0]["host"]; ok {
+		t.Errorf("sample carries a host stanza: %s", data)
+	}
+	if !strings.Contains(string(data), `"cycles": 10`) {
+		t.Errorf("simulated axis lost: %s", data)
+	}
+}
 
-	c := CompareEntries(fast, slow)
-	if !c.HostComparable {
-		t.Fatal("fingerprints should be host-comparable")
+// TestShippedBaselineSelfCompare compares the committed baseline's
+// latest entry with itself: every workload is the same and the gate
+// passes.
+func TestShippedBaselineSelfCompare(t *testing.T) {
+	traj, err := Load(filepath.Join("..", "..", "BENCH_ci.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	d := c.Deltas[0]
-	if d.Status != StatusSame {
-		t.Fatalf("sim metrics should match: %+v", d)
+	e, ok := traj.Latest()
+	if !ok {
+		t.Fatal("BENCH_ci.json has no entries")
 	}
-	if d.Host == nil || !d.Host.Significant {
-		t.Fatalf("separated distributions not significant: %+v", d.Host)
+	c := CompareEntries(e, e)
+	if len(c.Deltas) != len(e.Samples) || len(c.Deltas) == 0 {
+		t.Fatalf("%d deltas for %d samples", len(c.Deltas), len(e.Samples))
 	}
-	if vs := (GatePolicy{HostThreshold: 0.2}).Check(c); len(vs) != 1 ||
-		!strings.Contains(vs[0].Reason, "host wall time regressed") {
-		t.Fatalf("host gate missed a +50%% regression: %+v", vs)
+	for _, d := range c.Deltas {
+		if d.Status != StatusSame {
+			t.Errorf("%s: status %s (note %q, diffs %v), want same", d.Workload, d.Status, d.Note, d.SimDiffs)
+		}
 	}
-	// Below threshold: +50% > 0.6? no violation at a 60% threshold.
-	if vs := (GatePolicy{HostThreshold: 0.6}).Check(c); len(vs) != 0 {
-		t.Fatalf("sub-threshold slowdown violated: %+v", vs)
+	if c.SimChanged() {
+		t.Error("self-comparison reported a simulated change")
 	}
-	// Sim-only gate (threshold 0) ignores host entirely.
 	if vs := (GatePolicy{}).Check(c); len(vs) != 0 {
-		t.Fatalf("sim-only gate used host metrics: %+v", vs)
-	}
-	// Too few repetitions: never significant, never gated.
-	few := CompareEntries(entry([]int64{100, 100}), entry([]int64{200, 200}))
-	if d := few.Deltas[0]; d.Host.Significant {
-		t.Fatalf("2-rep comparison claimed significance: %+v", d.Host)
+		t.Errorf("self-comparison violated the gate: %+v", vs)
 	}
 }

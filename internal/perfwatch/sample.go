@@ -2,8 +2,6 @@ package perfwatch
 
 import (
 	"fmt"
-	"os"
-	"runtime"
 
 	"repro/internal/codec"
 	"repro/internal/cpu"
@@ -97,54 +95,22 @@ func (m SimMetrics) Diff(o SimMetrics) []string {
 	return diffs
 }
 
-// HostMetrics are the statistical axis of a sample: wall-clock time and
-// allocation counts of the simulator process itself, one element per
-// repetition. These vary with the machine, the scheduler and the
-// garbage collector, so they are summarised by median/IQR and compared
-// with a rank-sum test rather than exactly.
-type HostMetrics struct {
-	WallNs []int64  `json:"wall_ns"`
-	Allocs []uint64 `json:"allocs"`
-	Bytes  []uint64 `json:"bytes"`
-
-	// Summary statistics over WallNs, filled by Finalize.
-	MedianNs int64 `json:"median_ns"`
-	IQRNs    int64 `json:"iqr_ns"`
-	// NsPerInstr is MedianNs divided by total simulated instructions
-	// (user + handler) — the simulator's headline speed number.
-	NsPerInstr float64 `json:"ns_per_instr"`
-}
-
-// Finalize computes the summary statistics from the raw repetitions.
-func (h *HostMetrics) Finalize(simInstrs uint64) {
-	if len(h.WallNs) == 0 {
-		return
-	}
-	h.MedianNs = medianInt64(h.WallNs)
-	h.IQRNs = iqrInt64(h.WallNs)
-	if simInstrs > 0 {
-		h.NsPerInstr = float64(h.MedianNs) / float64(simInstrs)
-	}
-}
-
-// Sample is one workload's measurement: the exact simulated axis plus
-// the statistical host axis.
+// Sample is one workload's measurement on the simulated axis.
 type Sample struct {
-	Workload string      `json:"workload"`
-	Version  int         `json:"version"`
-	Sim      SimMetrics  `json:"sim"`
-	Host     HostMetrics `json:"host"`
+	Workload string     `json:"workload"`
+	Version  int        `json:"version"`
+	Sim      SimMetrics `json:"sim"`
 
-	// Procs is the spatial axis: per-procedure attributed cost from one
-	// extra untimed profiled run (nonzero procedures in address order,
+	// Procs is the spatial axis: per-procedure attributed cost from the
+	// profiled run (nonzero procedures in address order,
 	// profile.NamedCosts form). The gate uses it to *name* the top
 	// regressing procedures when simulated metrics change. Empty in
 	// entries written before the attribution layer existed — comparisons
 	// then simply omit the clause.
 	Procs []profile.NamedCost `json:"procs,omitempty"`
 
-	// Fast is the fast-tier axis (sampled CPI estimate + functional host
-	// speed), collected when Runner.Fast is set. Nil in entries measured
+	// Fast is the fast-tier axis (sampled CPI estimate + functional
+	// instruction count), collected when Runner.Fast is set. Nil in entries measured
 	// without it — omitted from JSON so older rows stay bit-identical.
 	Fast *FastMetrics `json:"fast,omitempty"`
 }
@@ -152,8 +118,8 @@ type Sample struct {
 // simFromCost rebuilds SimMetrics from a profile's whole-run total.
 // The attribution layer carries the complete cpu.Stats decomposition,
 // so the reconstruction is lossless — RunWorkload uses it to assert
-// that the profiled observer run reproduced the timed repetitions'
-// simulated metrics exactly.
+// that the profiled observer run reproduced the plain run's simulated
+// metrics exactly.
 func simFromCost(c profile.Cost) SimMetrics {
 	m := SimMetrics{
 		Cycles:          c.Cycles,
@@ -176,45 +142,20 @@ func simFromCost(c profile.Cost) SimMetrics {
 
 // Fingerprint identifies the configuration a trajectory entry was
 // measured under. Simulated metrics are comparable whenever Scale
-// matches; host metrics are only comparable when the whole fingerprint
-// (minus GitSHA and Time) matches.
+// matches. The toolchain and platform of the recording run are in the
+// trajectory's sidecar manifest (obs.Manifest).
 type Fingerprint struct {
-	GoVersion  string  `json:"go_version"`
-	GOOS       string  `json:"goos"`
-	GOARCH     string  `json:"goarch"`
-	GOMAXPROCS int     `json:"gomaxprocs"`
-	NumCPU     int     `json:"num_cpu"`
-	Hostname   string  `json:"hostname,omitempty"`
-	Scale      float64 `json:"scale"`
-	Reps       int     `json:"reps"`
-	GitSHA     string  `json:"git_sha,omitempty"`
+	Scale  float64 `json:"scale"`
+	GitSHA string  `json:"git_sha,omitempty"`
 	// Codecs are the registered codec names (sorted), so a trajectory
 	// entry records exactly which compression schemes the build carried.
 	Codecs []string `json:"codecs,omitempty"`
 }
 
-// NewFingerprint captures the current process configuration. GitSHA is
-// left for the caller (it needs the working tree, not the runtime).
-func NewFingerprint(scale float64, reps int) Fingerprint {
-	host, _ := os.Hostname()
-	return Fingerprint{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		NumCPU:     runtime.NumCPU(),
-		Hostname:   host,
-		Scale:      scale,
-		Reps:       reps,
-		Codecs:     codec.Names(),
-	}
-}
-
-// HostComparable reports whether host metrics measured under the two
-// fingerprints may be meaningfully compared.
-func (f Fingerprint) HostComparable(o Fingerprint) bool {
-	return f.GoVersion == o.GoVersion && f.GOOS == o.GOOS && f.GOARCH == o.GOARCH &&
-		f.GOMAXPROCS == o.GOMAXPROCS && f.Hostname == o.Hostname && f.Scale == o.Scale
+// NewFingerprint captures the measurement configuration. GitSHA is left
+// for the caller (it needs the working tree, not the runtime).
+func NewFingerprint(scale float64) Fingerprint {
+	return Fingerprint{Scale: scale, Codecs: codec.Names()}
 }
 
 // Entry is one complete registry run: a fingerprint plus one sample per

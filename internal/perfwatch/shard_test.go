@@ -14,15 +14,15 @@ import (
 // the serial run, and Progress fires in order. Run under -race this is
 // also the thread-safety proof for the shared experiment.Suite.
 func TestShardedRunDeterminism(t *testing.T) {
-	serial := NewRunner(testScale, 1)
-	fp := NewFingerprint(testScale, 1)
+	serial := NewRunner(testScale)
+	fp := NewFingerprint(testScale)
 	ref, err := serial.Run(fp, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	for _, workers := range []int{2, 4} {
-		r := NewRunner(testScale, 1)
+		r := NewRunner(testScale)
 		r.Workers = workers
 		var mu sync.Mutex
 		var progress []int
@@ -64,7 +64,7 @@ func TestShardedRunDeterminism(t *testing.T) {
 // serialises the CPI-stack map) must be deterministic, since trajectory
 // files are committed and diffed.
 func TestTrajectoryByteIdentity(t *testing.T) {
-	entry := runEntry(t, 1, "go/native/16K")
+	entry := runEntry(t, "go/native/16K")
 	dir := t.TempDir()
 	var files [2][]byte
 	for i := range files {
@@ -95,7 +95,7 @@ func TestTrajectoryByteIdentity(t *testing.T) {
 // concurrent RunWorkload calls on the same benchmark, so the memoised
 // image build, native baseline and compression paths all race-overlap.
 func TestShardedRunnerSharedSuite(t *testing.T) {
-	r := NewRunner(testScale, 1)
+	r := NewRunner(testScale)
 	workloads := []string{"go/native/16K", "go/dict/16K", "go/dict+rf/16K", "go/codepack+rf/16K"}
 	var wg sync.WaitGroup
 	errs := make(chan error, len(workloads)*2)

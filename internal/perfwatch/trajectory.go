@@ -12,6 +12,11 @@ import (
 //
 //	1 — initial format: {schema_version, host, entries:[{time,
 //	    fingerprint, samples:[{workload, version, sim, host}]}]}.
+//	    Additive since: samples' procs and fast stanzas, the
+//	    fingerprint's codecs. The samples' host stanza (wall times,
+//	    allocations) and the fingerprint's go_version, goos, goarch,
+//	    gomaxprocs, num_cpu, hostname and reps are no longer written;
+//	    the loader ignores them in older entries.
 //
 // Readers reject files with a newer major version than they understand;
 // additive changes (new fields) do not bump the version.

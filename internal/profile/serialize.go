@@ -76,6 +76,20 @@ func appendRecords(b []byte, n int, null bool, rec func([]byte, int) []byte) []b
 	return append(b, "\n  ]"...)
 }
 
+// AppendJSON appends w's members as encoding/json renders them
+// indented: sep is the comma, newline and indent between two of them.
+// The caller writes the braces around them; a timeline of millions of
+// windows is rendered one record at a time into a reused buffer.
+func (w *Window) AppendJSON(b []byte, sep string) []byte {
+	b = append(b, "\"index\": "...)
+	b = strconv.AppendInt(b, int64(w.Index), 10)
+	b = appendMember(append(b, sep...), "start_instr", w.StartInstr)
+	b = appendMember(append(b, sep...), "end_instr", w.EndInstr)
+	b = appendMember(append(b, sep...), "start_cycle", w.StartCycle)
+	b = appendMember(append(b, sep...), "end_cycle", w.EndCycle)
+	return appendCost(append(b, sep...), &w.Cost, sep)
+}
+
 // appendCost appends c's members one a line: sep is the comma, newline
 // and indent between two of them, and cpi_stack's elements sit one
 // level deeper.

@@ -7,7 +7,6 @@ package telemetry
 // report.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -45,22 +44,33 @@ func WriteTimelineCSV(w io.Writer, records []WindowRecord) error {
 	return err
 }
 
-// timelineFile is the JSON timeline export shape.
-type timelineFile struct {
-	SchemaVersion int            `json:"schema_version"`
-	WindowSize    uint64         `json:"window_size"`
-	Windows       []WindowRecord `json:"windows"`
-}
-
 // WriteTimelineJSON writes the windows as a schema-stamped JSON
-// document (the ReportSchema version: the timeline shipped with v3).
+// document (the ReportSchema version: the timeline shipped with v3):
+// {schema_version, window_size, windows}, indented two spaces as
+// encoding/json renders it (timeline_test.go keeps that rendering as
+// the oracle). Records are rendered into one reused buffer that is
+// written whenever it fills, so the document never sits in memory.
 func WriteTimelineJSON(w io.Writer, size uint64, records []WindowRecord) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if records == nil {
-		records = []WindowRecord{}
+	b := fmt.Appendf(make([]byte, 0, 64<<10), "{\n  \"schema_version\": %d,\n  \"window_size\": %d,\n  \"windows\": [",
+		ReportSchema, size)
+	for i := range records {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = records[i].AppendJSON(append(b, "\n    {\n      "...), ",\n      ")
+		b = append(b, "\n    }"...)
+		if len(b) > 60<<10 {
+			if _, err := w.Write(b); err != nil {
+				return err
+			}
+			b = b[:0]
+		}
 	}
-	return enc.Encode(timelineFile{SchemaVersion: ReportSchema, WindowSize: size, Windows: records})
+	if len(records) > 0 {
+		b = append(b, "\n  "...)
+	}
+	_, err := w.Write(append(b, "]\n}\n"...))
+	return err
 }
 
 // HotWindow is one entry of the phase summary's hottest-windows ranking.
