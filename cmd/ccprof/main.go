@@ -132,7 +132,7 @@ func main() {
 	man.SetConfig("icache_kb", fmt.Sprint(*icacheKB))
 	man.SetConfig("format", *format)
 
-	im, name, seed, err := loadImage(*bench, *scale, flag.Args(), man)
+	im, name, seed, encoded, err := loadImage(*bench, *scale, flag.Args(), man)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func main() {
 		}
 		opts := core.Options{Scheme: program.Scheme(*scheme), ShadowRF: *shadowRF}
 		if *selFrac > 0 {
-			prof, err := nativeProfile(im, cfg)
+			prof, _, err := selective.Profile(im, cfg)
 			if err != nil {
 				log.Fatalf("selective pre-run: %v", err)
 			}
@@ -159,9 +159,15 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		im = res.Image
+		im, encoded = res.Image, false
 	}
-	if err := man.AddImage("run-image", im); err != nil {
+	if encoded {
+		// The run image is the input file unchanged: its digest is the
+		// file's, already recorded.
+		in := man.Inputs[len(man.Inputs)-1]
+		in.Name = "run-image"
+		man.Inputs = append(man.Inputs, in)
+	} else if err := man.AddImage("run-image", im); err != nil {
 		log.Fatal(err)
 	}
 
@@ -185,7 +191,7 @@ func main() {
 	col.Windows = telemetry.NewWindowSampler(*window)
 	col.Recorder = profile.NewRecorder(im)
 	man.SetConfig("window", fmt.Sprint(col.Windows.Size))
-	prof, attr, rep, err := profiledRun(im, cfg, col, *foldPath != "")
+	attr, rep, err := profiledRun(im, cfg, col)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,7 +240,7 @@ func main() {
 		writeFile(*tracePath, func(f *os.File) error { return col.WriteChromeTrace(f, im) })
 	}
 	if *foldPath != "" {
-		writeFile(*foldPath, func(f *os.File) error { return telemetry.WriteFolded(f, prof) })
+		writeFile(*foldPath, func(f *os.File) error { return telemetry.WriteFolded(f, attr) })
 	}
 	if *heatPath != "" {
 		writeFile(*heatPath, func(f *os.File) error { return telemetry.WriteHeatmapCSV(f, col.IC, col.DC) })
@@ -259,8 +265,10 @@ func main() {
 // assembly or MiniC source file, or a linked image file. A file's bytes
 // are recorded in man and built or decoded from that one read. The
 // returned seed is the synthetic generator seed (0 for file targets),
-// recorded in the report's config stanza.
-func loadImage(bench string, scale float64, args []string, man *obs.Manifest) (*program.Image, string, int64, error) {
+// recorded in the report's config stanza; encoded reports an image
+// file, whose bytes are the image's encoding (program.Encode of a
+// decoded image gives back the bytes it was decoded from).
+func loadImage(bench string, scale float64, args []string, man *obs.Manifest) (im *program.Image, name string, seed int64, encoded bool, err error) {
 	if bench != "" {
 		for _, p := range synth.Benchmarks() {
 			if p.Name != bench {
@@ -269,19 +277,18 @@ func loadImage(bench string, scale float64, args []string, man *obs.Manifest) (*
 			if scale > 0 && scale != 1 {
 				p = p.Scale(scale)
 			}
-			im, err := synth.Build(p)
-			return im, bench, p.Seed, err
+			im, err = synth.Build(p)
+			return im, bench, p.Seed, false, err
 		}
-		return nil, "", 0, fmt.Errorf("unknown benchmark %q", bench)
+		return nil, "", 0, false, fmt.Errorf("unknown benchmark %q", bench)
 	}
 	path := args[0]
-	name := filepath.Base(path)
+	name = filepath.Base(path)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, "", 0, err
+		return nil, "", 0, false, err
 	}
 	man.AddInput(name, data)
-	var im *program.Image
 	switch {
 	case strings.HasSuffix(path, ".s"):
 		im, err = asm.Assemble(string(data))
@@ -289,8 +296,9 @@ func loadImage(bench string, scale float64, args []string, man *obs.Manifest) (*
 		im, err = minic.Compile(string(data))
 	default:
 		im, err = program.Decode(data)
+		encoded = true
 	}
-	return im, name, 0, err
+	return im, name, 0, encoded, err
 }
 
 // sampledRun is the -mode sampled tier: the image goes through the same
@@ -335,53 +343,28 @@ func sampledRun(im *program.Image, cfg cpu.Config, scfg fastpath.SampleConfig, n
 		100*float64(res.DetailedInstrs)/float64(res.TotalInstrs))
 }
 
-// nativeProfile runs the native image once to collect the per-procedure
-// profile that drives selective compression.
-func nativeProfile(im *program.Image, cfg cpu.Config) (*cpu.ProcProfile, error) {
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
-	c.Out = os.Stderr
-	if err := c.Load(im); err != nil {
-		return nil, err
-	}
-	if _, err := c.Run(); err != nil {
-		return nil, err
-	}
-	return prof, nil
-}
-
 // profiledRun executes im with the collector attached — its recorder
-// and window sampler share one attribution ledger — and, for -folded
-// only, the exec/miss profiler. It verifies the attribution invariant
-// on lines, procedures and windows at once (a violation is a simulator
-// bug, so it fails the run loudly) and digests the machine into a
-// report.
-func profiledRun(im *program.Image, cfg cpu.Config, col *telemetry.Collector, folded bool) (*cpu.ProcProfile, *profile.Profile, *telemetry.Report, error) {
+// and window sampler share one attribution ledger. It verifies the
+// attribution invariant on lines, procedures and windows at once (a
+// violation is a simulator bug, so it fails the run loudly) and digests
+// the machine into a report.
+func profiledRun(im *program.Image, cfg cpu.Config, col *telemetry.Collector) (*profile.Profile, *telemetry.Report, error) {
 	c, err := cpu.New(cfg)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	col.Attach(c)
-	var prof *cpu.ProcProfile
-	if folded {
-		prof = cpu.NewProcProfile(im)
-		c.Prof = prof
-	}
 	c.Out = os.Stderr
 	if err := c.Load(im); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if _, err := c.Run(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	if err := col.Recorder.Verify(); err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return prof, col.Recorder.Profile(), telemetry.NewReport(c, col), nil
+	return col.Recorder.Profile(), telemetry.NewReport(c, col), nil
 }
 
 // runDiff is the `ccprof diff` subcommand: load two profile artifacts,

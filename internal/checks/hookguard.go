@@ -17,8 +17,8 @@ import (
 // every invocation must be dominated by a nil check on the same
 // selector path.
 const (
-	defaultHookFields = "Tel,Obs,OnBurst,OnResolve,Trace,Prof,OnCommit,OnKey"
-	defaultHookTypes  = "TelemetrySink,Observer,Profiler"
+	defaultHookFields = "Tel,Obs,OnBurst,OnResolve,Trace,OnCommit,OnKey"
+	defaultHookTypes  = "TelemetrySink,Observer"
 )
 
 // HookGuard proves that every call through a telemetry/observer hook

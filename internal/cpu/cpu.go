@@ -128,21 +128,6 @@ func (s Stats) AvgExcCycles() float64 {
 // IMisses returns all non-speculative instruction-cache misses.
 func (s Stats) IMisses() uint64 { return s.IMissNative + s.IMissCompressed }
 
-// Profiler receives per-address execution and miss events; the selective
-// compression machinery uses it to build per-procedure profiles.
-type Profiler interface {
-	CountInstr(pc uint32)
-	CountMiss(pc uint32)
-}
-
-// CallProfiler is an optional extension of Profiler: implementations also
-// receive procedure-call events (jal/jalr), which the code-placement
-// optimiser uses to build the call-affinity graph.
-type CallProfiler interface {
-	Profiler
-	CountCall(from, to uint32)
-}
-
 // CPU is one simulated processor instance.
 type CPU struct {
 	Cfg Config
@@ -198,6 +183,10 @@ type CPU struct {
 	keyLo, keyHi uint64
 	cut          uint64
 	hdecLen      uint32
+	// calls counts user calls (jal, jalr) under the detailed policy by
+	// [call site, target], once CallEdges made it; only the call path
+	// reads it.
+	calls map[[2]uint32]uint64
 
 	// The functional policy's fetch source (see fstore.go). fsWord/fsOK
 	// are the materialised decompressed code over the compressed region,
@@ -227,7 +216,6 @@ type CPU struct {
 	// separate from Stats because those counters carry no timing
 	// meaning (fstore.go).
 	FStats FunctStats
-	Prof   Profiler
 	Out    io.Writer
 	// Trace, when set, receives every committed instruction (after
 	// execution): its address, encoding and whether it ran inside the

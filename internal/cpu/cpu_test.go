@@ -344,44 +344,3 @@ main:   b main
 		}
 	}
 }
-
-func TestProcProfileAttribution(t *testing.T) {
-	im, err := asm.Assemble(`
-        .text
-        .proc main
-main:   ori   $s0, $zero, 50
-loop:   jal   work
-        addiu $s0, $s0, -1
-        bgtz  $s0, loop
-        move  $a0, $zero
-        ori   $v0, $zero, 10
-        syscall
-        .endp
-        .proc work
-work:   ori   $t0, $zero, 3
-w1:     addiu $t0, $t0, -1
-        bgtz  $t0, w1
-        jr    $ra
-        .endp
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := New(DefaultConfig())
-	prof := NewProcProfile(im)
-	c.Prof = prof
-	if err := c.Load(im); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	mainExecs, _ := prof.ByName("main")
-	workExecs, _ := prof.ByName("work")
-	if workExecs <= mainExecs {
-		t.Fatalf("work (%d) should dominate main (%d)", workExecs, mainExecs)
-	}
-	if prof.TotalExecs() != c.Stats.Instrs {
-		t.Fatalf("profile total %d != committed %d", prof.TotalExecs(), c.Stats.Instrs)
-	}
-}

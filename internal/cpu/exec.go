@@ -240,9 +240,6 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 			if c.Tel != nil {
 				c.Tel.IFill(pc, start, uint64(stall), FillNative)
 			}
-			if c.Prof != nil && !c.inHandler {
-				c.Prof.CountMiss(pc)
-			}
 		}
 		if slot = c.IC.Slot(pc); slot < 0 {
 			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
@@ -319,9 +316,6 @@ func (c *CPU) hardwareFill(pc uint32) error {
 	if c.Tel != nil {
 		c.Tel.IFill(pc, start, uint64(stall), FillHardwareDecomp)
 	}
-	if c.Prof != nil && !c.inHandler {
-		c.Prof.CountMiss(pc)
-	}
 	return nil
 }
 
@@ -362,9 +356,6 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 	}
 	c.Stats.Cycles += uint64(c.Cfg.ExceptionEntry)
 	c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.ExceptionEntry)
-	if c.Prof != nil {
-		c.Prof.CountMiss(pc)
-	}
 	return nil
 }
 
@@ -390,9 +381,8 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		return c.budgetError()
 	}
 	var trace func(pc, instr uint32, handler bool)
-	var prof Profiler
 	if pol == detailed {
-		trace, prof = c.Trace, c.Prof
+		trace = c.Trace
 		if c.OnKey != nil {
 			c.observe()
 		}
@@ -484,8 +474,8 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			if pol == detailed {
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 			}
-			if prof != nil && !inH {
-				countCall(prof, pc, next)
+			if !inH && pol == detailed && c.calls != nil {
+				c.calls[[2]uint32{pc, next}]++
 			}
 		case pSyscall:
 			c.pc = pc // the unknown-syscall error names it
@@ -551,8 +541,8 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		case pJAL:
 			c.setr(r, 31, pc+4)
 			next = p.tgt
-			if prof != nil && !inH {
-				countCall(prof, pc, next)
+			if !inH && pol == detailed && c.calls != nil {
+				c.calls[[2]uint32{pc, next}]++
 			}
 
 		case pBEQ:
@@ -704,9 +694,6 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 
 		cycles += cyc
 		n++
-		if !inH && prof != nil {
-			prof.CountInstr(pc)
-		}
 		if n < lim {
 			if trace != nil { // the tracer sees Stats and PC() as of this commit
 				left, user = c.flush(inH, cycles, lu, n, left, user)
@@ -849,13 +836,6 @@ func illegalInstrError(w, pc uint32) error {
 		return fmt.Errorf("cpu: illegal cop0 rs %#x at %#x", isa.Rs(w), pc)
 	default:
 		return fmt.Errorf("cpu: illegal opcode %#x at %#x", isa.Op(w), pc)
-	}
-}
-
-// countCall reports a user call to prof, if it takes calls.
-func countCall(prof Profiler, from, to uint32) {
-	if cp, ok := prof.(CallProfiler); ok {
-		cp.CountCall(from, to)
 	}
 }
 

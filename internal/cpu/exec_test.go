@@ -1,11 +1,13 @@
 package cpu
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
+	"repro/internal/program"
 )
 
 // exitWith wraps a fragment with an exit(code-in-$a0) epilogue.
@@ -248,12 +250,15 @@ func TestTraceHookSeesInstructions(t *testing.T) {
 	}
 }
 
-func TestCallProfilerReceivesEdges(t *testing.T) {
-	im, err := asm.Assemble(`
-        .text
+// callProgram calls callee by jal and by jalr, five times each; its
+// .text sits at CompBase so buildCopyCompressed can compress it.
+const callProgram = `
+        .text 0x00800000
         .proc main
 main:   ori   $s0, $zero, 5
 loop:   jal   callee
+        la    $t9, callee
+        jalr  $t9
         addiu $s0, $s0, -1
         bgtz  $s0, loop
         move  $a0, $zero
@@ -263,26 +268,116 @@ loop:   jal   callee
         .proc callee
 callee: jr    $ra
         .endp
-`)
+`
+
+// callingHandler is copyHandler with a jal and a jalr inside the
+// handler: calls the handler makes are not the program's.
+const callingHandler = `
+        .section .decompressor, 0x7F000000
+        .proc __calling_handler
+__calling_handler:
+        jal   hbase              # k1 = line base
+        la    $t4, hnop
+        jalr  $t4
+        mfc0  $k0, $c0_dbase
+        subu  $t0, $k1, $k0
+        mfc0  $t1, $c0_dict
+        addu  $t1, $t1, $t0
+        addiu $t2, $k1, 32
+copy:   lw    $t3, 0($t1)
+        swic  $t3, 0($k1)
+        addiu $t1, $t1, 4
+        addiu $k1, $k1, 4
+        bne   $k1, $t2, copy
+        iret
+hbase:  mfc0  $k1, $c0_badva
+        srl   $k1, $k1, 5
+        sll   $k1, $k1, 5
+        jr    $ra
+hnop:   jr    $ra
+        .endp
+`
+
+// TestCallEdges checks the call counts CallEdges exposes: the detailed
+// policy counts every user jal and jalr by [call site, target]; a call
+// inside the decompression handler counts nothing, and neither does any
+// call under the functional or warm policy.
+func TestCallEdges(t *testing.T) {
+	nat, err := asm.Assemble(callProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := New(DefaultConfig())
-	prof := NewProcProfile(im)
-	c.Prof = prof
-	if err := c.Load(im); err != nil {
-		t.Fatal(err)
+	callee := nat.Symbols["callee"]
+	jalPC := nat.Symbols["loop"]
+	want := map[[2]uint32]uint64{
+		{jalPC, callee}:      5, // jal
+		{jalPC + 12, callee}: 5, // jalr, after the two words of la
 	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var total uint64
-	for k, v := range prof.Calls {
-		if prof.Procs[k[0]].Name == "main" && prof.Procs[k[1]].Name == "callee" {
-			total += v
+	edges := func(t *testing.T, im *program.Image, functional bool) map[[2]uint32]uint64 {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.Functional = functional
+		c, _ := New(cfg)
+		calls := c.CallEdges()
+		if err := c.Load(im); err != nil {
+			t.Fatal(err)
 		}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return calls
 	}
-	if total != 5 {
-		t.Fatalf("main->callee edges = %d, want 5", total)
-	}
+
+	t.Run("detailed", func(t *testing.T) {
+		if got := edges(t, nat, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("edges %v, want %v", got, want)
+		}
+	})
+	t.Run("handler", func(t *testing.T) {
+		im := buildCopyCompressed(t, callProgram, true)
+		h, err := asm.Assemble(callingHandler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range im.Segments {
+			if s.Name == program.SegDecompressor {
+				im.Segments[i] = h.Segment(program.SegDecompressor)
+			}
+		}
+		c, code := runImage(t, im)
+		if code != 0 || c.Stats.Exceptions == 0 {
+			t.Fatalf("exit %d after %d exceptions, want 0 after some", code, c.Stats.Exceptions)
+		}
+		if got := edges(t, im, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("edges %v, want the user program's %v", got, want)
+		}
+	})
+	t.Run("functional", func(t *testing.T) {
+		if got := edges(t, nat, true); len(got) != 0 {
+			t.Errorf("edges %v, want none", got)
+		}
+	})
+	t.Run("warm", func(t *testing.T) {
+		c, _ := New(DefaultConfig())
+		calls := c.CallEdges()
+		if err := c.Load(nat); err != nil {
+			t.Fatal(err)
+		}
+		// One detailed iteration brings every line in; then the warm
+		// policy runs the rest without a miss.
+		if _, err := c.RunDetailedFor(8); err != nil {
+			t.Fatal(err)
+		}
+		clear(calls)
+		halted, pending, err := c.RunFunctionalSampled(1000)
+		if err != nil || !halted || pending {
+			t.Fatalf("warm run: halted %v, pending %v, err %v; want a miss-free run to the exit", halted, pending, err)
+		}
+		if c.FStats.Instrs < 20 {
+			t.Fatalf("warm run retired %d instructions, want the remaining iterations", c.FStats.Instrs)
+		}
+		if len(calls) != 0 {
+			t.Errorf("edges %v, want none", calls)
+		}
+	})
 }

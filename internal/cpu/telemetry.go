@@ -166,6 +166,18 @@ func (c *CPU) AttachObserver(fn func() Key) {
 	}
 }
 
+// CallEdges returns the CPU's call counts, by [call site, target]: the
+// detailed policy counts every jal and jalr committed outside the
+// decompression handler. Counting starts with the first call of
+// CallEdges (profile.Recorder makes it when attached); every caller
+// shares the one map.
+func (c *CPU) CallEdges() map[[2]uint32]uint64 {
+	if c.calls == nil {
+		c.calls = make(map[[2]uint32]uint64)
+	}
+	return c.calls
+}
+
 // AttachTrace adds fn to the CPU's committed-instruction tracers.
 // Unlike assigning Trace directly, attaching composes: every previously
 // installed tracer keeps firing, in attach order — so the debugging ring

@@ -1,12 +1,10 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/selective"
@@ -15,61 +13,10 @@ import (
 // Spatial-attribution measurement: AttributedRun is MeasureRun's
 // profiled sibling (one fresh simulation with a profile.Recorder
 // attached, verified against both the attribution sum invariant and the
-// native output checksum), and ProfileGuided is the experiment it
-// enables — selective compression driven by measured attributed cycles
-// (selective.FromProfile) compared against the paper's exec- and
-// miss-count policies on the same benchmarks.
-
-// attributedRun executes an image with a Recorder attached and returns
-// the verified profile plus the run outcome. The recorder is a pure
-// observer, so stats and checksum are identical to an unprofiled run
-// (perfwatch asserts exactly that on every registry workload).
-func (s *Suite) attributedRun(im *program.Image, cacheKB int) (*profile.Profile, runOutcome, error) {
-	c, err := cpu.New(s.machine(cacheKB))
-	if err != nil {
-		return nil, runOutcome{}, err
-	}
-	var out bytes.Buffer
-	c.Out = &out
-	rec := profile.NewRecorder(im)
-	rec.Attach(c)
-	if err := c.Load(im); err != nil {
-		return nil, runOutcome{}, err
-	}
-	code, err := c.Run()
-	if err != nil {
-		return nil, runOutcome{}, err
-	}
-	if code != 0 {
-		return nil, runOutcome{}, fmt.Errorf("experiment: exit code %d", code)
-	}
-	if err := rec.Verify(); err != nil {
-		return nil, runOutcome{}, err
-	}
-	return rec.Profile(), runOutcome{stats: c.Stats, checksum: out.String()}, nil
-}
-
-// AttributedNative returns (caching) the native image's attribution
-// profile at the given cache size — the measured-cycle training input
-// for profile-guided selection and placement.
-func (s *Suite) AttributedNative(bench string, cacheKB int) (*profile.Profile, error) {
-	st, err := s.stateByName(bench)
-	if err != nil {
-		return nil, err
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if p, ok := st.attr[cacheKB]; ok {
-		return p, nil
-	}
-	p, _, err := s.attributedRun(st.image, cacheKB)
-	if err != nil {
-		return nil, fmt.Errorf("%s native attributed @%dKB: %v", st.profile.Name, cacheKB, err)
-	}
-	p.SetIdentity(st.profile.Name, "native")
-	st.attr[cacheKB] = p
-	return p, nil
-}
+// native output checksum), and ProfileGuided is the experiment the
+// native runs' attribution enables — selective compression driven by
+// measured attributed cycles (selective.ByCost) compared against the
+// paper's exec- and miss-count policies on the same benchmarks.
 
 // AttributedRun executes one fresh profiled simulation of bench at
 // cacheKB and returns the verified attribution profile: an empty
@@ -95,7 +42,7 @@ func (s *Suite) AttributedRun(bench string, opts core.Options, cacheKB int) (*pr
 		im = res.Image
 		scheme = string(opts.Scheme)
 	}
-	p, o, err := s.attributedRun(im, cacheKB)
+	o, err := s.runImage(im, cacheKB, true)
 	if err != nil {
 		return nil, fmt.Errorf("%s %s @%dKB: %v", bench, opts.Scheme, cacheKB, err)
 	}
@@ -103,20 +50,8 @@ func (s *Suite) AttributedRun(bench string, opts core.Options, cacheKB int) (*pr
 		return nil, fmt.Errorf("%s %s @%dKB: output %q, native baseline %q",
 			bench, opts.Scheme, cacheKB, o.checksum, nat.checksum)
 	}
-	p.SetIdentity(bench, scheme)
-	return p, nil
-}
-
-// SelectByProfile returns the procedures profile-guided selection keeps
-// native for bench at the coverage fraction, ranked by measured
-// attributed cost from the native training run at the paper's 16KB
-// baseline (the measured-cycle analogue of SelectNative).
-func (s *Suite) SelectByProfile(bench string, fraction float64) (map[string]bool, error) {
-	p, err := s.AttributedNative(bench, 16)
-	if err != nil {
-		return nil, err
-	}
-	return selective.FromProfile(p, fraction), nil
+	o.prof.SetIdentity(bench, scheme)
+	return o.prof, nil
 }
 
 // ProfileGuidedRow is one point of the selection-policy comparison.
@@ -134,7 +69,7 @@ type ProfileGuidedRow struct {
 var profileGuidedThresholds = []float64{0.05, 0.20, 0.50}
 
 // ProfileGuided compares profile-guided selection (measured attributed
-// cycles, selective.FromProfile) against the paper's execution- and
+// cycles, selective.ByCost) against the paper's execution- and
 // miss-count policies: the same dictionary scheme, the same coverage
 // thresholds, selection driven by three different rankings of the same
 // native training run.
@@ -149,22 +84,12 @@ func (s *Suite) ProfileGuided() ([]ProfileGuidedRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof := st.profileAt(16)
-		attr, err := s.AttributedNative(p.Name, 16)
-		if err != nil {
-			return nil, err
-		}
 		for _, th := range profileGuidedThresholds {
-			for _, policy := range []string{"exec", "miss", "profile"} {
-				var sel map[string]bool
-				switch policy {
-				case "exec":
-					sel = selective.Select(prof, selective.ByExecution, th)
-				case "miss":
-					sel = selective.Select(prof, selective.ByMisses, th)
-				case "profile":
-					sel = selective.FromProfile(attr, th)
-				}
+			for _, policy := range []struct {
+				name string
+				by   selective.Policy
+			}{{"exec", selective.ByExecution}, {"miss", selective.ByMisses}, {"profile", selective.ByCost}} {
+				sel := selective.Select(nat.prof, policy.by, th)
 				if len(sel) >= len(st.image.Procs) {
 					continue // nothing left to compress at this coverage
 				}
@@ -175,7 +100,7 @@ func (s *Suite) ProfileGuided() ([]ProfileGuidedRow, error) {
 				}
 				rows = append(rows, ProfileGuidedRow{
 					Bench:     p.Name,
-					Policy:    policy,
+					Policy:    policy.name,
 					Threshold: th,
 					Ratio:     res.Ratio(),
 					Slowdown:  slowdown(o, nat),

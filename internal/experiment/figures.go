@@ -117,13 +117,12 @@ func (s *Suite) Figure5() ([]Fig5Curve, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof := st.profileAt(16)
 		for _, scheme := range []program.Scheme{program.SchemeDict, program.SchemeCodePack} {
 			for _, policy := range []selective.Policy{selective.ByExecution, selective.ByMisses} {
 				curve := Fig5Curve{Bench: p.Name, Scheme: scheme, Policy: policy}
 				thresholds := append([]float64{0}, selective.Thresholds...)
 				for _, th := range thresholds {
-					sel := selective.Select(prof, policy, th)
+					sel := selective.Select(nat.prof, policy, th)
 					if len(sel) >= len(st.image.Procs) {
 						continue // nothing left to compress
 					}

@@ -35,10 +35,9 @@ func (s *Suite) Placement() ([]PlacementRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		prof := st.profileAt(16)
-		order := placement.Order(prof)
+		order := placement.Order(nat.prof)
 		for _, th := range []float64{0, 0.20} {
-			sel := selective.Select(prof, selective.ByMisses, th)
+			sel := selective.Select(nat.prof, selective.ByMisses, th)
 			if len(sel) >= len(st.image.Procs) {
 				continue
 			}

@@ -62,17 +62,16 @@ type benchState struct {
 	profile synth.Profile
 	image   *program.Image
 
-	mu       sync.Mutex         // guards the memo maps below
-	native   map[int]runOutcome // by I-cache KB
-	profiles map[int]*cpu.ProcProfile
-	attr     map[int]*profile.Profile // native attribution profiles by I-cache KB
-	results  map[string]*core.Result  // by optionsKey
-	runs     map[string]runOutcome    // verified compressed runs, by runKey
+	mu      sync.Mutex              // guards the memo maps below
+	native  map[int]runOutcome      // attributed, by I-cache KB
+	results map[string]*core.Result // by optionsKey
+	runs    map[string]runOutcome   // verified compressed runs, by runKey
 }
 
 type runOutcome struct {
 	stats    cpu.Stats
 	checksum string
+	prof     *profile.Profile // the verified attribution of an attributed run
 }
 
 // NewSuite returns a Suite with the given dynamic scale.
@@ -118,8 +117,6 @@ func (s *Suite) state(p synth.Profile) (*benchState, error) {
 		st.profile = scaled
 		st.image = im
 		st.native = make(map[int]runOutcome)
-		st.profiles = make(map[int]*cpu.ProcProfile)
-		st.attr = make(map[int]*profile.Profile)
 		st.results = make(map[string]*core.Result)
 		st.runs = make(map[string]runOutcome)
 	})
@@ -137,7 +134,9 @@ func (s *Suite) machine(cacheKB int) cpu.Config {
 }
 
 // runImage executes an image and returns its stats and checksum output.
-func (s *Suite) runImage(im *program.Image, cacheKB int, prof cpu.Profiler) (runOutcome, error) {
+// An attributed run carries a profile.Recorder, a pure observer, and
+// returns its profile once the attribution invariant is verified.
+func (s *Suite) runImage(im *program.Image, cacheKB int, attributed bool) (runOutcome, error) {
 	s.sims.Add(1)
 	c, err := cpu.New(s.machine(cacheKB))
 	if err != nil {
@@ -145,7 +144,11 @@ func (s *Suite) runImage(im *program.Image, cacheKB int, prof cpu.Profiler) (run
 	}
 	var out bytes.Buffer
 	c.Out = &out
-	c.Prof = prof
+	var rec *profile.Recorder
+	if attributed {
+		rec = profile.NewRecorder(im)
+		rec.Attach(c)
+	}
 	if err := c.Load(im); err != nil {
 		return runOutcome{}, err
 	}
@@ -156,36 +159,34 @@ func (s *Suite) runImage(im *program.Image, cacheKB int, prof cpu.Profiler) (run
 	if code != 0 {
 		return runOutcome{}, fmt.Errorf("experiment: exit code %d", code)
 	}
-	return runOutcome{stats: c.Stats, checksum: out.String()}, nil
+	o := runOutcome{stats: c.Stats, checksum: out.String()}
+	if rec != nil {
+		if err := rec.Verify(); err != nil {
+			return runOutcome{}, err
+		}
+		o.prof = rec.Profile()
+	}
+	return o, nil
 }
 
-// nativeRun returns (caching) the native baseline at the given cache size,
-// collecting the per-procedure profile as a side effect. The lock is held
-// across the run so concurrent shards asking for the same baseline share
-// one simulation instead of racing to duplicate it.
+// nativeRun returns (caching) the attributed native baseline at the
+// given cache size: its profile is the training input of selection and
+// placement, read-only once cached. The lock is held across the run so
+// concurrent shards asking for the same baseline share one simulation
+// instead of racing to duplicate it.
 func (s *Suite) nativeRun(st *benchState, cacheKB int) (runOutcome, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if o, ok := st.native[cacheKB]; ok {
 		return o, nil
 	}
-	prof := cpu.NewProcProfile(st.image)
-	o, err := s.runImage(st.image, cacheKB, prof)
+	o, err := s.runImage(st.image, cacheKB, true)
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("%s native @%dKB: %v", st.profile.Name, cacheKB, err)
 	}
+	o.prof.SetIdentity(st.profile.Name, "native")
 	st.native[cacheKB] = o
-	st.profiles[cacheKB] = prof
 	return o, nil
-}
-
-// profileAt returns the cached per-procedure profile collected by
-// nativeRun at the given cache size (nil if that baseline never ran).
-// The returned profile is read-only after its collecting run finishes.
-func (st *benchState) profileAt(cacheKB int) *cpu.ProcProfile {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.profiles[cacheKB]
 }
 
 // optionsKey names every field of core.Options that changes the
@@ -247,7 +248,7 @@ func (s *Suite) compressedRun(st *benchState, opts core.Options, cacheKB int) (r
 	if o, ok := st.runs[key]; ok {
 		return o, res, nil
 	}
-	o, err := s.runImage(res.Image, cacheKB, nil)
+	o, err := s.runImage(res.Image, cacheKB, false)
 	if err != nil {
 		return runOutcome{}, nil, fmt.Errorf("%s %s @%dKB: %v", st.profile.Name, opts.Scheme, cacheKB, err)
 	}

@@ -25,7 +25,7 @@ func distinctRuns(t *testing.T, st *benchState) map[string]bool {
 			}
 		}
 	}
-	prof := st.profileAt(16)
+	prof := st.native[16].prof
 	if prof == nil {
 		t.Fatal("no 16KB native profile")
 	}
@@ -99,6 +99,35 @@ func TestSuiteRunsEachConfigurationOnce(t *testing.T) {
 		if d := s.sims.Load() - before; d != 1 {
 			t.Errorf("MeasureRun call %d ran %d simulations, want 1", i, d)
 		}
+	}
+}
+
+// TestProfileGuidedRunsNativeOnce checks that the three selection
+// rankings of ProfileGuided read one attributed 16KB native run: the
+// suite simulates it once, plus each distinct compressed configuration,
+// and an AttributedRun is a simulation the count sees.
+func TestProfileGuidedRunsNativeOnce(t *testing.T) {
+	s := NewSuite(0.02)
+	s.Only = []string{"go"}
+	if _, err := s.ProfileGuided(); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := s.namedState("go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.native) != 1 || st.native[16].prof == nil {
+		t.Fatalf("native runs %v, want one attributed 16KB run", st.native)
+	}
+	if got, want := s.sims.Load(), int64(1+len(st.runs)); got != want {
+		t.Fatalf("simulations = %d, want 1 native + %d compressed = %d", got, len(st.runs), want)
+	}
+	before := s.sims.Load()
+	if _, err := s.AttributedRun("go", core.Options{}, 16); err != nil {
+		t.Fatal(err)
+	}
+	if d := s.sims.Load() - before; d != 1 {
+		t.Errorf("AttributedRun ran %d simulations, want 1", d)
 	}
 }
 

@@ -35,10 +35,11 @@ func (s *Suite) SelectNative(bench string, policy selective.Policy, fraction flo
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.nativeRun(st, 16); err != nil {
+	nat, err := s.nativeRun(st, 16)
+	if err != nil {
 		return nil, err
 	}
-	return selective.Select(st.profileAt(16), policy, fraction), nil
+	return selective.Select(nat.prof, policy, fraction), nil
 }
 
 // MeasureRun executes one fresh simulation of bench at cacheKB and
@@ -64,7 +65,7 @@ func (s *Suite) MeasureRun(bench string, opts core.Options, cacheKB int) (cpu.St
 		}
 		im = res.Image
 	}
-	o, err := s.runImage(im, cacheKB, nil)
+	o, err := s.runImage(im, cacheKB, false)
 	if err != nil {
 		return cpu.Stats{}, fmt.Errorf("%s %s @%dKB: %v", bench, opts.Scheme, cacheKB, err)
 	}

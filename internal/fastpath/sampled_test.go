@@ -50,18 +50,8 @@ func buildRegistryImage(t *testing.T, w perfwatch.Workload, scale float64) *prog
 		cfg := cpu.DefaultConfig()
 		cfg.ICache.SizeBytes = 16 * 1024
 		cfg.MaxInstr = 2_000_000_000
-		c, err := cpu.New(cfg)
+		prof, _, err := selective.Profile(im, cfg)
 		if err != nil {
-			t.Fatal(err)
-		}
-		prof := cpu.NewProcProfile(im)
-		c.Prof = prof
-		var out bytes.Buffer
-		c.Out = &out
-		if err := c.Load(im); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Run(); err != nil {
 			t.Fatal(err)
 		}
 		opts.NativeProcs = selective.Select(prof, selective.ByMisses, w.SelectFrac)

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -107,8 +108,8 @@ func TestSelectiveCompressionOnCompiledCode(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	cfg.MaxInstr = 100_000_000
 	c, _ := cpu.New(cfg)
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
+	rec := profile.NewRecorder(im)
+	rec.Attach(c)
 	var out bytes.Buffer
 	c.Out = &out
 	if err := c.Load(im); err != nil {
@@ -118,8 +119,8 @@ func TestSelectiveCompressionOnCompiledCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	// safe() is the inner loop: it must dominate the execution profile.
-	safeExecs, _ := prof.ByName("safe")
-	mainExecs, _ := prof.ByName("main")
+	prof := rec.Profile()
+	safeExecs, mainExecs := prof.ProcByName("safe").Instrs, prof.ProcByName("main").Instrs
 	if safeExecs <= mainExecs {
 		t.Fatalf("safe (%d) should out-execute main (%d)", safeExecs, mainExecs)
 	}

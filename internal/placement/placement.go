@@ -11,7 +11,7 @@ package placement
 import (
 	"sort"
 
-	"repro/internal/cpu"
+	"repro/internal/profile"
 )
 
 // Order computes a procedure order from the profile's call-affinity graph
@@ -24,9 +24,13 @@ import (
 //  4. remaining chains are emitted by descending total execution weight.
 //
 // The returned slice lists procedure names in layout order and always
-// contains every procedure of the profile exactly once.
-func Order(prof *cpu.ProcProfile) []string {
+// contains every procedure of the profile exactly once (the outside
+// bucket is not a procedure).
+func Order(prof *profile.Profile) []string {
 	n := len(prof.Procs)
+	if n > 0 && prof.Procs[n-1].Name == profile.OutsideName {
+		n--
+	}
 	chains := make([][]int, n)
 	where := make([]int, n) // procedure -> chain id (-1 = consumed)
 	for i := 0; i < n; i++ {
@@ -103,7 +107,7 @@ func Order(prof *cpu.ProcProfile) []string {
 		}
 		var w uint64
 		for _, p := range ch {
-			w += prof.Execs[p]
+			w += prof.Procs[p].Instrs
 		}
 		out = append(out, scored{id, w})
 	}

@@ -4,14 +4,15 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/cpu"
-	"repro/internal/program"
+	"repro/internal/profile"
 )
 
-func profileWith(names []string, execs []uint64, calls map[[2]int]uint64) *cpu.ProcProfile {
-	p := &cpu.ProcProfile{Execs: execs, Misses: make([]uint64, len(names)), Calls: calls}
+func profileWith(names []string, execs []uint64, calls map[[2]int]uint64) *profile.Profile {
+	p := &profile.Profile{Calls: calls}
 	for i, n := range names {
-		p.Procs = append(p.Procs, program.Procedure{Name: n, Addr: uint32(0x400000 + 64*i), Size: 64})
+		pc := profile.ProcCost{Name: n, Addr: uint32(0x400000 + 64*i)}
+		pc.Instrs = execs[i]
+		p.Procs = append(p.Procs, pc)
 	}
 	return p
 }
@@ -42,6 +43,19 @@ func TestOrderCoversEveryProcedureOnce(t *testing.T) {
 		if sorted[i] != want[i] {
 			t.Fatalf("order %v is not a permutation", order)
 		}
+	}
+}
+
+// TestOrderSkipsOutsideBucket: the outside bucket collects commits at
+// no procedure, so it has no place in a layout.
+func TestOrderSkipsOutsideBucket(t *testing.T) {
+	prof := profileWith(
+		[]string{"a", "b", profile.OutsideName},
+		[]uint64{1, 2, 1000},
+		map[[2]int]uint64{{0, 1}: 3},
+	)
+	if got := Order(prof); len(got) != 2 || indexOf(got, profile.OutsideName) >= 0 {
+		t.Fatalf("order = %v, want a and b only", got)
 	}
 }
 

@@ -80,6 +80,9 @@ type Ledger struct {
 	// Attach to the procedure table's lines, so keying a line seen
 	// before takes no map lookup.
 	recent []*bucket
+	// calls is the machine's call counts by [call site, target]
+	// (cpu.CPU.CallEdges); views fold them into procedure pairs.
+	calls map[[2]uint32]uint64
 }
 
 // bucket is the cost charged to one line ∩ procedure interval.
@@ -154,6 +157,7 @@ func (l *Ledger) Attach(c *cpu.CPU) {
 			n <<= 1
 		}
 		l.recent = make([]*bucket, n)
+		l.calls = c.CallEdges()
 	}
 	c.AttachObserver(l.callout)
 }
@@ -469,5 +473,21 @@ func (r *Recorder) Profile() *Profile {
 	if out := procs[len(r.im.Procs)]; !out.IsZero() {
 		p.Procs = append(p.Procs, ProcCost{Name: OutsideName, Cost: out})
 	}
+	p.Calls = r.procCalls()
 	return p
+}
+
+// procCalls folds the machine's call counts into procedure pairs,
+// indexed as Profile.Procs; a call from or to an address outside the
+// procedure table is left out.
+func (r *Recorder) procCalls() map[[2]int]uint64 {
+	calls := make(map[[2]int]uint64)
+	for k, n := range r.calls {
+		from, _, _ := r.procSpan(k[0])
+		to, _, _ := r.procSpan(k[1])
+		if from < len(r.im.Procs) && to < len(r.im.Procs) {
+			calls[[2]int{from, to}] += n
+		}
+	}
+	return calls
 }

@@ -9,7 +9,7 @@ import (
 // aggregate, as if a single recorder had observed every run. It is
 // associative and commutative — counter fields sum, ExcCyclesMax
 // max-merges, line records union by address, procedure records align by
-// name — so a sharded collection merges byte-identically to a serial
+// name and call counts sum by caller and callee name — so a sharded collection merges byte-identically to a serial
 // one regardless of shard order or grouping (merge_test.go proves it).
 //
 // Identity fields (image, scheme) survive only when every part agrees;
@@ -28,6 +28,7 @@ func Merge(parts ...*Profile) (*Profile, error) {
 	}
 	lines := make(map[uint32]Cost)
 	procs := make(map[string]*ProcCost)
+	calls := make(map[[2]string]uint64)
 	var procOrder []string
 	for _, p := range parts {
 		if p.SchemaVersion != first.SchemaVersion {
@@ -59,6 +60,9 @@ func Merge(parts ...*Profile) (*Profile, error) {
 			}
 			b.Cost.Add(pr.Cost)
 		}
+		for k, n := range p.Calls {
+			calls[[2]string{p.Procs[k[0]].Name, p.Procs[k[1]].Name}] += n
+		}
 	}
 	addrs := make([]uint32, 0, len(lines))
 	for a := range lines {
@@ -83,12 +87,18 @@ func Merge(parts ...*Profile) (*Profile, error) {
 		}
 		return a.Name < b.Name
 	})
+	index := make(map[string]int, len(procOrder))
 	for _, name := range procOrder {
 		pr := procs[name]
 		if pr.Name == OutsideName && pr.Cost.IsZero() {
 			continue
 		}
+		index[name] = len(out.Procs)
 		out.Procs = append(out.Procs, *pr)
+	}
+	out.Calls = make(map[[2]int]uint64, len(calls))
+	for k, n := range calls {
+		out.Calls[[2]int{index[k[0]], index[k[1]]}] = n
 	}
 	return out, nil
 }

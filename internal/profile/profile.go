@@ -125,7 +125,7 @@ func (c Cost) DecompCycles() uint64 {
 
 // MissCost returns the cycles attributable to instruction delivery:
 // decompression work plus hardware fetch stalls. This is the measured
-// quantity FromProfile ranks procedures by.
+// quantity selective.ByCost ranks procedures by.
 func (c Cost) MissCost() uint64 {
 	return c.DecompCycles() + c.CPIStack[cpu.CycleFetchStall]
 }
@@ -201,6 +201,13 @@ type Profile struct {
 	// Manifest is the embedded run provenance (timing-free form), set by
 	// SetManifest.
 	Manifest *obs.Manifest `json:"manifest,omitempty"`
+
+	// Calls counts the run's user calls (jal, jalr) between procedure
+	// pairs, keyed by [caller, callee] index into Procs: the affinity
+	// graph of placement.Order and the stacks of telemetry.WriteFolded.
+	// It is not part of the serialized artifact, so a loaded profile
+	// has none.
+	Calls map[[2]int]uint64 `json:"-"`
 }
 
 // SetIdentity records what ran.

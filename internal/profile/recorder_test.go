@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -272,5 +273,93 @@ func TestVerifyCatchesDrift(t *testing.T) {
 	}
 	if want := "attribution invariant"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("error %q does not mention %q", err, want)
+	}
+}
+
+// callerSrc calls work 50 times from main, by jal, and once by jalr.
+const callerSrc = `
+        .text
+        .proc main
+main:   ori   $s0, $zero, 50
+loop:   jal   work
+        addiu $s0, $s0, -1
+        bgtz  $s0, loop
+        la    $t9, work
+        jalr  $t9
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+        .proc work
+work:   ori   $t0, $zero, 3
+w1:     addiu $t0, $t0, -1
+        bgtz  $t0, w1
+        jr    $ra
+        .endp
+`
+
+// TestRecorderProcAttribution checks the procedure view selection and
+// placement read: each procedure's user instructions and misses, summing
+// to the run's, and the call edges folded into procedure pairs, the
+// same natively and compressed (the handler's own commits count as no
+// user instruction and no call).
+func TestRecorderProcAttribution(t *testing.T) {
+	im := assemble(t, callerSrc)
+	for _, scheme := range []string{"native", "dict"} {
+		run := im
+		if scheme != "native" {
+			run = compress(t, im, scheme)
+		}
+		r, c := runProfiled(t, scheme, run, nil)
+		p := r.Profile()
+		main, work := p.ProcByName("main"), p.ProcByName("work")
+		if work.Instrs <= main.Instrs {
+			t.Errorf("%s: work (%d) should dominate main (%d)", scheme, work.Instrs, main.Instrs)
+		}
+		var instrs, misses uint64
+		for _, pr := range p.Procs {
+			instrs += pr.Instrs
+			misses += pr.IMissNative + pr.IMissCompressed
+		}
+		if instrs != c.Stats.Instrs || misses != c.Stats.IMisses() || misses == 0 {
+			t.Errorf("%s: procedures hold %d instrs and %d misses, the run %d and %d",
+				scheme, instrs, misses, c.Stats.Instrs, c.Stats.IMisses())
+		}
+		if want := map[[2]int]uint64{{0, 1}: 51}; !reflect.DeepEqual(p.Calls, want) {
+			t.Errorf("%s: calls %v, want main→work 51", scheme, p.Calls)
+		}
+	}
+}
+
+// TestRecorderCallsMergeNotSerialized: call edges sum under Merge, as if
+// one recorder had seen every run, and stay out of the artifact.
+func TestRecorderCallsMergeNotSerialized(t *testing.T) {
+	r, _ := runProfiled(t, "native", assemble(t, callerSrc), nil)
+	p := r.Profile()
+	m, err := Merge(p, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[[2]int]uint64{{0, 1}: 102}; !reflect.DeepEqual(m.Calls, want) {
+		t.Errorf("merged calls %v, want main→work 102", m.Calls)
+	}
+	bare := *p
+	bare.Calls = nil
+	var with, without bytes.Buffer
+	if err := p.WriteJSON(&with); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.WriteJSON(&without); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(with.Bytes(), without.Bytes()) {
+		t.Error("call edges changed the JSON artifact")
+	}
+	loaded, err := Read(bytes.NewReader(with.Bytes()), "p.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if loaded.Calls != nil {
+		t.Errorf("a loaded profile has calls %v, want none", loaded.Calls)
 	}
 }

@@ -2,12 +2,19 @@
 // a per-procedure profile, it chooses which procedures stay as native code
 // so that decompression overhead is controlled at a cost in code size.
 //
-// Two selection policies are provided, matching the paper:
+// Three selection policies rank the procedures of one profile.Profile:
 //
-//   - execution-based: procedures are ranked by dynamic instruction count
-//     (the policy used by MIPS16/Thumb-style systems), and
-//   - miss-based: procedures are ranked by non-speculative I-cache misses,
-//     which models the actual cost path of a cache-line decompressor.
+//   - execution-based: by dynamic instruction count (the policy used by
+//     MIPS16/Thumb-style systems),
+//   - miss-based: by non-speculative I-cache misses, which models the
+//     actual cost path of a cache-line decompressor (both are the
+//     paper's), and
+//   - cost-based: by measured instruction-delivery cycles
+//     (profile.Cost.MissCost) — decompression handler cycles, exception
+//     service and hardware fetch stalls, the quantity keeping a
+//     procedure native actually removes. On a native training run the
+//     fetch stalls alone rank the miss-dominated procedures, weighted by
+//     how long each miss really stalled the machine.
 package selective
 
 import (
@@ -17,6 +24,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/cpu"
+	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -27,13 +35,28 @@ type Policy int
 const (
 	ByExecution Policy = iota
 	ByMisses
+	ByCost
 )
 
 func (p Policy) String() string {
-	if p == ByMisses {
+	switch p {
+	case ByMisses:
 		return "miss"
+	case ByCost:
+		return "cost"
 	}
 	return "exec"
+}
+
+// metric is the quantity the policy ranks a procedure by.
+func (p Policy) metric(c *profile.Cost) uint64 {
+	switch p {
+	case ByMisses:
+		return c.IMissNative + c.IMissCompressed
+	case ByCost:
+		return c.MissCost()
+	}
+	return c.Instrs
 }
 
 // Thresholds are the coverage fractions the paper evaluates (§3.3): the
@@ -43,42 +66,41 @@ var Thresholds = []float64{0.05, 0.10, 0.15, 0.20, 0.50}
 
 // Select returns the names of the procedures to keep as native code: the
 // highest-ranked procedures whose cumulative metric first reaches
-// fraction * total. fraction <= 0 selects nothing.
-func Select(prof *cpu.ProcProfile, policy Policy, fraction float64) map[string]bool {
+// fraction * total. fraction <= 0 selects nothing, and neither a
+// procedure whose metric is zero nor the outside bucket is ever
+// selected. Ties break by procedure address.
+func Select(prof *profile.Profile, policy Policy, fraction float64) map[string]bool {
 	selected := make(map[string]bool)
-	if fraction <= 0 {
+	if fraction <= 0 || prof == nil {
 		return selected
 	}
-	metric := prof.Execs
-	if policy == ByMisses {
-		metric = prof.Misses
-	}
+	var procs []profile.ProcCost
 	var total uint64
-	for _, v := range metric {
-		total += v
+	for _, pr := range prof.Procs {
+		if pr.Name != profile.OutsideName {
+			procs = append(procs, pr)
+			total += policy.metric(&pr.Cost)
+		}
 	}
 	if total == 0 {
 		return selected
 	}
-	order := make([]int, len(prof.Procs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		i, j := order[a], order[b]
-		if metric[i] != metric[j] {
-			return metric[i] > metric[j]
+	sort.SliceStable(procs, func(i, j int) bool {
+		mi, mj := policy.metric(&procs[i].Cost), policy.metric(&procs[j].Cost)
+		if mi != mj {
+			return mi > mj
 		}
-		return prof.Procs[i].Addr < prof.Procs[j].Addr
+		return procs[i].Addr < procs[j].Addr
 	})
 	goal := fraction * float64(total)
 	var cum float64
-	for _, i := range order {
-		if metric[i] == 0 || cum >= goal {
+	for i := range procs {
+		m := policy.metric(&procs[i].Cost)
+		if m == 0 || cum >= goal {
 			break
 		}
-		selected[prof.Procs[i].Name] = true
-		cum += float64(metric[i])
+		selected[procs[i].Name] = true
+		cum += float64(m)
 	}
 	return selected
 }
@@ -88,13 +110,13 @@ func Select(prof *cpu.ProcProfile, policy Policy, fraction float64) map[string]b
 // The paper gathers both execution and miss profiles from the original
 // (native) program; note §5.3's caveat that re-laying the program out
 // changes the miss profile — which is exactly what the experiments show.
-func Profile(im *program.Image, cfg cpu.Config) (*cpu.ProcProfile, cpu.Stats, error) {
+func Profile(im *program.Image, cfg cpu.Config) (*profile.Profile, cpu.Stats, error) {
 	c, err := cpu.New(cfg)
 	if err != nil {
 		return nil, cpu.Stats{}, err
 	}
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
+	rec := profile.NewRecorder(im)
+	rec.Attach(c)
 	c.Out = io.Discard
 	if err := c.Load(im); err != nil {
 		return nil, cpu.Stats{}, err
@@ -102,7 +124,7 @@ func Profile(im *program.Image, cfg cpu.Config) (*cpu.ProcProfile, cpu.Stats, er
 	if _, err := c.Run(); err != nil {
 		return nil, cpu.Stats{}, fmt.Errorf("selective: profiling run: %v", err)
 	}
-	return prof, c.Stats, nil
+	return rec.Profile(), c.Stats, nil
 }
 
 // DeadCode returns the procedures the static analyzer proves
@@ -131,23 +153,4 @@ func PruneDead(selected map[string]bool, im *program.Image) []string {
 	}
 	sort.Strings(dropped)
 	return dropped
-}
-
-// Coverage reports the fraction of the metric covered by the selection.
-func Coverage(prof *cpu.ProcProfile, policy Policy, selected map[string]bool) float64 {
-	metric := prof.Execs
-	if policy == ByMisses {
-		metric = prof.Misses
-	}
-	var total, cov uint64
-	for i := range prof.Procs {
-		total += metric[i]
-		if selected[prof.Procs[i].Name] {
-			cov += metric[i]
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(cov) / float64(total)
 }

@@ -8,14 +8,43 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/cpu"
-	"repro/internal/program"
+	"repro/internal/profile"
 )
 
-// profileOf builds a synthetic profile directly.
-func profileOf(names []string, execs, misses []uint64) *cpu.ProcProfile {
-	p := &cpu.ProcProfile{Execs: execs, Misses: misses}
+// profileOf builds a synthetic profile directly: each procedure's
+// misses are split between native fills and decompression exceptions
+// (the miss policy ranks their sum), and each miss stalls fetch for 7
+// cycles.
+func profileOf(names []string, execs, misses []uint64) *profile.Profile {
+	p := &profile.Profile{}
 	for i, n := range names {
-		p.Procs = append(p.Procs, program.Procedure{Name: n, Addr: uint32(0x400000 + 64*i), Size: 64})
+		pc := profile.ProcCost{Name: n, Addr: uint32(0x400000 + 64*i)}
+		pc.Instrs = execs[i]
+		pc.IMissNative, pc.IMissCompressed = misses[i]-misses[i]/2, misses[i]/2
+		pc.CPIStack[cpu.CycleFetchStall] = 7 * misses[i]
+		p.Procs = append(p.Procs, pc)
+	}
+	return p
+}
+
+// attrProfile builds a profile whose procedures cost the given
+// instruction-delivery cycles, spread over handler, exception-service
+// and fetch-stall cycles.
+func attrProfile(costs map[string]uint64) *profile.Profile {
+	p := &profile.Profile{SchemaVersion: profile.ArtifactSchema, LineBytes: 32}
+	addr := uint32(0x00400000)
+	for _, name := range []string{"hot", "warm", "cold", "idle"} {
+		m, ok := costs[name]
+		if !ok {
+			continue
+		}
+		var c profile.Cost
+		c.CPIStack[cpu.CycleHandler] = m / 2
+		c.CPIStack[cpu.CycleExcService] = m / 4
+		c.CPIStack[cpu.CycleFetchStall] = m - m/2 - m/4
+		c.Cycles = m
+		p.Procs = append(p.Procs, profile.ProcCost{Name: name, Addr: addr, Cost: c})
+		addr += 0x100
 	}
 	return p
 }
@@ -86,21 +115,6 @@ func TestSelectSkipsZeroCountProcs(t *testing.T) {
 	}
 }
 
-func TestCoverage(t *testing.T) {
-	prof := profileOf(
-		[]string{"a", "b"},
-		[]uint64{750, 250},
-		[]uint64{0, 0},
-	)
-	cov := Coverage(prof, ByExecution, map[string]bool{"a": true})
-	if cov != 0.75 {
-		t.Fatalf("coverage = %f", cov)
-	}
-	if Coverage(prof, ByMisses, map[string]bool{"a": true}) != 0 {
-		t.Fatal("zero-metric coverage must be 0")
-	}
-}
-
 func TestProfileEndToEnd(t *testing.T) {
 	im, err := asm.Assemble(`
         .text
@@ -132,8 +146,7 @@ w1:     addiu $t0, $t0, -1
 	if stats.Instrs == 0 {
 		t.Fatal("no instructions profiled")
 	}
-	we, _ := prof.ByName("work")
-	me, _ := prof.ByName("main")
+	we, me := prof.ProcByName("work").Instrs, prof.ProcByName("main").Instrs
 	if we <= me {
 		t.Fatalf("work (%d) should out-execute main (%d)", we, me)
 	}
@@ -163,7 +176,7 @@ func TestQuickSelectionMonotone(t *testing.T) {
 		if a > b {
 			a, b = b, a
 		}
-		for _, policy := range []Policy{ByExecution, ByMisses} {
+		for _, policy := range []Policy{ByExecution, ByMisses, ByCost} {
 			small := Select(prof, policy, a)
 			large := Select(prof, policy, b)
 			for name := range small {
@@ -176,6 +189,60 @@ func TestQuickSelectionMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromProfileCoverage checks the cost ranking on a measured
+// attribution profile: procedures by Cost.MissCost, up to the coverage
+// goal.
+func TestFromProfileCoverage(t *testing.T) {
+	p := attrProfile(map[string]uint64{"hot": 8000, "warm": 1500, "cold": 500, "idle": 0})
+	// 10% of 10000 = 1000: hot alone crosses the goal.
+	sel := Select(p, ByCost, 0.10)
+	if len(sel) != 1 || !sel["hot"] {
+		t.Fatalf("10%% selection = %v", sel)
+	}
+	// 85% needs hot+warm (8000+1500 >= 8500).
+	sel = Select(p, ByCost, 0.85)
+	if len(sel) != 2 || !sel["hot"] || !sel["warm"] {
+		t.Fatalf("85%% selection = %v", sel)
+	}
+	// Full coverage still never selects a zero-cost procedure.
+	sel = Select(p, ByCost, 1.0)
+	if sel["idle"] {
+		t.Fatal("zero-cost procedure selected")
+	}
+	if len(Select(p, ByCost, 0)) != 0 {
+		t.Fatal("fraction 0 selected something")
+	}
+	if len(Select(nil, ByCost, 0.5)) != 0 {
+		t.Fatal("nil profile selected something")
+	}
+}
+
+// TestFromProfileTieBreakAndOutside checks, under every policy, that
+// equal metrics rank by address and that the outside bucket is never
+// selected nor counted in the total.
+func TestFromProfileTieBreakAndOutside(t *testing.T) {
+	p := attrProfile(map[string]uint64{"hot": 1000, "warm": 1000, "cold": 1000})
+	for i := range p.Procs {
+		p.Procs[i].Instrs, p.Procs[i].IMissNative = 1000, 10
+	}
+	out := profile.ProcCost{Name: profile.OutsideName}
+	out.Instrs, out.IMissNative = 1<<40, 1<<40
+	out.CPIStack[cpu.CycleFetchStall] = 1 << 40
+	p.Procs = append(p.Procs, out)
+	for _, policy := range []Policy{ByExecution, ByMisses, ByCost} {
+		// Equal metrics: address order decides, and the first procedure
+		// alone crosses a 30% goal.
+		sel := Select(p, policy, 0.30)
+		if len(sel) != 1 || !sel["hot"] {
+			t.Errorf("%v: tie-break selection = %v", policy, sel)
+		}
+		sel = Select(p, policy, 1.0)
+		if len(sel) != 3 || sel[profile.OutsideName] {
+			t.Errorf("%v: full selection = %v, want the three procedures", policy, sel)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -210,8 +211,8 @@ func TestProfileCollectsCallEdges(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	cfg.MaxInstr = 100_000_000
 	c, _ := cpu.New(cfg)
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
+	rec := profile.NewRecorder(im)
+	rec.Attach(c)
 	c.Out = io.Discard
 	if err := c.Load(im); err != nil {
 		t.Fatal(err)
@@ -219,6 +220,7 @@ func TestProfileCollectsCallEdges(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
+	prof := rec.Profile()
 	if len(prof.Calls) == 0 {
 		t.Fatal("no call edges recorded")
 	}
@@ -245,8 +247,8 @@ func TestColdSweepTouchesAllProcedures(t *testing.T) {
 	cfg := cpu.DefaultConfig()
 	cfg.MaxInstr = 500_000_000
 	c, _ := cpu.New(cfg)
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
+	rec := profile.NewRecorder(im)
+	rec.Attach(c)
 	c.Out = io.Discard
 	if err := c.Load(im); err != nil {
 		t.Fatal(err)
@@ -254,8 +256,8 @@ func TestColdSweepTouchesAllProcedures(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for i, proc := range prof.Procs {
-		if prof.Execs[i] == 0 {
+	for _, proc := range rec.Profile().Procs {
+		if proc.Instrs == 0 {
 			t.Fatalf("procedure %s never executed", proc.Name)
 		}
 	}

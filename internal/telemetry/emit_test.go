@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/profile"
 	"repro/internal/program"
 )
 
@@ -17,21 +18,18 @@ import (
 // nondeterminism shows up as phantom changes.
 
 // collectOnce runs the shared test image with a fresh collector and
-// procedure profile attached.
-func collectOnce(t *testing.T, im *program.Image) (*cpu.CPU, *Collector, *cpu.ProcProfile) {
+// recorder attached.
+func collectOnce(t *testing.T, im *program.Image) (*cpu.CPU, *Collector, *profile.Profile) {
 	t.Helper()
 	col := New()
 	col.MaxEvents = DefaultMaxEvents
-	var prof *cpu.ProcProfile
-	c := runCollected(t, im, col, func(c *cpu.CPU) {
-		prof = cpu.NewProcProfile(im)
-		c.Prof = prof
-	})
-	return c, col, prof
+	rec := profile.NewRecorder(im)
+	c := runCollected(t, im, col, rec.Attach)
+	return c, col, rec.Profile()
 }
 
 // emitAll renders every emitter into byte slices keyed by name.
-func emitAll(t *testing.T, im *program.Image, c *cpu.CPU, col *Collector, prof *cpu.ProcProfile) map[string][]byte {
+func emitAll(t *testing.T, im *program.Image, c *cpu.CPU, col *Collector, prof *profile.Profile) map[string][]byte {
 	t.Helper()
 	out := map[string][]byte{}
 	emit := func(name string, fn func(*bytes.Buffer) error) {

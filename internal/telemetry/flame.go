@@ -6,10 +6,10 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/cpu"
+	"repro/internal/profile"
 )
 
-// Folded-stack (flamegraph) exporter. The simulator's profiler records
+// Folded-stack (flamegraph) exporter. The attribution profile records
 // per-procedure self counts and dynamic call edges, not full stacks, so
 // the exporter reconstructs stacks from the call graph: a procedure's
 // self execution count is distributed over the stacks that reach it,
@@ -26,11 +26,15 @@ const (
 	flameMinShare = 1e-4
 )
 
-// WriteFolded writes the profile as folded stacks. Roots are the
-// procedures no recorded call edge targets (main, plus anything only
-// reached by jumps the profiler does not treat as calls).
-func WriteFolded(w io.Writer, p *cpu.ProcProfile) error {
+// WriteFolded writes the profile's user instructions per procedure
+// (Cost.Instrs) as folded stacks. Roots are the procedures no recorded
+// call edge targets (main, plus anything only reached by jumps that are
+// not calls); the outside bucket is not a procedure and is left out.
+func WriteFolded(w io.Writer, p *profile.Profile) error {
 	n := len(p.Procs)
+	if n > 0 && p.Procs[n-1].Name == profile.OutsideName {
+		n--
+	}
 	if n == 0 {
 		return fmt.Errorf("telemetry: empty procedure table")
 	}
@@ -59,7 +63,7 @@ func WriteFolded(w io.Writer, p *cpu.ProcProfile) error {
 	var walk func(i int, stack []string, share float64)
 	walk = func(i int, stack []string, share float64) {
 		stack = append(stack, p.Procs[i].Name)
-		if self := float64(p.Execs[i]) * share; self >= 0.5 {
+		if self := float64(p.Procs[i].Instrs) * share; self >= 0.5 {
 			lines = append(lines, fmt.Sprintf("%s %d", strings.Join(stack, ";"), uint64(self+0.5)))
 		}
 		if len(stack) >= flameMaxDepth {
@@ -80,7 +84,7 @@ func WriteFolded(w io.Writer, p *cpu.ProcProfile) error {
 		onStack[i] = false
 	}
 	for i := 0; i < n; i++ {
-		if in[i] == 0 && p.Execs[i] > 0 {
+		if in[i] == 0 && p.Procs[i].Instrs > 0 {
 			walk(i, nil, 1)
 		}
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/minic"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/selective"
 	"repro/internal/synth"
@@ -83,19 +84,12 @@ func execute(t *testing.T, name string, im *program.Image) cpu.Stats {
 	return c.Stats
 }
 
-func profiledNative(t *testing.T, im *program.Image) *cpu.ProcProfile {
+func profiledNative(t *testing.T, im *program.Image) *profile.Profile {
 	t.Helper()
-	c, err := cpu.New(cpu.DefaultConfig())
+	cfg := cpu.DefaultConfig()
+	cfg.MaxInstr = 20_000_000
+	prof, _, err := selective.Profile(im, cfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	c.Cfg.MaxInstr = 20_000_000
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
-	if err := c.Load(im); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
 	return prof

@@ -11,6 +11,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/trace"
 )
@@ -311,8 +312,8 @@ func TestFoldedExport(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Cfg.MaxInstr = 1_000_000
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
+	rec := profile.NewRecorder(im)
+	rec.Attach(c)
 	if err := c.Load(im); err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +322,7 @@ func TestFoldedExport(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteFolded(&buf, prof); err != nil {
+	if err := WriteFolded(&buf, rec.Profile()); err != nil {
 		t.Fatal(err)
 	}
 	lineRE := regexp.MustCompile(`^[^ ;]+(;[^ ;]+)* \d+$`)
@@ -346,11 +347,7 @@ func TestFoldedExport(t *testing.T) {
 	}
 	// The call graph is acyclic with single-parent procedures, so the
 	// reconstruction must conserve the committed instruction count exactly.
-	var execs uint64
-	for _, e := range prof.Execs {
-		execs += e
-	}
-	if total != execs {
+	if execs := c.Stats.Instrs; total != execs {
 		t.Errorf("folded counts sum to %d, profile has %d executed instructions", total, execs)
 	}
 }

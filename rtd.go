@@ -11,6 +11,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/minic"
 	"repro/internal/placement"
+	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/selective"
 	"repro/internal/synth"
@@ -64,8 +65,10 @@ type MachineConfig = cpu.Config
 // Stats are the simulator's run measurements.
 type Stats = cpu.Stats
 
-// ProcProfile holds per-procedure execution and miss counts.
-type ProcProfile = cpu.ProcProfile
+// Profile is one run's cost attribution per cache line and per
+// procedure, with its call edges: the input of selective compression
+// and placement.
+type Profile = profile.Profile
 
 // CPIStack is the per-run cycle attribution (every cycle charged to one
 // component; the components always sum to Stats.Cycles).
@@ -141,8 +144,8 @@ func Run(im *Image, cfg MachineConfig) (RunResult, error) {
 }
 
 // ProfiledRun executes the image and also collects the per-procedure
-// profile used by selective compression.
-func ProfiledRun(im *Image, cfg MachineConfig) (RunResult, *ProcProfile, error) {
+// profile used by selective compression and placement.
+func ProfiledRun(im *Image, cfg MachineConfig) (RunResult, *Profile, error) {
 	return runWith(im, cfg, true)
 }
 
@@ -214,7 +217,7 @@ func WindowedRun(im *Image, cfg MachineConfig, window uint64) (RunResult, *Repor
 	return res, telemetry.NewReport(c, col), col, nil
 }
 
-func runWith(im *Image, cfg MachineConfig, profiled bool) (RunResult, *ProcProfile, error) {
+func runWith(im *Image, cfg MachineConfig, profiled bool) (RunResult, *Profile, error) {
 	if cfg.MaxInstr == 0 {
 		cfg.MaxInstr = 2_000_000_000
 	}
@@ -222,10 +225,10 @@ func runWith(im *Image, cfg MachineConfig, profiled bool) (RunResult, *ProcProfi
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	var prof *ProcProfile
+	var rec *profile.Recorder
 	if profiled {
-		prof = cpu.NewProcProfile(im)
-		c.Prof = prof
+		rec = profile.NewRecorder(im)
+		rec.Attach(c)
 	}
 	var out bytes.Buffer
 	c.Out = &out
@@ -236,12 +239,16 @@ func runWith(im *Image, cfg MachineConfig, profiled bool) (RunResult, *ProcProfi
 	if err != nil {
 		return RunResult{}, nil, err
 	}
+	var prof *Profile
+	if rec != nil {
+		prof = rec.Profile()
+	}
 	return RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}, prof, nil
 }
 
 // Select returns the procedures to keep as native code: the top-ranked
 // ones under the policy until they cover fraction of the profile metric.
-func Select(prof *ProcProfile, policy Policy, fraction float64) map[string]bool {
+func Select(prof *Profile, policy Policy, fraction float64) map[string]bool {
 	return selective.Select(prof, policy, fraction)
 }
 
@@ -254,7 +261,7 @@ func SelectionThresholds() []float64 {
 // (Pettis–Hansen chain merging over the call-affinity graph). Pass it as
 // Options.Order to combine code placement with compression — the unified
 // framework the paper proposes as future work (§5.3).
-func PlacementOrder(prof *ProcProfile) []string {
+func PlacementOrder(prof *Profile) []string {
 	return placement.Order(prof)
 }
 

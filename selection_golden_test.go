@@ -108,9 +108,8 @@ func selectionPrograms(t *testing.T) map[string]*program.Image {
 	return ims
 }
 
-// profiledRun runs im to completion at cacheKB with the per-procedure
-// profiler and a recorder attached.
-func profiledRun(t *testing.T, im *program.Image, cacheKB int) (*cpu.ProcProfile, *profile.Profile) {
+// profiledRun runs im to completion at cacheKB with a recorder attached.
+func profiledRun(t *testing.T, im *program.Image, cacheKB int) *profile.Profile {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	cfg.ICache.SizeBytes = cacheKB * 1024
@@ -119,8 +118,6 @@ func profiledRun(t *testing.T, im *program.Image, cacheKB int) (*cpu.ProcProfile
 	if err != nil {
 		t.Fatal(err)
 	}
-	prof := cpu.NewProcProfile(im)
-	c.Prof = prof
 	rec := profile.NewRecorder(im)
 	rec.Attach(c)
 	var out bytes.Buffer
@@ -134,15 +131,17 @@ func profiledRun(t *testing.T, im *program.Image, cacheKB int) (*cpu.ProcProfile
 	if err := rec.Verify(); err != nil {
 		t.Fatal(err)
 	}
-	return prof, rec.Profile()
+	return rec.Profile()
 }
 
-// recordRun digests one run's profile.
-func recordRun(prof *cpu.ProcProfile) runRecord {
+// recordRun digests one run's profile: exec counts are user
+// instructions, miss counts native fills plus decompression misses.
+func recordRun(prof *profile.Profile) runRecord {
 	r := runRecord{Procs: []procCounts{}, Calls: []callEdge{}}
-	for i, p := range prof.Procs {
-		if prof.Execs[i] != 0 || prof.Misses[i] != 0 {
-			r.Procs = append(r.Procs, procCounts{p.Name, prof.Execs[i], prof.Misses[i]})
+	for _, p := range prof.Procs {
+		misses := p.IMissNative + p.IMissCompressed
+		if p.Name != profile.OutsideName && (p.Instrs != 0 || misses != 0) {
+			r.Procs = append(r.Procs, procCounts{p.Name, p.Instrs, misses})
 		}
 	}
 	for k, n := range prof.Calls {
@@ -175,13 +174,13 @@ func sortedSelection(sel map[string]bool) []string {
 
 func recordSelection(t *testing.T, im *program.Image) selectionRecord {
 	t.Helper()
-	prof, attr := profiledRun(t, im, 16)
-	small, _ := profiledRun(t, im, 1)
+	prof := profiledRun(t, im, 16)
+	small := profiledRun(t, im, 1)
 	res, err := core.Compress(im, core.Options{Scheme: program.SchemeDict, ShadowRF: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dict, _ := profiledRun(t, res.Image, 16)
+	dict := profiledRun(t, res.Image, 16)
 	rec := selectionRecord{
 		Native:   recordRun(prof),
 		Small:    recordRun(small),
@@ -191,10 +190,9 @@ func recordSelection(t *testing.T, im *program.Image) selectionRecord {
 		NumProcs: len(im.Procs),
 	}
 	for _, th := range selective.Thresholds {
-		for _, policy := range []selective.Policy{selective.ByExecution, selective.ByMisses} {
+		for _, policy := range []selective.Policy{selective.ByExecution, selective.ByMisses, selective.ByCost} {
 			rec.Select[fmt.Sprintf("%v/%g", policy, th)] = sortedSelection(selective.Select(prof, policy, th))
 		}
-		rec.Select[fmt.Sprintf("cost/%g", th)] = sortedSelection(selective.FromProfile(attr, th))
 	}
 	return rec
 }
