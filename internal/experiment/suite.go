@@ -63,7 +63,7 @@ type benchState struct {
 	image   *program.Image
 
 	mu      sync.Mutex              // guards the memo maps below
-	native  map[int]runOutcome      // attributed, by I-cache KB
+	native  map[int]runOutcome      // by I-cache KB
 	results map[string]*core.Result // by optionsKey
 	runs    map[string]runOutcome   // verified compressed runs, by runKey
 }
@@ -169,22 +169,28 @@ func (s *Suite) runImage(im *program.Image, cacheKB int, attributed bool) (runOu
 	return o, nil
 }
 
-// nativeRun returns (caching) the attributed native baseline at the
-// given cache size: its profile is the training input of selection and
-// placement, read-only once cached. The lock is held across the run so
-// concurrent shards asking for the same baseline share one simulation
-// instead of racing to duplicate it.
+// trainingKB is the I-cache size of the native run whose profile
+// trains selection and placement: the paper's 16KB baseline (§3.3).
+const trainingKB = 16
+
+// nativeRun returns (caching) the native baseline at the given cache
+// size. The trainingKB baseline is attributed: its profile is the
+// training input of selection and placement, read-only once cached.
+// The lock is held across the run so concurrent shards asking for the
+// same baseline share one simulation instead of racing to duplicate it.
 func (s *Suite) nativeRun(st *benchState, cacheKB int) (runOutcome, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if o, ok := st.native[cacheKB]; ok {
 		return o, nil
 	}
-	o, err := s.runImage(st.image, cacheKB, true)
+	o, err := s.runImage(st.image, cacheKB, cacheKB == trainingKB)
 	if err != nil {
 		return runOutcome{}, fmt.Errorf("%s native @%dKB: %v", st.profile.Name, cacheKB, err)
 	}
-	o.prof.SetIdentity(st.profile.Name, "native")
+	if o.prof != nil {
+		o.prof.SetIdentity(st.profile.Name, "native")
+	}
 	st.native[cacheKB] = o
 	return o, nil
 }
