@@ -9,8 +9,9 @@ import (
 // aggregate, as if a single recorder had observed every run. It is
 // associative and commutative — counter fields sum, ExcCyclesMax
 // max-merges, line records union by address, procedure records align by
-// name and call counts sum by caller and callee name — so a sharded collection merges byte-identically to a serial
-// one regardless of shard order or grouping (merge_test.go proves it).
+// name and call counts sum by caller and callee name — so a sharded
+// collection merges byte-identically to a serial one regardless of
+// shard order or grouping (merge_test.go proves it).
 //
 // Identity fields (image, scheme) survive only when every part agrees;
 // the manifest never does — a merged profile is not one run, so it

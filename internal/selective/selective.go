@@ -85,7 +85,7 @@ func Select(prof *profile.Profile, policy Policy, fraction float64) map[string]b
 	if total == 0 {
 		return selected
 	}
-	sort.SliceStable(procs, func(i, j int) bool {
+	sort.Slice(procs, func(i, j int) bool {
 		mi, mj := policy.metric(&procs[i].Cost), policy.metric(&procs[j].Cost)
 		if mi != mj {
 			return mi > mj
