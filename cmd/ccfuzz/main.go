@@ -32,7 +32,7 @@ var (
 	cases    = flag.Int("n", 2000, "number of generated cases")
 	seed     = flag.Int64("seed", 0, "first seed of the campaign (seeds are sequential)")
 	shadow   = flag.String("shadow", "auto", "shadow register file: auto (per-seed mix), on, off")
-	mutate   = flag.String("mutate", "", "inject a known bug: dict-index-off-by-one, drop-swic, clobber-t8")
+	mutate   = flag.String("mutate", "", "inject a known bug: dict-index-off-by-one, drop-swic, clobber-t8, replay-skip-dcache (needs -shadow on)")
 	noShrink = flag.Bool("noshrink", false, "report findings without delta-debugging them")
 	outDir   = flag.String("out", "", "directory for minimal reproducer .s files")
 	jsonl    = flag.String("jsonl", "", "append findings as JSON lines to this file")

@@ -79,7 +79,7 @@ func main() {
 		scale     = flag.Float64("scale", 1.0, "dynamic length multiplier for -bench")
 		scheme    = flag.String("scheme", "native", "compression scheme: native, dict, codepack, procdict, copy")
 		shadowRF  = flag.Bool("rf", false, "give the handler a shadow register file")
-		selFrac   = flag.Float64("selective", 0, "fraction of the program (by misses) kept native")
+		selFrac   = flag.Float64("selective", 0, "fraction of the program (by misses) kept native (needs -scheme)")
 		icacheKB  = flag.Int("icache", 16, "I-cache size in KB")
 		maxInstr  = flag.Uint64("max", 2_000_000_000, "instruction budget")
 		format    = flag.String("format", "text", "report format: text, csv, json")
@@ -123,6 +123,11 @@ func main() {
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "ccprof: bad -mode %q (want exact, sampled)\n", *mode)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *selFrac != 0 && *scheme == "native" {
+		fmt.Fprintln(os.Stderr, "ccprof: -selective needs a compressing -scheme (it picks the procedures the compressed image keeps native)")
 		flag.Usage()
 		os.Exit(2)
 	}

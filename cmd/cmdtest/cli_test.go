@@ -130,6 +130,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ccprof/sampled-with-procs", "ccprof", []string{"-mode", "sampled", "-procs", imgMarker}, 2, "-mode sampled supports only"},
 		{"ccprof/sampled-csv", "ccprof", []string{"-mode", "sampled", "-format", "csv", imgMarker}, 2, "-mode sampled supports only"},
 		{"ccprof/sampled-runs", "ccprof", []string{"-mode", "sampled", imgMarker}, 0, ""},
+		{"ccprof/selective-needs-scheme", "ccprof", []string{"-selective", "0.5", imgMarker}, 2, "-selective needs a compressing -scheme"},
 		{"ccbench/gate-bogus-sampled-flag", "ccbench", []string{"gate", "-sampled-drift", "notanumber"}, 2, "invalid value"},
 		{"ccfuzz/bad-functional-flag", "ccfuzz", []string{"-functional", "maybe"}, 2, "Usage"},
 

@@ -25,6 +25,9 @@
 //     the runtime complement of the static scratch-pointer proof.
 //   - predecode: simulating with the predecoded fetch path and with the
 //     reference decode-every-cycle path yields bit-identical statistics.
+//   - replay: a run that replays recorded handler activations and a
+//     ReplayCheck run, which interprets each and checks it against its
+//     recording, yield bit-identical statistics.
 //   - telemetry: the CPI stack sums exactly to the cycle count.
 //   - ratio: the measured compression ratio falls inside the codec's
 //     own declared [RatioMin, RatioMax] window.
@@ -288,8 +291,8 @@ func checkImage(c codec.Codec, label string, native *program.Image, res *core.Re
 	vs = append(vs, checkRun(c, label, im, maxInstr)...)
 
 	// predecode: the fast fetch path must not change a single statistic.
-	sFast, err1 := runStats(im, maxInstr, false)
-	sRef, err2 := runStats(im, maxInstr, true)
+	sFast, err1 := runStats(im, maxInstr, func(*cpu.Config) {})
+	sRef, err2 := runStats(im, maxInstr, func(c *cpu.Config) { c.DisablePredecode = true })
 	switch {
 	case err1 != nil:
 		add("predecode", "predecoded run: %v", err1)
@@ -297,6 +300,17 @@ func checkImage(c codec.Codec, label string, native *program.Image, res *core.Re
 		add("predecode", "reference run: %v", err2)
 	case sFast != sRef:
 		add("predecode", "predecoded and reference runs diverge: %+v vs %+v", sFast, sRef)
+	}
+
+	// replay: every handler activation interpreted and checked against
+	// its recording charges what the replaying run charged.
+	sCheck, err3 := runStats(im, maxInstr, func(c *cpu.Config) { c.ReplayCheck = true })
+	switch {
+	case err1 != nil:
+	case err3 != nil:
+		add("replay", "ReplayCheck run: %v", err3)
+	case sFast != sCheck:
+		add("replay", "replaying and checked runs diverge: %+v vs %+v", sFast, sCheck)
 	}
 
 	// ratio: inside the codec's own declared window, on programs large
@@ -366,12 +380,12 @@ func checkRun(c codec.Codec, label string, im *program.Image, maxInstr uint64) [
 	return vs
 }
 
-// runStats executes im and returns its statistics, with the predecoded
-// fetch path disabled when ref is set.
-func runStats(im *program.Image, maxInstr uint64, ref bool) (cpu.Stats, error) {
+// runStats executes im on the default machine as set changes it and
+// returns its statistics.
+func runStats(im *program.Image, maxInstr uint64, set func(*cpu.Config)) (cpu.Stats, error) {
 	cfg := cpu.DefaultConfig()
 	cfg.MaxInstr = maxInstr
-	cfg.DisablePredecode = ref
+	set(&cfg)
 	m, err := cpu.New(cfg)
 	if err != nil {
 		return cpu.Stats{}, err

@@ -75,6 +75,16 @@ type Config struct {
 	// and fails the simulation on any mismatch. diffsim and the
 	// equivalence battery use it as a predecode-coherence oracle.
 	PredecodeCheck bool
+	// ReplayCheck turns off handler-activation replay (replay.go) and
+	// makes it an oracle instead: every activation is interpreted, and
+	// one whose BADVA already has a recording must record the same
+	// events, static totals and exit state, or the simulation fails.
+	ReplayCheck bool
+	// ReplayBreak deliberately drops the first D-cache event of every
+	// replayed activation. It exists solely as the differential
+	// harness's negative control for replay: a run with it must differ
+	// from an interpreted one.
+	ReplayBreak bool
 }
 
 // DefaultConfig returns the paper's baseline machine.
@@ -187,6 +197,8 @@ type CPU struct {
 	// [call site, target], once CallEdges made it; only the call path
 	// reads it.
 	calls map[[2]uint32]uint64
+	// rp holds the recorded handler activations run replays (replay.go).
+	rp recordings
 
 	// The functional policy's fetch source (see fstore.go). fsWord/fsOK
 	// are the materialised decompressed code over the compressed region,
@@ -340,6 +352,7 @@ func (c *CPU) Load(im *program.Image) error {
 	}
 	c.resetPredecode()
 	c.resetFunctional()
+	c.dropRecordings()
 	if !c.Cfg.DisablePredecode {
 		c.predecodeHandler()
 	}

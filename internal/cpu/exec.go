@@ -380,6 +380,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	if left <= 0 {
 		return c.budgetError()
 	}
+	c.rp.open = nil // an activation cut short by an error is not recorded
 	var trace func(pc, instr uint32, handler bool)
 	if pol == detailed {
 		trace = c.Trace
@@ -430,6 +431,23 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				}
 				if mode == runStep {
 					return nil
+				}
+				if pol == detailed && trace == nil {
+					if rec := c.enterActivation(left); rec != nil {
+						left = c.replay(rec, left)
+						c.excReturn(c.pc)
+						if c.OnKey != nil {
+							c.observe()
+							c.hdecLen = c.hdecSpan(false, pol)
+						}
+						pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
+						if left <= 0 {
+							return c.budgetError()
+						}
+						if user <= 0 {
+							return nil
+						}
+					}
 				}
 			}
 			if lim = c.limit(left, user, inH, mode == runStep, pol); p == nil {
@@ -677,6 +695,9 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				break
 			}
 			c.IC.WriteWord(addr, v)
+			if c.rp.open != nil {
+				c.rp.open.recordSwic(addr, v)
+			}
 			cyc += uint64(c.Cfg.SwicExtraCycles)
 			if pol != detailed {
 				break
@@ -712,15 +733,13 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		}
 		cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, next, lastLoad
 		if pol == detailed && inH && !c.inHandler {
-			// This instruction was the iret: close the exception interval.
-			lat := c.Stats.Cycles - c.excStart
-			c.Stats.ExcCyclesTotal += lat
-			if lat > c.Stats.ExcCyclesMax {
-				c.Stats.ExcCyclesMax = lat
+			// This instruction was the iret.
+			if c.rp.open != nil {
+				if err = c.closeRecording(); err != nil {
+					return err
+				}
 			}
-			if c.Tel != nil {
-				c.Tel.ExcReturn(next, c.Stats.Cycles, lat)
-			}
+			c.excReturn(next)
 		}
 		if pol == detailed && c.OnKey != nil { // before the tracers, as the commit's first observer
 			c.observe()
@@ -748,6 +767,19 @@ fail:
 	}
 	c.pc, c.lastLoad = pc, lastLoad
 	return err
+}
+
+// excReturn closes the exception interval at the handler's iret,
+// returning to epc.
+func (c *CPU) excReturn(epc uint32) {
+	lat := c.Stats.Cycles - c.excStart
+	c.Stats.ExcCyclesTotal += lat
+	if lat > c.Stats.ExcCyclesMax {
+		c.Stats.ExcCyclesMax = lat
+	}
+	if c.Tel != nil {
+		c.Tel.ExcReturn(epc, c.Stats.Cycles, lat)
+	}
 }
 
 // limit is how many retirements after a flush run checks its stops:
@@ -863,6 +895,9 @@ func (c *CPU) branch(pc uint32, taken bool, pol policy) uint64 {
 }
 
 func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
+	if c.rp.open != nil {
+		c.rp.open.recordBranch(pc, taken)
+	}
 	if c.BP.Update(pc, taken) || pol == warm {
 		return 0
 	}
@@ -882,6 +917,9 @@ func (c *CPU) dRead(addr uint32, pol policy) uint64 {
 }
 
 func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
+	if c.rp.open != nil {
+		c.rp.open.recordLoad(addr)
+	}
 	if c.DC.Access(addr) {
 		return 0
 	}

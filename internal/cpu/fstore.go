@@ -154,10 +154,19 @@ func (c *CPU) materialiseLine(pc uint32) error {
 }
 
 // fstoreData performs a data store's coherence work for every policy:
-// handler-RAM predecode patching and decode-store invalidation of the
-// stored-to word — O(1) per store. The invalidation also keeps fdec true
-// to memory for the detailed engine's refills (fillNative).
+// handler-RAM predecode patching, decode-store invalidation of the
+// stored-to word and the handler recordings' (replay.go): a store makes
+// the activation being recorded ineligible, and a store into words a
+// recording loaded from drops them all — O(1) per store. The
+// invalidation also keeps fdec true to memory for the detailed engine's
+// refills (fillNative).
 func (c *CPU) fstoreData(addr uint32) {
 	c.noteHandlerStore(addr)
 	c.finvalWord(addr)
+	if c.rp.open != nil {
+		c.rp.open.stored = true
+	}
+	if addr-c.rp.lo < c.rp.span {
+		c.dropRecordings()
+	}
 }

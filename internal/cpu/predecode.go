@@ -359,12 +359,14 @@ func (c *CPU) goldenLine(base uint32) []byte {
 }
 
 // noteHandlerStore re-predecodes the handler-RAM word a store just
-// modified. Cheap range check on the hot store path; sb/sh/sw cannot
-// cross a word boundary (sh/sw alignment is enforced before this).
+// modified, and drops the handler recordings made from the old code.
+// Cheap range check on the hot store path; sb/sh/sw cannot cross a word
+// boundary (sh/sw alignment is enforced before this).
 func (c *CPU) noteHandlerStore(addr uint32) {
 	if c.hdec == nil || addr < c.handlerPC || addr >= c.handlerEnd {
 		return
 	}
+	c.dropRecordings()
 	a := addr &^ 3
 	if i := int((a - c.handlerPC) >> 2); i < len(c.hdec) {
 		c.hdec[i] = decodeInstr(a, c.Mem.ReadWord(a))

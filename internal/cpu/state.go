@@ -158,6 +158,7 @@ func (c *CPU) RestoreState(st MachineState) {
 
 	c.resetPredecode()
 	c.resetFunctional()
+	c.dropRecordings()
 	// The native code extent is normally set by Load from the image's
 	// segment table; a restored CPU has no image, so rederive it from
 	// the memory pages backed at the native code base. The extent only

@@ -8,6 +8,8 @@
 //   - architectural equivalence: every committed user instruction,
 //     the full register file (with the verifier's code-address masking),
 //     HI/LO, final data memory, syscall output, and exit codes;
+//   - replay: a compressed image run with handler-activation replay
+//     leaves the machine a ReplayCheck run leaves (replay.go);
 //   - oracle invariants: every swic executed by a handler writes exactly
 //     the native image's bytes at the target address, every image's
 //     cycle count decomposes exactly into its microarchitectural event
@@ -159,6 +161,9 @@ func Check(p *synth.RandProgram, opts Options) (*Failure, error) {
 	if opts.ICacheBytes > 0 {
 		cfg.ICache.SizeBytes = opts.ICacheBytes
 	}
+	if opts.Mutation != nil && opts.Mutation.Machine != nil {
+		opts.Mutation.Machine(&cfg)
+	}
 	orc := newOracle(images)
 	// Each machine also carries a telemetry window sampler with a small
 	// window, so every fuzz case additionally proves the windowed-
@@ -216,6 +221,9 @@ func Check(p *synth.RandProgram, opts Options) (*Failure, error) {
 		return fail(img, reason)
 	}
 	if reason, img := checkProfiles(recorders); reason != "" {
+		return fail(img, reason)
+	}
+	if reason, img := checkReplay(images, cfg); reason != "" {
 		return fail(img, reason)
 	}
 	if opts.Functional {

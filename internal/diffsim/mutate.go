@@ -12,17 +12,24 @@ import (
 	"strings"
 
 	"repro/internal/asm"
+	"repro/internal/cpu"
 	"repro/internal/decomp"
 	"repro/internal/isa"
 	"repro/internal/program"
 )
 
 // Mutation injects one known bug into the images of a case (index order
-// follows ImageKinds) before the lockstep run.
+// follows ImageKinds) before the lockstep run, or into the simulator
+// through its configuration.
 type Mutation struct {
 	Name  string
 	Descr string
 	Apply func(images []*program.Image, opts Options) error
+	// Machine, when set, plants the bug in every machine's configuration.
+	Machine func(*cpu.Config)
+	// ShadowRF means the bug shows only with the shadow-register-file
+	// handlers; the self-checks run it with them.
+	ShadowRF bool
 }
 
 // imageByKind returns the image with the given ImageKinds name.
@@ -41,6 +48,7 @@ func Mutations() []*Mutation {
 		MutDictIndexOffByOne(),
 		MutDropSwic(),
 		MutClobberT8(),
+		MutReplaySkipDCache(),
 	}
 }
 
@@ -149,5 +157,21 @@ func MutClobberT8() *Mutation {
 			}
 			return fmt.Errorf("dict image has no handler segment")
 		},
+	}
+}
+
+// MutReplaySkipDCache makes handler-activation replay skip the first
+// D-cache event of every replayed activation (cpu.Config.ReplayBreak):
+// the replayed machine's D-cache, bus and stall counts drift from the
+// interpreted one's, which the replay oracle compares. Single-RF
+// handlers store to the stack and are never replayed, so the bug shows
+// only under the shadow register file.
+func MutReplaySkipDCache() *Mutation {
+	return &Mutation{
+		Name:     "replay-skip-dcache",
+		Descr:    "handler replay drops one D-cache access per activation",
+		Apply:    func([]*program.Image, Options) error { return nil },
+		Machine:  func(c *cpu.Config) { c.ReplayBreak = true },
+		ShadowRF: true,
 	}
 }

@@ -190,6 +190,10 @@ func (s *Suite) nativeRun(st *benchState, cacheKB int) (runOutcome, error) {
 	}
 	if o.prof != nil {
 		o.prof.SetIdentity(st.profile.Name, "native")
+		// Selection and placement read the procedure view and the call
+		// edges; the line records would only hold memory for the
+		// Suite's life.
+		o.prof.Lines = nil
 	}
 	st.native[cacheKB] = o
 	return o, nil
