@@ -195,12 +195,15 @@ func (c *Cache) Lookup(addr uint32) int {
 	return -1
 }
 
-// Hit counts an access the caller knows hits slot, with Access's
-// counter and LRU effects. The caller must have established that slot
-// still holds the line (Derived tracks that).
-func (c *Cache) Hit(slot int) {
-	c.Stats.Accesses++
-	c.clock++
+// Hits counts n accesses the caller knows hit slot, leaving what n
+// Accesses to its line would: the access count and the LRU clock move
+// on by n, and the line's LRU stamp is the clock. The caller must have
+// established that slot still holds the line (Derived tracks that)
+// and that no other operation on the cache came between the n
+// accesses.
+func (c *Cache) Hits(slot int, n uint64) {
+	c.Stats.Accesses += n
+	c.clock += n
 	c.lines[slot].lru = c.clock
 }
 

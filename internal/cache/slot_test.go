@@ -62,7 +62,7 @@ func TestDerivedClearedOnEveryChange(t *testing.T) {
 	}{
 		{"Access", func(c *Cache) { c.Access(a) }},
 		{"Lookup", func(c *Cache) { c.Lookup(a + 4) }},
-		{"Hit", func(c *Cache) { c.Hit(c.Slot(a)) }},
+		{"Hits", func(c *Cache) { c.Hits(c.Slot(a), 3) }},
 		{"Probe", func(c *Cache) { c.Probe(a) }},
 		{"ReadWord", func(c *Cache) { c.ReadWord(a) }},
 		{"LineData", func(c *Cache) { c.LineData(a) }},
@@ -106,22 +106,27 @@ func TestSlotAPI(t *testing.T) {
 		t.Fatal("SlotData is not the live line")
 	}
 
-	// Hit has exactly Access's counter and LRU effects.
+	// Hits(s, n) has exactly n Accesses' counter, clock and LRU effects.
 	c, ref := MustNew(cfg, true), MustNew(cfg, true)
 	for _, x := range []*Cache{c, ref} {
 		x.Fill(0x1040, line)
 		x.Fill(0x1040+128, line) // the set's other way
 	}
-	ref.Access(0x1040)
-	c.Hit(c.Slot(0x1040))
+	for range 3 {
+		ref.Access(0x1040)
+	}
+	c.Hits(c.Slot(0x1040), 3)
 	if c.Stats != ref.Stats {
-		t.Fatalf("Hit stats %+v, Access stats %+v", c.Stats, ref.Stats)
+		t.Fatalf("Hits stats %+v, Access stats %+v", c.Stats, ref.Stats)
+	}
+	if c.Snapshot().Clock != ref.Snapshot().Clock {
+		t.Fatalf("Hits left clock %d, Accesses %d", c.Snapshot().Clock, ref.Snapshot().Clock)
 	}
 	// The LRU victim is now the second way in both caches.
 	ref.Fill(0x1040+256, line)
 	c.Fill(0x1040+256, line)
 	if c.Probe(0x1040+128) || !c.Probe(0x1040) || ref.Probe(0x1040+128) || !ref.Probe(0x1040) {
-		t.Fatal("Hit did not refresh LRU like Access")
+		t.Fatal("Hits did not refresh LRU like Access")
 	}
 }
 

@@ -24,10 +24,13 @@
 //     targets the $sp red zone or the codec's declared scratch RAM —
 //     the runtime complement of the static scratch-pointer proof.
 //   - predecode: simulating with the predecoded fetch path and with the
-//     reference decode-every-cycle path yields bit-identical statistics.
+//     reference decode-every-cycle path, which looks every fetch up in
+//     the I-cache, ends in bit-identical machine state: statistics,
+//     both register banks, memory, both caches (clock, LRU stamps and
+//     counters included) and the predictor.
 //   - replay: a run that replays recorded handler activations and a
 //     ReplayCheck run, which interprets each and checks it against its
-//     recording, yield bit-identical statistics.
+//     recording, end in bit-identical machine state.
 //   - telemetry: the CPI stack sums exactly to the cycle count.
 //   - ratio: the measured compression ratio falls inside the codec's
 //     own declared [RatioMin, RatioMax] window.
@@ -38,8 +41,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -48,6 +53,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/decomp"
+	"repro/internal/fastpath"
 	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/synth"
@@ -290,27 +296,34 @@ func checkImage(c codec.Codec, label string, native *program.Image, res *core.Re
 	// store-confinement + telemetry on an instrumented run.
 	vs = append(vs, checkRun(c, label, im, maxInstr)...)
 
-	// predecode: the fast fetch path must not change a single statistic.
-	sFast, err1 := runStats(im, maxInstr, func(*cpu.Config) {})
-	sRef, err2 := runStats(im, maxInstr, func(c *cpu.Config) { c.DisablePredecode = true })
+	// predecode: the fast fetch path must not change a single bit of
+	// machine state. The reference run looks every fetch up in the
+	// I-cache, so the I-cache's clock, LRU stamps and access count pin
+	// the fast path's batched hits.
+	ckFast, err1 := runCheckpoint(im, maxInstr, func(*cpu.Config) {})
+	ckRef, err2 := runCheckpoint(im, maxInstr, func(c *cpu.Config) { c.DisablePredecode = true })
 	switch {
 	case err1 != nil:
 		add("predecode", "predecoded run: %v", err1)
 	case err2 != nil:
 		add("predecode", "reference run: %v", err2)
-	case sFast != sRef:
-		add("predecode", "predecoded and reference runs diverge: %+v vs %+v", sFast, sRef)
+	default:
+		if d := diffCheckpoints(ckFast, ckRef); d != "" {
+			add("predecode", "predecoded and reference runs diverge in %s", d)
+		}
 	}
 
 	// replay: every handler activation interpreted and checked against
-	// its recording charges what the replaying run charged.
-	sCheck, err3 := runStats(im, maxInstr, func(c *cpu.Config) { c.ReplayCheck = true })
+	// its recording leaves what the replaying run left.
+	ckCheck, err3 := runCheckpoint(im, maxInstr, func(c *cpu.Config) { c.ReplayCheck = true })
 	switch {
 	case err1 != nil:
 	case err3 != nil:
 		add("replay", "ReplayCheck run: %v", err3)
-	case sFast != sCheck:
-		add("replay", "replaying and checked runs diverge: %+v vs %+v", sFast, sCheck)
+	default:
+		if d := diffCheckpoints(ckFast, ckCheck); d != "" {
+			add("replay", "replaying and checked runs diverge in %s", d)
+		}
 	}
 
 	// ratio: inside the codec's own declared window, on programs large
@@ -380,23 +393,48 @@ func checkRun(c codec.Codec, label string, im *program.Image, maxInstr uint64) [
 	return vs
 }
 
-// runStats executes im on the default machine as set changes it and
-// returns its statistics.
-func runStats(im *program.Image, maxInstr uint64, set func(*cpu.Config)) (cpu.Stats, error) {
+// runCheckpoint executes im on the default machine as set changes it
+// and returns the final machine state.
+func runCheckpoint(im *program.Image, maxInstr uint64, set func(*cpu.Config)) (*fastpath.Checkpoint, error) {
 	cfg := cpu.DefaultConfig()
 	cfg.MaxInstr = maxInstr
 	set(&cfg)
 	m, err := cpu.New(cfg)
 	if err != nil {
-		return cpu.Stats{}, err
+		return nil, err
 	}
 	if err := m.Load(im); err != nil {
-		return cpu.Stats{}, err
+		return nil, err
 	}
 	if _, err := m.Run(); err != nil {
-		return cpu.Stats{}, err
+		return nil, err
 	}
-	return m.Stats, nil
+	return fastpath.Capture(m, nil), nil
+}
+
+// diffCheckpoints names the parts of the machine state a and b differ
+// in ("" when none), their configurations aside.
+func diffCheckpoints(a, b *fastpath.Checkpoint) string {
+	var parts []string
+	for _, p := range []struct {
+		name string
+		a, b any
+	}{
+		{"core state", a.Machine, b.Machine},
+		{"memory", a.Memory, b.Memory},
+		{"I-cache", a.ICache, b.ICache},
+		{"D-cache", a.DCache, b.DCache},
+		{"branch predictor", a.Bpred, b.Bpred},
+	} {
+		if !reflect.DeepEqual(p.a, p.b) {
+			parts = append(parts, p.name)
+		}
+	}
+	d := strings.Join(parts, ", ")
+	if a.Machine.Stats != b.Machine.Stats {
+		d += fmt.Sprintf(" (statistics %+v vs %+v)", a.Machine.Stats, b.Machine.Stats)
+	}
+	return d
 }
 
 // DefaultPrograms is the standard conformance program set: every

@@ -170,29 +170,23 @@ type CPU struct {
 
 	// Predecoded instructions (see predecode.go). pcode holds wpl
 	// records per I-cache slot, current while the cache keeps the
-	// slot's derived bit set; curIdx/curSlot name the line the last
-	// fetch resolved (its address >> lineShift), for the same-line fast
-	// path; hdec covers handler RAM; fillBuf is the hardware-fill line
-	// buffer; scratch backs the DisablePredecode reference path.
-	pcode     []pinstr
-	wpl       int
-	lineShift uint
-	curIdx    uint32
-	curSlot   int
-	hdec      []pinstr
-	fillBuf   []byte
-	scratch   pinstr
+	// slot's derived bit set; hdec covers handler RAM; fillBuf is the
+	// hardware-fill line buffer; scratch backs the DisablePredecode
+	// reference path. win is the fetch window the last slow fetch
+	// resolved, which the loop copies into its locals.
+	pcode   []pinstr
+	wpl     int
+	hdec    []pinstr
+	fillBuf []byte
+	scratch pinstr
+	win     window
 	// keyLo/keyHi is the address range the attribution observers'
 	// keys hold over, as of the last callout (everything without
-	// observers): a user line outside it stays off the same-line fast
-	// path, so each of its fetches calls them out. cut is their next
-	// retirement count to be called at (never, without observers).
-	// hdecLen is the extent of handler RAM run fetches from hdec
-	// without a callout (hdecSpan); a field rather than a local of run,
-	// so setting it at a phase change costs the loop no register.
+	// observers): a user line outside it is never a fetch window, so
+	// each of its fetches calls them out. cut is their next retirement
+	// count to be called at (never, without observers).
 	keyLo, keyHi uint64
 	cut          uint64
-	hdecLen      uint32
 	// calls counts user calls (jal, jalr) under the detailed policy by
 	// [call site, target], once CallEdges made it; only the call path
 	// reads it.
@@ -209,19 +203,14 @@ type CPU struct {
 	// over the native code extent [fdBase,fdEnd), and I-cache refills
 	// copy their records from it. A record not decoded yet is
 	// pUndecoded. All flat stores are allocated lazily, on first
-	// functional execution or (fdec) first refill. flatRec/flatBase/
-	// flatBytes name the code region the last functional fetch read,
-	// for the flatHit fast path.
-	fsWord    []uint32
-	fsOK      []uint8
-	fxtra     map[uint32]uint32
-	fcdec     []pinstr
-	fdec      []pinstr
-	fdBase    uint32
-	fdEnd     uint32
-	flatRec   []pinstr
-	flatBase  uint32
-	flatBytes uint32
+	// functional execution or (fdec) first refill.
+	fsWord []uint32
+	fsOK   []uint8
+	fxtra  map[uint32]uint32
+	fcdec  []pinstr
+	fdec   []pinstr
+	fdBase uint32
+	fdEnd  uint32
 
 	Stats Stats
 	// FStats counts the untimed policies' work (functional and warm);
@@ -281,9 +270,6 @@ func New(cfg Config) (*CPU, error) {
 		keyHi:    AnyKey.Hi,
 		cut:      AnyKey.Cut,
 	}
-	for n := cfg.ICache.LineBytes; n > 1; n >>= 1 {
-		c.lineShift++
-	}
 	c.resetPredecode()
 	c.resetFunctional()
 	return c, nil
@@ -309,7 +295,9 @@ func (c *CPU) Load(im *program.Image) error {
 	if err := checkRegion(im); err != nil {
 		return err
 	}
-	c.Mem.LoadImage(im)
+	if err := c.Mem.LoadImage(im); err != nil {
+		return fmt.Errorf("%w: %v", ErrInvalidImage, err)
+	}
 	c.pc = im.Entry
 	c.regs[0][29] = program.StackTop // $sp
 	c.regs[1][29] = program.StackTop
@@ -427,12 +415,12 @@ func (c *CPU) inHandlerRAM(addr uint32) bool {
 // with MaxInstr==0 semantics, see Config).
 func (c *CPU) Run() (int32, error) {
 	if c.Cfg.Functional {
-		if err := c.run(c.budget(), noLimit, runOn, functional); err != nil {
+		if err := c.runFunctional(c.budget(), noLimit, runOn); err != nil {
 			return -1, err
 		}
 		return c.exitCode, nil
 	}
-	if err := c.run(c.budget(), noLimit, runOn, detailed); err != nil {
+	if err := c.run(c.budget(), noLimit, runOn); err != nil {
 		return -1, err
 	}
 	// Hard telemetry invariant: the CPI stack must account for every

@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 )
+
+//go:generate go run ./loopgen
 
 // noLimit disables run's budget or user target.
 const noLimit = math.MaxInt64
@@ -18,14 +22,16 @@ const (
 	runToFault
 )
 
-// policy is run's timing policy, fixed per call. The policies share
-// the loop's execute, retire, exception and budget code; only what
-// each charges, and the functional policy's fetch source, differ.
+// policy is a loop's timing policy. The policies share the loop's
+// execute, retire, exception and budget code; only what each charges,
+// and the functional policy's fetch source, differ. run is written for
+// the detailed policy; funct.go holds it compiled for the other two
+// (runWarm, runFunctional), generated from run by go generate.
 type policy uint8
 
 const (
 	// detailed charges Stats, models the caches and the predictor and
-	// calls Prof, Tel, Trace and OnKey.
+	// calls Tel, Trace and OnKey.
 	detailed policy = iota
 	// warm makes detailed's I-cache, D-cache, predictor and swic state
 	// changes and charges nothing (SMARTS functional warming). It runs
@@ -40,7 +46,7 @@ const (
 
 // Step fetches, executes and retires one instruction, charging cycles to
 // the timing model.
-func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep, detailed) }
+func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep) }
 
 // RunFunctionalFor retires at least n user instructions under the
 // functional policy, then continues until the machine is outside the
@@ -51,7 +57,7 @@ func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep, detailed) }
 // halted.
 func (c *CPU) RunFunctionalFor(n uint64) (bool, error) {
 	c.lastExc, c.excRepet = 0, 0
-	err := c.run(c.budget(), int64(min(n, noLimit)), runOn, functional)
+	err := c.runFunctional(c.budget(), int64(min(n, noLimit)), runOn)
 	return c.halted, err
 }
 
@@ -65,7 +71,7 @@ func (c *CPU) RunFunctionalFor(n uint64) (bool, error) {
 // pending): pending means a miss is due at the current PC.
 func (c *CPU) RunFunctionalSampled(n uint64) (bool, bool, error) {
 	pre := c.FStats.Instrs
-	if err := c.run(c.budget(), int64(min(n, noLimit)), runToFault, warm); err != nil {
+	if err := c.runWarm(c.budget(), int64(min(n, noLimit)), runToFault); err != nil {
 		return false, false, err
 	}
 	return c.halted, !c.halted && c.FStats.Instrs-pre < n, nil
@@ -83,7 +89,7 @@ func (c *CPU) RunFunctionalSampled(n uint64) (bool, bool, error) {
 // reports whether the program halted.
 func (c *CPU) RunDetailedBurst() (bool, error) {
 	c.lastLoad = -1 // exception entry flushes the pipeline anyway
-	if err := c.run(c.budget(), 0, runOn, detailed); err != nil {
+	if err := c.run(c.budget(), 0, runOn); err != nil {
 		return false, err
 	}
 	return c.halted, nil
@@ -98,7 +104,7 @@ func (c *CPU) RunDetailedBurst() (bool, error) {
 func (c *CPU) RunDetailedFor(n uint64) (bool, error) {
 	c.lastLoad = -1
 	c.lastExc, c.excRepet = 0, 0
-	if err := c.run(c.budget(), int64(min(n, noLimit)), runOn, detailed); err != nil {
+	if err := c.run(c.budget(), int64(min(n, noLimit)), runOn); err != nil {
 		return false, err
 	}
 	return c.halted, nil
@@ -126,7 +132,7 @@ func (c *CPU) RunDetailedWindow(n uint64, burstCycles, burstInstrs *uint64) (boo
 			}
 			*burstCycles += c.Stats.Cycles - preC
 			*burstInstrs += c.Stats.Instrs - preI
-		} else if err := c.run(c.budget(), int64(min(target-min(c.Stats.Instrs, target), noLimit)), runToFault, detailed); err != nil {
+		} else if err := c.run(c.budget(), int64(min(target-min(c.Stats.Instrs, target), noLimit)), runToFault); err != nil {
 			return false, err
 		}
 		if c.Stats.Instrs >= target && !c.inHandler {
@@ -149,15 +155,27 @@ func (c *CPU) budgetError() error {
 	return fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x", c.Cfg.MaxInstr, c.pc)
 }
 
-// fetch is run's slow path: it returns the predecoded instruction at
-// the current PC, or nil when a decompression exception was raised
-// instead. Handler RAM is read alike under every policy. The detailed
-// and warm policies read the I-cache; the functional policy reads the
-// flat stores and makes the region it read the flatHit fast path's.
-// With Cfg.DisablePredecode the I-cache word is decoded afresh into a
-// scratch record every cycle — same loop, reference timing.
+// window is a run of predecoded records a loop fetches from without
+// its slow path: rec[i] is the instruction at base+4i. slot is the
+// I-cache slot that holds them, or -1 (handler RAM, a flat store).
+type window struct {
+	base uint32
+	rec  []pinstr
+	slot int
+}
+
+// fetch is the loops' slow path: it returns the predecoded instruction
+// at the current PC, or nil when a decompression exception was raised
+// instead, and leaves in c.win the window the loop may fetch from next
+// (none, when every fetch there must come back here). Handler RAM is
+// read alike under every policy. The detailed and warm policies read
+// the I-cache; the functional policy reads the flat stores, whose
+// regions are its windows. With Cfg.DisablePredecode the I-cache word
+// is decoded afresh into a scratch record every cycle — same loop,
+// reference timing.
 func (c *CPU) fetch(pol policy) (*pinstr, error) {
 	pc := c.pc
+	c.win = window{slot: -1}
 	if pc&3 != 0 {
 		return nil, fmt.Errorf("cpu: unaligned fetch at %#x", pc)
 	}
@@ -174,10 +192,10 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 				return nil, err
 			}
 		}
+		c.win = c.handlerWindow(pol)
 		return p, nil
 	}
 	if pol == functional {
-		c.flatBytes = 0
 		if c.InCompressedRegion(pc) {
 			i := (pc - c.compStart) >> 2
 			if c.fsOK[i] == 0 {
@@ -191,7 +209,7 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 			if c.fcdec[i].op == pUndecoded {
 				c.fcdec[i] = decodeInstr(pc, c.fsWord[i])
 			}
-			c.flatRec, c.flatBase, c.flatBytes = c.fcdec, c.compStart, c.compEnd-c.compStart
+			c.win = window{base: c.compStart, rec: c.fcdec, slot: -1}
 			return &c.fcdec[i], nil
 		}
 		// A word swic'd outside the compressed region shadows memory, as
@@ -205,7 +223,7 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 			w = c.Mem.ReadWord(pc)
 		}
 		if pc >= c.fdBase && pc < c.fdEnd {
-			c.flatRec, c.flatBase, c.flatBytes = c.fdec, c.fdBase, c.fdEnd-c.fdBase
+			c.win = window{base: c.fdBase, rec: c.fdec, slot: -1}
 			if j := (pc - c.fdBase) >> 2; !swic {
 				if c.fdec[j].op == pUndecoded {
 					c.fdec[j] = decodeInstr(pc, w)
@@ -260,30 +278,48 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 	return p, nil
 }
 
-// sameLine is the I-cache fetch fast path: when pc is in the line the
-// last fetch resolved and the I-cache has not changed that line since,
-// it counts the I-cache hit and returns the record without a tag
-// search. It returns nil otherwise (curIdx is never set under
-// DisablePredecode or PredecodeCheck, so both always take the full
-// path).
-func (c *CPU) sameLine(pc uint32) *pinstr {
-	if pc&3 != 0 || pc>>c.lineShift != c.curIdx || !c.IC.Derived(c.curSlot) {
-		return nil
+// handlerWindow is handler RAM as a fetch window, or none: none under
+// PredecodeCheck (fetch checks every record), and none outside the
+// handler while the detailed policy has observers attached (a user
+// commit there is keyed by its own address, so its fetch must call
+// them out).
+func (c *CPU) handlerWindow(pol policy) window {
+	if c.Cfg.PredecodeCheck || pol == detailed && c.OnKey != nil && !c.inHandler {
+		return window{slot: -1}
 	}
-	c.IC.Hit(c.curSlot)
-	return &c.pcode[c.curSlot*c.wpl+int(pc>>2)&(c.wpl-1)]
+	return window{base: c.handlerPC, rec: c.hdec, slot: -1}
 }
 
-// flatHit is the functional policy's fetch fast path: the record at pc
-// when pc lies in the code region the last functional fetch read and
-// its word is decoded, nil otherwise.
-func (c *CPU) flatHit(pc uint32) *pinstr {
-	if off := pc - c.flatBase; off < c.flatBytes && off&3 == 0 {
-		if p := &c.flatRec[off>>2]; p.op != pUndecoded {
-			return p
-		}
+// nextSlot is the slot of pc's I-cache line when a loop may move its
+// window there without the slow path: the line hits, its records are
+// current and it may be a window at all (lineWindow). It returns -1
+// otherwise, always under the functional policy, and changes nothing.
+// It inlines, so the functional policy pays no call.
+func (c *CPU) nextSlot(pc uint32, pol policy) int {
+	if pol == functional {
+		return -1
 	}
-	return nil
+	return c.lineSlot(pc)
+}
+
+func (c *CPU) lineSlot(pc uint32) int {
+	if pc&3 != 0 || c.Cfg.DisablePredecode || !c.lineWindow(c.IC.LineBase(pc)) {
+		return -1
+	}
+	if s := c.IC.Slot(pc); s >= 0 && c.IC.Derived(s) {
+		return s
+	}
+	return -1
+}
+
+// handOver gives the I-cache the hits a loop's window counted since
+// the last handover, as that many Accesses would have left them. A
+// window outside the I-cache (slot -1, every functional window) has
+// none to give.
+func (c *CPU) handOver(slot int, hits uint64) {
+	if slot >= 0 && hits != 0 {
+		c.IC.Hits(slot, hits)
+	}
 }
 
 // missDue reports whether fetching at the PC would miss the I-cache
@@ -320,8 +356,9 @@ func (c *CPU) hardwareFill(pc uint32) error {
 }
 
 // raiseDecompress takes the decompression exception for a fetch at pc:
-// the architectural entry every policy shares, then the detailed
-// policy's charges, or FStats' count under the others.
+// the architectural entry every policy shares, which makes handler RAM
+// the loop's window, then the detailed policy's charges, or FStats'
+// count under the others.
 func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 	if c.inHandler {
 		return fmt.Errorf("cpu: nested decompression exception at %#x", pc)
@@ -344,6 +381,7 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 		c.bank = 1
 	}
 	c.pc = c.handlerPC
+	c.win = c.handlerWindow(pol)
 	if pol != detailed {
 		c.FStats.Exceptions++
 		return nil
@@ -359,21 +397,33 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 	return nil
 }
 
-// run is the interpreter: one fetch/execute/retire loop for every
-// policy. It stops when the program halts, after the step that spends
-// left (the budget error, also returned before any step when nothing
-// is left), once user user instructions retired outside the handler,
-// or as mode asks. Handler RAM is fetched from hdec
-// directly; then the functional policy tries its flat stores (flatHit)
-// and the others the current I-cache line (sameLine); everything else
-// takes fetch. pc, lastLoad, the register file, inHandler and the
-// counts charged since the last flush live in locals; flush writes them
-// back where they are read: the slow fetch path, iret, syscall, tracer
-// calls, errors and return. Only the detailed policy calls the
+// run is the interpreter: the one fetch/execute/retire loop, and the
+// only hand-edited one. It is written for the detailed policy (the
+// constant pol); go generate copies it into funct.go as runWarm and
+// runFunctional with pol rebound, so each policy's loop is compiled
+// with every pol test folded and carries only its own work.
+//
+// It stops when the program halts, after the step that spends left
+// (the budget error, also returned before any step when nothing is
+// left), once user user instructions retired outside the handler, or
+// as mode asks. pc, lastLoad, the register file, inHandler and the
+// counts charged since the last flush live in locals; flush writes
+// them back where they are read: the slow fetch path, iret, syscall,
+// tracer calls, errors and return. Only the detailed policy calls the
 // observers: the attribution observers (OnKey) are called out only
 // where the locals are already flushed, and their cut is folded into
-// lim.
-func (c *CPU) run(left, user int64, mode int, pol policy) error {
+// lim; a tracer makes every commit a stop.
+//
+// Fetch reads one window, held in locals: the records of the region
+// the last slow fetch resolved (handler RAM, a flat store, or the
+// current I-cache line), and a count of the I-cache hits taken in it.
+// A fetch that leaves the window for an I-cache line that hits, is
+// predecoded and may be a window (nextSlot) moves it without the slow
+// path; everything else takes fetch. The hits are handed over
+// (handOver) before any other I-cache operation, before every callout
+// and at every return; a swic ends an I-cache window.
+func (c *CPU) run(left, user int64, mode int) error {
+	const pol = detailed
 	if c.halted && mode != runStep {
 		return nil
 	}
@@ -381,36 +431,40 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		return c.budgetError()
 	}
 	c.rp.open = nil // an activation cut short by an error is not recorded
-	var trace func(pc, instr uint32, handler bool)
-	if pol == detailed {
-		trace = c.Trace
-		if c.OnKey != nil {
-			c.observe()
-		}
-	} else if pol == functional {
+	if pol == detailed && c.OnKey != nil {
+		c.observe()
+	}
+	if pol == functional {
 		c.fensure()
 	}
 	pc, lastLoad, inH, r := c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
 	var cycles, lu, n uint64 // charged since the last flush
-	c.hdecLen = c.hdecSpan(inH, pol)
+	var wBase uint32
+	var wRec []pinstr
+	wSlot, hits := -1, uint64(0)
 	lim := c.limit(left, user, inH, mode == runStep, pol)
 	var p *pinstr
 	var err error
 	for {
-		if pc-c.handlerPC < c.hdecLen && pc&3 == 0 {
-			p = &c.hdec[(pc-c.handlerPC)>>2]
-		} else if pol == functional {
-			p = c.flatHit(pc)
+		// A misaligned pc rotates its low bits to the top: never in range.
+		if i := bits.RotateLeft32(pc-wBase, -2); uint(i) < uint(len(wRec)) &&
+			(pol != functional || wRec[i].op != pUndecoded) {
+			p = &wRec[i]
+			if pol != functional {
+				hits++
+			}
+		} else if s := c.nextSlot(pc, pol); s >= 0 {
+			c.handOver(wSlot, hits)
+			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+			p = &wRec[(pc-wBase)>>2]
 		} else {
-			p = c.sameLine(pc)
-		}
-		if p == nil {
+			c.handOver(wSlot, hits)
 			if pol == detailed {
 				left, user = c.flush(inH, cycles, lu, n, left, user)
 			} else {
 				left, user = c.count(inH, n, left, user)
 			}
-			cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+			cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
 			if pol == detailed && c.OnKey != nil {
 				c.observe()
 			}
@@ -420,11 +474,11 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			if p, err = c.fetch(pol); err != nil {
 				return err
 			}
+			wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
 			if p == nil { // a decompression exception vectored to the handler
 				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
 				if pol == detailed && c.OnKey != nil {
 					c.observe()
-					c.hdecLen = c.hdecSpan(inH, pol)
 				}
 				if left <= 0 {
 					return c.budgetError()
@@ -432,14 +486,14 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				if mode == runStep {
 					return nil
 				}
-				if pol == detailed && trace == nil {
+				if pol == detailed && c.Trace == nil {
 					if rec := c.enterActivation(left); rec != nil {
 						left = c.replay(rec, left)
 						c.excReturn(c.pc)
 						if c.OnKey != nil {
 							c.observe()
-							c.hdecLen = c.hdecSpan(false, pol)
 						}
+						wRec, wSlot = nil, -1
 						pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
 						if left <= 0 {
 							return c.budgetError()
@@ -459,7 +513,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		// instruction consumes the value the immediately preceding load
 		// produced (MEM -> EX forwarding gap).
 		cyc := uint64(1)
-		if lastLoad >= 0 && (int(p.srcA) == lastLoad || int(p.srcB) == lastLoad) {
+		if pol == detailed && lastLoad >= 0 && (int(p.srcA) == lastLoad || int(p.srcB) == lastLoad) {
 			cyc += uint64(c.Cfg.LoadUsePenalty)
 			lu++
 		}
@@ -481,15 +535,15 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
 		case pJR:
 			next = r[p.rs]
-			cyc += uint64(c.Cfg.JRPenalty)
 			if pol == detailed {
+				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 			}
 		case pJALR:
 			c.setr(r, int(p.rd), pc+4)
 			next = r[p.rs]
-			cyc += uint64(c.Cfg.JRPenalty)
 			if pol == detailed {
+				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 			}
 			if !inH && pol == detailed && c.calls != nil {
@@ -617,8 +671,8 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			c.c0[6] &^= 1
 			lastLoad = -1  // redirect drains the pipeline
 			next = c.c0[4] // EPC
-			cyc += uint64(c.Cfg.IretCycles)
 			if pol == detailed {
+				cyc += uint64(c.Cfg.IretCycles)
 				c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)
 			}
 			lim = 0 // close the exception interval below
@@ -658,7 +712,10 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 
 		case pSB:
 			addr := r[p.rs] + p.imm
-			c.Mem.StoreByte(addr, byte(r[p.rt]))
+			if !c.Mem.StoreByte(addr, byte(r[p.rt])) {
+				err = storeError(pc, addr)
+				goto fail
+			}
 			c.fstoreData(addr)
 		case pSH:
 			addr := r[p.rs] + p.imm
@@ -666,7 +723,10 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.Mem.WriteHalf(addr, uint16(r[p.rt]))
+			if !c.Mem.WriteHalf(addr, uint16(r[p.rt])) {
+				err = storeError(pc, addr)
+				goto fail
+			}
 			c.fstoreData(addr)
 		case pSW:
 			addr := r[p.rs] + p.imm
@@ -674,7 +734,10 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.Mem.WriteWord(addr, r[p.rt])
+			if !c.Mem.WriteWord(addr, r[p.rt]) {
+				err = storeError(pc, addr)
+				goto fail
+			}
 			c.fstoreData(addr)
 
 		case pSWIC:
@@ -694,14 +757,19 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 				c.fsPut(addr, v)
 				break
 			}
+			c.handOver(wSlot, hits)
+			hits = 0
 			c.IC.WriteWord(addr, v)
-			if c.rp.open != nil {
+			if wSlot >= 0 { // the write may have changed or evicted the window's line
+				wRec, wSlot = nil, -1
+			}
+			if pol == detailed && c.rp.open != nil {
 				c.rp.open.recordSwic(addr, v)
 			}
-			cyc += uint64(c.Cfg.SwicExtraCycles)
 			if pol != detailed {
 				break
 			}
+			cyc += uint64(c.Cfg.SwicExtraCycles)
 			if inH {
 				c.Stats.CPIStack[CycleHandler] += uint64(c.Cfg.SwicExtraCycles)
 			} else {
@@ -713,25 +781,23 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 			goto fail
 		}
 
-		cycles += cyc
+		if pol == detailed {
+			cycles += cyc
+		}
 		n++
 		if n < lim {
-			if trace != nil { // the tracer sees Stats and PC() as of this commit
-				left, user = c.flush(inH, cycles, lu, n, left, user)
-				cycles, lu, n, lim, c.pc, c.lastLoad = 0, 0, 0, lim-n, next, lastLoad
-				trace(pc, p.raw, inH)
-			}
 			pc = next
 			continue
 		}
 
 		// A stop condition may hold, or an iret or syscall ran.
+		c.handOver(wSlot, hits)
 		if pol == detailed {
 			left, user = c.flush(inH, cycles, lu, n, left, user)
 		} else {
 			left, user = c.count(inH, n, left, user)
 		}
-		cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, next, lastLoad
+		cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, next, lastLoad
 		if pol == detailed && inH && !c.inHandler {
 			// This instruction was the iret.
 			if c.rp.open != nil {
@@ -743,10 +809,12 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 		}
 		if pol == detailed && c.OnKey != nil { // before the tracers, as the commit's first observer
 			c.observe()
-			c.hdecLen = c.hdecSpan(c.inHandler, pol)
+			if !c.inHandler && wSlot < 0 { // user fetches from handler RAM call the observers out
+				wRec = nil
+			}
 		}
-		if trace != nil {
-			trace(pc, p.raw, inH)
+		if pol == detailed && c.Trace != nil { // the tracer sees Stats and PC() as of this commit
+			c.Trace(pc, p.raw, inH)
 		}
 		inH, r = c.inHandler, &c.regs[c.bank]
 		if left <= 0 {
@@ -760,6 +828,7 @@ func (c *CPU) run(left, user int64, mode int, pol policy) error {
 	}
 
 fail:
+	c.handOver(wSlot, hits)
 	if pol == detailed {
 		c.flush(inH, cycles, lu, n, left, user)
 	} else {
@@ -767,6 +836,12 @@ fail:
 	}
 	c.pc, c.lastLoad = pc, lastLoad
 	return err
+}
+
+// storeError is the error that ends a run whose store at pc to addr
+// would back memory past mem.MaxBacked.
+func storeError(pc, addr uint32) error {
+	return fmt.Errorf("cpu: store at %#x to %#x: %w", pc, addr, mem.ErrBacked)
 }
 
 // excReturn closes the exception interval at the handler's iret,
@@ -784,12 +859,13 @@ func (c *CPU) excReturn(epc uint32) {
 
 // limit is how many retirements after a flush run checks its stops:
 // the budget, the user target outside the handler and, under the
-// detailed policy, the observers' cut.
+// detailed policy, the observers' cut, or every one when a tracer is
+// attached.
 func (c *CPU) limit(left, user int64, handler, step bool, pol policy) uint64 {
 	if !handler && user < left {
 		left = user
 	}
-	if step || left < 1 {
+	if step || left < 1 || pol == detailed && c.Trace != nil {
 		return 1
 	}
 	if r := c.Stats.Instrs + c.Stats.HandlerInstrs; pol == detailed && c.cut > r {
@@ -799,7 +875,7 @@ func (c *CPU) limit(left, user int64, handler, step bool, pol policy) uint64 {
 }
 
 // observe calls the attribution observers out and keeps their answer:
-// the range for slotRecord, the cut for limit. run checks OnKey before
+// the range for lineWindow, the cut for limit. run checks OnKey before
 // calling it, and calls it only under the detailed policy, so an
 // unobserved slow path pays one compare.
 func (c *CPU) observe() {
@@ -807,18 +883,6 @@ func (c *CPU) observe() {
 		k := c.OnKey()
 		c.keyLo, c.keyHi, c.cut = k.Lo, k.Hi, k.Cut
 	}
-}
-
-// hdecSpan is the handler-RAM extent run fetches from hdec without a
-// callout: none under PredecodeCheck (fetch checks every record), and
-// none outside the handler while the detailed policy has observers
-// attached (a user commit there is keyed by its own address, so its
-// fetch must call them out).
-func (c *CPU) hdecSpan(handler bool, pol policy) uint32 {
-	if c.Cfg.PredecodeCheck || pol == detailed && c.OnKey != nil && !handler {
-		return 0
-	}
-	return uint32(len(c.hdec)) * 4
 }
 
 // flush adds the detailed policy's local counts to Stats: cycles, lu

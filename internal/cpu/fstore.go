@@ -20,13 +20,13 @@ package cpu
 // Code words are decoded at most once into flat per-word decode stores —
 // fcdec over the compressed region (indexed in lockstep with the
 // functional store) and fdec over the native code extent [fdBase,fdEnd) —
-// where a record not decoded yet is pUndecoded. The flat fast path
-// (flatHit) re-validates every record before it executes, so coherence
-// against self-modifying code is O(1): a store or swic that touches a
-// code word marks exactly that word's record undecoded (finvalWord) and
-// the next fetch re-decodes it. Code executing outside both extents (rare: programs
-// running code out of data memory) is decoded on every fetch and
-// therefore always coherent.
+// where a record not decoded yet is pUndecoded. Each store is a fetch
+// window of the functional loop, which re-validates every record before
+// it executes it, so coherence against self-modifying code is O(1): a
+// store or swic that touches a code word marks exactly that word's
+// record undecoded (finvalWord) and the next fetch re-decodes it. Code
+// executing outside both extents (rare: programs running code out of
+// data memory) is decoded on every fetch and therefore always coherent.
 //
 // A swic outside the compressed region lands in fxtra, which fetch reads
 // before memory, as the detailed engine's fetch reads the swic'd I-cache
@@ -57,7 +57,6 @@ func (c *CPU) resetFunctional() {
 	c.fsWord, c.fsOK = nil, nil
 	c.fxtra = nil
 	c.fcdec, c.fdec = nil, nil
-	c.flatBytes = 0
 }
 
 // fensure allocates the flat functional stores for the current image

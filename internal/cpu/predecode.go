@@ -30,7 +30,8 @@ import (
 // from the functional engine's per-address decode store (fdec), which
 // every store keeps coherent with memory (fstoreData), so a line that
 // returns after an eviction is not decoded again. Fetches that stay in
-// the last resolved line skip the tag search altogether (sameLine).
+// the last resolved line, or move to a predecoded line that hits,
+// skip the slow fetch path (run's fetch window).
 // Handler RAM is not cached, so it is predecoded once at Load and
 // patched on stores into [handlerPC, handlerEnd) (noteHandlerStore).
 //
@@ -257,16 +258,11 @@ func decodeInstr(pc, w uint32) pinstr {
 	return p
 }
 
-// curNone is a curIdx no line address can produce: addr>>lineShift
-// with lineShift >= 2 is below 1<<30.
-const curNone = ^uint32(0)
-
 // resetPredecode clears the CPU-side predecoded state (called from
 // Load and RestoreState). The slot records in pcode need no reset: a
 // slot's records are only read while the I-cache's derived bit for it
 // is set, and the cache clears that bit whenever the line changes.
 func (c *CPU) resetPredecode() {
-	c.curIdx = curNone
 	c.hdec = nil
 }
 
@@ -288,11 +284,8 @@ func (c *CPU) predecodeHandler() {
 // slotRecord returns the predecoded record for pc, whose line sits in
 // I-cache slot. A slot whose derived bit is clear (a fill, a swic, a
 // restore) is decoded here from the cache's bytes, once per change.
-// The line becomes the same-line fast path's, unless PredecodeCheck
-// wants every fetch checked, the line overlaps handler RAM (whose
-// fetches must not be served from the I-cache) or an attribution key
-// changes inside it (a procedure boundary: each fetch there must call
-// the observers out).
+// The line becomes the loop's fetch window if it may be one
+// (lineWindow).
 func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
 	recs := c.pcode[slot*c.wpl : (slot+1)*c.wpl]
 	base := c.IC.LineBase(pc)
@@ -303,14 +296,21 @@ func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
 		}
 		c.IC.SetDerived(slot)
 	}
-	end := base + uint32(c.Cfg.ICache.LineBytes)
-	if !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd) &&
-		uint64(base) >= c.keyLo && uint64(base)+uint64(c.Cfg.ICache.LineBytes) <= c.keyHi {
-		c.curIdx, c.curSlot = pc>>c.lineShift, slot
-	} else {
-		c.curIdx = curNone
+	if c.lineWindow(base) {
+		c.win = window{base: base, rec: recs, slot: slot}
 	}
 	return &recs[int(pc>>2)&(c.wpl-1)]
+}
+
+// lineWindow reports whether the I-cache line at base may be a fetch
+// window: not when PredecodeCheck wants every fetch checked, when the
+// line overlaps handler RAM (whose fetches must not be served from the
+// I-cache) or when an attribution key changes inside it (a procedure
+// boundary: each fetch there must call the observers out).
+func (c *CPU) lineWindow(base uint32) bool {
+	end := base + uint32(c.Cfg.ICache.LineBytes)
+	return !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd) &&
+		uint64(base) >= c.keyLo && uint64(base)+uint64(c.Cfg.ICache.LineBytes) <= c.keyHi
 }
 
 // fillNative installs the line at base from backed memory — the

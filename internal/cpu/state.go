@@ -6,7 +6,7 @@ package cpu
 // geometry, the golden decompressed text, the pipeline-local hazard
 // and exception-guard state, both engines' statistics, and the
 // functional engine's materialised code store. The predecoded records
-// (the per-slot pcode, the fetch fast path's curIdx/curSlot, hdec) and
+// (the per-slot pcode, hdec) and
 // the functional decode caches are pure caches over state captured
 // elsewhere (the I-cache, memory, the functional store) and are rebuilt
 // lazily after RestoreState: restoring the I-cache clears every slot's

@@ -154,7 +154,6 @@ var AnyKey = Key{Hi: 1 << 32, Cut: math.MaxUint64}
 // in attach order, and the loop keeps the intersection of their ranges
 // and the earliest of their cuts.
 func (c *CPU) AttachObserver(fn func() Key) {
-	c.curIdx = curNone // the current line was vetted against no range
 	prev := c.OnKey
 	if prev == nil {
 		c.OnKey = fn

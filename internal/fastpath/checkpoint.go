@@ -100,7 +100,7 @@ func (ck *Checkpoint) Apply() (*cpu.CPU, error) {
 		return nil, fmt.Errorf("fastpath: checkpoint config: %v", err)
 	}
 	if err := c.Mem.Restore(ck.Memory); err != nil {
-		return nil, fmt.Errorf("fastpath: %v", err)
+		return nil, fmt.Errorf("%w: %w", ErrInvalidCheckpoint, err)
 	}
 	if err := c.IC.Restore(ck.ICache); err != nil {
 		return nil, fmt.Errorf("fastpath: I-cache: %v", err)

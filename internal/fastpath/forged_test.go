@@ -32,9 +32,9 @@ func sortCheckpoint(t testing.TB, opts rtd.Options) *fastpath.Checkpoint {
 	return fastpath.Capture(c, nil)
 }
 
-// forged returns the three crafted checkpoints, each derived from a
-// real dict+RF checkpoint of sort.s by one forged field group, keyed by
-// what each used to make the simulator do.
+// forged returns the crafted checkpoints, each derived from a real
+// dict+RF checkpoint of sort.s by one forged field group, keyed by
+// what each used to make, or would make, the simulator do.
 func forged(t testing.TB) map[string]*fastpath.Checkpoint {
 	t.Helper()
 	base := func() *fastpath.Checkpoint {
@@ -47,10 +47,18 @@ func forged(t testing.TB) map[string]*fastpath.Checkpoint {
 	region := base()
 	region.Machine.CompStart, region.Machine.CompEnd = 0, 0xFFFFFFFC
 	region.Machine.FStore = []cpu.FStoreWord{{Addr: 0x00800000, Word: 0x24020001}}
+	// One page more than mem.MaxBacked holds; Restore counts the pages
+	// before it reads any, so they are left empty.
+	pages := base()
+	pages.Memory.Pages = make([]mem.PageState, mem.MaxBacked>>16+1)
+	for i := range pages.Memory.Pages {
+		pages.Memory.Pages[i].Index = uint32(i)
+	}
 	return map[string]*fastpath.Checkpoint{
 		"bank-index-panic":       bank,
 		"handler-predecode-21GB": handler,
 		"functional-store-4GiB":  region,
+		"memory-past-bound":      pages,
 	}
 }
 
@@ -83,10 +91,11 @@ func loadApply(path string) (*cpu.CPU, uint64, error) {
 }
 
 // TestForgedCheckpointsRefused: checkpoints whose register bank, handler
-// extent or compressed region no run could produce are refused by
-// Apply with an ErrInvalidCheckpoint error, before anything is sized by the
-// forged geometry. At the parent they panicked with an index out of
-// range, or died out of memory asking for 21 GB and 4 GiB.
+// extent, compressed region or page count no run could produce are
+// refused by Apply with an ErrInvalidCheckpoint error, before anything
+// is sized by the forged geometry. Unchecked, the first three panicked
+// with an index out of range, or died out of memory asking for 21 GB
+// and 4 GiB.
 func TestForgedCheckpointsRefused(t *testing.T) {
 	dir := t.TempDir()
 	good := sortCheckpoint(t, rtd.Options{Scheme: rtd.SchemeDict, ShadowRF: true})
@@ -109,6 +118,9 @@ func TestForgedCheckpointsRefused(t *testing.T) {
 			}
 			if !errors.Is(err, fastpath.ErrInvalidCheckpoint) {
 				t.Errorf("want an error wrapping fastpath.ErrInvalidCheckpoint, got: %v", err)
+			}
+			if name == "memory-past-bound" && !errors.Is(err, mem.ErrBacked) {
+				t.Errorf("want the page count refused with mem.ErrBacked, got: %v", err)
 			}
 			// Refusing costs what loading the genuine file costs, not
 			// anything proportional to the forged extent.
@@ -215,7 +227,10 @@ func FuzzCheckpointLoad(f *testing.F) {
 	add := func(ck *fastpath.Checkpoint, dict bool) {
 		held[dict] = ck
 		core := *ck
-		core.Memory, core.ICache, core.DCache, core.Bpred = mem.State{}, cache.State{}, cache.State{}, bpred.State{}
+		core.ICache, core.DCache, core.Bpred = cache.State{}, cache.State{}, bpred.State{}
+		if ck.Memory.Pages[0].Data != nil { // a forged page count's empty pages stay
+			core.Memory = mem.State{}
+		}
 		payload, err := json.Marshal(core)
 		if err != nil {
 			f.Fatal(err)
@@ -223,7 +238,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 		f.Add(payload, dict)
 	}
 	add(sortCheckpoint(f, rtd.Options{}), false)
-	for _, name := range []string{"bank-index-panic", "handler-predecode-21GB", "functional-store-4GiB"} {
+	for _, name := range []string{"bank-index-panic", "handler-predecode-21GB", "functional-store-4GiB", "memory-past-bound"} {
 		add(forged(f)[name], true)
 	}
 	add(sortCheckpoint(f, rtd.Options{Scheme: rtd.SchemeDict, ShadowRF: true}), true)

@@ -34,6 +34,16 @@ func (b BusConfig) BurstCycles(n int) int {
 const pageShift = 16
 const pageSize = 1 << pageShift
 
+// MaxBacked bounds the memory one machine backs, in bytes (64 KB
+// pages, each backed on its first store). A program that stores past
+// it is runaway: no shipped program backs more than five pages. A
+// store that would back one more page fails instead, and Restore
+// refuses a snapshot holding more.
+const MaxBacked = 32 << 20
+
+// ErrBacked classifies the refusals MaxBacked makes.
+var ErrBacked = fmt.Errorf("mem: more than %d MiB backed", MaxBacked>>20)
+
 // Memory is a sparse byte-addressable physical memory.
 type Memory struct {
 	pages map[uint32][]byte
@@ -77,7 +87,7 @@ func (m *Memory) page(addr uint32, create bool) []byte {
 		return s.data
 	}
 	p := m.pages[idx]
-	if p == nil && create {
+	if p == nil && create && len(m.pages) < MaxBacked/pageSize {
 		p = make([]byte, pageSize)
 		m.pages[idx] = p
 	}
@@ -117,9 +127,16 @@ func (m *Memory) LoadByte(addr uint32) byte {
 	return p[addr&(pageSize-1)]
 }
 
-// StoreByte stores one byte.
-func (m *Memory) StoreByte(addr uint32, v byte) {
-	m.page(addr, true)[addr&(pageSize-1)] = v
+// StoreByte stores one byte. It reports false, storing nothing, when
+// addr's page is not backed and backing it would pass MaxBacked; so do
+// WriteWord and WriteHalf.
+func (m *Memory) StoreByte(addr uint32, v byte) bool {
+	p := m.page(addr, true)
+	if p == nil {
+		return false
+	}
+	p[addr&(pageSize-1)] = v
+	return true
 }
 
 // ReadWord returns the little-endian 32-bit word at addr. addr must be
@@ -137,13 +154,17 @@ func (m *Memory) ReadWord(addr uint32) uint32 {
 }
 
 // WriteWord stores a little-endian 32-bit word at 4-aligned addr.
-func (m *Memory) WriteWord(addr uint32, v uint32) {
+func (m *Memory) WriteWord(addr uint32, v uint32) bool {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("mem: unaligned word write at %#x", addr))
 	}
 	p := m.page(addr, true)
+	if p == nil {
+		return false
+	}
 	off := addr & (pageSize - 1)
 	binary.LittleEndian.PutUint32(p[off:off+4], v)
+	return true
 }
 
 // ReadHalf returns the little-endian 16-bit halfword at 2-aligned addr.
@@ -160,13 +181,17 @@ func (m *Memory) ReadHalf(addr uint32) uint16 {
 }
 
 // WriteHalf stores a 16-bit halfword at 2-aligned addr.
-func (m *Memory) WriteHalf(addr uint32, v uint16) {
+func (m *Memory) WriteHalf(addr uint32, v uint16) bool {
 	if addr&1 != 0 {
 		panic(fmt.Sprintf("mem: unaligned half write at %#x", addr))
 	}
 	p := m.page(addr, true)
+	if p == nil {
+		return false
+	}
 	off := addr & (pageSize - 1)
 	binary.LittleEndian.PutUint16(p[off:off+2], v)
+	return true
 }
 
 // Burst accounts one bus read transaction of n bytes — traffic counters
@@ -203,23 +228,32 @@ func (m *Memory) ReadBlock(addr uint32, dst []byte) int {
 }
 
 // LoadSegment copies a program segment into memory. Virtual segments are
-// skipped: they exist only inside the I-cache.
-func (m *Memory) LoadSegment(s *program.Segment) {
+// skipped: they exist only inside the I-cache. A segment that would
+// back memory past MaxBacked is an ErrBacked error, and is loaded only
+// up to the bound.
+func (m *Memory) LoadSegment(s *program.Segment) error {
 	if s.Virtual {
-		return
+		return nil
 	}
 	addr, data := s.Base, s.Data
 	for len(data) > 0 {
 		p := m.page(addr, true)
+		if p == nil {
+			return fmt.Errorf("%w: segment %s needs a page at %#x", ErrBacked, s.Name, addr)
+		}
 		n := copy(p[addr&(pageSize-1):], data)
 		addr += uint32(n)
 		data = data[n:]
 	}
+	return nil
 }
 
 // LoadImage loads every non-virtual segment of the image.
-func (m *Memory) LoadImage(im *program.Image) {
+func (m *Memory) LoadImage(im *program.Image) error {
 	for _, s := range im.Segments {
-		m.LoadSegment(s)
+		if err := m.LoadSegment(s); err != nil {
+			return err
+		}
 	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -184,5 +185,42 @@ func TestReadBlockMatchesBytewise(t *testing.T) {
 	}
 	if m.Backed(0x40000) {
 		t.Fatal("ReadBlock backed an unbacked page")
+	}
+}
+
+// TestBackedBound: stores back pages up to MaxBacked and no further; a
+// refused store changes nothing, stores into backed pages still land,
+// and Restore and LoadSegment refuse what would pass the bound.
+func TestBackedBound(t *testing.T) {
+	m := New(DefaultBus())
+	const pages = MaxBacked / pageSize
+	for i := uint32(0); i < pages; i++ {
+		if !m.WriteWord(i<<pageShift, i) {
+			t.Fatalf("store into page %d of %d refused", i, pages)
+		}
+	}
+	next := uint32(pages) << pageShift
+	if m.WriteWord(next, 1) || m.WriteHalf(next, 1) || m.StoreByte(next, 1) {
+		t.Fatal("a store backed a page past MaxBacked")
+	}
+	if m.Backed(next) || len(m.pages) != pages {
+		t.Fatalf("refused stores backed memory: %d pages", len(m.pages))
+	}
+	if !m.StoreByte(3, 7) || m.LoadByte(3) != 7 {
+		t.Fatal("a store into a backed page failed at the bound")
+	}
+	if err := m.LoadSegment(&program.Segment{Name: ".data", Base: next, Data: []byte{1}}); !errors.Is(err, ErrBacked) {
+		t.Fatalf("LoadSegment past the bound: %v", err)
+	}
+	st := State{Pages: make([]PageState, pages+1)}
+	for i := range st.Pages {
+		st.Pages[i].Index = uint32(i)
+	}
+	r := New(DefaultBus())
+	if err := r.Restore(st); !errors.Is(err, ErrBacked) {
+		t.Fatalf("Restore of %d pages: %v", len(st.Pages), err)
+	}
+	if len(r.pages) != 0 {
+		t.Fatal("refused Restore backed memory")
 	}
 }

@@ -34,8 +34,14 @@ func (m *Memory) Snapshot() State {
 }
 
 // Restore replaces the memory contents and counters with the snapshot.
-// The page cache is cleared (it is a pure cache over the page map).
+// The page cache is cleared (it is a pure cache over the page map). A
+// snapshot holding more pages than MaxBacked allows is refused, with
+// an ErrBacked error, before anything is copied.
 func (m *Memory) Restore(st State) error {
+	if len(st.Pages) > MaxBacked/pageSize {
+		return fmt.Errorf("%w: snapshot holds %d pages, at most %d fit",
+			ErrBacked, len(st.Pages), MaxBacked/pageSize)
+	}
 	m.pages = make(map[uint32][]byte, len(st.Pages))
 	for _, p := range st.Pages {
 		if len(p.Data) != pageSize {
