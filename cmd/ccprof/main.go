@@ -42,25 +42,20 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
 	"strings"
-	"time"
 
-	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/cpu"
 	"repro/internal/fastpath"
-	"repro/internal/minic"
-	"repro/internal/obs"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/selective"
-	"repro/internal/synth"
+	"repro/internal/session"
 	"repro/internal/telemetry"
 )
 
@@ -73,7 +68,6 @@ func main() {
 		runDiff(os.Args[2:])
 		return
 	}
-	start := time.Now()
 	var (
 		bench     = flag.String("bench", "", "profile a synthetic benchmark instead of a file")
 		scale     = flag.Float64("scale", 1.0, "dynamic length multiplier for -bench")
@@ -100,92 +94,71 @@ func main() {
 	)
 	flag.Parse()
 	if (*bench == "") == (flag.NArg() != 1) {
-		flag.Usage()
-		os.Exit(2)
+		session.Usage("")
 	}
 	switch *format {
 	case "text", "csv", "json":
 	default:
-		fmt.Fprintf(os.Stderr, "ccprof: unknown -format %q (want text, csv or json)\n", *format)
-		flag.Usage()
-		os.Exit(2)
+		session.Usage(fmt.Sprintf("unknown -format %q (want text, csv or json)", *format))
 	}
-	switch *mode {
-	case "exact":
-	case "sampled":
-		// The sampled tier estimates CPI; everything below needs the
-		// detailed engine's full event stream.
-		if *tracePath != "" || *foldPath != "" || *heatPath != "" || *timeline != "" ||
-			*phases || *profPath != "" || *lines || *procs || *format == "csv" {
-			fmt.Fprintln(os.Stderr, "ccprof: -mode sampled supports only -format text/json (no trace/attribution observers)")
-			flag.Usage()
-			os.Exit(2)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "ccprof: bad -mode %q (want exact, sampled)\n", *mode)
-		flag.Usage()
-		os.Exit(2)
+	m := session.Mode(*mode)
+	if m != session.Exact && m != session.Sampled {
+		session.Usage(fmt.Sprintf("bad -mode %q (want exact, sampled)", *mode))
 	}
+	session.Request{Tool: "ccprof", Mode: m, Observers: session.Observing(map[session.Observer]bool{
+		session.Telemetry: *tracePath != "" || *heatPath != "" || *timeline != "" || *phases ||
+			*format == "csv",
+		session.Attribution: *foldPath != "" || *profPath != "" || *lines || *procs,
+	})}.Check()
 	if *selFrac != 0 && *scheme == "native" {
-		fmt.Fprintln(os.Stderr, "ccprof: -selective needs a compressing -scheme (it picks the procedures the compressed image keeps native)")
-		flag.Usage()
-		os.Exit(2)
+		session.Usage("-selective needs a compressing -scheme (it picks the procedures the compressed image keeps native)")
 	}
 
-	man := obs.New("ccprof")
-	man.SetConfig("scheme", *scheme)
-	man.SetConfig("icache_kb", fmt.Sprint(*icacheKB))
-	man.SetConfig("format", *format)
+	s := session.New("ccprof", *icacheKB, *maxInstr, *manifest, os.Stderr)
+	s.Manifest.SetConfig("scheme", *scheme)
+	s.Manifest.SetConfig("format", *format)
+	if m == session.Sampled {
+		s.Manifest.SetConfig("mode", *mode)
+	}
+	defer s.Finish()
 
-	im, name, seed, encoded, err := loadImage(*bench, *scale, flag.Args(), man)
+	var t *session.Target
+	var err error
+	if *bench != "" {
+		t, err = session.Bench(*bench, *scale)
+	} else {
+		t, err = s.Open(flag.Arg(0), filepath.Base(flag.Arg(0)))
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	cfg := cpu.DefaultConfig()
-	cfg.ICache.SizeBytes = *icacheKB * 1024
-	cfg.MaxInstr = *maxInstr
-
 	// Compress on the fly when asked. A -selective fraction needs a
 	// profiled native run first to know which procedures are hot.
 	if *scheme != "native" {
-		if im.Compress != nil {
-			log.Fatalf("%s is already compressed (%s); drop -scheme", name, im.Compress.Scheme)
+		if t.Image.Compress != nil {
+			log.Fatalf("%s is already compressed (%s); drop -scheme", t.Name, t.Image.Compress.Scheme)
 		}
 		opts := core.Options{Scheme: program.Scheme(*scheme), ShadowRF: *shadowRF}
 		if *selFrac > 0 {
-			prof, _, err := selective.Profile(im, cfg)
+			prof, _, err := selective.Profile(t.Image, s.Config)
 			if err != nil {
 				log.Fatalf("selective pre-run: %v", err)
 			}
 			opts.NativeProcs = selective.Select(prof, selective.ByMisses, *selFrac)
 		}
-		res, err := core.Compress(im, opts)
+		res, err := core.Compress(t.Image, opts)
 		if err != nil {
 			log.Fatal(err)
 		}
-		im, encoded = res.Image, false
+		t.Image, t.Encoded = res.Image, false
 	}
-	if encoded {
-		// The run image is the input file unchanged: its digest is the
-		// file's, already recorded.
-		in := man.Inputs[len(man.Inputs)-1]
-		in.Name = "run-image"
-		man.Inputs = append(man.Inputs, in)
-	} else if err := man.AddImage("run-image", im); err != nil {
+	if err := s.RecordRunImage(t); err != nil {
 		log.Fatal(err)
 	}
 
-	if *mode == "sampled" {
-		sampledRun(im, cfg, fastpath.SampleConfig{Window: *sWindow, Interval: *sIntv},
-			name, *format, *outPath)
-		if *manifest != "" {
-			man.SetConfig("mode", "sampled")
-			man.Finish(start)
-			if err := man.Write(*manifest); err != nil {
-				log.Fatal(err)
-			}
-		}
+	if m == session.Sampled {
+		sampled(s, t, fastpath.SampleConfig{Window: *sWindow, Interval: *sIntv}, *format, *outPath)
 		return
 	}
 
@@ -194,27 +167,29 @@ func main() {
 		col.MaxEvents = telemetry.DefaultMaxEvents
 	}
 	col.Windows = telemetry.NewWindowSampler(*window)
-	col.Recorder = profile.NewRecorder(im)
-	man.SetConfig("window", fmt.Sprint(col.Windows.Size))
-	attr, rep, err := profiledRun(im, cfg, col)
+	s.Manifest.SetConfig("window", fmt.Sprint(col.Windows.Size))
+	o := session.Observers{Collector: col, Recorder: profile.NewRecorder(t.Image)}
+	c, err := s.Machine(t.Image, o.Attach)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep.SetIdentity(name, schemeOf(im), seed)
-	rep.SetManifest(man)
-	attr.SetIdentity(name, schemeOf(im))
-	attr.SetManifest(man)
+	if _, err := c.Run(); err != nil {
+		log.Fatal(err)
+	}
+	// The attribution invariant on lines, procedures and windows at
+	// once: a violation is a simulator bug, so the run fails loudly.
+	if err := o.Recorder.Verify(); err != nil {
+		log.Fatal(err)
+	}
+	attr, rep := o.Recorder.Profile(), telemetry.NewReport(c, col)
+	rep.SetIdentity(t.Name, t.Scheme(), t.Seed)
+	rep.SetManifest(s.Manifest)
+	attr.SetIdentity(t.Name, t.Scheme())
+	attr.SetManifest(s.Manifest)
 	rep.SetAttribution(attr)
 
-	out := os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
+	out, closeOut := output(*outPath)
+	defer closeOut()
 	switch *format {
 	case "text":
 		err = rep.WriteText(out, col)
@@ -242,7 +217,7 @@ func main() {
 	}
 
 	if *tracePath != "" {
-		writeFile(*tracePath, func(f *os.File) error { return col.WriteChromeTrace(f, im) })
+		writeFile(*tracePath, func(f *os.File) error { return col.WriteChromeTrace(f, t.Image) })
 	}
 	if *foldPath != "" {
 		writeFile(*foldPath, func(f *os.File) error { return telemetry.WriteFolded(f, attr) })
@@ -258,118 +233,35 @@ func main() {
 			return telemetry.WriteTimelineCSV(f, col.Windows.Records)
 		})
 	}
-	if *manifest != "" {
-		man.Finish(start)
-		if err := man.Write(*manifest); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
-// loadImage resolves the run target: a named synthetic benchmark, an
-// assembly or MiniC source file, or a linked image file. A file's bytes
-// are recorded in man and built or decoded from that one read. The
-// returned seed is the synthetic generator seed (0 for file targets),
-// recorded in the report's config stanza; encoded reports an image
-// file, whose bytes are the image's encoding (program.Encode of a
-// decoded image gives back the bytes it was decoded from).
-func loadImage(bench string, scale float64, args []string, man *obs.Manifest) (im *program.Image, name string, seed int64, encoded bool, err error) {
-	if bench != "" {
-		for _, p := range synth.Benchmarks() {
-			if p.Name != bench {
-				continue
-			}
-			if scale > 0 && scale != 1 {
-				p = p.Scale(scale)
-			}
-			im, err = synth.Build(p)
-			return im, bench, p.Seed, false, err
-		}
-		return nil, "", 0, false, fmt.Errorf("unknown benchmark %q", bench)
-	}
-	path := args[0]
-	name = filepath.Base(path)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, "", 0, false, err
-	}
-	man.AddInput(name, data)
-	switch {
-	case strings.HasSuffix(path, ".s"):
-		im, err = asm.Assemble(string(data))
-	case strings.HasSuffix(path, ".mc"):
-		im, err = minic.Compile(string(data))
-	default:
-		im, err = program.Decode(data)
-		encoded = true
-	}
-	return im, name, 0, encoded, err
-}
-
-// sampledRun is the -mode sampled tier: the image goes through the same
+// sampled is the -mode sampled tier: the image went through the same
 // build/compress pipeline as an exact run, then internal/fastpath
 // estimates CPI with functional fast-forward between short detailed
 // windows instead of simulating every cycle.
-func sampledRun(im *program.Image, cfg cpu.Config, scfg fastpath.SampleConfig, name, format, outPath string) {
-	c, err := cpu.New(cfg)
+func sampled(s *session.Session, t *session.Target, scfg fastpath.SampleConfig, format, outPath string) {
+	c, err := s.Machine(t.Image)
 	if err != nil {
-		log.Fatal(err)
-	}
-	c.Out = os.Stderr
-	if err := c.Load(im); err != nil {
 		log.Fatal(err)
 	}
 	res, err := fastpath.Sampled(c, scfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	out := os.Stdout
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		out = f
-	}
+	out, closeOut := output(outPath)
+	defer closeOut()
 	if format == "json" {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(res); err != nil {
+		if err := session.WriteJSON(out, res); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 	fmt.Fprintf(out, "%s (%s): sampled CPI %.4f (95%% CI [%.4f, %.4f])\n",
-		name, schemeOf(im), res.CPI, res.CPILow, res.CPIHigh)
+		t.Name, t.Scheme(), res.CPI, res.CPILow, res.CPIHigh)
 	fmt.Fprintf(out, "estimated cycles %d over %d user instructions\n", res.EstCycles, res.TotalInstrs)
 	fmt.Fprintf(out, "%d windows, %d fast-forward bursts, %d exact cycles, %.1f%% run detailed\n",
 		res.Windows, res.Bursts, res.ExactCycles,
 		100*float64(res.DetailedInstrs)/float64(res.TotalInstrs))
-}
-
-// profiledRun executes im with the collector attached — its recorder
-// and window sampler share one attribution ledger. It verifies the
-// attribution invariant on lines, procedures and windows at once (a
-// violation is a simulator bug, so it fails the run loudly) and digests
-// the machine into a report.
-func profiledRun(im *program.Image, cfg cpu.Config, col *telemetry.Collector) (*profile.Profile, *telemetry.Report, error) {
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	col.Attach(c)
-	c.Out = os.Stderr
-	if err := c.Load(im); err != nil {
-		return nil, nil, err
-	}
-	if _, err := c.Run(); err != nil {
-		return nil, nil, err
-	}
-	if err := col.Recorder.Verify(); err != nil {
-		return nil, nil, err
-	}
-	return col.Recorder.Profile(), telemetry.NewReport(c, col), nil
 }
 
 // runDiff is the `ccprof diff` subcommand: load two profile artifacts,
@@ -412,11 +304,21 @@ func runDiff(args []string) {
 	fmt.Print(d.Format(*top))
 }
 
-func schemeOf(im *program.Image) string {
-	if im.Compress == nil {
-		return "native"
+// output opens the report stream: the -o file when one is named, else
+// stdout.
+func output(path string) (io.Writer, func()) {
+	if path == "" {
+		return os.Stdout, func() {}
 	}
-	return string(im.Compress.Scheme)
+	f, err := os.Create(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return f, func() {
+		if err := f.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
 }
 
 func writeFile(path string, write func(*os.File) error) {

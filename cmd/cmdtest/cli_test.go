@@ -14,13 +14,15 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/core"
 	"repro/internal/program"
 )
 
 var (
-	binDir  string // built CLI binaries
-	imgPath string // a small assembled .img input
-	srcPath = filepath.Join("..", "..", "testdata", "sort.s")
+	binDir    string // built CLI binaries
+	imgPath   string // a small assembled .img input
+	ccImgPath string // imgPath compressed with the dictionary scheme
+	srcPath   = filepath.Join("..", "..", "testdata", "sort.s")
 )
 
 // TestMain builds every cmd/* binary once into a temp dir and assembles
@@ -56,6 +58,16 @@ func TestMain(m *testing.M) {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	res, err := core.Compress(im, core.Options{Scheme: program.SchemeDict})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	ccImgPath = filepath.Join(dir, "sort.cc.img")
+	if err := program.SaveFile(ccImgPath, res.Image); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 
 	os.Exit(m.Run())
 }
@@ -82,7 +94,6 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ccverify/bogus-flag", "ccverify", []string{"-bogusflag"}, 2, "flag provided but not defined"},
 		{"ccfuzz/bogus-flag", "ccfuzz", []string{"-bogusflag"}, 2, "flag provided but not defined"},
 		{"experiments/bogus-flag", "experiments", []string{"-bogusflag"}, 2, "flag provided but not defined"},
-		{"calibrate/bogus-flag", "calibrate", []string{"-bogusflag"}, 2, "flag provided but not defined"},
 		{"cclint/bogus-flag", "cclint", []string{"-bogusflag"}, 2, "flag provided but not defined"},
 		{"ccbench/run-bogus-flag", "ccbench", []string{"run", "-bogusflag"}, 2, "flag provided but not defined"},
 		{"cccheck/bogus-flag", "cccheck", []string{"-bogusflag"}, anyNonZero, ""},
@@ -123,6 +134,9 @@ func TestCLIExitCodes(t *testing.T) {
 		{"simrun/restore-with-compare", "simrun", []string{"-restore", "ck.json", "-compare"}, 2, "mutually exclusive"},
 		{"simrun/restore-with-arg", "simrun", []string{"-restore", "ck.json", imgMarker}, 2, "Usage"},
 		{"simrun/sampled-with-telemetry", "simrun", []string{"-mode", "sampled", "-telemetry", imgMarker}, 2, "detailed-engine observers"},
+		{"simrun/functional-with-profile", "simrun", []string{"-mode", "functional", "-profile", imgMarker}, 2, "detailed-engine observers"},
+		{"simrun/restore-with-profile", "simrun", []string{"-restore", "ck.json", "-profile"}, 2, "-restore supports only"},
+		{"simrun/checkpoint-with-compare", "simrun", []string{"-checkpoint", "ck.json", "-compare", "a.img", "b.img"}, 2, "mutually exclusive"},
 		{"simrun/restore-missing-file", "simrun", []string{"-mode", "functional", "-restore", "no-such.ck"}, 1, "no such file"},
 		{"simrun/functional-runs", "simrun", []string{"-mode", "functional", imgMarker}, 0, ""},
 		{"simrun/sampled-runs", "simrun", []string{"-mode", "sampled", "-sample-window", "100", "-sample-interval", "400", imgMarker}, 0, ""},
@@ -130,6 +144,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"ccprof/sampled-with-procs", "ccprof", []string{"-mode", "sampled", "-procs", imgMarker}, 2, "-mode sampled supports only"},
 		{"ccprof/sampled-csv", "ccprof", []string{"-mode", "sampled", "-format", "csv", imgMarker}, 2, "-mode sampled supports only"},
 		{"ccprof/sampled-runs", "ccprof", []string{"-mode", "sampled", imgMarker}, 0, ""},
+		{"ccprof/scheme-on-compressed", "ccprof", []string{"-scheme", "dict", ccImgMarker}, 1, "already compressed"},
 		{"ccprof/selective-needs-scheme", "ccprof", []string{"-selective", "0.5", imgMarker}, 2, "-selective needs a compressing -scheme"},
 		{"ccbench/gate-bogus-sampled-flag", "ccbench", []string{"gate", "-sampled-drift", "notanumber"}, 2, "invalid value"},
 		{"ccfuzz/bad-functional-flag", "ccfuzz", []string{"-functional", "maybe"}, 2, "Usage"},
@@ -150,6 +165,8 @@ func TestCLIExitCodes(t *testing.T) {
 					a = imgPath
 				case srcMarker:
 					a = srcPath
+				case ccImgMarker:
+					a = ccImgPath
 				}
 				args[i] = a
 			}
@@ -180,6 +197,7 @@ func TestCLIExitCodes(t *testing.T) {
 // Markers expanded to the per-run temp paths at execution time (the
 // table is built before TestMain's artifacts exist in the entries).
 const (
-	imgMarker = "<img>"
-	srcMarker = "<src>"
+	imgMarker   = "<img>"
+	srcMarker   = "<src>"
+	ccImgMarker = "<cc.img>"
 )

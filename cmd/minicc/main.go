@@ -19,6 +19,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/minic"
 	"repro/internal/program"
+	"repro/internal/session"
 )
 
 func main() {
@@ -61,12 +62,8 @@ func main() {
 	if *runIt {
 		cfg := cpu.DefaultConfig()
 		cfg.MaxInstr = 2_000_000_000
-		c, err := cpu.New(cfg)
+		c, err := session.Machine(cfg, im, os.Stdout)
 		if err != nil {
-			log.Fatal(err)
-		}
-		c.Out = os.Stdout
-		if err := c.Load(im); err != nil {
 			log.Fatal(err)
 		}
 		code, err := c.Run()

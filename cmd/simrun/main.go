@@ -27,18 +27,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
 
 	"repro/internal/cpu"
 	"repro/internal/fastpath"
-	"repro/internal/obs"
 	"repro/internal/profile"
-	"repro/internal/program"
+	"repro/internal/session"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -46,7 +45,6 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("simrun: ")
-	start := time.Now()
 	var (
 		icacheKB = flag.Int("icache", 16, "I-cache size in KB")
 		stats    = flag.Bool("stats", false, "print full statistics")
@@ -67,81 +65,44 @@ func main() {
 		sWarmup = flag.Uint64("sample-warmup", 0, "sampled mode: unmeasured detailed warmup length (default 0)")
 	)
 	flag.Parse()
-	switch *mode {
-	case "exact", "functional", "sampled":
+	m := session.Mode(*mode)
+	switch m {
+	case session.Exact, session.Functional, session.Sampled:
 	default:
-		log.Printf("bad -mode %q (want exact, functional, sampled)", *mode)
-		flag.Usage()
-		os.Exit(2)
+		session.Usage(fmt.Sprintf("bad -mode %q (want exact, functional, sampled)", *mode))
 	}
 	if *ckAt > 0 && *ckPath == "" {
-		log.Print("-checkpoint-at needs -checkpoint")
-		flag.Usage()
-		os.Exit(2)
+		session.Usage("-checkpoint-at needs -checkpoint")
 	}
-	if *ckPath != "" && *mode != "exact" {
-		log.Print("-checkpoint requires -mode exact (the fast tiers have no complete timing state to save)")
-		flag.Usage()
-		os.Exit(2)
-	}
-	wantArgs := 1
-	if *compare {
-		wantArgs = 2
-	}
-	if *restore != "" {
-		wantArgs = 0
-		if *compare {
-			log.Print("-restore and -compare are mutually exclusive")
-			flag.Usage()
-			os.Exit(2)
-		}
-	}
-	if flag.NArg() != wantArgs {
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *mode != "exact" && (*compare || *profTbl || *traceN > 0 || *telem) {
-		log.Printf("-mode %s supports none of -compare/-profile/-trace/-telemetry (detailed-engine observers)", *mode)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *ckPath != "" && *compare {
-		log.Print("-checkpoint and -compare are mutually exclusive")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *restore != "" && (*profTbl || *traceN > 0 || *telem || (*jsonOut && *mode == "exact")) {
-		log.Print("-restore supports only -stats observers (the image identity -profile/-trace/-telemetry/-json need is not part of a checkpoint)")
-		flag.Usage()
-		os.Exit(2)
-	}
+	session.Request{Tool: "simrun", Mode: m, Restore: *restore != "", Targets: flag.NArg(),
+		Observers: session.Observing(map[session.Observer]bool{
+			session.Attribution: *profTbl,
+			session.Telemetry:   *telem || *jsonOut && m == session.Exact,
+			session.TraceRing:   *traceN > 0,
+			session.Capture:     *ckPath != "",
+			session.Compare:     *compare,
+		})}.Check()
 
-	man := obs.New("simrun")
-	man.SetConfig("icache_kb", fmt.Sprint(*icacheKB))
-	man.SetConfig("mode", *mode)
-	if *manifest != "" {
-		defer func() {
-			man.Finish(start)
-			if err := man.Write(*manifest); err != nil {
-				log.Fatal(err)
-			}
-		}()
+	var out io.Writer = os.Stdout
+	if *jsonOut {
+		out = os.Stderr
 	}
+	s := session.New("simrun", *icacheKB, *maxInstr, *manifest, out)
+	s.Manifest.SetConfig("mode", *mode)
+	defer s.Finish()
 
-	if *mode != "exact" {
-		runFast(*mode, *restore, flag.Args(), fastpath.SampleConfig{
+	if m != session.Exact {
+		runFast(s, m, *restore, fastpath.SampleConfig{
 			Window: *sWindow, Interval: *sIntv, Warmup: *sWarmup,
-		}, *icacheKB, *maxInstr, *jsonOut, man)
+		}, *jsonOut)
 		return
 	}
 
-	cfg := cpu.DefaultConfig()
-	cfg.ICache.SizeBytes = *icacheKB * 1024
-	cfg.MaxInstr = *maxInstr
-
 	if *restore != "" {
-		c := restoredMachine(*restore)
-		c.Out = os.Stdout
+		c, err := s.Restore(*restore)
+		if err != nil {
+			log.Fatal(err)
+		}
 		code, err := c.Run()
 		if err != nil {
 			log.Fatal(err)
@@ -155,18 +116,18 @@ func main() {
 	if *telem || *jsonOut {
 		col = telemetry.New()
 	}
-	c, attr, im := run(flag.Arg(0), cfg, *profTbl, *traceN, col, *jsonOut, *ckPath, *ckAt, man)
+	c, attr, t := run(s, flag.Arg(0), *profTbl, *traceN, col, *jsonOut, *ckPath, *ckAt)
 	first := c.Stats
 	if *compare {
-		c2, _, _ := run(flag.Arg(1), cfg, false, 0, nil, *jsonOut, "", 0, man)
+		c2, _, _ := run(s, flag.Arg(1), false, 0, nil, *jsonOut, "", 0)
 		fmt.Printf("slowdown: %.3f (%d vs %d cycles)\n",
 			float64(c2.Stats.Cycles)/float64(first.Cycles), c2.Stats.Cycles, first.Cycles)
 		return
 	}
 	if *jsonOut {
 		rep := telemetry.NewReport(c, col)
-		rep.SetIdentity(flag.Arg(0), schemeOf(im), 0)
-		rep.SetManifest(man)
+		rep.SetIdentity(t.Name, t.Scheme(), 0)
+		rep.SetManifest(s.Manifest)
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
@@ -178,75 +139,33 @@ func main() {
 	}
 	if *telem {
 		rep := telemetry.NewReport(c, col)
-		rep.SetIdentity(flag.Arg(0), schemeOf(im), 0)
+		rep.SetIdentity(t.Name, t.Scheme(), 0)
 		if err := rep.WriteText(os.Stdout, col); err != nil {
 			log.Fatal(err)
 		}
 	}
 }
 
-func schemeOf(im *program.Image) string {
-	if im.Compress == nil {
-		return "native"
-	}
-	return string(im.Compress.Scheme)
-}
-
-// loadImage reads an image file, records the bytes in the manifest and
-// decodes those same bytes, so the digest describes what ran.
-func loadImage(path string, man *obs.Manifest) *program.Image {
-	data, err := os.ReadFile(path)
+// run executes the image at path on the detailed engine with the asked
+// observers, the image recorded in the manifest under path as given.
+func run(s *session.Session, path string, profiled bool, traceN int, col *telemetry.Collector, quiet bool, ckPath string, ckAt uint64) (*cpu.CPU, *profile.Profile, *session.Target) {
+	t, err := s.Open(path, path)
 	if err != nil {
 		log.Fatal(err)
 	}
-	man.AddInput(path, data)
-	im, err := program.Decode(data)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return im
-}
-
-func run(path string, cfg cpu.Config, profiled bool, traceN int, col *telemetry.Collector, quiet bool, ckPath string, ckAt uint64, man *obs.Manifest) (*cpu.CPU, *profile.Profile, *program.Image) {
-	im := loadImage(path, man)
-	c, err := cpu.New(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var rec *profile.Recorder
+	o := session.Observers{Collector: col}
 	if profiled {
-		rec = profile.NewRecorder(im)
+		o.Recorder = profile.NewRecorder(t.Image)
 	}
-	// The collector drives the recorder from its own commit hook.
-	if col != nil {
-		col.Recorder = rec
-		col.Attach(c)
-	} else if rec != nil {
-		rec.Attach(c)
-	}
-	var ring *trace.Ring
 	if traceN > 0 {
-		ring = trace.NewRing(traceN, im)
-		ring.Attach(c)
+		o.Ring = trace.NewRing(traceN, t.Image)
 	}
-	c.Out = os.Stdout
-	if quiet {
-		c.Out = os.Stderr
-	}
-	if err := c.Load(im); err != nil {
+	c, err := s.Machine(t.Image, o.Attach)
+	if err != nil {
 		log.Fatal(err)
 	}
 	if ckPath != "" {
-		if ckAt > 0 {
-			halted, err := c.RunDetailedFor(ckAt)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if halted {
-				log.Fatalf("program halted after %d user instructions, before the -checkpoint-at %d point", c.Stats.Instrs, ckAt)
-			}
-		}
-		if err := fastpath.Capture(c, man).Save(ckPath); err != nil {
+		if err := s.Capture(c, ckPath, ckAt); err != nil {
 			log.Fatal(err)
 		}
 		if !quiet {
@@ -254,8 +173,8 @@ func run(path string, cfg cpu.Config, profiled bool, traceN int, col *telemetry.
 		}
 	}
 	code, err := c.Run()
-	if ring != nil {
-		fmt.Printf("\n--- last %d committed instructions ---\n%s", traceN, ring.Dump())
+	if o.Ring != nil {
+		fmt.Printf("\n--- last %d committed instructions ---\n%s", traceN, o.Ring.Dump())
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -264,17 +183,17 @@ func run(path string, cfg cpu.Config, profiled bool, traceN int, col *telemetry.
 		fmt.Printf("\n[%s exited with code %d]\n", path, code)
 	}
 	var attr *profile.Profile
-	if rec != nil {
+	if o.Recorder != nil {
 		// The attribution sum invariant is a simulator contract: a
 		// violation means the recorder missed or double-counted cycles,
 		// so the run fails rather than printing wrong numbers.
-		if err := rec.Verify(); err != nil {
+		if err := o.Recorder.Verify(); err != nil {
 			log.Fatal(err)
 		}
-		attr = rec.Profile()
-		attr.SetIdentity(path, schemeOf(im))
+		attr = o.Recorder.Profile()
+		attr.SetIdentity(path, t.Scheme())
 	}
-	return c, attr, im
+	return c, attr, t
 }
 
 func printStats(s cpu.Stats, full bool) {
@@ -292,96 +211,60 @@ func printStats(s cpu.Stats, full bool) {
 	fmt.Printf("fetch/load stall cycles: %d/%d\n", s.FetchStalls, s.LoadStalls)
 }
 
-// restoredMachine rebuilds a full machine from a checkpoint file.
-func restoredMachine(path string) *cpu.CPU {
-	ck, err := fastpath.Load(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	c, err := ck.Apply()
-	if err != nil {
-		log.Fatal(err)
-	}
-	return c
-}
-
 // runFast drives the fast tier: pure functional execution or sampled
 // detailed simulation (internal/fastpath). The machine comes from a
 // fresh image load, or — with -restore — from a checkpoint, in which
 // case the machine configuration is the checkpointed one and -icache
 // and -max do not apply.
-func runFast(mode, restorePath string, args []string, scfg fastpath.SampleConfig, icacheKB int, maxInstr uint64, jsonOut bool, man *obs.Manifest) {
-	var c *cpu.CPU
+func runFast(s *session.Session, m session.Mode, restorePath string, scfg fastpath.SampleConfig, jsonOut bool) {
 	path := restorePath
+	var c *cpu.CPU
+	var err error
 	if restorePath != "" {
-		c = restoredMachine(restorePath)
+		c, err = s.Restore(restorePath)
 	} else {
-		path = args[0]
-		im := loadImage(path, man)
-		cfg := cpu.DefaultConfig()
-		cfg.ICache.SizeBytes = icacheKB * 1024
-		cfg.MaxInstr = maxInstr
-		var err error
-		c, err = cpu.New(cfg)
+		path = flag.Arg(0)
+		var t *session.Target
+		if t, err = s.Open(path, path); err == nil {
+			c, err = s.Machine(t.Image)
+		}
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+	if m == session.Functional {
+		rep, err := session.RunFunctional(c, path)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := c.Load(im); err != nil {
-			log.Fatal(err)
-		}
-	}
-	c.Out = os.Stdout
-	if jsonOut {
-		c.Out = os.Stderr
-	}
-	start := time.Now()
-	switch mode {
-	case "functional":
-		code, err := fastpath.Functional(c)
-		elapsed := time.Since(start)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mips := float64(c.FStats.Instrs) / 1e6 / elapsed.Seconds()
 		if jsonOut {
-			writeJSON(map[string]any{
-				"mode":           "functional",
-				"program":        path,
-				"exit_code":      code,
-				"instrs":         c.FStats.Instrs,
-				"handler_instrs": c.FStats.HandlerInstrs,
-				"exceptions":     c.FStats.Exceptions,
-				"host_seconds":   elapsed.Seconds(),
-				"mips":           mips,
-			})
+			writeJSON(rep)
 			return
 		}
-		fmt.Printf("\n[%s exited with code %d]\n", path, code)
+		fmt.Printf("\n[%s exited with code %d]\n", path, rep.ExitCode)
 		fmt.Printf("functional: %d user instructions (+%d handler), %d decompression exceptions\n",
-			c.FStats.Instrs, c.FStats.HandlerInstrs, c.FStats.Exceptions)
-		fmt.Printf("host: %v (%.1f M instr/s)\n", elapsed.Round(time.Millisecond), mips)
-	case "sampled":
-		res, err := fastpath.Sampled(c, scfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if jsonOut {
-			writeJSON(res)
-			return
-		}
-		fmt.Printf("\n[%s exited with code %d]\n", path, res.ExitCode)
-		fmt.Printf("sampled CPI %.4f (95%% CI [%.4f, %.4f]) over %d user instructions\n",
-			res.CPI, res.CPILow, res.CPIHigh, res.TotalInstrs)
-		fmt.Printf("estimated cycles %d; %d windows, %d bursts, %.1f%% of instructions run detailed\n",
-			res.EstCycles, res.Windows, res.Bursts,
-			100*float64(res.DetailedInstrs)/float64(res.TotalInstrs))
+			rep.Instrs, rep.HandlerInstrs, rep.Exceptions)
+		fmt.Printf("host: %v (%.1f M instr/s)\n", rep.Host.Round(time.Millisecond), rep.MIPS)
+		return
 	}
+	res, err := fastpath.Sampled(c, scfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if jsonOut {
+		writeJSON(res)
+		return
+	}
+	fmt.Printf("\n[%s exited with code %d]\n", path, res.ExitCode)
+	fmt.Printf("sampled CPI %.4f (95%% CI [%.4f, %.4f]) over %d user instructions\n",
+		res.CPI, res.CPILow, res.CPIHigh, res.TotalInstrs)
+	fmt.Printf("estimated cycles %d; %d windows, %d bursts, %.1f%% of instructions run detailed\n",
+		res.EstCycles, res.Windows, res.Bursts,
+		100*float64(res.DetailedInstrs)/float64(res.TotalInstrs))
 }
 
 func writeJSON(v any) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := session.WriteJSON(os.Stdout, v); err != nil {
 		log.Fatal(err)
 	}
 }

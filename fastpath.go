@@ -37,24 +37,12 @@ func DefaultSampleConfig() SampleConfig { return fastpath.DefaultSampleConfig() 
 // no timing — the returned RunResult's Stats are all zero, and the
 // work shows up in FunctStats instead.
 func FunctionalRun(im *Image, cfg MachineConfig) (RunResult, FunctStats, error) {
-	if cfg.MaxInstr == 0 {
-		cfg.MaxInstr = 2_000_000_000
-	}
 	cfg.Functional = true
-	c, err := cpu.New(cfg)
+	r, c, err := run(im, cfg)
 	if err != nil {
 		return RunResult{}, FunctStats{}, err
 	}
-	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
-		return RunResult{}, FunctStats{}, err
-	}
-	code, err := c.Run()
-	if err != nil {
-		return RunResult{}, FunctStats{}, err
-	}
-	return RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}, c.FStats, nil
+	return r, c.FStats, nil
 }
 
 // SampledRun executes the image under SMARTS-style sampled simulation:
@@ -62,16 +50,9 @@ func FunctionalRun(im *Image, cfg MachineConfig) (RunResult, FunctStats, error) 
 // fast-forward. It returns the sample estimate and the program's
 // output (which, unlike timing, is exact).
 func SampledRun(im *Image, cfg MachineConfig, scfg SampleConfig) (*SampleResult, string, error) {
-	if cfg.MaxInstr == 0 {
-		cfg.MaxInstr = 2_000_000_000
-	}
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return nil, "", err
-	}
 	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
+	c, err := machine(im, cfg, &out)
+	if err != nil {
 		return nil, "", err
 	}
 	res, err := fastpath.Sampled(c, scfg)

@@ -3,11 +3,11 @@ package verify
 // Multi-way lockstep: run N images of the same program (native plus any
 // number of compressed variants) simultaneously, comparing every
 // committed user instruction of each variant against the reference
-// (index 0). This generalises Lockstep for the differential
-// co-simulation harness (internal/diffsim), and additionally:
+// (index 0). Lockstep is its two-image case; the differential
+// co-simulation harness (internal/diffsim) uses it directly. It:
 //
-//   - captures each machine's syscall output instead of discarding it,
-//     so output traces can be compared;
+//   - captures each machine's syscall output, so output traces and
+//     exit codes are compared at the halt;
 //   - compares the HI/LO registers (handlers never touch them);
 //   - exposes an OnCommit hook observing *every* commit, including
 //     handler instructions, for external oracles (swic content checks,
@@ -17,6 +17,7 @@ package verify
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/cpu"
@@ -211,12 +212,22 @@ func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, er
 			}
 		}
 	}
-	return results(), fmt.Errorf("verify: step budget %d exhausted before halt", cfg.MaxSteps)
+	return results(), fmt.Errorf("verify: step %w %d exhausted before halt", errStepBudget, cfg.MaxSteps)
 }
 
+// errStepBudget marks a run that reached MultiConfig.MaxSteps before
+// the reference halted.
+var errStepBudget = errors.New("budget")
+
 // compareStep checks instruction identity and register state of machine
-// m against the reference, mirroring Lockstep's masking rules and adding
-// HI/LO.
+// m against the reference: the same encoding, or (for instructions that
+// embed code addresses) the same procedure-relative position, and every
+// general-purpose register except those that legitimately hold code
+// addresses ($ra, and $t9, which carries jr/jalr targets) and the
+// OS-reserved $k0/$k1 the single-register-file handlers use as scratch,
+// which user code may never observe (internal/analysis exempts them
+// too). Register values that are code addresses in their own images
+// compare procedure-relatively. HI/LO compare exactly.
 func compareStep(step uint64, ref, m *mmachine, idx int) *MultiDivergence {
 	div := func(what string) *MultiDivergence {
 		return &MultiDivergence{Img: idx, Step: step, What: what,
@@ -237,7 +248,7 @@ func compareStep(step uint64, ref, m *mmachine, idx int) *MultiDivergence {
 	}
 	for r := 0; r < isa.NumRegs; r++ {
 		if r == isa.RegRA || r == isa.RegT9 || r == isa.RegK0 || r == isa.RegK1 {
-			continue // same masking rationale as Lockstep
+			continue
 		}
 		va, vb := ref.c.Reg(r), m.c.Reg(r)
 		if va == vb {

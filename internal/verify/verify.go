@@ -1,15 +1,15 @@
 // Package verify provides differential verification of program images:
 // two images (typically a native program and its compressed rewrite) run
 // in lockstep, and the first architectural divergence — a differing
-// committed instruction or register state — is reported with full
-// context. Decompression is meant to be invisible to the program, so any
-// divergence is a bug in a compressor, a handler or the re-layout.
+// committed instruction, register state, exit code or output — is
+// reported with full context. Decompression is meant to be invisible to
+// the program, so any divergence is a bug in a compressor, a handler or
+// the re-layout.
 package verify
 
 import (
+	"errors"
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -33,50 +33,6 @@ func (d *Divergence) Error() string {
 		d.PCB, isa.Disassemble(d.PCB, d.InstrB))
 }
 
-// machine wraps a CPU stepping only committed user instructions.
-type machine struct {
-	c    *cpu.CPU
-	im   *program.Image
-	last struct {
-		pc, instr uint32
-	}
-	pending bool
-}
-
-func newMachine(im *program.Image, cfg cpu.Config) (*machine, error) {
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.Out = io.Discard
-	m := &machine{c: c, im: im}
-	c.Trace = func(pc, instr uint32, handler bool) {
-		if !handler {
-			m.last.pc, m.last.instr = pc, instr
-			m.pending = true
-		}
-	}
-	if err := c.Load(im); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// stepUser advances until one user instruction commits (running any
-// handler activity silently) and reports whether the machine halted.
-func (m *machine) stepUser() (bool, error) {
-	m.pending = false
-	for !m.pending {
-		if halted, _ := m.c.Halted(); halted {
-			return true, nil
-		}
-		if err := m.c.Step(); err != nil {
-			return false, err
-		}
-	}
-	return false, nil
-}
-
 // procRelative maps a PC to (procedure name, offset) so that images with
 // different layouts can be compared position-independently.
 func procRelative(im *program.Image, pc uint32) (string, uint32) {
@@ -86,111 +42,31 @@ func procRelative(im *program.Image, pc uint32) (string, uint32) {
 	return "", pc
 }
 
-// Lockstep runs both images until completion or maxSteps committed user
-// instructions, comparing at every step:
-//
-//   - the executed instruction encoding (relocation-bearing instructions
-//     are compared by procedure-relative position instead), and
-//   - the full general-purpose register state, masking registers that
-//     legitimately hold code addresses ($ra, and the operands of jr/jalr)
-//     and the OS-reserved $k0/$k1 the handlers use as scratch.
-//
-// It returns nil when the runs are equivalent, or the first Divergence.
+// Lockstep is the two-image case of LockstepMulti, with b compared
+// against a under its rules: every committed user instruction and the
+// register state (HI/LO included) at each step, the exit code and the
+// output at the halt. It returns nil when the runs are equivalent, or
+// the first *Divergence; a machine fault is a *MachineError. With
+// maxSteps > 0 it compares a prefix: reaching maxSteps before the halt
+// returns nil.
 func Lockstep(a, b *program.Image, cfg cpu.Config, maxSteps uint64) error {
-	ma, err := newMachine(a, cfg)
-	if err != nil {
-		return err
+	_, err := LockstepMulti([]*program.Image{a, b}, MultiConfig{CPU: cfg, MaxSteps: maxSteps})
+	var d *MultiDivergence
+	switch {
+	case errors.Is(err, errStepBudget):
+		return nil
+	case errors.As(err, &d):
+		return &Divergence{Step: d.Step, What: d.What,
+			PCA: d.PCA, PCB: d.PCB, InstrA: d.InstrA, InstrB: d.InstrB}
 	}
-	mb, err := newMachine(b, cfg)
-	if err != nil {
-		return err
-	}
-	for step := uint64(0); maxSteps == 0 || step < maxSteps; step++ {
-		haltedA, errA := ma.stepUser()
-		haltedB, errB := mb.stepUser()
-		if errA != nil || errB != nil {
-			return fmt.Errorf("verify: step %d: A err=%v, B err=%v", step, errA, errB)
-		}
-		if haltedA || haltedB {
-			if haltedA != haltedB {
-				return &Divergence{Step: step, What: "one machine halted before the other",
-					PCA: ma.last.pc, PCB: mb.last.pc, InstrA: ma.last.instr, InstrB: mb.last.instr}
-			}
-			codeA, _ := ma.c.Halted()
-			codeB, _ := mb.c.Halted()
-			_ = codeA
-			_ = codeB
-			return nil
-		}
-		d := compare(step, ma, mb)
-		if d != nil {
-			return d
-		}
-	}
-	return nil
-}
-
-func compare(step uint64, ma, mb *machine) *Divergence {
-	div := func(what string) *Divergence {
-		return &Divergence{Step: step, What: what,
-			PCA: ma.last.pc, PCB: mb.last.pc, InstrA: ma.last.instr, InstrB: mb.last.instr}
-	}
-	// Compare instruction identity: same encoding, or (for instructions
-	// that embed code addresses) the same procedure-relative position.
-	if ma.last.instr != mb.last.instr {
-		pa, oa := procRelative(ma.im, ma.last.pc)
-		pb, ob := procRelative(mb.im, mb.last.pc)
-		if pa != pb || oa != ob {
-			return div("different instruction position")
-		}
-		// Same position: the encodings may differ only via relocation
-		// fields (j/jal target, lui/ori address halves).
-		if isa.Op(ma.last.instr) != isa.Op(mb.last.instr) {
-			return div("different opcode at same position")
-		}
-	} else {
-		pa, oa := procRelative(ma.im, ma.last.pc)
-		pb, ob := procRelative(mb.im, mb.last.pc)
-		if pa != pb || oa != ob {
-			return div("same instruction at different position")
-		}
-	}
-	// Compare register state, masking code-address-bearing registers.
-	for r := 0; r < isa.NumRegs; r++ {
-		if r == isa.RegRA || r == isa.RegT9 {
-			continue // hold code addresses: layout-dependent by design
-		}
-		if r == isa.RegK0 || r == isa.RegK1 {
-			// OS-reserved: the single-register-file handlers use them as
-			// exception-level scratch, which user code may never observe.
-			// The static analyzer (internal/analysis) exempts them for
-			// the same reason.
-			continue
-		}
-		va, vb := ma.c.Reg(r), mb.c.Reg(r)
-		if va == vb {
-			continue
-		}
-		// Values that are code addresses in their own images are
-		// compared procedure-relatively.
-		na, oa := procRelative(ma.im, va)
-		nb, ob := procRelative(mb.im, vb)
-		if na != "" && na == nb && oa == ob {
-			continue
-		}
-		return div(fmt.Sprintf("register %s differs: %#x vs %#x", isa.RegName(r), va, vb))
-	}
-	return nil
+	return err
 }
 
 // Equivalent is a convenience wrapper: it reports a readable multi-line
 // verdict instead of an error.
 func Equivalent(a, b *program.Image, cfg cpu.Config, maxSteps uint64) (bool, string) {
 	if err := Lockstep(a, b, cfg, maxSteps); err != nil {
-		var sb strings.Builder
-		sb.WriteString("NOT equivalent:\n  ")
-		sb.WriteString(err.Error())
-		return false, sb.String()
+		return false, "NOT equivalent:\n  " + err.Error()
 	}
 	return true, "equivalent"
 }

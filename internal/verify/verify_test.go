@@ -1,9 +1,13 @@
 package verify
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/program"
@@ -100,6 +104,39 @@ func TestLockstepDetectsClobberingHandler(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "register") && !strings.Contains(err.Error(), "verify") {
 		t.Fatalf("unexpected error: %v", err)
+	}
+}
+
+// TestLockstepComparesOutput runs two builds of testdata/strings.s that
+// differ in one byte of a message the program prints: every committed
+// instruction and register agrees, only the output does not.
+func TestLockstepComparesOutput(t *testing.T) {
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "strings.s"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := asm.Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := asm.Assemble(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := b.Segment(program.SegData).Data
+	i := bytes.Index(data, []byte("len="))
+	if i < 0 {
+		t.Fatal(`"len=" not found in .data`)
+	}
+	data[i] = 'L'
+	err = Lockstep(a, b, cfg(), 0)
+	d, ok := err.(*Divergence)
+	if !ok || !strings.Contains(d.What, "outputs differ") {
+		t.Fatalf("want an output divergence, got %v", err)
+	}
+	// A prefix that stops before the halt never reaches the output check.
+	if err := Lockstep(a, b, cfg(), d.Step); err != nil {
+		t.Fatalf("prefix of %d steps: %v", d.Step, err)
 	}
 }
 

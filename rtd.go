@@ -14,6 +14,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/selective"
+	"repro/internal/session"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/verify"
@@ -139,41 +140,26 @@ func (r RunResult) MissRatio() float64 {
 // Run executes the image to completion on a machine with the given
 // configuration.
 func Run(im *Image, cfg MachineConfig) (RunResult, error) {
-	r, _, err := runWith(im, cfg, false)
+	r, _, err := run(im, cfg)
 	return r, err
 }
 
 // ProfiledRun executes the image and also collects the per-procedure
 // profile used by selective compression and placement.
 func ProfiledRun(im *Image, cfg MachineConfig) (RunResult, *Profile, error) {
-	return runWith(im, cfg, true)
+	rec := profile.NewRecorder(im)
+	r, _, err := run(im, cfg, rec.Attach)
+	if err != nil {
+		return RunResult{}, nil, err
+	}
+	return r, rec.Profile(), nil
 }
 
 // InstrumentedRun executes the image with the full telemetry layer
 // attached and returns the run result, its report, and the collector
 // (for the Chrome-trace exporter and raw histograms).
 func InstrumentedRun(im *Image, cfg MachineConfig) (RunResult, *Report, *Collector, error) {
-	if cfg.MaxInstr == 0 {
-		cfg.MaxInstr = 2_000_000_000
-	}
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	col := telemetry.New()
-	col.MaxEvents = telemetry.DefaultMaxEvents
-	col.Attach(c)
-	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	code, err := c.Run()
-	if err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	res := RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}
-	return res, telemetry.NewReport(c, col), col, nil
+	return instrumented(im, cfg, nil)
 }
 
 // WindowSampler is the windowed time-series telemetry sampler: cpu.Stats
@@ -190,60 +176,49 @@ type WindowRecord = telemetry.WindowRecord
 // to the whole-run Stats) is verified before returning — a violation is
 // an error, never silent.
 func WindowedRun(im *Image, cfg MachineConfig, window uint64) (RunResult, *Report, *Collector, error) {
-	if cfg.MaxInstr == 0 {
-		cfg.MaxInstr = 2_000_000_000
-	}
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	col := telemetry.New()
-	col.MaxEvents = telemetry.DefaultMaxEvents
-	col.Windows = telemetry.NewWindowSampler(window)
-	col.Attach(c)
-	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	code, err := c.Run()
-	if err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	if err := col.Windows.Verify(); err != nil {
-		return RunResult{}, nil, nil, err
-	}
-	res := RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}
-	return res, telemetry.NewReport(c, col), col, nil
+	return instrumented(im, cfg, telemetry.NewWindowSampler(window))
 }
 
-func runWith(im *Image, cfg MachineConfig, profiled bool) (RunResult, *Profile, error) {
+// instrumented runs the image with a collector attached that records
+// events for the Chrome trace and, given a window sampler, the window
+// time series, whose sums it verifies.
+func instrumented(im *Image, cfg MachineConfig, windows *WindowSampler) (RunResult, *Report, *Collector, error) {
+	col := telemetry.New()
+	col.MaxEvents = telemetry.DefaultMaxEvents
+	col.Windows = windows
+	r, c, err := run(im, cfg, col.Attach)
+	if err == nil && windows != nil {
+		err = windows.Verify()
+	}
+	if err != nil {
+		return RunResult{}, nil, nil, err
+	}
+	return r, telemetry.NewReport(c, col), col, nil
+}
+
+// machine builds the image's machine through the session's constructor
+// with the observers attach installs, the program's output captured in
+// out, and a budget of 2e9 instructions when cfg sets none.
+func machine(im *Image, cfg MachineConfig, out *bytes.Buffer, attach ...func(*cpu.CPU)) (*cpu.CPU, error) {
 	if cfg.MaxInstr == 0 {
 		cfg.MaxInstr = 2_000_000_000
 	}
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return RunResult{}, nil, err
-	}
-	var rec *profile.Recorder
-	if profiled {
-		rec = profile.NewRecorder(im)
-		rec.Attach(c)
-	}
+	return session.Machine(cfg, im, out, attach...)
+}
+
+// run executes the image to completion with the observers attach
+// installs.
+func run(im *Image, cfg MachineConfig, attach ...func(*cpu.CPU)) (RunResult, *cpu.CPU, error) {
 	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
+	c, err := machine(im, cfg, &out, attach...)
+	if err != nil {
 		return RunResult{}, nil, err
 	}
 	code, err := c.Run()
 	if err != nil {
 		return RunResult{}, nil, err
 	}
-	var prof *Profile
-	if rec != nil {
-		prof = rec.Profile()
-	}
-	return RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}, prof, nil
+	return RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}, c, nil
 }
 
 // Select returns the procedures to keep as native code: the top-ranked
