@@ -242,7 +242,8 @@ func BenchmarkDecompressionPath(b *testing.B) {
 // adds ccprof's artifact writes to Attributed; a ledger is
 // called out only where the attribution key may change (see
 // cpu.CPU.OnKey), so their gap over On is paid per key change, not per
-// commit.
+// commit. NativeOff and NativeProfiled compare the native image without
+// observers and under the recorder alone.
 func BenchmarkTelemetryOverhead(b *testing.B) {
 	im, err := rtd.BuildBenchmarkScaled("go", 0.1)
 	if err != nil {
@@ -332,6 +333,28 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 	}
 	b.Run("attributed", func(b *testing.B) { observed(b, false) })
 	b.Run("recorded", func(b *testing.B) { observed(b, true) })
+	// native-off and native-profiled run the native image unobserved and
+	// under the recorder alone (rtd.ProfiledRun): their instrs/s ratio
+	// is observed mode's cost where every miss is a hardware fill and
+	// the key changes carry the ledger's work.
+	native := func(b *testing.B, run func(*rtd.Image, rtd.MachineConfig) (rtd.RunResult, error)) {
+		var instrs uint64
+		for i := 0; i < b.N; i++ {
+			out, err := run(im, rtd.DefaultMachine())
+			if err != nil {
+				b.Fatal(err)
+			}
+			instrs += out.Stats.Instrs
+		}
+		b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	}
+	b.Run("native-off", func(b *testing.B) { native(b, rtd.Run) })
+	b.Run("native-profiled", func(b *testing.B) {
+		native(b, func(im *rtd.Image, cfg rtd.MachineConfig) (rtd.RunResult, error) {
+			out, _, err := rtd.ProfiledRun(im, cfg)
+			return out, err
+		})
+	})
 }
 
 // BenchmarkAssembler measures text-assembly throughput on the dictionary

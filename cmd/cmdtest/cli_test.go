@@ -135,6 +135,7 @@ func TestCLIExitCodes(t *testing.T) {
 		{"simrun/restore-with-arg", "simrun", []string{"-restore", "ck.json", imgMarker}, 2, "Usage"},
 		{"simrun/sampled-with-telemetry", "simrun", []string{"-mode", "sampled", "-telemetry", imgMarker}, 2, "detailed-engine observers"},
 		{"simrun/functional-with-profile", "simrun", []string{"-mode", "functional", "-profile", imgMarker}, 2, "detailed-engine observers"},
+		{"simrun/restore-with-checkpoint", "simrun", []string{"-restore", "ck.json", "-checkpoint", "ck3.json"}, 2, "-restore and -checkpoint are mutually exclusive"},
 		{"simrun/restore-with-profile", "simrun", []string{"-restore", "ck.json", "-profile"}, 2, "-restore supports only"},
 		{"simrun/checkpoint-with-compare", "simrun", []string{"-checkpoint", "ck.json", "-compare", "a.img", "b.img"}, 2, "mutually exclusive"},
 		{"simrun/restore-missing-file", "simrun", []string{"-mode", "functional", "-restore", "no-such.ck"}, 1, "no such file"},

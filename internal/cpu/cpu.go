@@ -182,11 +182,15 @@ type CPU struct {
 	win     window
 	// keyLo/keyHi is the address range the attribution observers'
 	// keys hold over, as of the last callout (everything without
-	// observers): a user line outside it is never a fetch window, so
-	// each of its fetches calls them out. cut is their next retirement
+	// observers): an observed loop clips its I-cache window to it, so
+	// leaving the range leaves the window. cut is their next retirement
 	// count to be called at (never, without observers).
 	keyLo, keyHi uint64
 	cut          uint64
+	// enter is the observers' answer to a user fetch that leaves the
+	// key range on the loop's fast path (see AttachObserver), or nil
+	// when one of them has none and such a fetch must call OnKey.
+	enter func(pc uint32) Key
 	// calls counts user calls (jal, jalr) under the detailed policy by
 	// [call site, target], once CallEdges made it; only the call path
 	// reads it.
@@ -239,8 +243,10 @@ type CPU struct {
 	// Step). It sees Stats and PC() with every earlier commit charged and
 	// nothing of the next. The loop keeps the answer's range (see keyLo)
 	// and stops at its cut, so no commit crosses a key change unseen and
-	// the fast path pays nothing per instruction. Prefer AttachObserver
-	// over assigning directly.
+	// the fast path pays nothing per instruction; a user fetch that
+	// leaves the range on the fast path calls the observers' enter
+	// instead, when they all have one. Attach observers with
+	// AttachObserver, not by assigning OnKey.
 	OnKey func() Key
 }
 

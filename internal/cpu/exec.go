@@ -269,6 +269,13 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 		return &c.scratch, nil
 	}
 	p := c.slotRecord(pc, slot)
+	if pol == detailed && c.OnKey != nil && c.win.rec != nil {
+		if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi { // a handler fetch keyed by its EPC
+			c.win = window{slot: -1}
+		} else {
+			c.win.base, c.win.rec = c.clip(c.win.base, c.win.rec)
+		}
+	}
 	if c.Cfg.PredecodeCheck {
 		w, _ := c.IC.ReadWord(pc)
 		if err := c.checkPredecode(p, pc, w); err != nil {
@@ -300,6 +307,21 @@ func (c *CPU) nextSlot(pc uint32, pol policy) int {
 		return -1
 	}
 	return c.lineSlot(pc)
+}
+
+// keyed reports whether an observed loop may move its window to pc
+// without the slow path: the observers' key holds there, or pc is a
+// user fetch their enter answers.
+func (c *CPU) keyed(pc uint32, handler bool) bool {
+	return uint64(pc) >= c.keyLo && uint64(pc) < c.keyHi || !handler && c.enter != nil
+}
+
+// clip narrows the records of the I-cache line at base to the part the
+// observers' key range covers, which must hold somewhere in the line.
+func (c *CPU) clip(base uint32, rec []pinstr) (uint32, []pinstr) {
+	lo, hi := uint64(base), uint64(base)+4*uint64(len(rec))
+	i, j := (max(c.keyLo, lo)-lo+3)>>2, (min(c.keyHi, hi)-lo+3)>>2
+	return base + uint32(i)<<2, rec[i:j]
 }
 
 func (c *CPU) lineSlot(pc uint32) int {
@@ -453,9 +475,20 @@ func (c *CPU) run(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 {
+		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || c.keyed(pc, inH)) {
 			c.handOver(wSlot, hits)
 			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+			if pol == detailed && c.OnKey != nil {
+				if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi {
+					// A key change: the run that ended is charged with
+					// its commits flushed, as at a callout.
+					left, user = c.flush(inH, cycles, lu, n, left, user)
+					cycles, lu, n, lim = 0, 0, 0, lim-n
+					k := c.enter(pc)
+					c.keyLo, c.keyHi = k.Lo, k.Hi
+				}
+				wBase, wRec = c.clip(wBase, wRec)
+			}
 			p = &wRec[(pc-wBase)>>2]
 		} else {
 			c.handOver(wSlot, hits)

@@ -39,9 +39,20 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 {
+		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || c.keyed(pc, inH)) {
 			c.handOver(wSlot, hits)
 			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+			if pol == detailed && c.OnKey != nil {
+				if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi {
+					// A key change: the run that ended is charged with
+					// its commits flushed, as at a callout.
+					left, user = c.flush(inH, cycles, lu, n, left, user)
+					cycles, lu, n, lim = 0, 0, 0, lim-n
+					k := c.enter(pc)
+					c.keyLo, c.keyHi = k.Lo, k.Hi
+				}
+				wBase, wRec = c.clip(wBase, wRec)
+			}
 			p = &wRec[(pc-wBase)>>2]
 		} else {
 			c.handOver(wSlot, hits)
@@ -456,9 +467,20 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 {
+		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || c.keyed(pc, inH)) {
 			c.handOver(wSlot, hits)
 			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+			if pol == detailed && c.OnKey != nil {
+				if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi {
+					// A key change: the run that ended is charged with
+					// its commits flushed, as at a callout.
+					left, user = c.flush(inH, cycles, lu, n, left, user)
+					cycles, lu, n, lim = 0, 0, 0, lim-n
+					k := c.enter(pc)
+					c.keyLo, c.keyHi = k.Lo, k.Hi
+				}
+				wBase, wRec = c.clip(wBase, wRec)
+			}
 			p = &wRec[(pc-wBase)>>2]
 		} else {
 			c.handOver(wSlot, hits)

@@ -303,14 +303,13 @@ func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
 }
 
 // lineWindow reports whether the I-cache line at base may be a fetch
-// window: not when PredecodeCheck wants every fetch checked, when the
+// window: not when PredecodeCheck wants every fetch checked or when the
 // line overlaps handler RAM (whose fetches must not be served from the
-// I-cache) or when an attribution key changes inside it (a procedure
-// boundary: each fetch there must call the observers out).
+// I-cache). An observed detailed loop clips the window to the key range
+// (clip).
 func (c *CPU) lineWindow(base uint32) bool {
 	end := base + uint32(c.Cfg.ICache.LineBytes)
-	return !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd) &&
-		uint64(base) >= c.keyLo && uint64(base)+uint64(c.Cfg.ICache.LineBytes) <= c.keyHi
+	return !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd)
 }
 
 // fillNative installs the line at base from backed memory — the

@@ -204,14 +204,20 @@ func (ck *Checkpoint) Save(path string) error {
 	return nil
 }
 
-// Load reads a checkpoint from path, refusing unparseable files,
-// schema mismatches (the error names both versions) and payloads whose
-// digest does not match (corruption or truncation).
+// Load reads a checkpoint from path and decodes it (Decode).
 func Load(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("fastpath: %v", err)
 	}
+	return Decode(path, data)
+}
+
+// Decode decodes the bytes of a checkpoint file, which errors call
+// path, refusing unparseable files, schema mismatches (the error names
+// both versions) and payloads whose digest does not match (corruption
+// or truncation).
+func Decode(path string, data []byte) (*Checkpoint, error) {
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return nil, fmt.Errorf("fastpath: %s: not a checkpoint file: %v", path, err)

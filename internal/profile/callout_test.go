@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/program"
+	"repro/internal/synth"
 	"repro/internal/trace"
 )
 
@@ -280,6 +281,28 @@ func TestLedgerCalloutsBesideRing(t *testing.T) {
 	}
 }
 
+// TestLedgerCalloutsWithoutEnter: an observer without an enter takes
+// the fast path's key changes from every observer, so each leaves the
+// loop through the slow path and calls them all out; the ledgers must
+// reproduce the reference there too.
+func TestLedgerCalloutsWithoutEnter(t *testing.T) {
+	ims := calloutImages(t)
+	ims["boundary/native"] = assemble(t, boundarySrc)
+	for name, im := range ims {
+		want, err := reference(t, im, calloutConfig(), runToEnd)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		got, err := ledgers(t, im, calloutConfig(), func(c *cpu.CPU) {
+			c.AttachObserver(func() cpu.Key { return cpu.AnyKey }, nil)
+		}, runToEnd)
+		if err != nil {
+			t.Fatalf("%s: run: %v", name, err)
+		}
+		sameObservation(t, name, got, want)
+	}
+}
+
 // boundarySrc packs three procedures into the first I-cache line: main
 // calls inc inside its own line, and inc falls through into tail, so
 // consecutive commits change procedure without changing line.
@@ -302,9 +325,22 @@ tail:   addiu $t1, $t1, 1
         .endp
 `
 
+// countedLedger attaches a ledger over im's procedure table, with the
+// window axis w when not nil, to c; it counts the ledger's callouts in
+// *callouts and its enters in *enters.
+func countedLedger(im *program.Image, w *Windows, c *cpu.CPU, callouts, enters *int) *Ledger {
+	l := NewLedger(im)
+	l.Sample(w)
+	l.bind(c)
+	c.AttachObserver(func() cpu.Key { *callouts++; return l.callout() },
+		func(pc uint32) cpu.Key { *enters++; return l.enter(pc) })
+	return l
+}
+
 // TestLedgerCalloutsProcBoundaryInLine: a line with a procedure
-// boundary inside stays off the same-line fast path while a ledger is
-// attached, so every procedure change inside it is called out.
+// boundary inside is one fetch window per interval, so the ledger is
+// called once per interval entered, not once per commit, and every
+// procedure change inside the line is still charged where it happens.
 func TestLedgerCalloutsProcBoundaryInLine(t *testing.T) {
 	native := assemble(t, boundarySrc)
 	_, pcs := commitLog(t, native)
@@ -339,6 +375,75 @@ func TestLedgerCalloutsProcBoundaryInLine(t *testing.T) {
 			t.Fatalf("%s: run: %v", name, err)
 		}
 		sameObservation(t, name, got, want)
+
+		// Interval entries, from the user commits: a handler activation
+		// is keyed by the interval that missed.
+		handler, pcs := commitLog(t, im)
+		c := machine(t, calloutConfig())
+		var callouts, enters int
+		l := countedLedger(im, nil, c, &callouts, &enters)
+		if err := c.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		if err := runToEnd(c); err != nil {
+			t.Fatal(err)
+		}
+		entries, open := 0, uint64(1)<<32
+		for i, pc := range pcs {
+			if _, lo, _ := l.procSpan(pc); !handler[i] && max(uint64(pc&^lineMask), lo) != open {
+				entries, open = entries+1, max(uint64(pc&^lineMask), lo)
+			}
+		}
+		// Beyond one call per interval entered, the run's first fetch
+		// and its exit cost one each, and each exception three: its
+		// entry, its iret and the refetch of the line its handler wrote.
+		if calls, most := callouts+enters, entries+2+3*int(c.Stats.Exceptions); calls > most {
+			t.Errorf("%s: %d ledger calls for %d interval entries and %d exceptions, want at most %d",
+				name, calls, entries, c.Stats.Exceptions, most)
+		}
+	}
+}
+
+// TestLedgerCalloutWork is the observed loop's work guard: on the go
+// stand-in, native and dict+RF, the ledger of ccprof's observed mode
+// (lines, procedures and windows) may be called out (OnKey) at most
+// the recorded number of times per 1,000 commits. Key changes on the
+// fast path call its enter instead, and are not counted here: a change
+// that sends them back through the slow path fails the guard.
+func TestLedgerCalloutWork(t *testing.T) {
+	p, _ := synth.ByName("go")
+	native, err := synth.Build(p.Scale(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		im   *program.Image
+		most float64 // callouts per 1,000 commits
+	}{
+		{"native", native, 21},                         // 20.3 measured
+		{"dict+rf", compressRF(t, native, "dict"), 41}, // 40.3 measured
+	} {
+		c := machine(t, calloutConfig())
+		var calls, enters int
+		l := countedLedger(tc.im, &Windows{Size: 8192}, c, &calls, &enters)
+		if err := c.Load(tc.im); err != nil {
+			t.Fatal(err)
+		}
+		if err := runToEnd(c); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		if enters == 0 {
+			t.Errorf("%s: no key change took the fast path", tc.name)
+		}
+		commits := c.Stats.Instrs + c.Stats.HandlerInstrs
+		if got := 1000 * float64(calls) / float64(commits); got > tc.most {
+			t.Errorf("%s: %.2f ledger callouts per 1,000 commits (%d over %d), bound %.0f",
+				tc.name, got, calls, commits, tc.most)
+		}
 	}
 }
 
@@ -426,4 +531,84 @@ func TestLedgerCalloutsAfterFunctional(t *testing.T) {
 			sameObservation(t, fmt.Sprintf("%s/%d+%d", name, n[0], n[1]), got, want)
 		}
 	}
+}
+
+// TestProfileAfterVerifyFollowsTheRun: Profile reuses the views Verify
+// built only while nothing was charged since; a run that goes on after
+// a Verify is profiled as a fresh ledger of the whole run sees it.
+func TestProfileAfterVerifyFollowsTheRun(t *testing.T) {
+	im := compressRF(t, assemble(t, mustRead(t, "sort.s")), "dict")
+	var got, want []byte
+	for _, verifyMidway := range []bool{true, false} {
+		c := machine(t, calloutConfig())
+		r := NewRecorder(im)
+		r.Attach(c)
+		if err := c.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		for range 200 {
+			if err := c.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if verifyMidway {
+			if err := r.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := runToEnd(c); err != nil {
+			t.Fatal(err)
+		}
+		if verifyMidway {
+			got = profileJSON(t, r.Profile())
+		} else {
+			want = profileJSON(t, r.Profile())
+		}
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("a profile taken after a midway Verify differs from the whole run's")
+	}
+}
+
+// TestLedgerCalloutsOddProcedureTables: a procedure table spread too
+// wide for the ledger's interval table, or one whose last procedure
+// wraps past the address space (program.Validate lets it), keys its
+// intervals by lo. The wide one must still match the reference; the
+// wrapped one must still run and sum exactly.
+func TestLedgerCalloutsOddProcedureTables(t *testing.T) {
+	base := assemble(t, mustRead(t, "sort.s"))
+	wide, wrapped := *base, *base
+	wide.Procs = append(slices.Clone(base.Procs), program.Procedure{Name: "far", Addr: 0xf000_0000, Size: 4})
+	wrapped.Procs = slices.Clone(base.Procs)
+	last := &wrapped.Procs[len(wrapped.Procs)-1]
+	last.Size = -last.Addr + 8
+	for name, im := range map[string]*program.Image{"wide": &wide, "wrapped": &wrapped} {
+		if err := im.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		c := machine(t, calloutConfig())
+		r := NewRecorder(im)
+		r.Attach(c)
+		if r.first != nil {
+			t.Errorf("%s: built an interval table over %#x..%#x", name, im.Procs[0].Addr, im.Procs[len(im.Procs)-1].Addr)
+		}
+		if err := c.Load(im); err != nil {
+			t.Fatal(err)
+		}
+		if err := runToEnd(c); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := r.Verify(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+	want, err := reference(t, &wide, calloutConfig(), runToEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ledgers(t, &wide, calloutConfig(), nil, runToEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameObservation(t, "wide", got, want)
 }

@@ -2,6 +2,8 @@ package profile
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 
 	"repro/internal/cpu"
@@ -36,9 +38,11 @@ import (
 //     the handler (a miss's handler is keyed by the line that missed);
 //   - its interval: the address range [lo, hi) over which both its line
 //     and its procedure stay fixed. Each interval has its own bucket.
-//     The ledger answers each callout with it, and the machine keeps a
-//     line the interval does not cover (one with a procedure boundary
-//     inside) off its same-line fast path;
+//     The ledger answers each callout with it, and the machine clips its
+//     fetch window to it, so a line with a procedure boundary inside is
+//     one window per interval. A fetch that leaves the window for a
+//     line that hits calls the ledger's enter on the machine's fast
+//     path instead of a callout;
 //   - the handler/user phase: iret ends the handler phase, so a run
 //     closes at most one exception-service interval and its
 //     ExcCyclesTotal movement is that interval's latency — max-merging
@@ -48,8 +52,11 @@ import (
 //     and the machine stops there to call it out. A window's record is
 //     the difference of the counters at its two ends.
 //
-// The line and procedure views are built from the interval buckets
-// after the run (views): an interval lies in exactly one line and one
+// The intervals of the lines the procedure table spans are fixed at
+// Attach, in address order, so keying an address there is a table
+// lookup; an address outside them keys a bucket kept by its lo. The
+// line and procedure views are built from the interval buckets after
+// the run (views): an interval lies in exactly one line and one
 // procedure, so counters sum and ExcCyclesMax max-merges exactly. A
 // ledger without the line and procedure axes keys on the window index
 // alone and charges one bucket.
@@ -72,20 +79,38 @@ type Ledger struct {
 	lo, hi    uint64
 	run       *Cost
 	lineMask  uint32
+	lineShift uint
 	proc      int // procedure of the last interval keyed
 
-	// buckets holds one bucket per interval, by its lo.
-	buckets map[uint32]*bucket
-	// recent caches buckets by line index, direct-mapped and sized at
-	// Attach to the procedure table's lines, so keying a line seen
-	// before takes no map lookup.
-	recent []*bucket
+	// spans are the intervals of the lines from tabLo on that the
+	// procedure table spans, ascending: interval k is [spans[k].lo,
+	// spans[k+1].lo), and the last span only ends the table. tab holds
+	// interval k's bucket at k, first the index of each line's first
+	// interval. Buckets of the intervals no run reached stay zero.
+	tabLo uint32
+	first []int32
+	spans []span
+	tab   []Cost
+	// outside holds the buckets of intervals outside the spans, by lo.
+	outside map[uint32]*bucket
+	// lines and procs are the views built when base stood at viewed.
+	lines  []LineCost
+	procs  []Cost
+	viewed Cost
 	// calls is the machine's call counts by [call site, target]
 	// (cpu.CPU.CallEdges); views fold them into procedure pairs.
 	calls map[[2]uint32]uint64
 }
 
-// bucket is the cost charged to one line ∩ procedure interval.
+// span is where one interval of the ledger's table starts, and its
+// procedure.
+type span struct {
+	lo   uint32
+	proc int32 // index into im.Procs; len(im.Procs) outside the table
+}
+
+// bucket is the cost charged to one line ∩ procedure interval outside
+// the ledger's table.
 type bucket struct {
 	lo, hi uint64
 	proc   int // index into im.Procs; len(im.Procs) outside the table
@@ -126,7 +151,7 @@ type Window struct {
 func NewLedger(im *program.Image) *Ledger {
 	l := &Ledger{im: im}
 	if im != nil {
-		l.buckets = make(map[uint32]*bucket)
+		l.outside = make(map[uint32]*bucket)
 	} else {
 		l.hi, l.run = cpu.AnyKey.Hi, new(Cost)
 	}
@@ -137,29 +162,63 @@ func NewLedger(im *program.Image) *Ledger {
 // to w.Records. Call before Attach.
 func (l *Ledger) Sample(w *Windows) { l.w = w }
 
-// Attach binds the ledger to c and installs its callout among c's
-// attribution observers. Call before cpu.Load/Run, once per ledger;
-// composes with previously attached observers.
+// Attach binds the ledger to c and installs its callout and enter
+// among c's attribution observers. Call before cpu.Load/Run, once per
+// ledger; composes with previously attached observers.
 func (l *Ledger) Attach(c *cpu.CPU) {
+	l.bind(c)
+	c.AttachObserver(l.callout, l.enter)
+}
+
+// bind readies the ledger to observe c.
+func (l *Ledger) bind(c *cpu.CPU) {
 	l.c = c
 	l.lineMask = uint32(c.Cfg.ICache.LineBytes) - 1
+	l.lineShift = uint(bits.TrailingZeros32(l.lineMask + 1))
 	l.cut = cpu.AnyKey.Cut
 	if l.w != nil && l.w.Size > 0 {
 		l.cut = l.w.Size
 	}
 	if l.im != nil {
-		var lines uint32
-		if ps := l.im.Procs; len(ps) > 0 {
-			lines = (ps[len(ps)-1].Addr + ps[len(ps)-1].Size - ps[0].Addr) / (l.lineMask + 1)
-		}
-		n := 256
-		for n < int(lines) && n < 1<<14 {
-			n <<= 1
-		}
-		l.recent = make([]*bucket, n)
+		l.table()
 		l.calls = c.CallEdges()
 	}
-	c.AttachObserver(l.callout)
+}
+
+// maxTableLines bounds the lines a ledger's interval table covers (2
+// MiB of code in 32-byte lines; cc1, the largest stand-in, spans 8K). A
+// procedure table spread wider keys every interval by its lo instead.
+const maxTableLines = 1 << 16
+
+// table splits the lines the procedure table spans into their
+// intervals, as bucket would find them.
+func (l *Ledger) table() {
+	ps := l.im.Procs
+	if len(ps) == 0 {
+		return
+	}
+	lo := ps[0].Addr &^ l.lineMask
+	end := (uint64(ps[len(ps)-1].Addr) + uint64(ps[len(ps)-1].Size) + uint64(l.lineMask)) &^ uint64(l.lineMask)
+	lines := (end - uint64(lo)) >> l.lineShift
+	if end > math.MaxUint32 || lines+2*uint64(len(ps)) > 2*maxTableLines {
+		return
+	}
+	l.tabLo = lo
+	l.first = make([]int32, lines)
+	for a := uint64(lo); a < end; {
+		if a&uint64(l.lineMask) == 0 {
+			l.first[(a-uint64(lo))>>l.lineShift] = int32(len(l.spans))
+		}
+		proc, _, phi := l.procSpan(uint32(a))
+		if phi <= a { // a procedure table program.Validate let wrap
+			l.first, l.spans = nil, nil
+			return
+		}
+		l.spans = append(l.spans, span{lo: uint32(a), proc: int32(proc)})
+		a = min(a&^uint64(l.lineMask)+uint64(l.lineMask)+1, phi)
+	}
+	l.spans = append(l.spans, span{lo: uint32(end)})
+	l.tab = make([]Cost, len(l.spans)-1)
 }
 
 // callout is the ledger's observer (see cpu.CPU.OnKey). It closes the
@@ -170,6 +229,17 @@ func (l *Ledger) callout() cpu.Key {
 	s := &l.c.Stats
 	if s.Instrs+s.HandlerInstrs >= l.cut || l.im != nil && l.moved() {
 		l.flush()
+	}
+	return cpu.Key{Lo: l.lo, Hi: l.hi, Cut: l.cut}
+}
+
+// enter is the ledger's answer to a user fetch at pc that leaves the
+// machine's key range on its fast path (cpu.CPU.AttachObserver): a
+// callout at which no window closes.
+func (l *Ledger) enter(pc uint32) cpu.Key {
+	if l.inHandler || uint64(pc) < l.lo || uint64(pc) >= l.hi {
+		l.charge(l.run, &l.base)
+		l.key(pc, false)
 	}
 	return cpu.Key{Lo: l.lo, Hi: l.hi, Cut: l.cut}
 }
@@ -212,28 +282,34 @@ func (l *Ledger) rekey() {
 // key opens a run charged to the bucket of addr's interval.
 func (l *Ledger) key(addr uint32, inHandler bool) {
 	l.inHandler = inHandler
-	e := &l.recent[addr/(l.lineMask+1)&uint32(len(l.recent)-1)]
-	b := *e
-	if b == nil || uint64(addr) < b.lo || uint64(addr) >= b.hi {
-		b = l.bucket(addr)
-		*e = b
+	if j := (addr - l.tabLo) >> l.lineShift; addr >= l.tabLo && int(j) < len(l.first) {
+		k := l.first[j]
+		for l.spans[k+1].lo <= addr {
+			k++
+		}
+		l.lo, l.hi, l.run = uint64(l.spans[k].lo), uint64(l.spans[k+1].lo), &l.tab[k]
+		return
 	}
+	b := l.bucket(addr)
+	l.outside[uint32(b.lo)] = b
 	l.lo, l.hi, l.run = b.lo, b.hi, &b.Cost
+	if uint64(addr) < b.lo || uint64(addr) >= b.hi { // a wrapped procedure table
+		l.lo, l.hi = uint64(addr), uint64(addr)+1
+	}
 }
 
-// bucket returns the bucket of addr's interval, the intersection of its
-// line and its procedure's address range, creating it on first use.
+// bucket returns the bucket of addr's interval outside the table, the
+// intersection of its line and its procedure's address range:
+// outside's when it has one, else a new one.
 func (l *Ledger) bucket(addr uint32) *bucket {
 	la := uint64(addr &^ l.lineMask)
 	proc, plo, phi := l.procSpan(addr)
 	l.proc = proc
 	lo := max(la, plo)
-	b := l.buckets[uint32(lo)]
-	if b == nil {
-		b = &bucket{lo: lo, hi: min(la+uint64(l.lineMask)+1, phi), proc: proc}
-		l.buckets[uint32(lo)] = b
+	if b := l.outside[uint32(lo)]; b != nil {
+		return b
 	}
-	return b
+	return &bucket{lo: lo, hi: min(la+uint64(l.lineMask)+1, phi), proc: proc}
 }
 
 // procSpan maps addr to its procedure bucket (len(im.Procs) for
@@ -353,27 +429,51 @@ func (l *Ledger) total() Cost {
 	return t
 }
 
-// views builds the line and procedure buckets from the interval
-// buckets: lines ascending by address, zero-cost ones included, and one
+// views returns the line and procedure buckets built from the interval
+// buckets: the lines some run reached, ascending by address, and one
 // procedure bucket per im.Procs entry plus the trailing outside bucket.
 // An interval lies in one line and one procedure, so each view's
 // buckets are sums of disjoint sets of runs: counters add, and
-// ExcCyclesMax max-merges exactly (Cost.Add).
-func (l *Ledger) views() ([]LineCost, []Cost) {
-	bs := make([]*bucket, 0, len(l.buckets))
-	for _, b := range l.buckets {
-		bs = append(bs, b)
+// ExcCyclesMax max-merges exactly (Cost.Add). Views built while the
+// counters stood where they stand now are reused (Profile after
+// Verify); fresh builds them anew whatever.
+func (l *Ledger) views(fresh bool) ([]LineCost, []Cost) {
+	if !fresh && l.procs != nil && l.viewed == l.base {
+		return l.lines, l.procs
 	}
-	sort.Slice(bs, func(i, j int) bool { return bs[i].lo < bs[j].lo })
-	var lines []LineCost
+	out := make([]*bucket, 0, len(l.outside))
+	for _, b := range l.outside {
+		out = append(out, b)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].lo < out[j].lo })
+	n := len(out)
+	for k := range l.tab {
+		if !l.tab[k].IsZero() {
+			n++
+		}
+	}
+	lines := make([]LineCost, 0, n)
 	procs := make([]Cost, len(l.im.Procs)+1)
-	for _, b := range bs {
-		if la := uint32(b.lo) &^ l.lineMask; len(lines) == 0 || lines[len(lines)-1].Addr != la {
+	add := func(lo uint64, proc int, c *Cost) {
+		if la := uint32(lo) &^ l.lineMask; len(lines) == 0 || lines[len(lines)-1].Addr != la {
 			lines = append(lines, LineCost{Addr: la})
 		}
-		lines[len(lines)-1].add(&b.Cost)
-		procs[b.proc].add(&b.Cost)
+		lines[len(lines)-1].add(c)
+		procs[proc].add(c)
 	}
+	i := 0
+	for ; i < len(out) && out[i].lo < uint64(l.tabLo); i++ {
+		add(out[i].lo, out[i].proc, &out[i].Cost)
+	}
+	for k := range l.tab {
+		if !l.tab[k].IsZero() {
+			add(uint64(l.spans[k].lo), int(l.spans[k].proc), &l.tab[k])
+		}
+	}
+	for ; i < len(out); i++ {
+		add(out[i].lo, out[i].proc, &out[i].Cost)
+	}
+	l.lines, l.procs, l.viewed = lines, procs, l.base
 	return lines, procs
 }
 
@@ -400,7 +500,7 @@ func (l *Ledger) Verify() error {
 		return nil
 	}
 	if l.im != nil {
-		lines, procs := l.views()
+		lines, procs := l.views(true)
 		var lineSum, procSum Cost
 		for i := range lines {
 			lineSum.add(&lines[i].Cost)
@@ -461,10 +561,13 @@ func (r *Recorder) Profile() *Profile {
 		LineBytes:     int(r.lineMask) + 1,
 		Total:         r.total(),
 	}
-	lines, procs := r.views()
-	for _, lc := range lines {
-		if !lc.Cost.IsZero() {
-			p.Lines = append(p.Lines, lc)
+	lines, procs := r.views(false)
+	for i := range lines {
+		if !lines[i].Cost.IsZero() {
+			if p.Lines == nil {
+				p.Lines = make([]LineCost, 0, len(lines)-i)
+			}
+			p.Lines = append(p.Lines, lines[i])
 		}
 	}
 	for i, pr := range r.im.Procs {

@@ -15,10 +15,10 @@ import (
 
 // WriteJSON writes the profile artifact as indented JSON: the bytes
 // encoding/json renders with a two-space indent (serialize_test.go
-// keeps that rendering as the oracle), appended into one buffer and
-// written at once.
+// keeps that rendering as the oracle). Records are rendered into one
+// reused buffer that is written whenever it fills.
 func (p *Profile) WriteJSON(w io.Writer) error {
-	b := make([]byte, 0, 1024*(len(p.Lines)+len(p.Procs)+2))
+	b := make([]byte, 0, 64<<10)
 	b = append(b, "{\n  \"schema_version\": "...)
 	b = strconv.AppendInt(b, int64(p.SchemaVersion), 10)
 	if p.Image != "" {
@@ -32,18 +32,24 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	b = append(b, ",\n  \"total\": {\n    "...)
 	b = appendCost(b, &p.Total, ",\n    ")
 	b = append(b, "\n  },\n  \"lines\": "...)
-	b = appendRecords(b, len(p.Lines), p.Lines == nil, func(b []byte, i int) []byte {
+	b, err := appendRecords(w, b, len(p.Lines), p.Lines == nil, func(b []byte, i int) []byte {
 		b = append(b, "\"addr\": "...)
 		b = strconv.AppendUint(b, uint64(p.Lines[i].Addr), 10)
 		return appendCost(append(b, ",\n      "...), &p.Lines[i].Cost, ",\n      ")
 	})
+	if err != nil {
+		return err
+	}
 	b = append(b, ",\n  \"procs\": "...)
-	b = appendRecords(b, len(p.Procs), p.Procs == nil, func(b []byte, i int) []byte {
+	b, err = appendRecords(w, b, len(p.Procs), p.Procs == nil, func(b []byte, i int) []byte {
 		b = appendString(append(b, "\"name\": "...), p.Procs[i].Name)
 		b = append(b, ",\n      \"addr\": "...)
 		b = strconv.AppendUint(b, uint64(p.Procs[i].Addr), 10)
 		return appendCost(append(b, ",\n      "...), &p.Procs[i].Cost, ",\n      ")
 	})
+	if err != nil {
+		return err
+	}
 	if p.Manifest != nil {
 		m, err := json.MarshalIndent(p.Manifest, "  ", "  ")
 		if err != nil {
@@ -52,18 +58,19 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 		b = append(append(b, ",\n  \"manifest\": "...), m...)
 	}
 	b = append(b, "\n}\n"...)
-	_, err := w.Write(b)
+	_, err = w.Write(b)
 	return err
 }
 
 // appendRecords appends a top-level member's array of n records, each
 // an object at depth 2 whose members rec appends from its first one on.
-func appendRecords(b []byte, n int, null bool, rec func([]byte, int) []byte) []byte {
+// It writes b to w, and starts it afresh, whenever it passes 60 KB.
+func appendRecords(w io.Writer, b []byte, n int, null bool, rec func([]byte, int) []byte) ([]byte, error) {
 	switch {
 	case null:
-		return append(b, "null"...)
+		return append(b, "null"...), nil
 	case n == 0:
-		return append(b, "[]"...)
+		return append(b, "[]"...), nil
 	}
 	b = append(b, '[')
 	for i := range n {
@@ -72,8 +79,14 @@ func appendRecords(b []byte, n int, null bool, rec func([]byte, int) []byte) []b
 		}
 		b = rec(append(b, "\n    {\n      "...), i)
 		b = append(b, "\n    }"...)
+		if len(b) > 60<<10 {
+			if _, err := w.Write(b); err != nil {
+				return nil, err
+			}
+			b = b[:0]
+		}
 	}
-	return append(b, "\n  ]"...)
+	return append(b, "\n  ]"...), nil
 }
 
 // AppendJSON appends w's members as encoding/json renders them

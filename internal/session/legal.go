@@ -85,6 +85,8 @@ var legality = []rule{
 		why: "-checkpoint and -compare are mutually exclusive"},
 	{tool: "simrun", restored: true, refuse: Attribution | TraceRing | Telemetry,
 		why: "-restore supports only -stats observers (the image identity -profile/-trace/-telemetry/-json need is not part of a checkpoint)"},
+	{tool: "simrun", restored: true, refuse: Capture,
+		why: "-restore and -checkpoint are mutually exclusive (a resumed run saves no checkpoint)"},
 }
 
 // refusal returns the reason the first applicable row gives, and

@@ -13,6 +13,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -168,12 +169,19 @@ func (s *Session) Machine(im *program.Image, attach ...func(*cpu.CPU)) (*cpu.CPU
 
 // Restore rebuilds the machine the checkpoint file at path holds. Its
 // configuration is the checkpointed one: the session's -icache and -max
-// do not apply.
+// do not apply, and the manifest records the checkpoint's I-cache size.
+// The file is read once and its bytes recorded under path.
 func (s *Session) Restore(path string) (*cpu.CPU, error) {
-	ck, err := fastpath.Load(path)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("fastpath: %v", err)
+	}
+	s.Manifest.AddInput(path, data)
+	ck, err := fastpath.Decode(path, data)
 	if err != nil {
 		return nil, err
 	}
+	s.Manifest.SetConfig("icache_kb", strconv.FormatFloat(float64(ck.Config.ICache.SizeBytes)/1024, 'g', -1, 64))
 	c, err := ck.Apply()
 	if err != nil {
 		return nil, err

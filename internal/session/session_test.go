@@ -32,6 +32,10 @@ func TestLegality(t *testing.T) {
 		{"restored functional", Request{Tool: "simrun", Mode: Functional, Restore: true}, false, ""},
 		{"restore wants no image", Request{Tool: "simrun", Mode: Exact, Restore: true, Targets: 1}, true, usage},
 		{"restored with attribution", Request{Tool: "simrun", Mode: Exact, Restore: true, Observers: Attribution}, true, restore},
+		{"restored with capture", Request{Tool: "simrun", Mode: Exact, Restore: true, Observers: Capture}, true, "-restore and -checkpoint are mutually exclusive (a resumed run saves no checkpoint)"},
+		// The capture rows keep the refusals they gave before.
+		{"restored functional capture", Request{Tool: "simrun", Mode: Functional, Restore: true, Observers: Capture}, true, capture},
+		{"restored capture with attribution", Request{Tool: "simrun", Mode: Exact, Restore: true, Observers: Capture | Attribution}, true, restore},
 		{"restored with compare", Request{Tool: "simrun", Mode: Functional, Restore: true, Observers: Compare, Targets: 2}, true, "-restore and -compare are mutually exclusive"},
 		{"functional with attribution", Request{Tool: "simrun", Mode: Functional, Observers: Attribution, Targets: 1}, true, fastTier},
 		// The fast-tier row follows the target count: a malformed
@@ -139,5 +143,46 @@ func TestFunctionalReportKeyOrder(t *testing.T) {
 	var back map[string]any
 	if err := json.Unmarshal(got.Bytes(), &back); err != nil || len(back) != 8 {
 		t.Fatalf("report decodes to %v (%v)", back, err)
+	}
+}
+
+// TestRestoreRecordsCheckpoint: a restored run's manifest names the
+// checkpoint it ran from, with the digest of the file's bytes, and the
+// checkpointed machine's I-cache size, not the session's -icache.
+func TestRestoreRecordsCheckpoint(t *testing.T) {
+	s := New("test", 16, 1_000_000, "", io.Discard)
+	tg, err := s.Open(filepath.Join("..", "..", "testdata", "sort.s"), "sort.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Config.ICache.SizeBytes = 4096
+	c, err := s.Machine(tg.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := filepath.Join(t.TempDir(), "ck.json")
+	if err := s.Capture(c, ck, 100); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r := New("test", 64, 1_000_000, "", io.Discard)
+	rc, err := r.Restore(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Cfg.ICache.SizeBytes != 4096 {
+		t.Fatalf("restored I-cache %d bytes, want the checkpoint's 4096", rc.Cfg.ICache.SizeBytes)
+	}
+	want := New("test", 16, 0, "", io.Discard).Manifest
+	want.AddInput(ck, data)
+	if in := r.Manifest.Inputs; len(in) != 1 || in[0] != want.Inputs[0] {
+		t.Fatalf("restored run's inputs %+v, want %+v", in, want.Inputs)
+	}
+	if kb := r.Manifest.Config["icache_kb"]; kb != "4" {
+		t.Fatalf("restored run's icache_kb %q, want the checkpoint's 4", kb)
 	}
 }
