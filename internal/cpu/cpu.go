@@ -187,10 +187,6 @@ type CPU struct {
 	// count to be called at (never, without observers).
 	keyLo, keyHi uint64
 	cut          uint64
-	// enter is the observers' answer to a user fetch that leaves the
-	// key range on the loop's fast path (see AttachObserver), or nil
-	// when one of them has none and such a fetch must call OnKey.
-	enter func(pc uint32) Key
 	// calls counts user calls (jal, jalr) under the detailed policy by
 	// [call site, target], once CallEdges made it; only the call path
 	// reads it.
@@ -237,16 +233,16 @@ type CPU struct {
 	// OnKey, when set, is the attribution observers' callout
 	// (profile.Ledger installs one). The detailed policy calls it between
 	// two commits wherever the next commit's attribution key may differ
-	// from the last one's: on entry, before every slow-path fetch (every
-	// change of user line takes one), after a decompression exception is
-	// entered, and after every stop (iret, syscall, budget, user target,
-	// Step). It sees Stats and PC() with every earlier commit charged and
-	// nothing of the next. The loop keeps the answer's range (see keyLo)
-	// and stops at its cut, so no commit crosses a key change unseen and
-	// the fast path pays nothing per instruction; a user fetch that
-	// leaves the range on the fast path calls the observers' enter
-	// instead, when they all have one. Attach observers with
-	// AttachObserver, not by assigning OnKey.
+	// from the last one's: on entry, before every slow-path fetch, when
+	// a user fetch on the fast path leaves the last answer's range,
+	// after a decompression exception is entered, and after every stop
+	// (iret, syscall, budget, user target, Step). It sees Stats and PC()
+	// with every earlier commit charged and nothing of the next; outside
+	// the handler its answer's range must hold PC(). The loop clips its
+	// window to that range (see keyLo) and stops at its cut, so no commit
+	// crosses a key change unseen and the fast path pays nothing per
+	// instruction. Attach observers with AttachObserver, not by assigning
+	// OnKey.
 	OnKey func() Key
 }
 

@@ -270,7 +270,7 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 	}
 	p := c.slotRecord(pc, slot)
 	if pol == detailed && c.OnKey != nil && c.win.rec != nil {
-		if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi { // a handler fetch keyed by its EPC
+		if !c.inKey(pc) { // a handler fetch keyed by its EPC
 			c.win = window{slot: -1}
 		} else {
 			c.win.base, c.win.rec = c.clip(c.win.base, c.win.rec)
@@ -309,11 +309,9 @@ func (c *CPU) nextSlot(pc uint32, pol policy) int {
 	return c.lineSlot(pc)
 }
 
-// keyed reports whether an observed loop may move its window to pc
-// without the slow path: the observers' key holds there, or pc is a
-// user fetch their enter answers.
-func (c *CPU) keyed(pc uint32, handler bool) bool {
-	return uint64(pc) >= c.keyLo && uint64(pc) < c.keyHi || !handler && c.enter != nil
+// inKey reports whether the observers' key range holds pc.
+func (c *CPU) inKey(pc uint32) bool {
+	return uint64(pc) >= c.keyLo && uint64(pc) < c.keyHi
 }
 
 // clip narrows the records of the I-cache line at base to the part the
@@ -430,20 +428,22 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 // left), once user user instructions retired outside the handler, or
 // as mode asks. pc, lastLoad, the register file, inHandler and the
 // counts charged since the last flush live in locals; flush writes
-// them back where they are read: the slow fetch path, iret, syscall,
-// tracer calls, errors and return. Only the detailed policy calls the
-// observers: the attribution observers (OnKey) are called out only
-// where the locals are already flushed, and their cut is folded into
-// lim; a tracer makes every commit a stop.
+// them back where they are read: the slow fetch path, a key change on
+// the fast path, iret, syscall, tracer calls, errors and return. Only
+// the detailed policy calls the observers: the attribution observers
+// (OnKey) are called out only where the locals are already flushed,
+// and their cut is folded into lim; a tracer makes every commit a stop.
 //
 // Fetch reads one window, held in locals: the records of the region
 // the last slow fetch resolved (handler RAM, a flat store, or the
 // current I-cache line), and a count of the I-cache hits taken in it.
 // A fetch that leaves the window for an I-cache line that hits, is
 // predecoded and may be a window (nextSlot) moves it without the slow
-// path; everything else takes fetch. The hits are handed over
-// (handOver) before any other I-cache operation, before every callout
-// and at every return; a swic ends an I-cache window.
+// path; an observed loop clips the window to the observers' key range
+// and calls them out there when the move leaves that range. Everything
+// else takes fetch. The hits are handed over (handOver) before any
+// other I-cache operation, before every callout and at every return; a
+// swic ends an I-cache window.
 func (c *CPU) run(left, user int64, mode int) error {
 	const pol = detailed
 	if c.halted && mode != runStep {
@@ -475,17 +475,18 @@ func (c *CPU) run(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || c.keyed(pc, inH)) {
+		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
 			c.handOver(wSlot, hits)
 			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
 			if pol == detailed && c.OnKey != nil {
-				if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi {
-					// A key change: the run that ended is charged with
-					// its commits flushed, as at a callout.
+				if !c.inKey(pc) {
+					// A user fetch that changes the key: the observers
+					// are called out as on the slow path, with the
+					// commits so far flushed.
 					left, user = c.flush(inH, cycles, lu, n, left, user)
-					cycles, lu, n, lim = 0, 0, 0, lim-n
-					k := c.enter(pc)
-					c.keyLo, c.keyHi = k.Lo, k.Hi
+					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+					c.observe()
+					lim = c.limit(left, user, inH, mode == runStep, pol)
 				}
 				wBase, wRec = c.clip(wBase, wRec)
 			}

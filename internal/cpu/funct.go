@@ -39,17 +39,18 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || c.keyed(pc, inH)) {
+		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
 			c.handOver(wSlot, hits)
 			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
 			if pol == detailed && c.OnKey != nil {
-				if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi {
-					// A key change: the run that ended is charged with
-					// its commits flushed, as at a callout.
+				if !c.inKey(pc) {
+					// A user fetch that changes the key: the observers
+					// are called out as on the slow path, with the
+					// commits so far flushed.
 					left, user = c.flush(inH, cycles, lu, n, left, user)
-					cycles, lu, n, lim = 0, 0, 0, lim-n
-					k := c.enter(pc)
-					c.keyLo, c.keyHi = k.Lo, k.Hi
+					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+					c.observe()
+					lim = c.limit(left, user, inH, mode == runStep, pol)
 				}
 				wBase, wRec = c.clip(wBase, wRec)
 			}
@@ -467,17 +468,18 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || c.keyed(pc, inH)) {
+		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
 			c.handOver(wSlot, hits)
 			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
 			if pol == detailed && c.OnKey != nil {
-				if uint64(pc) < c.keyLo || uint64(pc) >= c.keyHi {
-					// A key change: the run that ended is charged with
-					// its commits flushed, as at a callout.
+				if !c.inKey(pc) {
+					// A user fetch that changes the key: the observers
+					// are called out as on the slow path, with the
+					// commits so far flushed.
 					left, user = c.flush(inH, cycles, lu, n, left, user)
-					cycles, lu, n, lim = 0, 0, 0, lim-n
-					k := c.enter(pc)
-					c.keyLo, c.keyHi = k.Lo, k.Hi
+					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+					c.observe()
+					lim = c.limit(left, user, inH, mode == runStep, pol)
 				}
 				wBase, wRec = c.clip(wBase, wRec)
 			}

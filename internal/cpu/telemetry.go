@@ -153,31 +153,16 @@ var AnyKey = Key{Hi: 1 << 32, Cut: math.MaxUint64}
 // AttachTrace it composes: every observer is called at every callout,
 // in attach order, and the loop keeps the intersection of their ranges
 // and the earliest of their cuts.
-//
-// enter, when not nil, is fn's answer to a user fetch at pc that leaves
-// the loop's key range on its fast path, where the loop's window moves
-// to another I-cache line (or another range of the same line) that
-// hits. The loop calls it there instead of leaving for the slow path,
-// with Stats and the bus counters as of the last commit and no cut
-// reached; nothing else of the machine is current. Its answer must hold
-// over pc. The loop takes this path only while every attached observer
-// has an enter, and calls them all, composed as fn is.
-func (c *CPU) AttachObserver(fn func() Key, enter func(pc uint32) Key) {
-	prev, prevEnter := c.OnKey, c.enter
+func (c *CPU) AttachObserver(fn func() Key) {
+	prev := c.OnKey
 	if prev == nil {
-		c.OnKey, c.enter = fn, enter
+		c.OnKey = fn
 		return
 	}
-	c.OnKey = func() Key { return prev().meet(fn()) }
-	c.enter = nil
-	if prevEnter != nil && enter != nil {
-		c.enter = func(pc uint32) Key { return prevEnter(pc).meet(enter(pc)) }
+	c.OnKey = func() Key {
+		a, b := prev(), fn()
+		return Key{Lo: max(a.Lo, b.Lo), Hi: min(a.Hi, b.Hi), Cut: min(a.Cut, b.Cut)}
 	}
-}
-
-// meet is the key two observers' answers hold over together.
-func (a Key) meet(b Key) Key {
-	return Key{Lo: max(a.Lo, b.Lo), Hi: min(a.Hi, b.Hi), Cut: min(a.Cut, b.Cut)}
 }
 
 // CallEdges returns the CPU's call counts, by [call site, target]: the

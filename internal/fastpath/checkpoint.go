@@ -204,39 +204,34 @@ func (ck *Checkpoint) Save(path string) error {
 	return nil
 }
 
-// Load reads a checkpoint from path and decodes it (Decode).
-func Load(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fastpath: %v", err)
-	}
-	return Decode(path, data)
-}
-
-// Decode decodes the bytes of a checkpoint file, which errors call
-// path, refusing unparseable files, schema mismatches (the error names
+// Load reads a checkpoint from path and returns it with the file's
+// bytes, refusing unparseable files, schema mismatches (the error names
 // both versions) and payloads whose digest does not match (corruption
 // or truncation).
-func Decode(path string, data []byte) (*Checkpoint, error) {
+func Load(path string) (*Checkpoint, []byte, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fastpath: %v", err)
+	}
 	var env envelope
 	if err := json.Unmarshal(data, &env); err != nil {
-		return nil, fmt.Errorf("fastpath: %s: not a checkpoint file: %v", path, err)
+		return nil, nil, fmt.Errorf("fastpath: %s: not a checkpoint file: %v", path, err)
 	}
 	if env.SchemaVersion != CheckpointSchema {
-		return nil, fmt.Errorf("fastpath: %s: checkpoint schema v%d, this build supports v%d",
+		return nil, nil, fmt.Errorf("fastpath: %s: checkpoint schema v%d, this build supports v%d",
 			path, env.SchemaVersion, CheckpointSchema)
 	}
 	sum := sha256.Sum256(env.Checkpoint)
 	if hex.EncodeToString(sum[:]) != env.SHA256 {
-		return nil, fmt.Errorf("fastpath: %s: payload digest mismatch (file corrupt or truncated)", path)
+		return nil, nil, fmt.Errorf("fastpath: %s: payload digest mismatch (file corrupt or truncated)", path)
 	}
 	var ck Checkpoint
 	if err := json.Unmarshal(env.Checkpoint, &ck); err != nil {
-		return nil, fmt.Errorf("fastpath: %s: decode checkpoint: %v", path, err)
+		return nil, nil, fmt.Errorf("fastpath: %s: decode checkpoint: %v", path, err)
 	}
 	if ck.SchemaVersion != CheckpointSchema {
-		return nil, fmt.Errorf("fastpath: %s: checkpoint schema v%d, this build supports v%d",
+		return nil, nil, fmt.Errorf("fastpath: %s: checkpoint schema v%d, this build supports v%d",
 			path, ck.SchemaVersion, CheckpointSchema)
 	}
-	return &ck, nil
+	return &ck, data, nil
 }

@@ -75,7 +75,7 @@ func roundTrip(t *testing.T, c *cpu.CPU) (*cpu.CPU, *bytes.Buffer) {
 	if err := ck.Save(path); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := fastpath.Load(path)
+	got, _, err := fastpath.Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -295,7 +295,7 @@ func TestCheckpointManifestProvenance(t *testing.T) {
 	if err := ck.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := fastpath.Load(path)
+	got, _, err := fastpath.Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestCheckpointRefusals(t *testing.T) {
 		if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := fastpath.Load(path); err == nil {
+		if _, _, err := fastpath.Load(path); err == nil {
 			t.Fatal("truncated checkpoint accepted")
 		}
 	})
@@ -346,7 +346,7 @@ func TestCheckpointRefusals(t *testing.T) {
 		if err := os.WriteFile(path, mangled, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := fastpath.Load(path)
+		_, _, err := fastpath.Load(path)
 		if err == nil {
 			t.Fatal("corrupted checkpoint accepted")
 		}
@@ -361,7 +361,7 @@ func TestCheckpointRefusals(t *testing.T) {
 		if err := os.WriteFile(path, future, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := fastpath.Load(path)
+		_, _, err := fastpath.Load(path)
 		if err == nil {
 			t.Fatal("future-schema checkpoint accepted")
 		}
@@ -498,7 +498,7 @@ func TestCheckpointParentFormat(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := fastpath.Load(path)
+	ck, _, err := fastpath.Load(path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}

@@ -81,7 +81,7 @@ func seal(t testing.TB, dir string, payload []byte) string {
 func loadApply(path string) (*cpu.CPU, uint64, error) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	ck, err := fastpath.Load(path)
+	ck, _, err := fastpath.Load(path)
 	var c *cpu.CPU
 	if err == nil {
 		c, err = ck.Apply()
@@ -243,7 +243,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	}
 	add(sortCheckpoint(f, rtd.Options{Scheme: rtd.SchemeDict, ShadowRF: true}), true)
 	f.Fuzz(func(t *testing.T, payload []byte, dict bool) {
-		ck, err := fastpath.Load(seal(t, t.TempDir(), payload))
+		ck, _, err := fastpath.Load(seal(t, t.TempDir(), payload))
 		if err != nil {
 			return
 		}

@@ -41,8 +41,7 @@ import (
 //     The ledger answers each callout with it, and the machine clips its
 //     fetch window to it, so a line with a procedure boundary inside is
 //     one window per interval. A fetch that leaves the window for a
-//     line that hits calls the ledger's enter on the machine's fast
-//     path instead of a callout;
+//     line that hits calls the ledger out on the machine's fast path;
 //   - the handler/user phase: iret ends the handler phase, so a run
 //     closes at most one exception-service interval and its
 //     ExcCyclesTotal movement is that interval's latency — max-merging
@@ -162,12 +161,12 @@ func NewLedger(im *program.Image) *Ledger {
 // to w.Records. Call before Attach.
 func (l *Ledger) Sample(w *Windows) { l.w = w }
 
-// Attach binds the ledger to c and installs its callout and enter
-// among c's attribution observers. Call before cpu.Load/Run, once per
+// Attach binds the ledger to c and installs its callout among c's
+// attribution observers. Call before cpu.Load/Run, once per
 // ledger; composes with previously attached observers.
 func (l *Ledger) Attach(c *cpu.CPU) {
 	l.bind(c)
-	c.AttachObserver(l.callout, l.enter)
+	c.AttachObserver(l.callout)
 }
 
 // bind readies the ledger to observe c.
@@ -229,17 +228,6 @@ func (l *Ledger) callout() cpu.Key {
 	s := &l.c.Stats
 	if s.Instrs+s.HandlerInstrs >= l.cut || l.im != nil && l.moved() {
 		l.flush()
-	}
-	return cpu.Key{Lo: l.lo, Hi: l.hi, Cut: l.cut}
-}
-
-// enter is the ledger's answer to a user fetch at pc that leaves the
-// machine's key range on its fast path (cpu.CPU.AttachObserver): a
-// callout at which no window closes.
-func (l *Ledger) enter(pc uint32) cpu.Key {
-	if l.inHandler || uint64(pc) < l.lo || uint64(pc) >= l.hi {
-		l.charge(l.run, &l.base)
-		l.key(pc, false)
 	}
 	return cpu.Key{Lo: l.lo, Hi: l.hi, Cut: l.cut}
 }

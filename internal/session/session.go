@@ -172,15 +172,11 @@ func (s *Session) Machine(im *program.Image, attach ...func(*cpu.CPU)) (*cpu.CPU
 // do not apply, and the manifest records the checkpoint's I-cache size.
 // The file is read once and its bytes recorded under path.
 func (s *Session) Restore(path string) (*cpu.CPU, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("fastpath: %v", err)
-	}
-	s.Manifest.AddInput(path, data)
-	ck, err := fastpath.Decode(path, data)
+	ck, data, err := fastpath.Load(path)
 	if err != nil {
 		return nil, err
 	}
+	s.Manifest.AddInput(path, data)
 	s.Manifest.SetConfig("icache_kb", strconv.FormatFloat(float64(ck.Config.ICache.SizeBytes)/1024, 'g', -1, 64))
 	c, err := ck.Apply()
 	if err != nil {
