@@ -344,7 +344,7 @@ func (a *analyzer) unclaimedCode() {
 	for _, seg := range a.im.CodeSegments() {
 		for addr := seg.Base; addr+4 <= seg.End(); addr += 4 {
 			if p := a.im.ProcAt(addr); p != nil {
-				addr = p.Addr + p.Size - 4
+				addr = uint32(p.End() - 4)
 				continue
 			}
 			if w := seg.Word(addr); w != isa.NOP {

@@ -263,8 +263,8 @@ func (c *Cache) victim(set uint32) int {
 }
 
 // allocate claims a slot for addr's line, zeroes its data and returns
-// the line.
-func (c *Cache) allocate(addr uint32) *line {
+// the slot.
+func (c *Cache) allocate(addr uint32) int {
 	c.mruSlot = -1
 	set, tag := c.index(addr)
 	// Re-use the existing line if present so a set never holds two ways
@@ -286,7 +286,7 @@ func (c *Cache) allocate(addr uint32) *line {
 			clear(ln.data)
 		}
 	}
-	return ln
+	return s
 }
 
 // Fill installs the line containing addr with the given data (the
@@ -296,10 +296,10 @@ func (c *Cache) Fill(addr uint32, data []byte) {
 	if c.storesData && len(data) != c.cfg.LineBytes {
 		panic(fmt.Sprintf("cache: fill of %d bytes into %dB line", len(data), c.cfg.LineBytes))
 	}
-	ln := c.allocate(addr)
+	s := c.allocate(addr)
 	c.Stats.LineFills++
 	if c.storesData {
-		copy(ln.data, data)
+		copy(c.lines[s].data, data)
 	}
 }
 
@@ -310,23 +310,49 @@ func (c *Cache) WriteWord(addr uint32, w uint32) bool {
 	if addr&3 != 0 {
 		panic(fmt.Sprintf("cache: unaligned swic at %#x", addr))
 	}
-	var ln *line
-	claimed := false
-	if s := c.find(addr); s < 0 {
-		ln = c.allocate(addr)
+	s := c.find(addr)
+	claimed := s < 0
+	if claimed {
+		s = c.allocate(addr)
 		c.Stats.SwicLines++
-		claimed = true
 	} else {
-		ln = &c.lines[s]
+		ln := &c.lines[s]
 		ln.derived = false
 		c.clock++
 		ln.lru = c.clock
 	}
 	if c.storesData {
 		off := addr & uint32(c.cfg.LineBytes-1)
-		binary.LittleEndian.PutUint32(ln.data[off:off+4], w)
+		binary.LittleEndian.PutUint32(c.lines[s].data[off:off+4], w)
 	}
 	return claimed
+}
+
+// WriteLine is WriteWord for each (address, word) pair of w in order,
+// every address word-aligned and in one line, with one tag search for
+// the line. It leaves what those calls would: the line claimed by the
+// first if absent, the LRU clock moved on by one per word and the
+// line's stamp the clock. It returns the line's slot.
+func (c *Cache) WriteLine(w []uint32) int {
+	s := c.find(w[0])
+	n := uint64(len(w) / 2)
+	if s < 0 {
+		s = c.allocate(w[0])
+		c.Stats.SwicLines++
+		n--
+	}
+	ln := &c.lines[s]
+	ln.derived = false
+	c.clock += n
+	ln.lru = c.clock
+	if c.storesData {
+		mask := uint32(c.cfg.LineBytes - 1)
+		for i := 0; i < len(w); i += 2 {
+			off := w[i] & mask
+			binary.LittleEndian.PutUint32(ln.data[off:off+4], w[i+1])
+		}
+	}
+	return s
 }
 
 // ReadWord returns the cached word at addr. ok is false when the line is

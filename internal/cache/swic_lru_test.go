@@ -6,7 +6,10 @@ package cache
 // paper's slowdown numbers depend on decompressed lines not being
 // preferentially evicted (or wrongly pinned).
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // fourWay returns a small 4-way cache with data storage (I-cache mode):
 // 4 ways x 2 sets x 16-byte lines.
@@ -141,5 +144,59 @@ func TestSwicMixedWithFillsSharesLRU(t *testing.T) {
 	c.WriteWord(setAddr(c, 5), 5)
 	if c.Probe(setAddr(c, 1)) {
 		t.Fatal("line 1 (next oldest) survived")
+	}
+}
+
+// countingObs counts the observer's events.
+type countingObs struct{ misses, evicts int }
+
+func (o *countingObs) CacheMiss(int, bool) { o.misses++ }
+func (o *countingObs) CacheEvict(int)      { o.evicts++ }
+
+// TestWriteLineIsWriteWords runs random runs of swic words, each run in
+// one line and the lines drawn from a few that share a set, through
+// WriteLine on one cache and WriteWord on another: the snapshots (LRU
+// stamps and clock included), the returned slot, the derived bits and
+// the observer's events must agree.
+func TestWriteLineIsWriteWords(t *testing.T) {
+	a, b := fourWay(t), fourWay(t)
+	var oa, ob countingObs
+	a.Obs, b.Obs = &oa, &ob
+	rng := uint32(1)
+	next := func(n uint32) uint32 {
+		rng = rng*1664525 + 1013904223
+		return rng >> 8 % n
+	}
+	for round := 0; round < 2000; round++ {
+		base := setAddr(a, int(next(6))) + next(2)*16 // six lines of set 0, two of set 1
+		var w []uint32
+		for k := next(6) + 1; k > 0; k-- {
+			w = append(w, base+4*next(4), next(1<<20))
+		}
+		if next(3) == 0 { // a hit or a fill between runs
+			addr := setAddr(a, int(next(6)))
+			a.Access(addr)
+			b.Access(addr)
+		}
+		for _, c := range []*Cache{a, b} {
+			if s := c.Slot(base); s >= 0 {
+				c.SetDerived(s)
+			}
+		}
+		s := a.WriteLine(w)
+		for i := 0; i < len(w); i += 2 {
+			b.WriteWord(w[i], w[i+1])
+		}
+		if bs := b.Slot(base); s != bs || a.Derived(s) || b.Derived(bs) {
+			t.Fatalf("round %d: WriteLine slot %d (derived %v), WriteWord slot %d (derived %v)",
+				round, s, a.Derived(s), bs, b.Derived(bs))
+		}
+		if !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) || oa != ob {
+			t.Fatalf("round %d: WriteLine left %+v (observer %+v), WriteWord %+v (observer %+v)",
+				round, a.Snapshot(), oa, b.Snapshot(), ob)
+		}
+	}
+	if a.Stats.Evictions == 0 || a.Stats.SwicLines == 0 {
+		t.Fatalf("the runs never claimed or evicted a line: %+v", a.Stats)
 	}
 }

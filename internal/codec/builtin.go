@@ -75,8 +75,8 @@ func (c *dictCodec) Spill(text *program.Segment, procs []program.Procedure) int 
 	capacity := c.bits.MaxEntries() - 1
 	seen := make(map[uint32]bool, capacity)
 	for i, p := range procs {
-		for a := p.Addr; a+4 <= p.Addr+p.Size; a += 4 {
-			w := text.Word(a)
+		for a := uint64(p.Addr); a+4 <= p.End(); a += 4 {
+			w := text.Word(uint32(a))
 			if !seen[w] {
 				if len(seen) >= capacity {
 					return len(procs) - i

@@ -1021,6 +1021,12 @@ func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
 	if c.DC.Access(addr) {
 		return 0
 	}
+	return c.dMiss(addr, pol)
+}
+
+// dMiss fills addr's D-cache line after a miss and returns the stall
+// cycles (the detailed policy).
+func (c *CPU) dMiss(addr uint32, pol policy) uint64 {
 	c.DC.Fill(c.DC.LineBase(addr), nil)
 	if pol == warm {
 		return 0

@@ -10,14 +10,27 @@ package cpu
 // and swic stores it makes, in order; the charges no machine state
 // changes (static totals); and its exit state. A later activation at
 // the same BADVA, entered with the same system registers, skips the
-// interpreter: replay sends each event through the real D-cache (and
-// bus), predictor and I-cache, so every state change and every
-// state-dependent charge is the interpreter's own, and adds the static
-// totals in one step. Only the execute work is skipped.
+// interpreter and applies the recording's effect, adding the static
+// totals in one step.
+//
+// On its first use a recording is compiled (walk) into one stream per
+// hardware unit. The units share no state, so the streams are applied
+// one after the other; within a stream the recorded order holds:
+//   - the predictor: one bpred.Transfer per counter the branches index,
+//     which gives the end state and mispredicts from each start state;
+//   - the D-cache: runs of loads to one line, the first of each an
+//     access (and, on a miss, its fill and bus burst), the rest hits;
+//   - the I-cache: runs of swic stores to one line, one tag search each;
+//     a run that writes every word of its line keeps the line's
+//     predecoded records, which replay installs with the derived bit,
+//     so the fetch after the activation does not decode it again.
+// Every state change and charge is the interpreter's own, down to the
+// caches' LRU stamps, the predictor's counters, the bus counters and
+// the cache and burst observers' events; only the host work differs.
 //
 // Both eligibility checks are made on the recorded run itself, so no
-// annotation is trusted: closeRecording walks the handler code along
-// the recorded branch outcomes and refuses an activation that stores,
+// annotation is trusted: walk follows the handler code along the
+// recorded branch outcomes and refuses an activation that stores,
 // jumps through a register, divides, traps, or reads a register (hi
 // and lo included) it has not written. A recording stays valid while
 // its inputs do: a store into handler RAM or into the words any
@@ -27,15 +40,21 @@ package cpu
 //
 // Replay runs only in run's slow path, where fetch raised the
 // exception, and only where the interpreted activation would run
-// through its iret in one stretch: not under runStep, a Trace,
+// through its iret in one stretch: not under runStep, a Trace, a
+// predictor observer (BP.OnResolve, which wants every branch),
 // PredecodeCheck or DisablePredecode, and not when the budget or the
 // observers' cut falls inside the activation. Config.ReplayCheck
-// re-interprets every activation and compares it with its recording.
+// re-interprets every activation and compares it with its recording,
+// whose events it keeps for that; otherwise they are dropped once
+// compiled.
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
+
+	"repro/internal/bpred"
 )
 
 // Event tags, in the low two bits of an event word: load and swic
@@ -52,11 +71,19 @@ const (
 // recording is one handler activation, keyed by its entry c0.
 type recording struct {
 	c0In   [8]uint32 // system registers at entry, BADVA among them
-	events []uint32
-	n      uint64 // instructions, the iret included
-	static Stats  // charges no machine state changes
-	walked bool   // eligibility checked (walk), wrote and hiLo set
-	stored bool   // the activation made a data store
+	events []uint32  // nil once compiled, unless ReplayCheck wants them
+	n      uint64    // instructions, the iret included
+	static Stats     // charges no machine state changes
+	walked bool      // eligibility checked (walk), wrote and hiLo set
+	stored bool      // the activation made a data store
+
+	// The compiled streams (walk). A swic run is a header, its word
+	// count times two plus one if it keeps its line's records, then
+	// (address, word) pairs; recs holds the kept records, wpl per run.
+	bp    []bpred.Transfer
+	loads []loadRun
+	swic  []uint32
+	recs  []pinstr
 
 	// Exit state: the activation's register bank (replay restores the
 	// registers in wrote), hi and lo (restored if hiLo) and c0 after the
@@ -67,6 +94,9 @@ type recording struct {
 	hi, lo uint32
 	c0Out  [8]uint32
 }
+
+// loadRun is n loads in a row to the D-cache line of addr.
+type loadRun struct{ addr, n uint32 }
 
 // ineligible stands in the cache for every activation found not
 // replayable, so its BADVA is not recorded again. It keeps no entry
@@ -86,6 +116,35 @@ type recordings struct {
 	lo, span uint32
 	steps    []walkStep // walk's view of handler RAM, built on first use
 	replays  uint64     // activations replayed, or checked under ReplayCheck
+
+	// The streams walk compiles, and their storage. grp maps a counter
+	// to its Transfer's place in bp.s, where it is current only if the
+	// Transfer there indexes that counter.
+	bp    arena[bpred.Transfer]
+	loads arena[loadRun]
+	swic  arena[uint32]
+	recs  arena[pinstr]
+	grp   []uint32
+}
+
+// arena collects one stream of the recording being compiled in s, and
+// keeps each finished stream in a block it shares with others, so
+// compiling allocates no small objects and keeps no slack.
+type arena[T any] struct {
+	s    []T
+	free []T // the current block's unused tail
+}
+
+// keep moves the collected stream into a block and returns it there.
+func (a *arena[T]) keep() []T {
+	n := len(a.s)
+	if n > len(a.free) {
+		a.free = make([]T, max(n, 1024))
+	}
+	d := a.free[:n:n]
+	copy(d, a.s)
+	a.free, a.s = a.free[n:], a.s[:0]
+	return d
 }
 
 // dropRecordings forgets every recording, the open one included.
@@ -100,7 +159,7 @@ func (c *CPU) dropRecordings() {
 // activation if none matches its entry (or, under ReplayCheck, one to
 // compare with the match).
 func (c *CPU) enterActivation(left int64) *recording {
-	if c.hdec == nil {
+	if c.hdec == nil || c.BP.OnResolve != nil {
 		return nil
 	}
 	cfg := c.Cfg
@@ -130,29 +189,44 @@ func (c *CPU) enterActivation(left int64) *recording {
 	return nil
 }
 
-// replay applies rec as the interpreter would run it from exception
-// entry through the iret, and returns the budget moved on by its
-// length. The caller closes the exception interval.
+// replay applies rec's compiled streams as the interpreter would run
+// the activation from exception entry through the iret, and returns
+// the budget moved on by its length. The caller closes the exception
+// interval.
 func (c *CPU) replay(rec *recording, left int64) int64 {
 	var dyn, miss uint64
-	ev := rec.events
-	skip := c.Cfg.ReplayBreak
-	for i := 0; i < len(ev); i++ {
-		switch e := ev[i]; e & 3 {
-		case evLoad:
-			if skip {
-				skip = false
-				continue
-			}
-			dyn += c.dAccess(e, detailed)
-		case evSwic:
-			i++
-			c.IC.WriteWord(e&^3, ev[i])
-		default: // predict's work, its charge summed below
-			if !c.BP.Update(e&^3, e&3 == evTaken) {
-				miss++
-			}
+	for i, r := range rec.loads {
+		n := uint64(r.n)
+		if i == 0 && c.Cfg.ReplayBreak {
+			n--
 		}
+		if n == 0 {
+			continue
+		}
+		s := c.DC.Lookup(r.addr)
+		if s < 0 {
+			dyn += c.dMiss(r.addr, detailed)
+		}
+		if n > 1 {
+			if s < 0 {
+				s = c.DC.Slot(r.addr)
+			}
+			c.DC.Hits(s, n-1)
+		}
+	}
+	for i := range rec.bp {
+		miss += c.BP.Apply(&rec.bp[i])
+	}
+	sw, recs := rec.swic, rec.recs
+	for i := 0; i < len(sw); {
+		h := int(sw[i])
+		s := c.IC.WriteLine(sw[i+1 : i+1+h&^1])
+		if h&1 != 0 {
+			copy(c.pcode[s*c.wpl:(s+1)*c.wpl], recs)
+			c.IC.SetDerived(s)
+			recs = recs[c.wpl:]
+		}
+		i += 1 + h&^1
 	}
 	miss *= uint64(c.Cfg.MispredictPenalty)
 	c.Stats.CPIStack[CycleBranch] += miss
@@ -286,67 +360,113 @@ func (c *CPU) extend(events []uint32) {
 // only if the activation stays in handler RAM, ends at its iret,
 // consumes every event in order, and executes only instructions whose
 // effect the recording captures, reading only registers it wrote. It
-// sets rec's written-register set, and reports whether rec stays; one
-// that does not gives its place in the cache to ineligible. The handler
-// code is the recorded run's: a store into handler RAM drops every
-// recording.
+// sets rec's written-register set and, outside ReplayCheck, compiles
+// its events into the arenas' streams and drops them. It reports
+// whether rec stays; one that does not gives its place in the cache to
+// ineligible. The handler code is the recorded run's: a store into
+// handler RAM drops every recording.
 func (c *CPU) walk(rec *recording) bool {
 	rec.walked = true
-	if c.eligible(rec) {
+	rp := &c.rp
+	compile := !c.Cfg.ReplayCheck
+	if compile && len(rp.grp) != c.BP.Entries() {
+		rp.grp = make([]uint32, c.BP.Entries())
+	}
+	rp.bp.s, rp.loads.s, rp.swic.s, rp.recs.s = rp.bp.s[:0], rp.loads.s[:0], rp.swic.s[:0], rp.recs.s[:0]
+	if c.eligible(rec, compile) {
+		if compile {
+			rec.bp, rec.loads, rec.swic, rec.recs = rp.bp.keep(), rp.loads.keep(), rp.swic.keep(), rp.recs.keep()
+			rec.events = nil
+		}
 		return true
 	}
-	if c.rp.byBadva[rec.c0In[5]] == rec {
-		c.rp.byBadva[rec.c0In[5]] = &ineligible
+	if rp.byBadva[rec.c0In[5]] == rec {
+		rp.byBadva[rec.c0In[5]] = &ineligible
 	}
 	return false
 }
 
-func (c *CPU) eligible(rec *recording) bool {
-	if c.rp.steps == nil {
-		c.rp.steps = make([]walkStep, len(c.hdec))
-		for i := range c.hdec {
-			c.rp.steps[i] = walkStepOf(&c.hdec[i])
-		}
+// eligible is walk's check and, if compile, its compilation: each
+// branch is added to its counter's Transfer, each load extends the
+// last load run or starts one, and each swic extends the open swic run
+// or closes it (keep) and starts one.
+func (c *CPU) eligible(rec *recording, compile bool) bool {
+	rp := &c.rp
+	if rp.steps == nil {
+		rp.steps = walkSteps(c.hdec)
 	}
-	n, ev, steps := rec.n, rec.events, c.rp.steps
+	n, ev, steps := rec.n, rec.events, rp.steps
+	if n > math.MaxUint32 { // the streams count in 32 bits
+		return false
+	}
+	bp, loads, sw, run := &rp.bp.s, &rp.loads.s, &rp.swic.s, -1
+	dShift := bits.TrailingZeros32(uint32(c.Cfg.DCache.LineBytes))
+	iShift := bits.TrailingZeros32(uint32(c.Cfg.ICache.LineBytes))
 	wrote := uint32(0)
 	last := uint8(wsRefuse)
 	pc := c.handlerPC
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n; {
 		off := (pc - c.handlerPC) >> 2
 		if pc&3 != 0 || off >= uint32(len(steps)) {
 			return false
 		}
 		st := steps[off]
-		if st.reads&^wrote != 0 {
+		if st.reads&^wrote != 0 || uint64(st.n) > n-i { // or the activation ends before the step's last instruction
 			return false
 		}
 		wrote |= st.writes
+		i += uint64(st.n)
+		off += st.n - 1 // the step's last instruction
+		pc += 4 * (st.n - 1)
 		next := pc + 4
 		switch st.kind {
-		case wsPlain:
 		case wsJump:
 			next = c.hdec[off].tgt
 		case wsBranch:
 			if len(ev) == 0 || ev[0]&3 == evLoad || ev[0]&3 == evSwic || ev[0]&^3 != pc {
 				return false
 			}
-			if ev[0]&3 == evTaken {
+			taken := ev[0]&3 == evTaken
+			if taken {
 				next = c.hdec[off].tgt
+			}
+			if compile {
+				t := c.BP.Transfer(pc)
+				g := rp.grp[t.Index()]
+				if int(g) >= len(*bp) || (*bp)[g].Index() != t.Index() {
+					g = uint32(len(*bp))
+					rp.grp[t.Index()] = g
+					*bp = append(*bp, t)
+				}
+				(*bp)[g].Add(taken)
 			}
 			ev = ev[1:]
 		case wsLoad:
 			if len(ev) == 0 || ev[0]&3 != evLoad {
 				return false
 			}
+			if k := len(*loads) - 1; compile && k >= 0 && (*loads)[k].addr>>dShift == ev[0]>>dShift {
+				(*loads)[k].n++
+			} else if compile {
+				*loads = append(*loads, loadRun{ev[0], 1})
+			}
 			ev = ev[1:]
 		case wsSwic:
 			if len(ev) < 2 || ev[0]&3 != evSwic {
 				return false
 			}
+			if a := ev[0] &^ 3; compile {
+				if run < 0 || (*sw)[run+1]>>iShift != a>>iShift {
+					c.keepLine(run)
+					run = len(*sw)
+					*sw = append(*sw, 0)
+				}
+				*sw = append(*sw, a, ev[1])
+				(*sw)[run] += 2
+			}
 			ev = ev[2:]
 		case wsIret:
-			if i != n-1 {
+			if i != n {
 				return false
 			}
 		default:
@@ -356,15 +476,69 @@ func (c *CPU) eligible(rec *recording) bool {
 	}
 	rec.wrote = wrote &^ 1
 	rec.hiLo = wrote&1 != 0
+	if compile {
+		c.keepLine(run)
+	}
 	return last == wsIret && len(ev) == 0
 }
 
-// walkStep is what walk needs of one handler instruction: the registers
-// it reads and writes, bit 0 standing for hi/lo ($zero reads are free
-// and its writes are dropped), and how it moves the walk on.
+// keepLine closes the swic run whose header is at run (none if
+// negative): a run that writes every word of its line keeps the line's
+// predecoded records, decoded from the words it leaves there.
+func (c *CPU) keepLine(run int) {
+	if run < 0 || c.wpl > 64 {
+		return
+	}
+	sw, recs := c.rp.swic.s, &c.rp.recs.s
+	w := sw[run+1 : run+1+int(sw[run])]
+	var have uint64
+	for i := 0; i < len(w); i += 2 {
+		have |= 1 << (w[i] >> 2 & uint32(c.wpl-1))
+	}
+	if have != 1<<c.wpl-1 {
+		return
+	}
+	base := w[0] &^ uint32(4*c.wpl-1)
+	k := len(*recs)
+	*recs = slices.Grow(*recs, c.wpl)[:k+c.wpl]
+	for i := 0; i < len(w); i += 2 {
+		j := w[i] >> 2 & uint32(c.wpl-1)
+		(*recs)[k+int(j)] = decodeInstr(base+4*j, w[i+1])
+	}
+	sw[run] |= 1
+}
+
+// walkStep is what walk needs of the n instructions from a handler
+// word through the first one that is not plain: the registers they
+// read before writing them and all they write, bit 0 standing for
+// hi/lo ($zero reads are free and its writes are dropped), and how the
+// last of them moves the walk on.
 type walkStep struct {
 	reads, writes uint32
+	n             uint32
 	kind          uint8
+}
+
+// walkSteps is walk's view of the handler code in hdec: a plain
+// instruction is folded into the step of the word after it, and one in
+// the last word, after which the walk would leave handler RAM, refuses.
+func walkSteps(hdec []pinstr) []walkStep {
+	steps := make([]walkStep, len(hdec))
+	for i := len(hdec) - 1; i >= 0; i-- {
+		st := walkStepOf(&hdec[i])
+		st.n = 1
+		if st.kind == wsPlain && i+1 < len(steps) {
+			nx := steps[i+1]
+			st.reads |= nx.reads &^ st.writes
+			st.writes |= nx.writes
+			st.n += nx.n
+			st.kind = nx.kind
+		} else if st.kind == wsPlain {
+			st.kind = wsRefuse
+		}
+		steps[i] = st
+	}
+	return steps
 }
 
 // walkStep kinds.

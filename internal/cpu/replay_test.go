@@ -301,3 +301,82 @@ func TestReplayBreakIsCaught(t *testing.T) {
 		t.Fatalf("ReplayBreak left the replayed machine equal to the interpreted one (%d replays)", got.replays)
 	}
 }
+
+// TestReplayStreamFaultsAreCaught plants a fault in each compiled
+// stream in turn (a predictor Transfer, a load run's count, a kept
+// predecoded record) once recordings are compiled, and finishes the
+// run: each must leave a machine the interpreted run does not.
+func TestReplayStreamFaultsAreCaught(t *testing.T) {
+	native, err := asm.Assemble(`
+        .text
+        .proc main
+main:   move  $s1, $zero
+round:  jal   filler
+        addiu $s1, $s1, 1
+        ori   $t0, $zero, 10
+        bne   $s1, $t0, round
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+        .proc filler
+filler:
+` + strings.Repeat("        addiu $t9, $t9, 1\n", 400) + `        jr    $ra
+        .endp
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Compress(native, core.Options{Scheme: "codepack", ShadowRF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(stream string, check bool) replayRun {
+		cfg := cpu.DefaultConfig()
+		cfg.ICache.SizeBytes = 1 << 10
+		cfg.ReplayCheck = check
+		c, err := cpu.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Load(res.Image); err != nil {
+			t.Fatal(err)
+		}
+		// Run in budgeted steps until the first replays compiled their
+		// recordings (the same steps under ReplayCheck), then plant the
+		// fault and run to the end.
+		for budget := uint64(500); c.Replays() < 5; budget += 500 {
+			c.Cfg.MaxInstr = budget
+			if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "budget") {
+				t.Fatalf("%s: run ended before any replay: %v", stream, err)
+			}
+		}
+		if !check && stream != "" && cpu.CorruptReplay(c, stream) == 0 {
+			t.Fatalf("no compiled recording has a %s stream to corrupt", stream)
+		}
+		c.Cfg.MaxInstr = 0
+		var r replayRun
+		if _, err := c.Run(); err != nil {
+			r.err = err.Error()
+		}
+		r.replays = c.Replays()
+		ck := fastpath.Capture(c, nil)
+		ck.Config.ReplayCheck = false
+		if r.ck, err = json.Marshal(ck); err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	want := run("", true)
+	if want.err != "" {
+		t.Fatalf("interpreted run failed: %s", want.err)
+	}
+	if got := run("", false); got.err != "" || !bytes.Equal(got.ck, want.ck) {
+		t.Fatalf("without a fault the replayed run ended %q and differs: %s", got.err, firstDiff(got.ck, want.ck))
+	}
+	for _, stream := range []string{"bp", "load", "record"} {
+		if got := run(stream, false); got.err == want.err && bytes.Equal(got.ck, want.ck) {
+			t.Errorf("a fault in the %s stream left the replayed machine equal to the interpreted one (%d replays)", stream, got.replays)
+		}
+	}
+}

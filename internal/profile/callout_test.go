@@ -546,9 +546,9 @@ func TestProfileAfterVerifyFollowsTheRun(t *testing.T) {
 
 // TestLedgerCalloutsOddProcedureTables: a procedure table spread too
 // wide for the ledger's interval table, or one whose last procedure
-// wraps past the address space (program.Validate lets it), keys its
-// intervals by lo. The wide one must still match the reference; the
-// wrapped one must still run and sum exactly.
+// wraps past the address space, keys its intervals by lo. The wide one
+// must still match the reference. The wrapped one is refused by
+// program.Validate, so the machine does not load it.
 func TestLedgerCalloutsOddProcedureTables(t *testing.T) {
 	base := assemble(t, mustRead(t, "sort.s"))
 	wide, wrapped := *base, *base
@@ -557,8 +557,8 @@ func TestLedgerCalloutsOddProcedureTables(t *testing.T) {
 	last := &wrapped.Procs[len(wrapped.Procs)-1]
 	last.Size = -last.Addr + 8
 	for name, im := range map[string]*program.Image{"wide": &wide, "wrapped": &wrapped} {
-		if err := im.Validate(); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		if err := im.Validate(); (err != nil) != (im == &wrapped) {
+			t.Fatalf("%s: Validate: %v", name, err)
 		}
 		c := machine(t, calloutConfig())
 		r := NewRecorder(im)
@@ -566,7 +566,12 @@ func TestLedgerCalloutsOddProcedureTables(t *testing.T) {
 		if r.first != nil {
 			t.Errorf("%s: built an interval table over %#x..%#x", name, im.Procs[0].Addr, im.Procs[len(im.Procs)-1].Addr)
 		}
-		if err := c.Load(im); err != nil {
+		if err := c.Load(im); im == &wrapped {
+			if err == nil {
+				t.Errorf("%s: the machine loaded a procedure wrapping past 2^32", name)
+			}
+			continue
+		} else if err != nil {
 			t.Fatal(err)
 		}
 		if err := runToEnd(c); err != nil {

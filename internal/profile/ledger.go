@@ -197,7 +197,7 @@ func (l *Ledger) table() {
 		return
 	}
 	lo := ps[0].Addr &^ l.lineMask
-	end := (uint64(ps[len(ps)-1].Addr) + uint64(ps[len(ps)-1].Size) + uint64(l.lineMask)) &^ uint64(l.lineMask)
+	end := (ps[len(ps)-1].End() + uint64(l.lineMask)) &^ uint64(l.lineMask)
 	lines := (end - uint64(lo)) >> l.lineShift
 	if end > math.MaxUint32 || lines+2*uint64(len(ps)) > 2*maxTableLines {
 		return
@@ -310,15 +310,15 @@ func (l *Ledger) procSpan(addr uint32) (int, uint64, uint64) {
 	i := l.proc
 	if i >= len(procs) || !procs[i].Contains(addr) {
 		i = sort.Search(len(procs), func(i int) bool {
-			return procs[i].Addr+procs[i].Size > addr
+			return procs[i].End() > uint64(addr)
 		})
 	}
 	if i < len(procs) && procs[i].Contains(addr) {
-		return i, uint64(procs[i].Addr), uint64(procs[i].Addr) + uint64(procs[i].Size)
+		return i, uint64(procs[i].Addr), procs[i].End()
 	}
 	lo, hi := uint64(0), uint64(1)<<32
 	if i > 0 {
-		lo = uint64(procs[i-1].Addr) + uint64(procs[i-1].Size)
+		lo = procs[i-1].End()
 	}
 	if i < len(procs) {
 		hi = uint64(procs[i].Addr)

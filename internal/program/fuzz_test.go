@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	_ "repro/internal/codec/all" // register every shipped codec
 	"repro/internal/core"
 	"repro/internal/program"
@@ -17,7 +21,8 @@ import (
 // loads again and re-encodes byte-equal. It must never panic. A file in
 // the retired gzip+JSON format must get ErrLegacyImage. The seed corpus
 // holds the package tests' sample image and a compressed random synth
-// program, a truncation of each, and a legacy gzip file.
+// program, a truncation of each, sort.s with a procedure table that
+// wraps past 2^32 (wrappedSort), and a legacy gzip file.
 func FuzzImageLoad(f *testing.F) {
 	native, err := synth.GenerateRandom(synth.DefaultRandSpec(3)).Build()
 	if err != nil {
@@ -35,6 +40,11 @@ func FuzzImageLoad(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	wrapped, err := program.Encode(wrappedSort(f))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wrapped)
 	var legacy bytes.Buffer
 	zw := gzip.NewWriter(&legacy)
 	zw.Write([]byte(`{"format":"clr32-image","version":1,"image":{"Entry":4194304}}`))
@@ -66,4 +76,55 @@ func FuzzImageLoad(f *testing.F) {
 			t.Fatal("image re-encodes differently after a round trip")
 		}
 	})
+}
+
+// wrappedSort is testdata/sort.s with main's Size set to -Addr+8, so
+// that Addr+Size wraps past 2^32 to 8: added in 32 bits, the table
+// would claim main covers [Addr, 8), an empty range.
+func wrappedSort(tb testing.TB) *program.Image {
+	tb.Helper()
+	src, err := os.ReadFile(filepath.Join("..", "..", "testdata", "sort.s"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	im, err := asm.Assemble(string(src))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	main := im.ProcByName("main")
+	if main == nil {
+		tb.Fatal("sort.s has no main")
+	}
+	main.Size = -main.Addr + 8
+	return im
+}
+
+// TestValidateRefusesWrappedProcedure: a procedure running past the
+// 32-bit address space is refused by Validate and so by Load, whichever
+// place it holds in the table.
+func TestValidateRefusesWrappedProcedure(t *testing.T) {
+	im := wrappedSort(t)
+	if err := im.Validate(); err == nil || !strings.Contains(err.Error(), "past the 32-bit address space") {
+		t.Fatalf("Validate accepted main with Size %#x at %#x: %v", im.ProcByName("main").Size, im.ProcByName("main").Addr, err)
+	}
+	data, err := program.Encode(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := program.Load(bytes.NewReader(data)); err == nil {
+		t.Fatal("Load accepted the wrapped procedure table")
+	}
+	// The last procedure of the table is checked too.
+	im = wrappedSort(t)
+	im.ProcByName("main").Size = 8
+	last := &im.Procs[len(im.Procs)-1]
+	last.Size = -last.Addr + 4
+	if err := im.Validate(); err == nil {
+		t.Fatalf("Validate accepted the last procedure %s wrapping past 2^32", last.Name)
+	}
+	// A procedure ending exactly at 2^32 does not wrap.
+	last.Size = -last.Addr
+	if err := im.Validate(); err != nil {
+		t.Fatalf("a procedure ending at 2^32 is valid: %v", err)
+	}
 }

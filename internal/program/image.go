@@ -80,9 +80,13 @@ type Procedure struct {
 	Size uint32 // bytes
 }
 
+// End is the address one past the procedure body, in 64 bits so that
+// a body running to the top of the address space does not wrap.
+func (p *Procedure) End() uint64 { return uint64(p.Addr) + uint64(p.Size) }
+
 // Contains reports whether addr falls inside the procedure body.
 func (p *Procedure) Contains(addr uint32) bool {
-	return addr >= p.Addr && addr < p.Addr+p.Size
+	return addr >= p.Addr && uint64(addr) < p.End()
 }
 
 // Scheme identifies a compression algorithm.
@@ -147,7 +151,7 @@ func (im *Image) SegmentAt(addr uint32) *Segment {
 // ProcAt returns the procedure containing addr, or nil.
 func (im *Image) ProcAt(addr uint32) *Procedure {
 	i := sort.Search(len(im.Procs), func(i int) bool {
-		return im.Procs[i].Addr+im.Procs[i].Size > addr
+		return im.Procs[i].End() > uint64(addr)
 	})
 	if i < len(im.Procs) && im.Procs[i].Contains(addr) {
 		return &im.Procs[i]
@@ -213,9 +217,9 @@ func (im *Image) StoredCodeSize() int {
 	return n
 }
 
-// Validate checks structural invariants: segments inside the 32-bit
-// address space and not overlapping, sorted non-overlapping procedures,
-// entry inside a segment.
+// Validate checks structural invariants: segments and procedures inside
+// the 32-bit address space, segments not overlapping, sorted
+// non-overlapping procedures, entry inside a segment.
 func (im *Image) Validate() error {
 	for _, s := range im.Segments {
 		if uint64(s.Base)+uint64(len(s.Data)) > 1<<32 {
@@ -229,9 +233,12 @@ func (im *Image) Validate() error {
 			return fmt.Errorf("program: segments %s and %s overlap", segs[i-1].Name, segs[i].Name)
 		}
 	}
-	for i := 1; i < len(im.Procs); i++ {
-		p, q := &im.Procs[i-1], &im.Procs[i]
-		if p.Addr+p.Size > q.Addr {
+	for i := range im.Procs {
+		q := &im.Procs[i]
+		if q.End() > 1<<32 {
+			return fmt.Errorf("program: procedure %s runs past the 32-bit address space", q.Name)
+		}
+		if p := &im.Procs[max(i-1, 0)]; i > 0 && p.End() > uint64(q.Addr) {
 			return fmt.Errorf("program: procedures %s and %s overlap", p.Name, q.Name)
 		}
 	}
