@@ -128,8 +128,9 @@ type recordings struct {
 }
 
 // arena collects one stream of the recording being compiled in s, and
-// keeps each finished stream in a block it shares with others, so
-// compiling allocates no small objects and keeps no slack.
+// keeps each finished stream in a block it shares with other streams,
+// so compiling allocates no small objects and a kept stream has no
+// spare capacity.
 type arena[T any] struct {
 	s    []T
 	free []T // the current block's unused tail

@@ -238,8 +238,8 @@ func (im *Image) Validate() error {
 		if q.End() > 1<<32 {
 			return fmt.Errorf("program: procedure %s runs past the 32-bit address space", q.Name)
 		}
-		if p := &im.Procs[max(i-1, 0)]; i > 0 && p.End() > uint64(q.Addr) {
-			return fmt.Errorf("program: procedures %s and %s overlap", p.Name, q.Name)
+		if i > 0 && im.Procs[i-1].End() > uint64(q.Addr) {
+			return fmt.Errorf("program: procedures %s and %s overlap", im.Procs[i-1].Name, q.Name)
 		}
 	}
 	if s := im.SegmentAt(im.Entry); s == nil {
