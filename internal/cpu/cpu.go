@@ -236,7 +236,7 @@ type CPU struct {
 	// from the last one's: on entry, before every slow-path fetch, when
 	// a user fetch on the fast path leaves the last answer's range,
 	// after a decompression exception is entered, and after every stop
-	// (iret, syscall, budget, user target, Step). It sees Stats and PC()
+	// (iret, syscall, budget, user target). It sees Stats and PC()
 	// with every earlier commit charged and nothing of the next; outside
 	// the handler its answer's range must hold PC(). The loop clips its
 	// window to that range (see keyLo) and stops at its cut, so no commit

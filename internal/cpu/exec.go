@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -15,10 +16,9 @@ import (
 // noLimit disables run's budget or user target.
 const noLimit = math.MaxInt64
 
-// run's modes: stop nowhere else, after one step, or before a miss.
+// run's modes: stop nowhere else, or before a miss.
 const (
 	runOn = iota
-	runStep
 	runToFault
 )
 
@@ -44,9 +44,17 @@ const (
 	functional
 )
 
-// Step fetches, executes and retires one instruction, charging cycles to
-// the timing model.
-func (c *CPU) Step() error { return c.run(noLimit, noLimit, runStep) }
+// StepUser runs the detailed engine until one user instruction retires
+// outside the handler or max instructions in all have retired, which is
+// not an error. Unlike RunDetailedFor it keeps the load-use hazard and
+// the repeated-exception guard, so StepUser calls charge as one Run.
+func (c *CPU) StepUser(max uint64) error {
+	err := c.run(min(c.budget(), int64(min(max, noLimit))), 1, runOn)
+	if errors.Is(err, errBudget) && c.budget() > 0 {
+		return nil // max, not the budget, was spent
+	}
+	return err
+}
 
 // RunFunctionalFor retires at least n user instructions under the
 // functional policy, then continues until the machine is outside the
@@ -151,8 +159,11 @@ func (c *CPU) budget() int64 {
 	return int64(min(c.Cfg.MaxInstr-min(t, c.Cfg.MaxInstr), noLimit))
 }
 
+// errBudget marks the error that ends a run whose allowance is spent.
+var errBudget = errors.New("budget")
+
 func (c *CPU) budgetError() error {
-	return fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x", c.Cfg.MaxInstr, c.pc)
+	return fmt.Errorf("cpu: instruction %w %d exhausted at pc %#x", errBudget, c.Cfg.MaxInstr, c.pc)
 }
 
 // window is a run of predecoded records a loop fetches from without
@@ -446,7 +457,7 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 // swic ends an I-cache window.
 func (c *CPU) run(left, user int64, mode int) error {
 	const pol = detailed
-	if c.halted && mode != runStep {
+	if c.halted {
 		return nil
 	}
 	if left <= 0 {
@@ -464,7 +475,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 	var wBase uint32
 	var wRec []pinstr
 	wSlot, hits := -1, uint64(0)
-	lim := c.limit(left, user, inH, mode == runStep, pol)
+	lim := c.limit(left, user, inH, pol)
 	var p *pinstr
 	var err error
 	for {
@@ -486,7 +497,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 					left, user = c.flush(inH, cycles, lu, n, left, user)
 					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
 					c.observe()
-					lim = c.limit(left, user, inH, mode == runStep, pol)
+					lim = c.limit(left, user, inH, pol)
 				}
 				wBase, wRec = c.clip(wBase, wRec)
 			}
@@ -517,9 +528,6 @@ func (c *CPU) run(left, user int64, mode int) error {
 				if left <= 0 {
 					return c.budgetError()
 				}
-				if mode == runStep {
-					return nil
-				}
 				if pol == detailed && c.Trace == nil {
 					if rec := c.enterActivation(left); rec != nil {
 						left = c.replay(rec, left)
@@ -538,7 +546,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 					}
 				}
 			}
-			if lim = c.limit(left, user, inH, mode == runStep, pol); p == nil {
+			if lim = c.limit(left, user, inH, pol); p == nil {
 				continue
 			}
 		}
@@ -854,11 +862,11 @@ func (c *CPU) run(left, user int64, mode int) error {
 		if left <= 0 {
 			return c.budgetError()
 		}
-		if c.halted || mode == runStep || (!inH && user <= 0) {
+		if c.halted || (!inH && user <= 0) {
 			return nil
 		}
 		pc = next
-		lim = c.limit(left, user, inH, mode == runStep, pol)
+		lim = c.limit(left, user, inH, pol)
 	}
 
 fail:
@@ -895,11 +903,11 @@ func (c *CPU) excReturn(epc uint32) {
 // the budget, the user target outside the handler and, under the
 // detailed policy, the observers' cut, or every one when a tracer is
 // attached.
-func (c *CPU) limit(left, user int64, handler, step bool, pol policy) uint64 {
+func (c *CPU) limit(left, user int64, handler bool, pol policy) uint64 {
 	if !handler && user < left {
 		left = user
 	}
-	if step || left < 1 || pol == detailed && c.Trace != nil {
+	if left < 1 || pol == detailed && c.Trace != nil {
 		return 1
 	}
 	if r := c.Stats.Instrs + c.Stats.HandlerInstrs; pol == detailed && c.cut > r {

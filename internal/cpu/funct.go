@@ -10,7 +10,7 @@ import (
 // runWarm is run compiled for the warm policy.
 func (c *CPU) runWarm(left, user int64, mode int) error {
 	const pol = warm
-	if c.halted && mode != runStep {
+	if c.halted {
 		return nil
 	}
 	if left <= 0 {
@@ -28,7 +28,7 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 	var wBase uint32
 	var wRec []pinstr
 	wSlot, hits := -1, uint64(0)
-	lim := c.limit(left, user, inH, mode == runStep, pol)
+	lim := c.limit(left, user, inH, pol)
 	var p *pinstr
 	var err error
 	for {
@@ -50,7 +50,7 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 					left, user = c.flush(inH, cycles, lu, n, left, user)
 					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
 					c.observe()
-					lim = c.limit(left, user, inH, mode == runStep, pol)
+					lim = c.limit(left, user, inH, pol)
 				}
 				wBase, wRec = c.clip(wBase, wRec)
 			}
@@ -81,9 +81,6 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 				if left <= 0 {
 					return c.budgetError()
 				}
-				if mode == runStep {
-					return nil
-				}
 				if pol == detailed && c.Trace == nil {
 					if rec := c.enterActivation(left); rec != nil {
 						left = c.replay(rec, left)
@@ -102,7 +99,7 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 					}
 				}
 			}
-			if lim = c.limit(left, user, inH, mode == runStep, pol); p == nil {
+			if lim = c.limit(left, user, inH, pol); p == nil {
 				continue
 			}
 		}
@@ -418,11 +415,11 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 		if left <= 0 {
 			return c.budgetError()
 		}
-		if c.halted || mode == runStep || (!inH && user <= 0) {
+		if c.halted || (!inH && user <= 0) {
 			return nil
 		}
 		pc = next
-		lim = c.limit(left, user, inH, mode == runStep, pol)
+		lim = c.limit(left, user, inH, pol)
 	}
 
 fail:
@@ -439,7 +436,7 @@ fail:
 // runFunctional is run compiled for the functional policy.
 func (c *CPU) runFunctional(left, user int64, mode int) error {
 	const pol = functional
-	if c.halted && mode != runStep {
+	if c.halted {
 		return nil
 	}
 	if left <= 0 {
@@ -457,7 +454,7 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 	var wBase uint32
 	var wRec []pinstr
 	wSlot, hits := -1, uint64(0)
-	lim := c.limit(left, user, inH, mode == runStep, pol)
+	lim := c.limit(left, user, inH, pol)
 	var p *pinstr
 	var err error
 	for {
@@ -479,7 +476,7 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 					left, user = c.flush(inH, cycles, lu, n, left, user)
 					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
 					c.observe()
-					lim = c.limit(left, user, inH, mode == runStep, pol)
+					lim = c.limit(left, user, inH, pol)
 				}
 				wBase, wRec = c.clip(wBase, wRec)
 			}
@@ -510,9 +507,6 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 				if left <= 0 {
 					return c.budgetError()
 				}
-				if mode == runStep {
-					return nil
-				}
 				if pol == detailed && c.Trace == nil {
 					if rec := c.enterActivation(left); rec != nil {
 						left = c.replay(rec, left)
@@ -531,7 +525,7 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 					}
 				}
 			}
-			if lim = c.limit(left, user, inH, mode == runStep, pol); p == nil {
+			if lim = c.limit(left, user, inH, pol); p == nil {
 				continue
 			}
 		}
@@ -847,11 +841,11 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 		if left <= 0 {
 			return c.budgetError()
 		}
-		if c.halted || mode == runStep || (!inH && user <= 0) {
+		if c.halted || (!inH && user <= 0) {
 			return nil
 		}
 		pc = next
-		lim = c.limit(left, user, inH, mode == runStep, pol)
+		lim = c.limit(left, user, inH, pol)
 	}
 
 fail:

@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,8 +19,8 @@ import (
 // The bulk-charging oracle. The detailed loop (run) accumulates its
 // per-commit counters in locals and adds them to Stats only at flush
 // points, so three drivers that flush at different points must agree:
-// Run alone (flushes at misses and exits), a Step-driven loop (flushes
-// after every instruction) and Run with a tracer attached (flushes
+// Run alone (flushes at misses and exits), a loop of StepUser(1) calls
+// (flushes after every instruction) and Run with a tracer attached (flushes
 // before every tracer call). A commit model fed by that tracer
 // recomputes the counters the flush carries from the committed
 // instruction stream alone, independently of the loop, and checks
@@ -81,18 +82,14 @@ func (r loopResult) String() string { return fmt.Sprintf("%+v", struct{ loopResu
 
 type driver func(c *cpu.CPU) (int32, error)
 
-// stepLoop is Run rebuilt from Step, with Run's budget check after
-// every step.
+// stepLoop is Run rebuilt from one-instruction StepUser calls.
 func stepLoop(c *cpu.CPU) (int32, error) {
 	for {
 		if halted, code := c.Halted(); halted {
 			return code, c.Stats.CPIStack.Check(c.Stats.Cycles)
 		}
-		if err := c.Step(); err != nil {
+		if err := c.StepUser(1); err != nil {
 			return -1, err
-		}
-		if m := c.Cfg.MaxInstr; m > 0 && c.Stats.Instrs+c.Stats.HandlerInstrs >= m {
-			return -1, fmt.Errorf("cpu: instruction budget %d exhausted at pc %#x", m, c.PC())
 		}
 	}
 }
@@ -209,7 +206,7 @@ func (m *commitModel) check() {
 	}
 }
 
-// TestBulkChargingOracle: Run, a Step-driven loop and a traced Run leave
+// TestBulkChargingOracle: Run, a StepUser(1) loop and a traced Run leave
 // identical machines: exit code, output, PC, Stats (CPI stack and
 // exception latencies included), cache, predictor and bus counters.
 func TestBulkChargingOracle(t *testing.T) {
@@ -222,7 +219,7 @@ func TestBulkChargingOracle(t *testing.T) {
 			if ref.stats.Exceptions == 0 && li.im.Compress != nil && !li.hw {
 				t.Fatal("compressed image raised no decompression exception")
 			}
-			for name, d := range map[string]driver{"Step loop": stepLoop, "traced Run": tracedRun(t)} {
+			for name, d := range map[string]driver{"StepUser(1) loop": stepLoop, "traced Run": tracedRun(t)} {
 				if got := runDriver(t, li, 0, d); got != ref {
 					t.Errorf("%s differs from Run:\n got %v\nwant %v", name, got, ref)
 				}
@@ -253,7 +250,7 @@ func TestBulkChargingBudget(t *testing.T) {
 			}
 			for n := uint64(1); n <= k; n++ {
 				ref := runDriver(t, li, n, plainRun)
-				for name, d := range map[string]driver{"Step loop": stepLoop, "traced Run": tracedRun(t)} {
+				for name, d := range map[string]driver{"StepUser(1) loop": stepLoop, "traced Run": tracedRun(t)} {
 					if got := runDriver(t, li, n, d); got != ref {
 						t.Fatalf("MaxInstr %d: %s differs from Run:\n got %v\nwant %v", n, name, got, ref)
 					}
@@ -291,9 +288,67 @@ main:   la    $t0, w
 	if !strings.Contains(ref.err, "unaligned lw") || ref.stats.LoadUseStalls == 0 {
 		t.Fatalf("want an unaligned lw after load-use stalls, got %v", ref)
 	}
-	for name, d := range map[string]driver{"Step loop": stepLoop, "traced Run": tracedRun(t)} {
+	for name, d := range map[string]driver{"StepUser(1) loop": stepLoop, "traced Run": tracedRun(t)} {
 		if got := runDriver(t, li, 0, d); got != ref {
 			t.Errorf("%s differs from Run:\n got %v\nwant %v", name, got, ref)
 		}
+	}
+}
+
+// TestStepUserCap: StepUser's cap counts every retirement. A cap of one
+// more than the first handler activation's length runs it and the user
+// instruction after it; a cap of its length stops after the iret, with
+// no error, and the next StepUser(1) retires that user instruction.
+func TestStepUserCap(t *testing.T) {
+	li := loopImages(t)[1] // dict
+	var handler uint64
+	newCPU := func() *cpu.CPU {
+		c, err := cpu.New(cpu.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.AttachTrace(func(_, _ uint32, h bool) {
+			if h {
+				handler++
+			}
+		})
+		if err := c.Load(li.im); err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	// Find the user step that runs the first activation, and its length.
+	c, steps := newCPU(), 0
+	for handler == 0 {
+		if err := c.StepUser(math.MaxUint64); err != nil {
+			t.Fatal(err)
+		}
+		steps++
+	}
+	n := handler
+	toActivation := func() *cpu.CPU {
+		c := newCPU()
+		for range steps - 1 {
+			if err := c.StepUser(math.MaxUint64); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	whole := toActivation()
+	pre := whole.Stats.Instrs
+	if err := whole.StepUser(n + 1); err != nil || whole.Stats.Instrs != pre+1 {
+		t.Fatalf("StepUser(%d): err %v, %d user instructions, want 1", n+1, err, whole.Stats.Instrs-pre)
+	}
+	split := toActivation()
+	if err := split.StepUser(n); err != nil || split.Stats.Instrs != pre || split.InHandler() {
+		t.Fatalf("StepUser(%d): err %v, %d user instructions, in handler %v; want 0, out of it",
+			n, err, split.Stats.Instrs-pre, split.InHandler())
+	}
+	if err := split.StepUser(1); err != nil {
+		t.Fatal(err)
+	}
+	if split.Stats != whole.Stats || split.PC() != whole.PC() {
+		t.Fatalf("split step differs:\n got %+v\nwant %+v", split.Stats, whole.Stats)
 	}
 }

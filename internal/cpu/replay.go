@@ -40,7 +40,7 @@ package cpu
 //
 // Replay runs only in run's slow path, where fetch raised the
 // exception, and only where the interpreted activation would run
-// through its iret in one stretch: not under runStep, a Trace, a
+// through its iret in one stretch: not under a Trace, a
 // predictor observer (BP.OnResolve, which wants every branch),
 // PredecodeCheck or DisablePredecode, and not when the budget or the
 // observers' cut falls inside the activation. Config.ReplayCheck
@@ -177,7 +177,7 @@ func (c *CPU) enterActivation(left int64) *recording {
 		if !rec.walked && !c.walk(rec) {
 			return nil
 		}
-		if !c.Cfg.ReplayCheck && !c.Cfg.PredecodeCheck && c.limit(left, 0, true, false, detailed) >= rec.n {
+		if !c.Cfg.ReplayCheck && !c.Cfg.PredecodeCheck && c.limit(left, 0, true, detailed) >= rec.n {
 			return rec
 		}
 		if !c.Cfg.ReplayCheck {

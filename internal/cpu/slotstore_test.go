@@ -230,7 +230,7 @@ func runSlotCase(t *testing.T, tc slotCase, mode func(*Config)) *CPU {
 			t.Fatal("case has a poke but no marker label")
 		}
 		for c.PC() != marker {
-			if err := c.Step(); err != nil {
+			if err := c.StepUser(1); err != nil {
 				t.Fatalf("step: %v", err)
 			}
 			if halted, _ := c.Halted(); halted {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/program"
+	"repro/internal/session"
 )
 
 // Ablations runs the design-choice studies called out in DESIGN.md, all
@@ -134,13 +135,9 @@ func (s *Suite) namedState(name string) (string, *benchState, error) {
 // runConfigured executes an image under an explicit machine config,
 // outside the suite's caches (ablations vary the config).
 func runConfigured(im *program.Image, cfg cpu.Config) (runOutcome, error) {
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return runOutcome{}, err
-	}
 	var out strings.Builder
-	c.Out = &out
-	if err := c.Load(im); err != nil {
+	c, err := session.Machine(cfg, im, &out)
+	if err != nil {
 		return runOutcome{}, err
 	}
 	code, err := c.Run()

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/fastpath"
 	"repro/internal/program"
+	"repro/internal/session"
 )
 
 // This file is the fast-tier counterpart of workload.go: the same
@@ -26,13 +27,9 @@ func (s *Suite) SampledRun(bench string, opts core.Options, cacheKB int, scfg fa
 	if err != nil {
 		return nil, err
 	}
-	c, err := cpu.New(s.machine(cacheKB))
-	if err != nil {
-		return nil, err
-	}
 	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
+	c, err := session.Machine(s.machine(cacheKB), im, &out)
+	if err != nil {
 		return nil, err
 	}
 	res, err := fastpath.Sampled(c, scfg)
@@ -57,13 +54,9 @@ func (s *Suite) FunctionalRun(bench string, opts core.Options, cacheKB int) (cpu
 	if err != nil {
 		return cpu.FunctStats{}, err
 	}
-	c, err := cpu.New(s.machine(cacheKB))
-	if err != nil {
-		return cpu.FunctStats{}, err
-	}
 	var out bytes.Buffer
-	c.Out = &out
-	if err := c.Load(im); err != nil {
+	c, err := session.Machine(s.machine(cacheKB), im, &out)
+	if err != nil {
 		return cpu.FunctStats{}, err
 	}
 	code, err := fastpath.Functional(c)

@@ -16,6 +16,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/session"
 	"repro/internal/synth"
 )
 
@@ -138,18 +139,15 @@ func (s *Suite) machine(cacheKB int) cpu.Config {
 // returns its profile once the attribution invariant is verified.
 func (s *Suite) runImage(im *program.Image, cacheKB int, attributed bool) (runOutcome, error) {
 	s.sims.Add(1)
-	c, err := cpu.New(s.machine(cacheKB))
-	if err != nil {
-		return runOutcome{}, err
-	}
 	var out bytes.Buffer
-	c.Out = &out
 	var rec *profile.Recorder
+	var attach []func(*cpu.CPU)
 	if attributed {
 		rec = profile.NewRecorder(im)
-		rec.Attach(c)
+		attach = append(attach, rec.Attach)
 	}
-	if err := c.Load(im); err != nil {
+	c, err := session.Machine(s.machine(cacheKB), im, &out, attach...)
+	if err != nil {
 		return runOutcome{}, err
 	}
 	code, err := c.Run()

@@ -132,7 +132,7 @@ func TestCheckpointRoundTripBoundaries(t *testing.T) {
 		t.Run(fmt.Sprintf("steps=%d", n), func(t *testing.T) {
 			c, preOut := newMachine(t, im)
 			for i := 0; i < n; i++ {
-				if err := c.Step(); err != nil {
+				if err := c.StepUser(1); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			}
@@ -168,7 +168,7 @@ func TestCheckpointMidHandler(t *testing.T) {
 
 			c, preOut := newMachine(t, im)
 			for !c.InHandler() {
-				if err := c.Step(); err != nil {
+				if err := c.StepUser(1); err != nil {
 					t.Fatal(err)
 				}
 				if h, _ := c.Halted(); h {
@@ -177,7 +177,7 @@ func TestCheckpointMidHandler(t *testing.T) {
 			}
 			// A few instructions deep into the burst, not just the entry.
 			for i := 0; i < 10 && c.InHandler(); i++ {
-				if err := c.Step(); err != nil {
+				if err := c.StepUser(1); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -213,7 +213,7 @@ func TestCheckpointMidLoadUse(t *testing.T) {
 	c, preOut := newMachine(t, im)
 	found := false
 	for i := 0; i < 500; i++ {
-		if err := c.Step(); err != nil {
+		if err := c.StepUser(1); err != nil {
 			t.Fatal(err)
 		}
 		if c.CaptureState().LastLoad >= 0 {
@@ -282,7 +282,7 @@ func TestCheckpointManifestProvenance(t *testing.T) {
 	im := loadCompressed(t, "sort.s", rtd.Options{Scheme: rtd.SchemeDict})
 	c, _ := newMachine(t, im)
 	for i := 0; i < 50; i++ {
-		if err := c.Step(); err != nil {
+		if err := c.StepUser(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -311,7 +311,7 @@ func TestCheckpointRefusals(t *testing.T) {
 	im := loadCompressed(t, "sort.s", rtd.Options{Scheme: rtd.SchemeDict})
 	c, _ := newMachine(t, im)
 	for i := 0; i < 100; i++ {
-		if err := c.Step(); err != nil {
+		if err := c.StepUser(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,7 +425,7 @@ func TestCheckpointSwicLinesUnderPredecodeCheck(t *testing.T) {
 			c, _ := newMachine(t, im)
 			c.Cfg.PredecodeCheck = true
 			for i := 0; i < n; i++ {
-				if err := c.Step(); err != nil {
+				if err := c.StepUser(1); err != nil {
 					t.Fatalf("step %d: %v", i, err)
 				}
 			}

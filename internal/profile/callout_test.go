@@ -20,8 +20,8 @@ import (
 // ledgers beside a per-commit tracer, so the detailed loop there
 // flushes on every commit. Here the ledgers run without one, on the
 // loop's fast paths, and must still reproduce, byte for byte, a
-// per-commit reference run of the same image on a second machine: under
-// Step, under a budget that stops mid-handler or mid-line, beside a
+// per-commit reference run of the same image on a second machine: one
+// instruction per StepUser call, under a budget that stops mid-handler or mid-line, beside a
 // debugging ring, and where a procedure boundary falls inside an
 // I-cache line.
 
@@ -43,7 +43,7 @@ func stepToEnd(c *cpu.CPU) error {
 		if halted, _ := c.Halted(); halted {
 			return nil
 		}
-		if err := c.Step(); err != nil {
+		if err := c.StepUser(1); err != nil {
 			return err
 		}
 	}
@@ -176,8 +176,8 @@ func calloutConfig() cpu.Config {
 	return cfg
 }
 
-// TestLedgerCalloutsStepDriven: a machine driven one Step at a time, as
-// diffsim's lockstep drives it, calls its observers out at every step.
+// TestLedgerCalloutsStepDriven: a machine driven one instruction per
+// StepUser call calls its observers out at every step.
 func TestLedgerCalloutsStepDriven(t *testing.T) {
 	for name, im := range calloutImages(t) {
 		want, err := reference(t, im, calloutConfig(), runToEnd)
@@ -521,7 +521,7 @@ func TestProfileAfterVerifyFollowsTheRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for range 200 {
-			if err := c.Step(); err != nil {
+			if err := c.StepUser(1); err != nil {
 				t.Fatal(err)
 			}
 		}

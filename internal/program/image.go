@@ -55,9 +55,11 @@ type Segment struct {
 // End returns the first address past the segment.
 func (s *Segment) End() uint32 { return s.Base + uint32(len(s.Data)) }
 
-// Contains reports whether addr falls inside the segment.
+// Contains reports whether addr falls inside the segment. It compares
+// offsets, so a segment that ends exactly at 2^32 (End() wraps to 0)
+// still contains its words.
 func (s *Segment) Contains(addr uint32) bool {
-	return addr >= s.Base && addr < s.End()
+	return addr-s.Base < uint32(len(s.Data))
 }
 
 // Word returns the little-endian 32-bit word at addr within the segment.

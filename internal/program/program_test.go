@@ -130,6 +130,28 @@ func TestValidateOverlap(t *testing.T) {
 	}
 }
 
+// TestSegmentEndingAt4GiB: a segment whose last word is the top of the
+// address space holds its words, so an entry there validates.
+func TestSegmentEndingAt4GiB(t *testing.T) {
+	im := &Image{
+		Entry:    0xFFFFFFF8,
+		Segments: []*Segment{seg(SegText, 0xFFFFFFF8, 1, 2)},
+	}
+	if err := im.Validate(); err != nil {
+		t.Fatalf("a text segment ending exactly at 2^32 is valid: %v", err)
+	}
+	for _, a := range []uint32{0xFFFFFFF8, 0xFFFFFFFC} {
+		if s := im.SegmentAt(a); s != im.Segments[0] {
+			t.Errorf("SegmentAt(%#x) = %v, want the text segment", a, s)
+		}
+	}
+	for _, a := range []uint32{0, 0xFFFFFFF4} {
+		if s := im.SegmentAt(a); s != nil {
+			t.Errorf("SegmentAt(%#x) = %s, want none", a, s.Name)
+		}
+	}
+}
+
 func TestApplyRelocs(t *testing.T) {
 	im := &Image{
 		Entry: 0x400000,

@@ -26,6 +26,7 @@ import (
 	"repro/internal/cpu"
 	"repro/internal/profile"
 	"repro/internal/program"
+	"repro/internal/session"
 )
 
 // Policy selects the profile metric used for ranking.
@@ -111,14 +112,9 @@ func Select(prof *profile.Profile, policy Policy, fraction float64) map[string]b
 // (native) program; note §5.3's caveat that re-laying the program out
 // changes the miss profile — which is exactly what the experiments show.
 func Profile(im *program.Image, cfg cpu.Config) (*profile.Profile, cpu.Stats, error) {
-	c, err := cpu.New(cfg)
-	if err != nil {
-		return nil, cpu.Stats{}, err
-	}
 	rec := profile.NewRecorder(im)
-	rec.Attach(c)
-	c.Out = io.Discard
-	if err := c.Load(im); err != nil {
+	c, err := session.Machine(cfg, im, io.Discard, rec.Attach)
+	if err != nil {
 		return nil, cpu.Stats{}, err
 	}
 	if _, err := c.Run(); err != nil {

@@ -29,9 +29,6 @@ import (
 type MultiConfig struct {
 	CPU      cpu.Config
 	MaxSteps uint64 // committed user instructions; 0 = unlimited
-	// MaxHandlerBurst caps handler instructions run for a single user
-	// step (0 = 1<<20). A handler exceeding it is a failure, not a hang.
-	MaxHandlerBurst uint64
 	// OnCommit, when set, observes every committed instruction of every
 	// machine (img is the image index, handler marks handler commits).
 	// It runs after the instruction's architectural effects.
@@ -128,22 +125,27 @@ func newMMachine(idx int, im *program.Image, cfg *MultiConfig) (*mmachine, error
 	return m, nil
 }
 
+// maxBurst caps handler instructions run for a single user step. A
+// handler exceeding it is a failure, not a hang.
+const maxBurst = 1 << 20
+
 // stepUser advances until one user instruction commits, running handler
 // activity silently but bounded.
-func (m *mmachine) stepUser(maxBurst uint64) (halted bool, err error) {
-	m.pending = false
-	m.handlerBurst = 0
-	for !m.pending {
+func (m *mmachine) stepUser() (halted bool, err error) {
+	if h, _ := m.c.Halted(); h {
+		return true, nil
+	}
+	m.pending, m.handlerBurst = false, 0
+	// The cap admits maxBurst handler instructions and one user commit.
+	if err := m.c.StepUser(maxBurst + 1); err != nil {
+		return false, err
+	}
+	if !m.pending {
 		if h, _ := m.c.Halted(); h {
 			return true, nil
 		}
-		if err := m.c.Step(); err != nil {
-			return false, err
-		}
-		if m.handlerBurst > maxBurst {
-			return false, fmt.Errorf("handler ran %d instructions without returning control (pc %#x)",
-				m.handlerBurst, m.c.PC())
-		}
+		return false, fmt.Errorf("handler ran %d instructions without returning control (pc %#x)",
+			m.handlerBurst, m.c.PC())
 	}
 	m.steps++
 	return false, nil
@@ -157,10 +159,6 @@ func (m *mmachine) stepUser(maxBurst uint64) (halted bool, err error) {
 func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, error) {
 	if len(images) < 2 {
 		return nil, fmt.Errorf("verify: LockstepMulti needs at least 2 images, got %d", len(images))
-	}
-	maxBurst := cfg.MaxHandlerBurst
-	if maxBurst == 0 {
-		maxBurst = 1 << 20
 	}
 	ms := make([]*mmachine, len(images))
 	for i, im := range images {
@@ -181,12 +179,12 @@ func LockstepMulti(images []*program.Image, cfg MultiConfig) ([]*MultiResult, er
 	}
 
 	for step := uint64(0); cfg.MaxSteps == 0 || step < cfg.MaxSteps; step++ {
-		haltedRef, err := ms[0].stepUser(maxBurst)
+		haltedRef, err := ms[0].stepUser()
 		if err != nil {
 			return results(), &MachineError{Img: 0, Step: step, Err: err}
 		}
 		for i := 1; i < len(ms); i++ {
-			halted, err := ms[i].stepUser(maxBurst)
+			halted, err := ms[i].stepUser()
 			if err != nil {
 				return results(), &MachineError{Img: i, Step: step, Err: err}
 			}

@@ -1,11 +1,15 @@
 package verify
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/cpu"
+	"repro/internal/isa"
 	"repro/internal/program"
 	"repro/internal/synth"
 )
@@ -114,5 +118,49 @@ func TestLockstepMultiStepBudget(t *testing.T) {
 	_, err := LockstepMulti(images, MultiConfig{CPU: cfg(), MaxSteps: 10})
 	if err == nil || !strings.Contains(err.Error(), "budget") {
 		t.Fatalf("want budget-exhausted error, got %v", err)
+	}
+}
+
+// TestLockstepMultiHandlerRunaway: a handler whose entry branches to
+// itself never returns control; the lockstep ends it after maxBurst+1
+// handler instructions as a fault of that image, naming the count and
+// the PC.
+func TestLockstepMultiHandlerRunaway(t *testing.T) {
+	nat, comp := buildPair(t, core.Options{Scheme: program.SchemeDict})
+	h := comp.Segment(program.SegDecompressor)
+	h.SetWord(h.Base, isa.EncodeI(isa.OpBEQ, 0, 0, 0xFFFF)) // beq $zero, $zero, .
+	_, err := LockstepMulti([]*program.Image{nat, comp}, MultiConfig{CPU: cfg()})
+	var me *MachineError
+	if !errors.As(err, &me) || me.Img != 1 || me.Step != 0 {
+		t.Fatalf("want a MachineError of image 1 at step 0, got %v", err)
+	}
+	want := fmt.Sprintf("handler ran 1048577 instructions without returning control (pc %#x)", h.Base)
+	if me.Err.Error() != want {
+		t.Fatalf("got %q, want %q", me.Err, want)
+	}
+}
+
+// TestLockstepMultiHonoursMaxInstr: a program that never halts, run
+// with no step limit, ends when the CPU's instruction budget is spent,
+// as a fault that wraps the budget error.
+func TestLockstepMultiHonoursMaxInstr(t *testing.T) {
+	im, err := asm.Assemble(`
+        .text
+        .proc main
+main:   beq   $zero, $zero, main
+        .endp
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cpu.DefaultConfig()
+	c.MaxInstr = 1000
+	_, err = LockstepMulti([]*program.Image{im, im}, MultiConfig{CPU: c})
+	var me *MachineError
+	if !errors.As(err, &me) || me.Img != 0 {
+		t.Fatalf("want a MachineError of image 0, got %v", err)
+	}
+	if want := fmt.Sprintf("cpu: instruction budget 1000 exhausted at pc %#x", im.Entry); me.Err.Error() != want {
+		t.Fatalf("got %q, want %q", me.Err, want)
 	}
 }

@@ -4,7 +4,9 @@
 // committed instruction, register state, exit code or output — is
 // reported with full context. Decompression is meant to be invisible to
 // the program, so any divergence is a bug in a compressor, a handler or
-// the re-layout.
+// the re-layout. Each lockstep step is one cpu.StepUser call per
+// machine: its commit tracer makes the loop stop after every commit and
+// keeps handler replay off, so the tracer sees every handler commit.
 package verify
 
 import (
