@@ -73,15 +73,21 @@ func (c *dictCodec) Cost() CostModel {
 func (c *dictCodec) Spill(text *program.Segment, procs []program.Procedure) int {
 	// One slot is reserved for the nop padding the region may need.
 	capacity := c.bits.MaxEntries() - 1
-	seen := make(map[uint32]bool, capacity)
+	// Procedures of no more words than the capacity cannot hold more
+	// distinct words than it. Of the stand-ins, only ghostscript has
+	// more than 65535 words.
+	words := 0
+	for _, p := range procs {
+		words += int(p.Size / 4)
+	}
+	if words <= capacity {
+		return 0
+	}
+	seen := dict.NewWordTable(capacity + 1)
 	for i, p := range procs {
 		for a := uint64(p.Addr); a+4 <= p.End(); a += 4 {
-			w := text.Word(uint32(a))
-			if !seen[w] {
-				if len(seen) >= capacity {
-					return len(procs) - i
-				}
-				seen[w] = true
+			if _, added := seen.Add(text.Word(uint32(a))); added && seen.Len() > capacity {
+				return len(procs) - i
 			}
 		}
 	}

@@ -5,35 +5,8 @@ import "encoding/binary"
 // The CodePack bit-stream is a sequence of 16-bit little-endian units;
 // within each unit bits are consumed MSB-first. This exact format is what
 // the assembly decompressor implements with lhu + shifts, so the Go
-// encoder/decoder here and the handler in internal/decomp must agree.
-
-type bitWriter struct {
-	out []byte
-	acc uint32
-	n   uint
-}
-
-// writeBits appends the low k bits of v, MSB-first. k <= 16.
-func (w *bitWriter) writeBits(v uint32, k uint) {
-	w.acc = w.acc<<k | v&(1<<k-1)
-	w.n += k
-	for w.n >= 16 {
-		h := uint16(w.acc >> (w.n - 16))
-		var b [2]byte
-		binary.LittleEndian.PutUint16(b[:], h)
-		w.out = append(w.out, b[0], b[1])
-		w.n -= 16
-	}
-}
-
-// alignHalf pads with zero bits to the next 16-bit boundary.
-func (w *bitWriter) alignHalf() {
-	if w.n > 0 {
-		w.writeBits(0, 16-w.n)
-	}
-}
-
-func (w *bitWriter) bytes() []byte { return w.out }
+// encoder (Compress), the decoder here and the handler in internal/decomp
+// must agree.
 
 type bitReader struct {
 	data []byte

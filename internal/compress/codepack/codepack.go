@@ -13,7 +13,8 @@ package codepack
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+
+	"repro/internal/compress/rank"
 )
 
 // GroupInstrs is the number of instructions per compression group: two
@@ -57,10 +58,10 @@ type halfCoder struct {
 
 // buildHalfCoder ranks the halfword values by descending count, ties
 // broken by first appearance, and returns the decode tables. It writes
-// each value's rank into rank (indexed by value, 1<<16 entries) for the
-// encoder. count is a zeroed 1<<16-entry scratch table, zeroed again on
-// return so the other half can reuse it.
-func buildHalfCoder(values []uint16, count []int32, rank []uint16) *halfCoder {
+// each present value's codeword into code (indexed by value, 1<<16
+// entries) for the encoder. count is a zeroed 1<<16-entry scratch table,
+// zeroed again on return so the other half can reuse it.
+func buildHalfCoder(values []uint16, count []int32, code []codeword) *halfCoder {
 	var ordered []uint16 // distinct values in order of first appearance
 	for _, v := range values {
 		if count[v] == 0 {
@@ -68,12 +69,15 @@ func buildHalfCoder(values []uint16, count []int32, rank []uint16) *halfCoder {
 		}
 		count[v]++
 	}
-	// A stable sort by count keeps equal counts in first-appearance order.
-	sort.SliceStable(ordered, func(i, j int) bool { return count[ordered[i]] > count[ordered[j]] })
-	hc := &halfCoder{}
-	for r, v := range ordered {
+	counts := make([]int32, len(ordered))
+	for i, v := range ordered {
+		counts[i] = count[v]
 		count[v] = 0
-		rank[v] = uint16(r)
+	}
+	hc := &halfCoder{}
+	for r, i := range rank.ByCount(counts) {
+		v := ordered[i]
+		code[v] = encode(r, v)
 		switch {
 		case r == 0:
 			hc.rank0 = v
@@ -88,23 +92,29 @@ func buildHalfCoder(values []uint16, count []int32, rank []uint16) *halfCoder {
 	return hc
 }
 
-// encode appends the codeword for v, of rank r, to w.
-func encode(w *bitWriter, r int, v uint16) {
+// codeword is one halfword's code: its bits above the low five, its
+// length in bits in the low five.
+type codeword uint32
+
+func (c codeword) bits() uint { return uint(c & 31) }
+
+// encode returns the codeword for v, of rank r: a class tag, then the
+// rank within the class or, past the last class, v itself.
+func encode(r int, v uint16) codeword {
+	cw := func(tag, tagBits, x, xBits uint32) codeword {
+		return codeword((tag<<xBits|x)<<5 | (tagBits + xBits))
+	}
 	switch {
 	case r == 0:
-		w.writeBits(0b00, 2)
+		return cw(0b00, 2, 0, 0)
 	case r <= class1Size:
-		w.writeBits(0b01, 2)
-		w.writeBits(uint32(r-1), 5)
+		return cw(0b01, 2, uint32(r-1), 5)
 	case r <= class1Size+class2Size:
-		w.writeBits(0b10, 2)
-		w.writeBits(uint32(r-1-class1Size), 8)
+		return cw(0b10, 2, uint32(r-1-class1Size), 8)
 	case r <= class1Size+class2Size+class3Size:
-		w.writeBits(0b110, 3)
-		w.writeBits(uint32(r-1-class1Size-class2Size), 11)
+		return cw(0b110, 3, uint32(r-1-class1Size-class2Size), 11)
 	default:
-		w.writeBits(0b111, 3)
-		w.writeBits(uint32(v), 16)
+		return cw(0b111, 3, uint32(v), 16)
 	}
 }
 
@@ -147,27 +157,51 @@ func Compress(text []byte) (*Compressed, error) {
 		los[i] = uint16(w)
 		his[i] = uint16(w >> 16)
 	}
-	// The rank tables are transient: only the encoder reads them, so
+	// The code tables are transient: only the encoder reads them, so
 	// the Compressed value keeps just the decode tables.
 	count := make([]int32, 1<<16)
-	hiRank := make([]uint16, 1<<16)
-	loRank := make([]uint16, 1<<16)
+	hiCode := make([]codeword, 1<<16)
+	loCode := make([]codeword, 1<<16)
 	c := &Compressed{
-		hi:     buildHalfCoder(his, count, hiRank),
-		lo:     buildHalfCoder(los, count, loRank),
-		LAT:    make([]uint32, 0, n/GroupInstrs),
+		hi:     buildHalfCoder(his, count, hiCode),
+		lo:     buildHalfCoder(los, count, loCode),
+		LAT:    make([]uint32, n/GroupInstrs),
 		Instrs: n,
 	}
-	w := &bitWriter{}
-	for g := 0; g < n/GroupInstrs; g++ {
-		c.LAT = append(c.LAT, uint32(len(w.bytes())))
+	// Size every group first, which fills the LAT and lets the stream be
+	// allocated once at its exact length. Each group is padded to a
+	// whole halfword.
+	size := 0
+	for g := range c.LAT {
+		c.LAT[g] = uint32(size)
+		var bits uint
 		for i := g * GroupInstrs; i < (g+1)*GroupInstrs; i++ {
-			encode(w, int(hiRank[his[i]]), his[i])
-			encode(w, int(loRank[los[i]]), los[i])
+			bits += hiCode[his[i]].bits() + loCode[los[i]].bits()
 		}
-		w.alignHalf()
+		size += int(bits+15) / 16 * 2
 	}
-	c.Stream = w.bytes()
+	c.Stream = make([]byte, size)
+	// Each instruction's two codewords, at most 38 bits, go into a
+	// 64-bit accumulator that never holds more than 15 unwritten
+	// bits between instructions.
+	pos := 0
+	for g := range c.LAT {
+		var acc uint64
+		var pending uint
+		for i := g * GroupInstrs; i < (g+1)*GroupInstrs; i++ {
+			hi, lo := hiCode[his[i]], loCode[los[i]]
+			acc = acc<<(hi.bits()+lo.bits()) | uint64(hi>>5)<<lo.bits() | uint64(lo>>5)
+			pending += hi.bits() + lo.bits()
+			for ; pending >= 16; pos += 2 {
+				pending -= 16
+				binary.LittleEndian.PutUint16(c.Stream[pos:], uint16(acc>>pending))
+			}
+		}
+		if pending > 0 {
+			binary.LittleEndian.PutUint16(c.Stream[pos:], uint16(acc<<(16-pending)))
+			pos += 2
+		}
+	}
 	return c, nil
 }
 

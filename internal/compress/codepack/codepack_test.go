@@ -253,7 +253,58 @@ func refHalfCoder(values []uint16) (*halfCoder, map[uint16]int) {
 	return hc, rank
 }
 
-// refCompress is Compress over the reference ranker.
+// bitWriter is the reference bit-stream writer: it appends codewords
+// one field at a time, the way Compress wrote the stream before it took
+// whole codewords from per-value tables.
+type bitWriter struct {
+	out []byte
+	acc uint32
+	n   uint
+}
+
+// writeBits appends the low k bits of v, MSB-first. k <= 16.
+func (w *bitWriter) writeBits(v uint32, k uint) {
+	w.acc = w.acc<<k | v&(1<<k-1)
+	w.n += k
+	for w.n >= 16 {
+		h := uint16(w.acc >> (w.n - 16))
+		var b [2]byte
+		binary.LittleEndian.PutUint16(b[:], h)
+		w.out = append(w.out, b[0], b[1])
+		w.n -= 16
+	}
+}
+
+// alignHalf pads with zero bits to the next 16-bit boundary.
+func (w *bitWriter) alignHalf() {
+	if w.n > 0 {
+		w.writeBits(0, 16-w.n)
+	}
+}
+
+func (w *bitWriter) bytes() []byte { return w.out }
+
+// refEncode appends the codeword for v, of rank r, to w.
+func refEncode(w *bitWriter, r int, v uint16) {
+	switch {
+	case r == 0:
+		w.writeBits(0b00, 2)
+	case r <= class1Size:
+		w.writeBits(0b01, 2)
+		w.writeBits(uint32(r-1), 5)
+	case r <= class1Size+class2Size:
+		w.writeBits(0b10, 2)
+		w.writeBits(uint32(r-1-class1Size), 8)
+	case r <= class1Size+class2Size+class3Size:
+		w.writeBits(0b110, 3)
+		w.writeBits(uint32(r-1-class1Size-class2Size), 11)
+	default:
+		w.writeBits(0b111, 3)
+		w.writeBits(uint32(v), 16)
+	}
+}
+
+// refCompress is Compress over the reference ranker and writer.
 func refCompress(text []byte) (*Compressed, error) {
 	if len(text)%GroupBytes != 0 {
 		return nil, fmt.Errorf("codepack: text length %d not a multiple of %d", len(text), GroupBytes)
@@ -273,8 +324,8 @@ func refCompress(text []byte) (*Compressed, error) {
 	for g := 0; g < n/GroupInstrs; g++ {
 		c.LAT = append(c.LAT, uint32(len(w.bytes())))
 		for i := g * GroupInstrs; i < (g+1)*GroupInstrs; i++ {
-			encode(w, hiRank[his[i]], his[i])
-			encode(w, loRank[los[i]], los[i])
+			refEncode(w, hiRank[his[i]], his[i])
+			refEncode(w, loRank[los[i]], los[i])
 		}
 		w.alignHalf()
 	}

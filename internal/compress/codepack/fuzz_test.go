@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// FuzzRoundTrip checks compress->decompress identity on arbitrary
-// instruction streams (padded to a whole group).
+// FuzzRoundTrip checks compress->decompress identity, and equality with
+// the reference ranker and writer, on arbitrary instruction streams
+// (cut to whole groups).
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{1, 2, 3, 4}, GroupInstrs))
@@ -22,6 +23,9 @@ func FuzzRoundTrip(f *testing.F) {
 		}
 		if !bytes.Equal(c.Decompress(), text) {
 			t.Fatal("round trip mismatch")
+		}
+		if diff := sameAsReference(text); diff != "" {
+			t.Fatal(diff)
 		}
 	})
 }

@@ -10,7 +10,8 @@ package dict
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+
+	"repro/internal/compress/rank"
 )
 
 // IndexBits selects the codeword width. The paper uses 16-bit indices
@@ -58,42 +59,93 @@ func Compress(text []byte, bits IndexBits) (*Compressed, error) {
 	// Number the distinct words in order of first appearance. indices
 	// holds each instruction's word id until the ranking below rewrites
 	// it in place; ids past 16 bits only arise when the dictionary is
-	// full, which returns before they are read.
-	ids := make(map[uint32]int32, n/4)
-	var distinct []uint32
+	// full, which returns before they are read. Programs repeat most
+	// words (the stand-ins hold one distinct word per three to seven),
+	// so the table starts with room for n/4 and grows if it must.
+	words := NewWordTable(n / 4)
 	var counts []int32
 	indices := make([]uint16, n)
 	for i := 0; i < n; i++ {
-		w := binary.LittleEndian.Uint32(text[4*i:])
-		id, ok := ids[w]
-		if !ok {
-			id = int32(len(distinct))
-			ids[w] = id
-			distinct = append(distinct, w)
+		id, added := words.Add(binary.LittleEndian.Uint32(text[4*i:]))
+		if added {
 			counts = append(counts, 0)
 		}
 		counts[id]++
 		indices[i] = uint16(id)
 	}
-	if len(distinct) > bits.MaxEntries() {
-		return nil, &ErrDictionaryFull{Unique: len(distinct), Max: bits.MaxEntries()}
+	if len(counts) > bits.MaxEntries() {
+		return nil, &ErrDictionaryFull{Unique: len(counts), Max: bits.MaxEntries()}
 	}
-	// A stable sort by count keeps equal counts in first-appearance order.
-	order := make([]uint16, len(distinct))
-	for id := range order {
-		order[id] = uint16(id)
-	}
-	sort.SliceStable(order, func(i, j int) bool { return counts[order[i]] > counts[order[j]] })
-	dict := make([]uint32, len(order))
-	rank := make([]uint16, len(order))
-	for r, id := range order {
-		dict[r] = distinct[id]
-		rank[id] = uint16(r)
+	dict := make([]uint32, len(counts))
+	ranks := make([]uint16, len(counts))
+	for r, id := range rank.ByCount(counts) {
+		dict[r] = words.words[id]
+		ranks[id] = uint16(r)
 	}
 	for i, id := range indices {
-		indices[i] = rank[id]
+		indices[i] = ranks[id]
 	}
 	return &Compressed{Bits: bits, Dict: dict, Indices: indices}, nil
+}
+
+// WordTable numbers distinct 32-bit words in order of first appearance,
+// in an open-addressing table with linear probing.
+type WordTable struct {
+	words []uint32 // the distinct words, indexed by id
+	slots []uint64 // word<<32 | id+1; 0 marks an empty slot
+	shift uint     // 64 - log2(len(slots))
+}
+
+// NewWordTable returns a table with room for n distinct words, at most
+// half full; it grows past them.
+func NewWordTable(n int) *WordTable {
+	t := &WordTable{}
+	t.resize(2 * n)
+	return t
+}
+
+// resize rehashes the words into the smallest power-of-two table of at
+// least size slots.
+func (t *WordTable) resize(size int) {
+	logSize := uint(1)
+	for 1<<logSize < size {
+		logSize++
+	}
+	t.slots = make([]uint64, 1<<logSize)
+	t.shift = 64 - logSize
+	for id, w := range t.words {
+		i := t.find(w)
+		t.slots[i] = uint64(w)<<32 | uint64(id+1)
+	}
+}
+
+// find returns the slot holding w, or the empty slot where it belongs.
+func (t *WordTable) find(w uint32) int {
+	mask := len(t.slots) - 1
+	// Fibonacci hashing: the multiply spreads every bit of w into the
+	// top bits the shift keeps.
+	i := int(uint64(w) * 0x9E3779B97F4A7C15 >> t.shift)
+	for t.slots[i] != 0 && uint32(t.slots[i]>>32) != w {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// Len returns the number of distinct words added.
+func (t *WordTable) Len() int { return len(t.words) }
+
+// Add returns w's id, numbering it next if it is new.
+func (t *WordTable) Add(w uint32) (id int, added bool) {
+	i := t.find(w)
+	if s := t.slots[i]; s != 0 {
+		return int(uint32(s)) - 1, false
+	}
+	t.words = append(t.words, w)
+	t.slots[i] = uint64(w)<<32 | uint64(len(t.words))
+	if 2*len(t.words) > len(t.slots) {
+		t.resize(2 * len(t.slots))
+	}
+	return len(t.words) - 1, true
 }
 
 // DictBytes serialises the dictionary as little-endian 32-bit words.

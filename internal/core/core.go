@@ -7,7 +7,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/analysis"
@@ -15,7 +17,6 @@ import (
 	_ "repro/internal/codec/all" // register every shipped codec
 	"repro/internal/compress/dict"
 	"repro/internal/decomp"
-	"repro/internal/isa"
 	"repro/internal/program"
 )
 
@@ -120,14 +121,7 @@ func CompressWith(native *program.Image, cdc codec.Codec, opts Options) (*Result
 	// order is preserved (the paper's §3.3 behaviour) unless an explicit
 	// placement order is given.
 	ordered := orderProcs(native.Procs, opts.Order)
-	var natProcs, cmpProcs []program.Procedure
-	for _, p := range ordered {
-		if opts.NativeProcs[p.Name] {
-			natProcs = append(natProcs, p)
-		} else {
-			cmpProcs = append(cmpProcs, p)
-		}
-	}
+	natProcs, cmpProcs := partition(ordered, opts.NativeProcs, len(ordered))
 	if len(cmpProcs) == 0 {
 		return nil, fmt.Errorf("core: every procedure selected native; nothing to compress")
 	}
@@ -136,27 +130,15 @@ func CompressWith(native *program.Image, cdc codec.Codec, opts Options) (*Result
 	// representation can fill up (the dictionary index space) report how
 	// many trailing procedures must be left in the native code region.
 	if sp, ok := cdc.(codec.Spiller); ok {
-		spill := sp.Spill(text, cmpProcs)
-		if spill > 0 {
-			natProcs = append(natProcs, cmpProcs[len(cmpProcs)-spill:]...)
-			cmpProcs = cmpProcs[:len(cmpProcs)-spill]
-			if len(cmpProcs) == 0 {
+		if spill := sp.Spill(text, cmpProcs); spill > 0 {
+			if spill == len(cmpProcs) {
 				return nil, fmt.Errorf("core: dictionary overflows on the very first procedure; use 16-bit indices")
 			}
-			// Keep the native region in original program order.
-			natProcs = orderProcs(natProcs, nil)
-			sortByAddr(natProcs)
+			natProcs, cmpProcs = partition(ordered, opts.NativeProcs, len(cmpProcs)-spill)
 		}
 	}
 
-	lay := newLayout(native, text)
-	for _, p := range natProcs {
-		lay.placeNative(p)
-	}
-	for _, p := range cmpProcs {
-		lay.placeCompressed(p)
-	}
-	lay.padCompressed(geo.Align)
+	lay := newLayout(native, text, natProcs, cmpProcs, geo.Align)
 
 	im, err := lay.build(native)
 	if err != nil {
@@ -239,8 +221,18 @@ func (o Options) codecName() string {
 // print in usage text and unknown-scheme errors.
 func Schemes() []string { return codec.Names() }
 
-func sortByAddr(procs []program.Procedure) {
-	sort.Slice(procs, func(i, j int) bool { return procs[i].Addr < procs[j].Addr })
+// partition splits ordered into the native and the compressed region,
+// each in ordered's order: the procedures native names stay native, and
+// so does every other procedure past the first maxCmp.
+func partition(ordered []program.Procedure, native map[string]bool, maxCmp int) (nat, comp []program.Procedure) {
+	for _, p := range ordered {
+		if native[p.Name] || len(comp) == maxCmp {
+			nat = append(nat, p)
+		} else {
+			comp = append(comp, p)
+		}
+	}
+	return nat, comp
 }
 
 // orderProcs applies an explicit placement order: listed procedures come
@@ -255,21 +247,16 @@ func orderProcs(procs []program.Procedure, order []string) []program.Procedure {
 			rank[name] = i
 		}
 	}
-	out := append([]program.Procedure(nil), procs...)
-	sort.SliceStable(out, func(i, j int) bool {
-		ri, iok := rank[out[i].Name]
-		rj, jok := rank[out[j].Name]
-		switch {
-		case iok && jok:
-			return ri < rj
-		case iok:
-			return true
-		case jok:
-			return false
-		default:
-			return false // stable: preserve original order
+	// Unlisted procedures share the rank past the list; the stable sort
+	// keeps them in their original order.
+	key := func(p program.Procedure) int {
+		if r, ok := rank[p.Name]; ok {
+			return r
 		}
-	})
+		return len(order)
+	}
+	out := append([]program.Procedure(nil), procs...)
+	slices.SortStableFunc(out, func(a, b program.Procedure) int { return cmp.Compare(key(a), key(b)) })
 	return out
 }
 
@@ -279,7 +266,7 @@ type layout struct {
 	text    *program.Segment
 	natBuf  []byte
 	cmpBuf  []byte
-	moves   []move // old range -> new address
+	moves   []move // old range -> new address, ascending by old address once built
 	newSyms map[string]uint32
 	procs   []program.Procedure
 }
@@ -288,55 +275,70 @@ type move struct {
 	oldAddr uint32
 	size    uint32
 	newAddr uint32
-	native  bool
 }
 
-func newLayout(native *program.Image, text *program.Segment) *layout {
-	return &layout{
+// newLayout places natProcs in the native region and cmpProcs in the
+// compressed one, in the given orders. Both regions are sized exactly:
+// the compressed one is padded to a multiple of align bytes with zero
+// words, which are canonical nops (never executed; needed so whole
+// lines/groups exist).
+func newLayout(native *program.Image, text *program.Segment, natProcs, cmpProcs []program.Procedure, align int) *layout {
+	size := func(procs []program.Procedure) int {
+		n := 0
+		for _, p := range procs {
+			n += int(p.Size)
+		}
+		return n
+	}
+	cmpLen := (size(cmpProcs) + align - 1) / align * align
+	l := &layout{
 		text:    text,
+		natBuf:  make([]byte, 0, size(natProcs)),
+		cmpBuf:  make([]byte, 0, cmpLen),
+		moves:   make([]move, 0, len(natProcs)+len(cmpProcs)),
 		newSyms: make(map[string]uint32, len(native.Symbols)),
+		procs:   make([]program.Procedure, 0, len(natProcs)+len(cmpProcs)),
 	}
-}
-
-func (l *layout) placeNative(p program.Procedure) {
-	na := program.NativeBase + uint32(len(l.natBuf))
-	l.natBuf = append(l.natBuf, l.text.Data[p.Addr-l.text.Base:][:p.Size]...)
-	l.moves = append(l.moves, move{p.Addr, p.Size, na, true})
-	l.procs = append(l.procs, program.Procedure{Name: p.Name, Addr: na, Size: p.Size})
-}
-
-func (l *layout) placeCompressed(p program.Procedure) {
-	na := program.CompBase + uint32(len(l.cmpBuf))
-	l.cmpBuf = append(l.cmpBuf, l.text.Data[p.Addr-l.text.Base:][:p.Size]...)
-	l.moves = append(l.moves, move{p.Addr, p.Size, na, false})
-	l.procs = append(l.procs, program.Procedure{Name: p.Name, Addr: na, Size: p.Size})
-}
-
-// padCompressed pads the compressed region to a multiple of n bytes with
-// nop words (never executed; needed so whole lines/groups exist).
-func (l *layout) padCompressed(n int) {
-	for len(l.cmpBuf)%n != 0 {
-		l.cmpBuf = append(l.cmpBuf, 0, 0, 0, 0)
-		_ = isa.NOP // padding words are canonical nops
+	for _, p := range natProcs {
+		l.place(p, program.NativeBase, &l.natBuf)
 	}
+	for _, p := range cmpProcs {
+		l.place(p, program.CompBase, &l.cmpBuf)
+	}
+	l.cmpBuf = l.cmpBuf[:cmpLen]
+	return l
+}
+
+// place appends p's bytes to the region buffer based at base.
+func (l *layout) place(p program.Procedure, base uint32, buf *[]byte) {
+	na := base + uint32(len(*buf))
+	*buf = append(*buf, l.text.Data[p.Addr-l.text.Base:][:p.Size]...)
+	l.moves = append(l.moves, move{p.Addr, p.Size, na})
+	l.procs = append(l.procs, program.Procedure{Name: p.Name, Addr: na, Size: p.Size})
 }
 
 func (l *layout) nativeLen() int { return len(l.natBuf) }
 
-// remap translates an old .text address to its new address.
+// remap translates an old .text address to its new address. The moves
+// must be sorted by old address; procedures do not overlap, so only the
+// last move starting at or below addr can hold it.
 func (l *layout) remap(addr uint32) (uint32, bool) {
-	for i := range l.moves {
-		m := &l.moves[i]
-		if addr >= m.oldAddr && addr < m.oldAddr+m.size {
-			return m.newAddr + (addr - m.oldAddr), true
-		}
+	i := sort.Search(len(l.moves), func(i int) bool { return l.moves[i].oldAddr > addr }) - 1
+	if i < 0 || addr-l.moves[i].oldAddr >= l.moves[i].size {
+		return 0, false
 	}
-	return 0, false
+	m := &l.moves[i]
+	return m.newAddr + (addr - m.oldAddr), true
 }
 
 // build assembles the re-laid-out image (before compression segments).
 func (l *layout) build(native *program.Image) (*program.Image, error) {
 	im := &program.Image{Symbols: l.newSyms}
+	// Equal old addresses only arise with an empty procedure, which
+	// holds no address: sorting it first lets remap find the other.
+	slices.SortFunc(l.moves, func(a, b move) int {
+		return cmp.Or(cmp.Compare(a.oldAddr, b.oldAddr), cmp.Compare(a.size, b.size))
+	})
 
 	// Rebase symbols: text symbols move with their procedure, others stay.
 	for name, addr := range native.Symbols {
@@ -391,7 +393,7 @@ func (l *layout) build(native *program.Image) (*program.Image, error) {
 		return nil, err
 	}
 
-	sort.Slice(l.procs, func(i, j int) bool { return l.procs[i].Addr < l.procs[j].Addr })
+	slices.SortFunc(l.procs, func(a, b program.Procedure) int { return cmp.Compare(a.Addr, b.Addr) })
 	im.Procs = l.procs
 
 	entry, ok := l.remap(native.Entry)

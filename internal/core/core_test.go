@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -405,6 +406,42 @@ func TestDictionaryOverflowSpillsToNative(t *testing.T) {
 	}
 	if got.stats.Exceptions == 0 {
 		t.Fatal("nothing was decompressed")
+	}
+}
+
+// TestSpillKeepsExplicitOrder checks that procedures spilled to the
+// native region by a dictionary overflow still follow Options.Order,
+// in a program that runs as the native one does.
+func TestSpillKeepsExplicitOrder(t *testing.T) {
+	p, _ := synth.ByName("pegwit")
+	im, err := synth.Build(p.Scale(0.05))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var order []string
+	for i := len(im.Procs) - 1; i >= 0; i-- {
+		order = append(order, im.Procs[i].Name)
+	}
+	res, err := Compress(im, Options{
+		Scheme: program.SchemeDict, ShadowRF: true, IndexBits: dict.Index8, Order: order})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var native []string // the native region, by address
+	for _, q := range res.Image.Procs {
+		if q.Addr < program.CompBase {
+			native = append(native, q.Name)
+		}
+	}
+	if len(native) < 2 {
+		t.Fatalf("expected a spilled native region, got %v", native)
+	}
+	if want := order[len(order)-len(native):]; !slices.Equal(native, want) {
+		t.Fatalf("native region %v..., want %v...", native[:3], want[:3])
+	}
+	ref, got := runOn(t, im, 16), runOn(t, res.Image, 16)
+	if got.code != ref.code || got.out != ref.out {
+		t.Fatalf("spilled run diverged: %d/%q vs %d/%q", got.code, got.out, ref.code, ref.out)
 	}
 }
 

@@ -16,6 +16,7 @@ package decomp
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/asm"
 	"repro/internal/compress/dict"
@@ -103,7 +104,33 @@ func Build(v Variant) (*program.Segment, error) {
 // BuildSource assembles handler source text (named for error messages)
 // into its .decompressor segment and size-checks it against the handler
 // RAM. It is the assembly path codecs outside this package share.
+// Each distinct (name, source) pair is assembled once per process; every
+// call returns its own copy of the segment, which the caller may modify.
 func BuildSource(name, src string) (*program.Segment, error) {
+	built.Lock()
+	defer built.Unlock()
+	key := [2]string{name, src}
+	seg, ok := built.segs[key]
+	if !ok {
+		var err error
+		if seg, err = assemble(name, src); err != nil {
+			return nil, err
+		}
+		built.segs[key] = seg
+	}
+	return &program.Segment{Name: seg.Name, Base: seg.Base, Data: append([]byte(nil), seg.Data...), Virtual: seg.Virtual}, nil
+}
+
+// built holds every handler BuildSource has assembled, keyed by name and
+// source. Every image that installs a handler assembles the same few
+// sources: selective compression alone compresses a program once per
+// threshold.
+var built = struct {
+	sync.Mutex
+	segs map[[2]string]*program.Segment
+}{segs: map[[2]string]*program.Segment{}}
+
+func assemble(name, src string) (*program.Segment, error) {
 	im, err := asm.Assemble(src)
 	if err != nil {
 		return nil, fmt.Errorf("decomp: assembling %s handler: %v", name, err)

@@ -1,7 +1,9 @@
 package decomp
 
 import (
+	"bytes"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compress/dict"
@@ -119,5 +121,46 @@ func TestVariantString(t *testing.T) {
 		if got := v.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
 		}
+	}
+}
+
+// TestBuildSourceCopies checks that the assembled-handler cache hands
+// every caller its own segment, from several goroutines at once: a
+// caller patching its handler must not change the next one's.
+func TestBuildSourceCopies(t *testing.T) {
+	src, err := Source(Variant{Scheme: program.SchemeDict, ShadowRF: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := BuildSource("dict+RF", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), first.Data...)
+	for i := range first.Data {
+		first.Data[i] = 0xFF
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 8; i++ {
+				seg, err := BuildSource("dict+RF", src)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(seg.Data, want) {
+					t.Error("a patched handler leaked into a later build")
+					return
+				}
+				seg.Data[0] ^= 1
+			}
+		}()
+	}
+	wg.Wait()
+	if _, err := BuildSource("broken", "        .section .decompressor, 0x7F000000\n        bogus\n"); err == nil {
+		t.Fatal("a handler that does not assemble must error")
 	}
 }
