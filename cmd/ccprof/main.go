@@ -125,7 +125,9 @@ func main() {
 	var t *session.Target
 	var err error
 	if *bench != "" {
-		t, err = session.Bench(*bench, *scale)
+		if t, err = session.Bench(*bench, *scale); err == nil {
+			s.EndStage(session.StageRead)
+		}
 	} else {
 		t, err = s.Open(flag.Arg(0), filepath.Base(flag.Arg(0)))
 	}
@@ -152,6 +154,7 @@ func main() {
 			log.Fatal(err)
 		}
 		t.Image, t.Encoded = res.Image, false
+		s.EndStage(session.StageCompress)
 	}
 	if err := s.RecordRunImage(t); err != nil {
 		log.Fatal(err)
@@ -176,6 +179,7 @@ func main() {
 	if _, err := c.Run(); err != nil {
 		log.Fatal(err)
 	}
+	s.EndStage(session.StageRun)
 	// The attribution invariant on lines, procedures and windows at
 	// once: a violation is a simulator bug, so the run fails loudly.
 	if err := o.Recorder.Verify(); err != nil {
@@ -187,6 +191,7 @@ func main() {
 	attr.SetIdentity(t.Name, t.Scheme())
 	attr.SetManifest(s.Manifest)
 	rep.SetAttribution(attr)
+	s.EndStage(session.StageAttribute)
 
 	out, closeOut := output(*outPath)
 	defer closeOut()
@@ -248,6 +253,7 @@ func sampled(s *session.Session, t *session.Target, scfg fastpath.SampleConfig, 
 	if err != nil {
 		log.Fatal(err)
 	}
+	s.EndStage(session.StageRun)
 	out, closeOut := output(outPath)
 	defer closeOut()
 	if format == "json" {

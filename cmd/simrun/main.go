@@ -107,6 +107,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		s.EndStage(session.StageRun)
 		fmt.Printf("\n[resumed machine exited with code %d]\n", code)
 		printStats(c.Stats, *stats)
 		return
@@ -128,6 +129,7 @@ func main() {
 		rep := telemetry.NewReport(c, col)
 		rep.SetIdentity(t.Name, t.Scheme(), 0)
 		rep.SetManifest(s.Manifest)
+		s.EndStage(session.StageAttribute)
 		if err := rep.WriteJSON(os.Stdout); err != nil {
 			log.Fatal(err)
 		}
@@ -173,6 +175,7 @@ func run(s *session.Session, path string, profiled bool, traceN int, col *teleme
 		}
 	}
 	code, err := c.Run()
+	s.EndStage(session.StageRun)
 	if o.Ring != nil {
 		fmt.Printf("\n--- last %d committed instructions ---\n%s", traceN, o.Ring.Dump())
 	}
@@ -192,6 +195,7 @@ func run(s *session.Session, path string, profiled bool, traceN int, col *teleme
 		}
 		attr = o.Recorder.Profile()
 		attr.SetIdentity(path, t.Scheme())
+		s.EndStage(session.StageAttribute)
 	}
 	return c, attr, t
 }
@@ -237,6 +241,7 @@ func runFast(s *session.Session, m session.Mode, restorePath string, scfg fastpa
 		if err != nil {
 			log.Fatal(err)
 		}
+		s.EndStage(session.StageRun)
 		if jsonOut {
 			writeJSON(rep)
 			return
@@ -251,6 +256,7 @@ func runFast(s *session.Session, m session.Mode, restorePath string, scfg fastpa
 	if err != nil {
 		log.Fatal(err)
 	}
+	s.EndStage(session.StageRun)
 	if jsonOut {
 		writeJSON(res)
 		return

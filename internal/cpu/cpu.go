@@ -211,6 +211,9 @@ type CPU struct {
 	fdec   []pinstr
 	fdBase uint32
 	fdEnd  uint32
+	// loopOnly keeps the functional policy out of its leaf core, so
+	// the loop runs every instruction (tests compare the two).
+	loopOnly bool
 
 	Stats Stats
 	// FStats counts the untimed policies' work (functional and warm);

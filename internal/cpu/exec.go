@@ -479,6 +479,12 @@ func (c *CPU) run(left, user int64, mode int) error {
 	var p *pinstr
 	var err error
 	for {
+		if pol == functional && !c.loopOnly {
+			// Straight-line code runs in the leaf core (funct.go). It
+			// stops a retirement short of lim, so the stop checks
+			// below still see every retirement that ends a run.
+			pc, n, lastLoad = c.coreFunctional(pc, wBase, wRec, r, inH, lastLoad, n, lim-1)
+		}
 		// A misaligned pc rotates its low bits to the top: never in range.
 		if i := bits.RotateLeft32(pc-wBase, -2); uint(i) < uint(len(wRec)) &&
 			(pol != functional || wRec[i].op != pUndecoded) {

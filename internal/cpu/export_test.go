@@ -1,5 +1,9 @@
 package cpu
 
+// LoopOnly makes c's functional runs execute every instruction in the
+// interpreter loop, never in its leaf core.
+func LoopOnly(c *CPU) { c.loopOnly = true }
+
 // Replays reports how many handler activations the CPU replayed from a
 // recording (or, under ReplayCheck, checked against one).
 func (c *CPU) Replays() uint64 { return c.rp.replays }

@@ -32,6 +32,12 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 	var p *pinstr
 	var err error
 	for {
+		if pol == functional && !c.loopOnly {
+			// Straight-line code runs in the leaf core (funct.go). It
+			// stops a retirement short of lim, so the stop checks
+			// below still see every retirement that ends a run.
+			pc, n, lastLoad = c.coreFunctional(pc, wBase, wRec, r, inH, lastLoad, n, lim-1)
+		}
 		// A misaligned pc rotates its low bits to the top: never in range.
 		if i := bits.RotateLeft32(pc-wBase, -2); uint(i) < uint(len(wRec)) &&
 			(pol != functional || wRec[i].op != pUndecoded) {
@@ -458,6 +464,12 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 	var p *pinstr
 	var err error
 	for {
+		if pol == functional && !c.loopOnly {
+			// Straight-line code runs in the leaf core (funct.go). It
+			// stops a retirement short of lim, so the stop checks
+			// below still see every retirement that ends a run.
+			pc, n, lastLoad = c.coreFunctional(pc, wBase, wRec, r, inH, lastLoad, n, lim-1)
+		}
 		// A misaligned pc rotates its low bits to the top: never in range.
 		if i := bits.RotateLeft32(pc-wBase, -2); uint(i) < uint(len(wRec)) &&
 			(pol != functional || wRec[i].op != pUndecoded) {
@@ -857,4 +869,195 @@ fail:
 	}
 	c.pc, c.lastLoad = pc, lastLoad
 	return err
+}
+
+// coreFunctional is run's execute switch compiled as a leaf for the
+// functional policy, generated by loopgen from run's own switch. From
+// pc it executes the records of the window (base, rec) with register
+// file r, in the handler when inH, while n, the retirements since the
+// loop's last flush, is below lim. It gives control back at a pc
+// outside the window or an undecoded record, and before any state
+// changes at an access the loop must refuse or an op only the loop
+// runs: pSyscall, pBreak, pIRET and every op the switch does not name.
+// It returns the pc, n and the last load destination.
+func (c *CPU) coreFunctional(pc, base uint32, rec []pinstr, r *[32]uint32, inH bool, lastLoad int, n, lim uint64) (uint32, uint64, int) {
+	for ; n < lim; n++ {
+		i := bits.RotateLeft32(pc-base, -2)
+		if uint(i) >= uint(len(rec)) || rec[i].op == pUndecoded {
+			break
+		}
+		p := &rec[i]
+		lastLoad = int(p.ldst)
+		next := pc + 4
+		switch p.op {
+		case pSLL:
+			c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
+		case pSRL:
+			c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
+		case pSRA:
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
+		case pSLLV:
+			c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
+		case pSRLV:
+			c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
+		case pSRAV:
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
+		case pJR:
+			next = r[p.rs]
+		case pJALR:
+			c.setr(r, int(p.rd), pc+4)
+			next = r[p.rs]
+		case pMFHI:
+			c.setr(r, int(p.rd), c.hi)
+		case pMFLO:
+			c.setr(r, int(p.rd), c.lo)
+		case pMULT:
+			prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
+			c.lo, c.hi = uint32(prod), uint32(prod>>32)
+		case pMULTU:
+			prod := uint64(r[p.rs]) * uint64(r[p.rt])
+			c.lo, c.hi = uint32(prod), uint32(prod>>32)
+		case pDIV:
+			if r[p.rt] != 0 {
+				c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
+				c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
+			}
+		case pDIVU:
+			if r[p.rt] != 0 {
+				c.lo = r[p.rs] / r[p.rt]
+				c.hi = r[p.rs] % r[p.rt]
+			}
+		case pADD:
+			c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
+		case pSUB:
+			c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
+		case pAND:
+			c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
+		case pOR:
+			c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
+		case pXOR:
+			c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
+		case pNOR:
+			c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
+		case pSLT:
+			c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
+		case pSLTU:
+			c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+		case pBLTZ:
+			taken := int32(r[p.rs]) < 0
+			if taken {
+				next = p.tgt
+			}
+		case pBGEZ:
+			taken := int32(r[p.rs]) >= 0
+			if taken {
+				next = p.tgt
+			}
+		case pJ:
+			next = p.tgt
+		case pJAL:
+			c.setr(r, 31, pc+4)
+			next = p.tgt
+		case pBEQ:
+			taken := r[p.rs] == r[p.rt]
+			if taken {
+				next = p.tgt
+			}
+		case pBNE:
+			taken := r[p.rs] != r[p.rt]
+			if taken {
+				next = p.tgt
+			}
+		case pBLEZ:
+			taken := int32(r[p.rs]) <= 0
+			if taken {
+				next = p.tgt
+			}
+		case pBGTZ:
+			taken := int32(r[p.rs]) > 0
+			if taken {
+				next = p.tgt
+			}
+		case pADDI:
+			c.setr(r, int(p.rt), r[p.rs]+p.imm)
+		case pSLTI:
+			c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
+		case pSLTIU:
+			c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
+		case pANDI:
+			c.setr(r, int(p.rt), r[p.rs]&p.imm)
+		case pORI:
+			c.setr(r, int(p.rt), r[p.rs]|p.imm)
+		case pXORI:
+			c.setr(r, int(p.rt), r[p.rs]^p.imm)
+		case pLUI:
+			c.setr(r, int(p.rt), p.imm)
+		case pMFC0:
+			c.setr(r, int(p.rt), c.c0[p.rd])
+		case pMTC0:
+			c.c0[p.rd] = r[p.rt]
+		case pLB:
+			addr := r[p.rs] + p.imm
+			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+		case pLBU:
+			addr := r[p.rs] + p.imm
+			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+		case pLH:
+			addr := r[p.rs] + p.imm
+			if addr&1 != 0 {
+				return pc, n, lastLoad
+			}
+			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+		case pLHU:
+			addr := r[p.rs] + p.imm
+			if addr&1 != 0 {
+				return pc, n, lastLoad
+			}
+			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+		case pLW:
+			addr := r[p.rs] + p.imm
+			if addr&3 != 0 {
+				return pc, n, lastLoad
+			}
+			c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+		case pSB:
+			addr := r[p.rs] + p.imm
+			if !c.Mem.StoreByte(addr, byte(r[p.rt])) {
+				return pc, n, lastLoad
+			}
+			c.fstoreData(addr)
+		case pSH:
+			addr := r[p.rs] + p.imm
+			if addr&1 != 0 {
+				return pc, n, lastLoad
+			}
+			if !c.Mem.WriteHalf(addr, uint16(r[p.rt])) {
+				return pc, n, lastLoad
+			}
+			c.fstoreData(addr)
+		case pSW:
+			addr := r[p.rs] + p.imm
+			if addr&3 != 0 {
+				return pc, n, lastLoad
+			}
+			if !c.Mem.WriteWord(addr, r[p.rt]) {
+				return pc, n, lastLoad
+			}
+			c.fstoreData(addr)
+		case pSWIC:
+			addr := r[p.rs] + p.imm
+			if addr&3 != 0 {
+				return pc, n, lastLoad
+			}
+			v := r[p.rt]
+			if c.Cfg.FunctionalBreak && inH {
+				v ^= 4
+			}
+			c.fsPut(addr, v)
+		default:
+			return pc, n, lastLoad
+		}
+		pc = next
+	}
+	return pc, n, lastLoad
 }

@@ -1,10 +1,12 @@
 // Command loopgen writes internal/cpu/funct.go: the interpreter loop
-// run (exec.go) once more for each untimed policy. run is written for
-// the detailed policy, which it binds in its first statement,
-// `const pol = detailed`; loopgen copies the function with that
-// constant rebound and the function renamed, so the compiler folds
-// every policy test in each copy and exec.go stays the one source to
-// edit. Run it in internal/cpu with go generate.
+// run (exec.go) once more for each untimed policy, and the functional
+// policy's leaf core. run is written for the detailed policy, which it
+// binds in its first statement, `const pol = detailed`; loopgen copies
+// the function with that constant rebound and the function renamed, so
+// the compiler folds every policy test in each copy and exec.go stays
+// the one source to edit. The core is run's execute switch with the
+// policy folded in by loopgen itself (core.go). Run it in internal/cpu
+// with go generate.
 package main
 
 import (
@@ -46,12 +48,7 @@ func generate(src []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var fn *ast.FuncDecl
-	for _, d := range f.Decls {
-		if d, ok := d.(*ast.FuncDecl); ok && d.Recv != nil && d.Name.Name == "run" {
-			fn = d
-		}
-	}
+	fn := runDecl(f)
 	if fn == nil {
 		return nil, fmt.Errorf("exec.go declares no method run")
 	}
@@ -61,9 +58,37 @@ func generate(src []byte) ([]byte, error) {
 	}
 	off := func(p token.Pos) int { return fset.Position(p).Offset }
 
+	var body bytes.Buffer
+	for _, l := range loops {
+		fmt.Fprintf(&body, "\n// %s is run compiled for the %s policy.\n", l.name, l.pol)
+		body.Write(src[off(fn.Pos()):off(fn.Name.Pos())])
+		body.WriteString(l.name)
+		body.Write(src[off(fn.Name.End()):off(pol.Pos())])
+		body.WriteString(l.pol)
+		body.Write(src[off(pol.End()):off(fn.End())])
+		body.WriteString("\n")
+	}
+	// The core folds run's switch in place, so it works on its own parse.
+	cf, err := parser.ParseFile(fset, "exec.go", src, 0)
+	if err != nil {
+		return nil, err
+	}
+	core, err := coreFunctional(fset, cf)
+	if err != nil {
+		return nil, err
+	}
+	body.Write(core)
+
+	gen, err := parser.ParseFile(token.NewFileSet(), "funct.go", append([]byte("package cpu\n"), body.Bytes()...), 0)
+	if err != nil {
+		return nil, fmt.Errorf("generated code: %v", err)
+	}
 	var b bytes.Buffer
 	b.WriteString("// Code generated by loopgen from run in exec.go; DO NOT EDIT.\n\npackage cpu\n\nimport (\n")
-	used := packagesUsed(fn.Body)
+	used := map[string]bool{}
+	for _, d := range gen.Decls {
+		packagesUsed(d.(*ast.FuncDecl).Body, used)
+	}
 	for _, im := range f.Imports {
 		p, err := strconv.Unquote(im.Path.Value)
 		if err != nil {
@@ -74,16 +99,18 @@ func generate(src []byte) ([]byte, error) {
 		}
 	}
 	b.WriteString(")\n")
-	for _, l := range loops {
-		fmt.Fprintf(&b, "\n// %s is run compiled for the %s policy.\n", l.name, l.pol)
-		b.Write(src[off(fn.Pos()):off(fn.Name.Pos())])
-		b.WriteString(l.name)
-		b.Write(src[off(fn.Name.End()):off(pol.Pos())])
-		b.WriteString(l.pol)
-		b.Write(src[off(pol.End()):off(fn.End())])
-		b.WriteString("\n")
-	}
+	b.Write(body.Bytes())
 	return format.Source(b.Bytes())
+}
+
+// runDecl is f's method run, or nil.
+func runDecl(f *ast.File) *ast.FuncDecl {
+	for _, d := range f.Decls {
+		if d, ok := d.(*ast.FuncDecl); ok && d.Recv != nil && d.Name.Name == "run" {
+			return d
+		}
+	}
+	return nil
 }
 
 // policyConst is the value of fn's first statement when that is
@@ -110,10 +137,9 @@ func policyConst(fn *ast.FuncDecl) *ast.Ident {
 	return nil
 }
 
-// packagesUsed names the packages body refers to: the unresolved
-// identifiers it selects from.
-func packagesUsed(body *ast.BlockStmt) map[string]bool {
-	used := map[string]bool{}
+// packagesUsed adds to used the packages body refers to: the
+// unresolved identifiers it selects from.
+func packagesUsed(body *ast.BlockStmt, used map[string]bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		if sel, ok := n.(*ast.SelectorExpr); ok {
 			if id, ok := sel.X.(*ast.Ident); ok && id.Obj == nil {
@@ -122,5 +148,4 @@ func packagesUsed(body *ast.BlockStmt) map[string]bool {
 		}
 		return true
 	})
-	return used
 }

@@ -39,3 +39,21 @@ func TestGenerateNeedsPolicyConst(t *testing.T) {
 		t.Fatal("generate accepted a run that binds no detailed policy")
 	}
 }
+
+// TestCoreHandBacks: the core executes every op of run's switch but
+// the three that need the loop (syscall and iret set its stop checks,
+// break always ends in an error), so a change to run that pushes
+// another op out of the core shows here.
+func TestCoreHandBacks(t *testing.T) {
+	src, err := os.ReadFile("../exec.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := generate(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "runs: pSyscall, pBreak, pIRET and every op"; !bytes.Contains(out, []byte(want)) {
+		t.Fatalf("the core no longer hands back only at syscall, break and iret (want %q in its comment)", want)
+	}
+}

@@ -17,7 +17,9 @@ import (
 // ManifestSchema versions the manifest shape. History:
 //
 //	1 — initial shape (PR 8): tool/args/runtime identity, registered
-//	    codecs, input digests, config map, optional timings.
+//	    codecs, input digests, config map, optional timings. The
+//	    optional timings.stages split came later without a bump:
+//	    readers of schema 1 skip it.
 const ManifestSchema = 1
 
 // CodecInfo records one registered codec at run time. The registry has
@@ -41,6 +43,16 @@ type Input struct {
 type Timings struct {
 	Start  string `json:"start"` // RFC3339, UTC
 	WallMs int64  `json:"wall_ms"`
+	// Stages splits the wall time by the stages a run session went
+	// through, in the order each first ended.
+	Stages []Stage `json:"stages,omitempty"`
+}
+
+// Stage is one stage of a run and the wall time spent in it, in
+// milliseconds.
+type Stage struct {
+	Name string  `json:"name"`
+	Ms   float64 `json:"ms"`
 }
 
 // Manifest is the run manifest: enough provenance to tell exactly what
@@ -62,6 +74,10 @@ type Manifest struct {
 	Config map[string]string `json:"config,omitempty"`
 
 	Timings *Timings `json:"timings,omitempty"`
+
+	// unhashed holds the bytes of the inputs AddInput recorded that
+	// Digest has not hashed yet, by index in Inputs.
+	unhashed map[int][]byte
 }
 
 // New captures the current process: tool name, command-line arguments,
@@ -94,31 +110,50 @@ func (m *Manifest) SetConfig(key, value string) {
 	m.Config[key] = value
 }
 
-// AddInput content-hashes the bytes of one run input (a source or image
-// file, as read) and records them under name.
+// AddInput records the bytes of one run input (a source or image file,
+// as read) under name. Its digest waits for the first use that needs
+// it (Digest), so a run that emits no manifest never hashes its inputs.
 func (m *Manifest) AddInput(name string, data []byte) {
-	h := sha256.Sum256(data)
-	m.Inputs = append(m.Inputs, Input{Name: name, SHA256: hex.EncodeToString(h[:]), Bytes: int64(len(data))})
+	if m.unhashed == nil {
+		m.unhashed = map[int][]byte{}
+	}
+	m.unhashed[len(m.Inputs)] = data
+	m.Inputs = append(m.Inputs, Input{Name: name, Bytes: int64(len(data))})
+}
+
+// Digest content-hashes every input recorded and not hashed yet.
+// Write, Provenance and Validate call it; code that reads Inputs
+// itself calls it first.
+func (m *Manifest) Digest() {
+	for i, data := range m.unhashed {
+		h := sha256.Sum256(data)
+		m.Inputs[i].SHA256 = hex.EncodeToString(h[:])
+	}
+	m.unhashed = nil
 }
 
 // AddImage content-hashes an in-memory program image via its file
 // encoding (program.Encode, the bytes program.SaveFile writes), which
 // is deterministic, so the digest is stable across processes and equals
-// the digest of the image's file.
+// the digest of the image's file. It hashes at once: encoding is
+// already the larger cost.
 func (m *Manifest) AddImage(name string, im *program.Image) error {
 	data, err := program.Encode(im)
 	if err != nil {
 		return fmt.Errorf("obs: hashing image %s: %v", name, err)
 	}
 	m.AddInput(name, data)
+	m.Digest()
 	return nil
 }
 
-// Finish stamps the sidecar timing stanza from a start time.
-func (m *Manifest) Finish(start time.Time) {
+// Finish stamps the sidecar timing stanza from a start time and the
+// stages timed since, if any.
+func (m *Manifest) Finish(start time.Time, stages ...Stage) {
 	m.Timings = &Timings{
 		Start:  start.UTC().Format(time.RFC3339),
 		WallMs: time.Since(start).Milliseconds(),
+		Stages: stages,
 	}
 }
 
@@ -127,6 +162,7 @@ func (m *Manifest) Finish(start time.Time) {
 // runs embed bit-identical provenance, which the emitter byte-identity
 // battery relies on.
 func (m *Manifest) Provenance() *Manifest {
+	m.Digest()
 	cp := *m
 	cp.Timings = nil
 	cp.Args = append([]string(nil), m.Args...)
@@ -141,8 +177,10 @@ func (m *Manifest) Provenance() *Manifest {
 	return &cp
 }
 
-// Validate checks the schema-bearing fields a consumer relies on.
+// Validate checks the schema-bearing fields a consumer relies on,
+// once every input is hashed.
 func (m *Manifest) Validate() error {
+	m.Digest()
 	switch {
 	case m.SchemaVersion != ManifestSchema:
 		return fmt.Errorf("obs: manifest schema %d, want %d", m.SchemaVersion, ManifestSchema)
@@ -170,6 +208,7 @@ func PathFor(artifact string) string { return artifact + ".manifest.json" }
 
 // Write writes the manifest as indented JSON to path.
 func (m *Manifest) Write(path string) error {
+	m.Digest()
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err

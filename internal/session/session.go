@@ -39,6 +39,10 @@ type Session struct {
 	Out     io.Writer
 	sidecar string
 	start   time.Time
+	// stages is the host split the sidecar records: the time to each
+	// EndStage call from the one before (or from New), by stage.
+	stages []obs.Stage
+	mark   time.Time
 }
 
 // New starts tool's session on the paper's machine with an icacheKB
@@ -46,22 +50,51 @@ type Session struct {
 // I-cache size recorded in the manifest. sidecar, when not empty, is
 // where Finish writes the manifest.
 func New(tool string, icacheKB int, maxInstr uint64, sidecar string, out io.Writer) *Session {
+	now := time.Now()
 	s := &Session{Manifest: obs.New(tool), Config: cpu.DefaultConfig(), Out: out,
-		sidecar: sidecar, start: time.Now()}
+		sidecar: sidecar, start: now, mark: now}
 	s.Config.ICache.SizeBytes = icacheKB * 1024
 	s.Config.MaxInstr = maxInstr
 	s.Manifest.SetConfig("icache_kb", fmt.Sprint(icacheKB))
 	return s
 }
 
-// Finish stamps the wall time and writes the sidecar manifest, when the
-// session has one; a failed write ends the process through log.Fatal,
-// so a CLI defers Finish right after New.
+// The stages a run goes through, as EndStage names them.
+const (
+	StageRead      = "read"      // read and decode (or build) the target
+	StageCompress  = "compress"  // compress it, after any profiling run
+	StageLoad      = "load"      // build the machine: cpu.New, observers, cpu.Load
+	StageRun       = "run"       // run it
+	StageAttribute = "attribute" // verify and assemble attribution and reports
+	StageWrite     = "write"     // write the reports; Finish ends it
+)
+
+// EndStage charges the wall time since the last EndStage call (or New)
+// to stage. Open, Restore and Machine end their own stages; a CLI ends
+// the others.
+func (s *Session) EndStage(stage string) {
+	now := time.Now()
+	ms := float64(now.Sub(s.mark).Microseconds()) / 1e3
+	s.mark = now
+	for i := range s.stages {
+		if s.stages[i].Name == stage {
+			s.stages[i].Ms += ms
+			return
+		}
+	}
+	s.stages = append(s.stages, obs.Stage{Name: stage, Ms: ms})
+}
+
+// Finish ends the write stage, stamps the wall time and its split by
+// stage and writes the sidecar manifest, when the session has one; a
+// failed write ends the process through log.Fatal, so a CLI defers
+// Finish right after New.
 func (s *Session) Finish() {
 	if s.sidecar == "" {
 		return
 	}
-	s.Manifest.Finish(s.start)
+	s.EndStage(StageWrite)
+	s.Manifest.Finish(s.start, s.stages...)
 	if err := s.Manifest.Write(s.sidecar); err != nil {
 		log.Fatal(err)
 	}
@@ -89,7 +122,8 @@ func (t *Target) Scheme() string {
 // Open resolves a file target: an assembly (.s) or MiniC (.mc) source,
 // or an image file. The file is read once; its bytes are recorded in
 // the manifest under name and built or decoded from that one read, so
-// the digest describes what ran.
+// the digest, computed only when a manifest is emitted, describes what
+// ran.
 func (s *Session) Open(path, name string) (*Target, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -109,6 +143,7 @@ func (s *Session) Open(path, name string) (*Target, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.EndStage(StageRead)
 	return t, nil
 }
 
@@ -131,12 +166,12 @@ func Bench(name string, scale float64) (*Target, error) {
 
 // RecordRunImage records the image the run executes as the manifest's
 // "run-image" input. An image file run unchanged reuses the digest its
-// bytes already have; a built or compressed image is encoded and
-// hashed once.
+// bytes have; a built or compressed image is encoded and hashed once.
 func (s *Session) RecordRunImage(t *Target) error {
 	if !t.Encoded {
 		return s.Manifest.AddImage("run-image", t.Image)
 	}
+	s.Manifest.Digest()
 	in := s.Manifest.Inputs[len(s.Manifest.Inputs)-1]
 	in.Name = "run-image"
 	s.Manifest.Inputs = append(s.Manifest.Inputs, in)
@@ -164,7 +199,9 @@ func Machine(cfg cpu.Config, im *program.Image, out io.Writer, attach ...func(*c
 // Machine builds the session's machine for im with the attached
 // observers.
 func (s *Session) Machine(im *program.Image, attach ...func(*cpu.CPU)) (*cpu.CPU, error) {
-	return Machine(s.Config, im, s.Out, attach...)
+	c, err := Machine(s.Config, im, s.Out, attach...)
+	s.EndStage(StageLoad)
+	return c, err
 }
 
 // Restore rebuilds the machine the checkpoint file at path holds. Its
@@ -178,11 +215,13 @@ func (s *Session) Restore(path string) (*cpu.CPU, error) {
 	}
 	s.Manifest.AddInput(path, data)
 	s.Manifest.SetConfig("icache_kb", strconv.FormatFloat(float64(ck.Config.ICache.SizeBytes)/1024, 'g', -1, 64))
+	s.EndStage(StageRead)
 	c, err := ck.Apply()
 	if err != nil {
 		return nil, err
 	}
 	c.Out = s.Out
+	s.EndStage(StageLoad)
 	return c, nil
 }
 

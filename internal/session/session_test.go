@@ -3,6 +3,7 @@ package session
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -184,5 +185,71 @@ func TestRestoreRecordsCheckpoint(t *testing.T) {
 	}
 	if kb := r.Manifest.Config["icache_kb"]; kb != "4" {
 		t.Fatalf("restored run's icache_kb %q, want the checkpoint's 4", kb)
+	}
+}
+
+// TestStageSplit: a session hashes its inputs only when a manifest is
+// emitted, and its sidecar splits the wall time into the stages the
+// run went through, in order, while the embedded copy stays
+// timing-free.
+func TestStageSplit(t *testing.T) {
+	src := filepath.Join("..", "..", "testdata", "sort.s")
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sidecar := filepath.Join(t.TempDir(), "run.manifest.json")
+	s := New("test", 16, 1_000_000, sidecar, io.Discard)
+	st, err := s.Open(src, "sort.s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := s.Manifest.Inputs[0].SHA256; h != "" {
+		t.Fatalf("Open hashed its input before any manifest was emitted: %s", h)
+	}
+	c, err := s.Machine(st.Image)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunFunctional(c, "sort.s"); err != nil {
+		t.Fatal(err)
+	}
+	s.EndStage(StageRun)
+	if p := s.Manifest.Provenance(); p.Timings != nil {
+		t.Fatalf("embedded manifest carries timings %+v", p.Timings)
+	}
+	s.Finish()
+
+	var m struct {
+		Inputs  []struct{ SHA256 string }
+		Timings struct {
+			Stages []struct {
+				Name string
+				Ms   float64
+			}
+		}
+	}
+	raw, err := os.ReadFile(sidecar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	want := New("test", 16, 0, "", io.Discard).Manifest
+	want.AddInput("sort.s", data)
+	want.Digest()
+	if len(m.Inputs) != 1 || m.Inputs[0].SHA256 != want.Inputs[0].SHA256 {
+		t.Fatalf("sidecar inputs %+v, want the digest %s", m.Inputs, want.Inputs[0].SHA256)
+	}
+	var names []string
+	for _, st := range m.Timings.Stages {
+		if st.Ms < 0 {
+			t.Errorf("stage %s took %v ms", st.Name, st.Ms)
+		}
+		names = append(names, st.Name)
+	}
+	if got := fmt.Sprint(names); got != "[read load run write]" {
+		t.Fatalf("stages %s, want [read load run write]", got)
 	}
 }
