@@ -42,9 +42,11 @@ type line struct {
 	// line's identity or contents change, so a set bit means the
 	// client's copy is still current.
 	derived bool
-	tag     uint32
-	lru     uint64
-	data    []byte // nil when the cache does not store data
+	// stored marks a line with contents in the cache's store: every
+	// line a data-storing cache has allocated, or restored with data.
+	stored bool
+	tag    uint32
+	lru    uint64
 }
 
 // Stats counts cache events.
@@ -85,8 +87,13 @@ type Observer interface {
 // that keep per-line state index it by slot (Lookup, Slot) and ask
 // Derived whether the line has changed since they computed it.
 type Cache struct {
-	cfg        Config
-	lines      []line
+	cfg   Config
+	lines []line
+	// store holds the lines' contents, LineBytes per slot in slot
+	// order, apart from lines so that a set's tags and LRU stamps share
+	// a host cache line. A cache that stores no data has none unless
+	// Restore gives a line data.
+	store      []byte
 	clock      uint64
 	storesData bool
 	lineShift  uint
@@ -116,6 +123,9 @@ func New(cfg Config, storesData bool) (*Cache, error) {
 	}
 	c := &Cache{cfg: cfg, storesData: storesData, mruSlot: -1}
 	c.lines = make([]line, cfg.Sets()*cfg.Ways)
+	if storesData {
+		c.store = make([]byte, len(c.lines)*cfg.LineBytes)
+	}
 	for s := cfg.LineBytes; s > 1; s >>= 1 {
 		c.lineShift++
 	}
@@ -195,6 +205,27 @@ func (c *Cache) Lookup(addr uint32) int {
 	return -1
 }
 
+// Hit is Access for the common case: when addr's line is present it
+// counts the access and updates LRU as Access does and reports true;
+// when the line is absent it changes nothing and reports false, and the
+// caller goes on to Access, which counts the miss. It probes the set
+// itself, without find or the MRU hint (which it leaves as it was, a
+// hint that still names a resident line), so that it inlines into the
+// interpreter's load cases.
+func (c *Cache) Hit(addr uint32) bool {
+	idx := addr >> c.lineShift
+	tag, s := idx>>c.setShift, int(idx&c.setMask)*c.cfg.Ways
+	for e := s + c.cfg.Ways; s < e; s++ {
+		if ln := &c.lines[s]; ln.valid && ln.tag == tag {
+			c.Stats.Accesses++
+			c.clock++
+			ln.lru = c.clock
+			return true
+		}
+	}
+	return false
+}
+
 // Hits counts n accesses the caller knows hit slot, leaving what n
 // Accesses to its line would: the access count and the LRU clock move
 // on by n, and the line's LRU stamp is the clock. The caller must have
@@ -211,9 +242,21 @@ func (c *Cache) Hits(slot int, n uint64) {
 // statistics or LRU state.
 func (c *Cache) Slot(addr uint32) int { return c.find(addr) }
 
-// SlotData returns slot's line contents without copying. The slice is
-// the cache's own storage: it changes with the line.
-func (c *Cache) SlotData(slot int) []byte { return c.lines[slot].data }
+// SlotData returns slot's line contents without copying, or nil when
+// the line stores none. The slice is the cache's own storage: it
+// changes with the line.
+func (c *Cache) SlotData(slot int) []byte {
+	if !c.lines[slot].stored {
+		return nil
+	}
+	return c.data(slot)
+}
+
+// data is slot's part of the store.
+func (c *Cache) data(slot int) []byte {
+	n := c.cfg.LineBytes
+	return c.store[slot*n : (slot+1)*n : (slot+1)*n]
+}
 
 // Derived reports whether slot's derived bit is still set: nothing has
 // changed the line's identity or contents since SetDerived.
@@ -262,8 +305,9 @@ func (c *Cache) victim(set uint32) int {
 	return v
 }
 
-// allocate claims a slot for addr's line, zeroes its data and returns
-// the slot.
+// allocate claims a slot for addr's line and returns it. The line's
+// data keeps its old bytes: Fill overwrites all of them, and claim
+// zeroes them.
 func (c *Cache) allocate(addr uint32) int {
 	c.mruSlot = -1
 	set, tag := c.index(addr)
@@ -279,28 +323,34 @@ func (c *Cache) allocate(addr uint32) int {
 	ln.tag = tag
 	c.clock++
 	ln.lru = c.clock
+	ln.stored = ln.stored || c.storesData
+	return s
+}
+
+// claim allocates addr's line for an explicit write (swic), zeroed, and
+// counts the claim.
+func (c *Cache) claim(addr uint32) int {
+	s := c.allocate(addr)
 	if c.storesData {
-		if ln.data == nil {
-			ln.data = make([]byte, c.cfg.LineBytes)
-		} else {
-			clear(ln.data)
-		}
+		clear(c.data(s))
 	}
+	c.Stats.SwicLines++
 	return s
 }
 
 // Fill installs the line containing addr with the given data (the
-// hardware-refill path). data must be one full line, or nil for a cache
-// that does not store data.
-func (c *Cache) Fill(addr uint32, data []byte) {
+// hardware-refill path) and returns its slot. data must be one full
+// line, or nil for a cache that does not store data.
+func (c *Cache) Fill(addr uint32, data []byte) int {
 	if c.storesData && len(data) != c.cfg.LineBytes {
 		panic(fmt.Sprintf("cache: fill of %d bytes into %dB line", len(data), c.cfg.LineBytes))
 	}
 	s := c.allocate(addr)
 	c.Stats.LineFills++
 	if c.storesData {
-		copy(c.lines[s].data, data)
+		copy(c.data(s), data)
 	}
+	return s
 }
 
 // WriteWord implements swic: store word w at addr inside the I-cache,
@@ -313,8 +363,7 @@ func (c *Cache) WriteWord(addr uint32, w uint32) bool {
 	s := c.find(addr)
 	claimed := s < 0
 	if claimed {
-		s = c.allocate(addr)
-		c.Stats.SwicLines++
+		s = c.claim(addr)
 	} else {
 		ln := &c.lines[s]
 		ln.derived = false
@@ -323,7 +372,7 @@ func (c *Cache) WriteWord(addr uint32, w uint32) bool {
 	}
 	if c.storesData {
 		off := addr & uint32(c.cfg.LineBytes-1)
-		binary.LittleEndian.PutUint32(c.lines[s].data[off:off+4], w)
+		binary.LittleEndian.PutUint32(c.data(s)[off:off+4], w)
 	}
 	return claimed
 }
@@ -337,8 +386,7 @@ func (c *Cache) WriteLine(w []uint32) int {
 	s := c.find(w[0])
 	n := uint64(len(w) / 2)
 	if s < 0 {
-		s = c.allocate(w[0])
-		c.Stats.SwicLines++
+		s = c.claim(w[0])
 		n--
 	}
 	ln := &c.lines[s]
@@ -346,10 +394,10 @@ func (c *Cache) WriteLine(w []uint32) int {
 	c.clock += n
 	ln.lru = c.clock
 	if c.storesData {
-		mask := uint32(c.cfg.LineBytes - 1)
+		data, mask := c.data(s), uint32(c.cfg.LineBytes-1)
 		for i := 0; i < len(w); i += 2 {
 			off := w[i] & mask
-			binary.LittleEndian.PutUint32(ln.data[off:off+4], w[i+1])
+			binary.LittleEndian.PutUint32(data[off:off+4], w[i+1])
 		}
 	}
 	return s
@@ -359,11 +407,11 @@ func (c *Cache) WriteLine(w []uint32) int {
 // absent (or the cache does not store data).
 func (c *Cache) ReadWord(addr uint32) (w uint32, ok bool) {
 	s := c.find(addr)
-	if s < 0 || c.lines[s].data == nil {
+	if s < 0 || !c.lines[s].stored {
 		return 0, false
 	}
 	off := addr & uint32(c.cfg.LineBytes-1)
-	return binary.LittleEndian.Uint32(c.lines[s].data[off : off+4]), true
+	return binary.LittleEndian.Uint32(c.data(s)[off : off+4]), true
 }
 
 // UpdateWord updates addr's word if its line is present (write-through
@@ -376,7 +424,7 @@ func (c *Cache) UpdateWord(addr uint32, w uint32) {
 		ln := &c.lines[s]
 		ln.derived = false
 		off := addr & uint32(c.cfg.LineBytes-1)
-		binary.LittleEndian.PutUint32(ln.data[off:off+4], w)
+		binary.LittleEndian.PutUint32(c.data(s)[off:off+4], w)
 	}
 }
 
@@ -401,10 +449,10 @@ func (c *Cache) Flush() {
 // LineData returns a copy of the line containing addr, or nil if absent.
 func (c *Cache) LineData(addr uint32) []byte {
 	s := c.find(addr)
-	if s < 0 || c.lines[s].data == nil {
+	if s < 0 || !c.lines[s].stored {
 		return nil
 	}
 	out := make([]byte, c.cfg.LineBytes)
-	copy(out, c.lines[s].data)
+	copy(out, c.data(s))
 	return out
 }

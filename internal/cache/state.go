@@ -28,11 +28,12 @@ func (c *Cache) Snapshot() State {
 	for s := range st.Sets {
 		ways := make([]LineState, c.cfg.Ways)
 		for w := range ways {
-			ln := &c.lines[s*c.cfg.Ways+w]
+			i := s*c.cfg.Ways + w
+			ln := &c.lines[i]
 			ls := LineState{Valid: ln.valid, Tag: ln.tag, LRU: ln.lru}
-			if ln.data != nil {
-				ls.Data = make([]byte, len(ln.data))
-				copy(ls.Data, ln.data)
+			if ln.stored {
+				ls.Data = make([]byte, c.cfg.LineBytes)
+				copy(ls.Data, c.data(i))
 			}
 			ways[w] = ls
 		}
@@ -57,7 +58,8 @@ func (c *Cache) Restore(st State) error {
 		}
 		for w := range st.Sets[s] {
 			ls := st.Sets[s][w]
-			ln := &c.lines[s*c.cfg.Ways+w]
+			i := s*c.cfg.Ways + w
+			ln := &c.lines[i]
 			ln.valid = ls.Valid
 			ln.derived = false
 			ln.tag = ls.Tag
@@ -67,13 +69,12 @@ func (c *Cache) Restore(st State) error {
 					return fmt.Errorf("cache: snapshot line %d/%d has %d bytes, want %d",
 						s, w, len(ls.Data), c.cfg.LineBytes)
 				}
-				if ln.data == nil {
-					ln.data = make([]byte, c.cfg.LineBytes)
+				if c.store == nil {
+					c.store = make([]byte, len(c.lines)*c.cfg.LineBytes)
 				}
-				copy(ln.data, ls.Data)
-			} else {
-				ln.data = nil
+				copy(c.data(i), ls.Data)
 			}
+			ln.stored = ls.Data != nil
 		}
 	}
 	c.clock = st.Clock

@@ -157,9 +157,11 @@ type CPU struct {
 	savedBank int
 
 	compStart, compEnd uint32 // compressed code region ([start,end), 0,0 = none)
-	handlerPC          uint32
-	handlerEnd         uint32
-	goldenText         *program.Segment // decompressed bytes (hardware-decompress mode)
+	// Handler RAM is the handlerLen bytes at handlerPC (none when 0). It
+	// is tested by offset (inHandlerRAM), so RAM that ends exactly at
+	// 2^32 still holds its words.
+	handlerPC, handlerLen uint32
+	goldenText            *program.Segment // decompressed bytes (hardware-decompress mode)
 
 	halted   bool
 	exitCode int32
@@ -307,8 +309,7 @@ func (c *CPU) Load(im *program.Image) error {
 	c.regs[0][29] = program.StackTop // $sp
 	c.regs[1][29] = program.StackTop
 	if h := im.Segment(program.SegDecompressor); h != nil {
-		c.handlerPC = h.Base
-		c.handlerEnd = h.End()
+		c.handlerPC, c.handlerLen = h.Base, uint32(len(h.Data))
 	}
 	if ci := im.Compress; ci != nil {
 		if c.handlerPC == 0 && !c.Cfg.HardwareDecompress {
@@ -411,8 +412,9 @@ func (c *CPU) InCompressedRegion(addr uint32) bool {
 	return addr >= c.compStart && addr < c.compEnd
 }
 
+// inHandlerRAM reports whether addr is in handler RAM.
 func (c *CPU) inHandlerRAM(addr uint32) bool {
-	return addr >= c.handlerPC && addr < c.handlerEnd
+	return addr-c.handlerPC < c.handlerLen
 }
 
 // Run executes instructions until the program exits or a limit is hit.

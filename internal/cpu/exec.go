@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -251,7 +252,8 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 			if !c.Cfg.HardwareDecompress {
 				return nil, c.raiseDecompress(pc, pol)
 			}
-			if err := c.hardwareFill(pc); err != nil {
+			var err error
+			if slot, err = c.hardwareFill(pc); err != nil {
 				return nil, err
 			}
 		} else {
@@ -261,7 +263,8 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 				return nil, fmt.Errorf("cpu: fetch from unmapped address %#x", pc)
 			}
 			start := c.Stats.Cycles
-			stall := c.fillNative(base)
+			var stall int
+			slot, stall = c.fillNative(base)
 			c.Stats.Cycles += uint64(stall)
 			c.Stats.FetchStalls += uint64(stall)
 			c.Stats.CPIStack[CycleFetchStall] += uint64(stall)
@@ -269,9 +272,6 @@ func (c *CPU) fetch(pol policy) (*pinstr, error) {
 			if c.Tel != nil {
 				c.Tel.IFill(pc, start, uint64(stall), FillNative)
 			}
-		}
-		if slot = c.IC.Slot(pc); slot < 0 {
-			return nil, fmt.Errorf("cpu: internal error: line at %#x vanished", pc)
 		}
 	}
 	if c.Cfg.DisablePredecode {
@@ -308,18 +308,6 @@ func (c *CPU) handlerWindow(pol policy) window {
 	return window{base: c.handlerPC, rec: c.hdec, slot: -1}
 }
 
-// nextSlot is the slot of pc's I-cache line when a loop may move its
-// window there without the slow path: the line hits, its records are
-// current and it may be a window at all (lineWindow). It returns -1
-// otherwise, always under the functional policy, and changes nothing.
-// It inlines, so the functional policy pays no call.
-func (c *CPU) nextSlot(pc uint32, pol policy) int {
-	if pol == functional {
-		return -1
-	}
-	return c.lineSlot(pc)
-}
-
 // inKey reports whether the observers' key range holds pc.
 func (c *CPU) inKey(pc uint32) bool {
 	return uint64(pc) >= c.keyLo && uint64(pc) < c.keyHi
@@ -331,16 +319,6 @@ func (c *CPU) clip(base uint32, rec []pinstr) (uint32, []pinstr) {
 	lo, hi := uint64(base), uint64(base)+4*uint64(len(rec))
 	i, j := (max(c.keyLo, lo)-lo+3)>>2, (min(c.keyHi, hi)-lo+3)>>2
 	return base + uint32(i)<<2, rec[i:j]
-}
-
-func (c *CPU) lineSlot(pc uint32) int {
-	if pc&3 != 0 || c.Cfg.DisablePredecode || !c.lineWindow(c.IC.LineBase(pc)) {
-		return -1
-	}
-	if s := c.IC.Slot(pc); s >= 0 && c.IC.Derived(s) {
-		return s
-	}
-	return -1
 }
 
 // handOver gives the I-cache the hits a loop's window counted since
@@ -366,16 +344,17 @@ func (c *CPU) missDue() bool {
 // hardwareFill models a hardware decompression unit: the compressed
 // bytes are fetched over the bus (about half a line for the dictionary
 // scheme) and decoded with a fixed latency, then the native line is
-// installed — no exception, no handler instructions.
-func (c *CPU) hardwareFill(pc uint32) error {
+// installed — no exception, no handler instructions. It returns the
+// line's slot.
+func (c *CPU) hardwareFill(pc uint32) (int, error) {
 	if c.goldenText == nil {
-		return fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
+		return -1, fmt.Errorf("cpu: hardware decompression without decompressed text at %#x", pc)
 	}
 	base := c.IC.LineBase(pc)
 	n := c.Cfg.ICache.LineBytes
 	start := c.Stats.Cycles
 	stall := c.Mem.Burst(n/2) + c.Cfg.HWDecompressCycles
-	c.IC.Fill(base, c.goldenLine(base))
+	slot := c.IC.Fill(base, c.goldenLine(base))
 	c.Stats.Cycles += uint64(stall)
 	c.Stats.FetchStalls += uint64(stall)
 	c.Stats.CPIStack[CycleExcService] += uint64(stall)
@@ -383,7 +362,7 @@ func (c *CPU) hardwareFill(pc uint32) error {
 	if c.Tel != nil {
 		c.Tel.IFill(pc, start, uint64(stall), FillHardwareDecomp)
 	}
-	return nil
+	return slot, nil
 }
 
 // raiseDecompress takes the decompression exception for a fetch at pc:
@@ -449,12 +428,19 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 // the last slow fetch resolved (handler RAM, a flat store, or the
 // current I-cache line), and a count of the I-cache hits taken in it.
 // A fetch that leaves the window for an I-cache line that hits, is
-// predecoded and may be a window (nextSlot) moves it without the slow
-// path; an observed loop clips the window to the observers' key range
-// and calls them out there when the move leaves that range. Everything
-// else takes fetch. The hits are handed over (handOver) before any
-// other I-cache operation, before every callout and at every return; a
-// swic ends an I-cache window.
+// predecoded and may be a window (lineWindow) moves it in place, by a
+// tag probe the loop inlines; an observed loop clips the window to the
+// observers' key range and calls them out there when the move leaves
+// that range. Everything else takes fetch. The hits are handed over
+// (handOver) before any other I-cache operation, before every callout
+// and at every return; a swic ends an I-cache window.
+//
+// Fetching from the window, moving it, and a load that hits the
+// D-cache (cache.Hit, which changes nothing on a miss) from a page the
+// memory's page cache holds (mem.Cached) make no call. The loop calls
+// out on a miss, a branch (the predictor), a store, a swic, a syscall,
+// and on every load while a handler activation is being recorded
+// (dAccess records it).
 func (c *CPU) run(left, user int64, mode int) error {
 	const pol = detailed
 	if c.halted {
@@ -492,68 +478,77 @@ func (c *CPU) run(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
-			c.handOver(wSlot, hits)
-			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
-			if pol == detailed && c.OnKey != nil {
-				if !c.inKey(pc) {
-					// A user fetch that changes the key: the observers
-					// are called out as on the slow path, with the
-					// commits so far flushed.
-					left, user = c.flush(inH, cycles, lu, n, left, user)
-					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
-					c.observe()
-					lim = c.limit(left, user, inH, pol)
-				}
-				wBase, wRec = c.clip(wBase, wRec)
-			}
-			p = &wRec[(pc-wBase)>>2]
 		} else {
-			c.handOver(wSlot, hits)
-			if pol == detailed {
-				left, user = c.flush(inH, cycles, lu, n, left, user)
+			// The line holding pc is probed in place: the window moves
+			// there when it may be a window at all (lineWindow), it hits
+			// and its records are current.
+			s := -1
+			if pol != functional && pc&3 == 0 && c.lineWindow(pc) {
+				s = c.IC.Slot(pc)
+			}
+			if s >= 0 && c.IC.Derived(s) && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
+				c.handOver(wSlot, hits)
+				wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+				if pol == detailed && c.OnKey != nil {
+					if !c.inKey(pc) {
+						// A user fetch that changes the key: the observers
+						// are called out as on the slow path, with the
+						// commits so far flushed.
+						left, user = c.flush(inH, cycles, lu, n, left, user)
+						cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+						c.observe()
+						lim = c.limit(left, user, inH, pol)
+					}
+					wBase, wRec = c.clip(wBase, wRec)
+				}
+				p = &wRec[(pc-wBase)>>2]
 			} else {
-				left, user = c.count(inH, n, left, user)
-			}
-			cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
-			if pol == detailed && c.OnKey != nil {
-				c.observe()
-			}
-			if mode == runToFault && c.missDue() {
-				return nil
-			}
-			if p, err = c.fetch(pol); err != nil {
-				return err
-			}
-			wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
-			if p == nil { // a decompression exception vectored to the handler
-				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+				c.handOver(wSlot, hits)
+				if pol == detailed {
+					left, user = c.flush(inH, cycles, lu, n, left, user)
+				} else {
+					left, user = c.count(inH, n, left, user)
+				}
+				cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
 				if pol == detailed && c.OnKey != nil {
 					c.observe()
 				}
-				if left <= 0 {
-					return c.budgetError()
+				if mode == runToFault && c.missDue() {
+					return nil
 				}
-				if pol == detailed && c.Trace == nil {
-					if rec := c.enterActivation(left); rec != nil {
-						left = c.replay(rec, left)
-						c.excReturn(c.pc)
-						if c.OnKey != nil {
-							c.observe()
-						}
-						wRec, wSlot = nil, -1
-						pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
-						if left <= 0 {
-							return c.budgetError()
-						}
-						if user <= 0 {
-							return nil
+				if p, err = c.fetch(pol); err != nil {
+					return err
+				}
+				wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
+				if p == nil { // a decompression exception vectored to the handler
+					pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+					if pol == detailed && c.OnKey != nil {
+						c.observe()
+					}
+					if left <= 0 {
+						return c.budgetError()
+					}
+					if pol == detailed && c.Trace == nil {
+						if rec := c.enterActivation(left); rec != nil {
+							left = c.replay(rec, left)
+							c.excReturn(c.pc)
+							if c.OnKey != nil {
+								c.observe()
+							}
+							wRec, wSlot = nil, -1
+							pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
+							if left <= 0 {
+								return c.budgetError()
+							}
+							if user <= 0 {
+								return nil
+							}
 						}
 					}
 				}
-			}
-			if lim = c.limit(left, user, inH, pol); p == nil {
-				continue
+				if lim = c.limit(left, user, inH, pol); p == nil {
+					continue
+				}
 			}
 		}
 
@@ -570,26 +565,26 @@ func (c *CPU) run(left, user int64, mode int) error {
 
 		switch p.op {
 		case pSLL:
-			c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]<<(p.shamt&31))
 		case pSRL:
-			c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]>>(p.shamt&31))
 		case pSRA:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(p.shamt&31)))
 		case pSLLV:
-			c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]<<(r[p.rs&31]&31))
 		case pSRLV:
-			c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]>>(r[p.rs&31]&31))
 		case pSRAV:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(r[p.rs&31]&31)))
 		case pJR:
-			next = r[p.rs]
+			next = r[p.rs&31]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 			}
 		case pJALR:
 			c.setr(r, int(p.rd), pc+4)
-			next = r[p.rs]
+			next = r[p.rs&31]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
@@ -611,46 +606,46 @@ func (c *CPU) run(left, user int64, mode int) error {
 		case pMFLO:
 			c.setr(r, int(p.rd), c.lo)
 		case pMULT:
-			prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
+			prod := int64(int32(r[p.rs&31])) * int64(int32(r[p.rt&31]))
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pMULTU:
-			prod := uint64(r[p.rs]) * uint64(r[p.rt])
+			prod := uint64(r[p.rs&31]) * uint64(r[p.rt&31])
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pDIV:
-			if r[p.rt] != 0 {
-				c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
-				c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
+			if r[p.rt&31] != 0 {
+				c.lo = uint32(int32(r[p.rs&31]) / int32(r[p.rt&31]))
+				c.hi = uint32(int32(r[p.rs&31]) % int32(r[p.rt&31]))
 			}
 		case pDIVU:
-			if r[p.rt] != 0 {
-				c.lo = r[p.rs] / r[p.rt]
-				c.hi = r[p.rs] % r[p.rt]
+			if r[p.rt&31] != 0 {
+				c.lo = r[p.rs&31] / r[p.rt&31]
+				c.hi = r[p.rs&31] % r[p.rt&31]
 			}
 		case pADD:
-			c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]+r[p.rt&31])
 		case pSUB:
-			c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]-r[p.rt&31])
 		case pAND:
-			c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]&r[p.rt&31])
 		case pOR:
-			c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]|r[p.rt&31])
 		case pXOR:
-			c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]^r[p.rt&31])
 		case pNOR:
-			c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
+			c.setr(r, int(p.rd), ^(r[p.rs&31] | r[p.rt&31]))
 		case pSLT:
-			c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
+			c.setr(r, int(p.rd), b2u(int32(r[p.rs&31]) < int32(r[p.rt&31])))
 		case pSLTU:
-			c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+			c.setr(r, int(p.rd), b2u(r[p.rs&31] < r[p.rt&31]))
 
 		case pBLTZ:
-			taken := int32(r[p.rs]) < 0
+			taken := int32(r[p.rs&31]) < 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGEZ:
-			taken := int32(r[p.rs]) >= 0
+			taken := int32(r[p.rs&31]) >= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
@@ -666,49 +661,49 @@ func (c *CPU) run(left, user int64, mode int) error {
 			}
 
 		case pBEQ:
-			taken := r[p.rs] == r[p.rt]
+			taken := r[p.rs&31] == r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBNE:
-			taken := r[p.rs] != r[p.rt]
+			taken := r[p.rs&31] != r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBLEZ:
-			taken := int32(r[p.rs]) <= 0
+			taken := int32(r[p.rs&31]) <= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGTZ:
-			taken := int32(r[p.rs]) > 0
+			taken := int32(r[p.rs&31]) > 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 
 		case pADDI:
-			c.setr(r, int(p.rt), r[p.rs]+p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]+p.imm)
 		case pSLTI:
-			c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
+			c.setr(r, int(p.rt), b2u(int32(r[p.rs&31]) < int32(p.imm)))
 		case pSLTIU:
-			c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
+			c.setr(r, int(p.rt), b2u(r[p.rs&31] < p.imm))
 		case pANDI:
-			c.setr(r, int(p.rt), r[p.rs]&p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]&p.imm)
 		case pORI:
-			c.setr(r, int(p.rt), r[p.rs]|p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]|p.imm)
 		case pXORI:
-			c.setr(r, int(p.rt), r[p.rs]^p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]^p.imm)
 		case pLUI:
 			c.setr(r, int(p.rt), p.imm)
 
 		case pMFC0:
-			c.setr(r, int(p.rt), c.c0[p.rd])
+			c.setr(r, int(p.rt), c.c0[p.rd&7])
 		case pMTC0:
-			c.c0[p.rd] = r[p.rt]
+			c.c0[p.rd&7] = r[p.rt&31]
 		case pIRET:
 			if !inH {
 				err = fmt.Errorf("cpu: iret outside handler at %#x", pc)
@@ -726,75 +721,105 @@ func (c *CPU) run(left, user int64, mode int) error {
 			lim = 0 // close the exception interval below
 
 		case pLB:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
-			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(int32(int8(b[0]))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			}
 		case pLBU:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
-			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(b[0]))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			}
 		case pLH:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(int32(int16(binary.LittleEndian.Uint16(b)))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			}
 		case pLHU:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lhu at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(binary.LittleEndian.Uint16(b)))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			}
 		case pLW:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned lw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			if b := c.Mem.Cached(addr); len(b) >= 4 {
+				c.setr(r, int(p.rt), binary.LittleEndian.Uint32(b))
+			} else {
+				c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			}
 
 		case pSB:
-			addr := r[p.rs] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt])) {
+			addr := r[p.rs&31] + p.imm
+			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 		case pSH:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt])) {
+			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 		case pSW:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt]) {
+			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 
 		case pSWIC:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			v := r[p.rt]
+			v := r[p.rt&31]
 			if pol == functional {
 				if c.Cfg.FunctionalBreak && inH {
 					// Deliberate fault injection for the equivalence
@@ -983,9 +1008,11 @@ func illegalInstrError(w, pc uint32) error {
 	}
 }
 
+// setr writes register rd of r ($zero writes are dropped). rd is
+// masked to its five bits, so the write needs no bounds check.
 func (c *CPU) setr(r *[32]uint32, rd int, v uint32) {
 	if rd != 0 {
-		r[rd] = v
+		r[rd&31] = v
 	}
 }
 
@@ -1017,17 +1044,11 @@ func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
 	return uint64(c.Cfg.MispredictPenalty)
 }
 
-// dRead performs the D-cache access for a load (the detailed and warm
+// dAccess performs the D-cache access for a load (the detailed and warm
 // policies) and returns stall cycles (the detailed policy). Stores are
-// write-through/no-allocate and charge no stall (write buffer). It
-// inlines, so the functional policy pays no call.
-func (c *CPU) dRead(addr uint32, pol policy) uint64 {
-	if pol == functional {
-		return 0
-	}
-	return c.dAccess(addr, pol)
-}
-
+// write-through/no-allocate and charge no stall (write buffer). run
+// calls it only when Hit, which it inlines, misses, or while a handler
+// activation is being recorded.
 func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
 	if c.rp.open != nil {
 		c.rp.open.recordLoad(addr)

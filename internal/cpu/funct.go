@@ -3,6 +3,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
@@ -45,68 +46,77 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
-			c.handOver(wSlot, hits)
-			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
-			if pol == detailed && c.OnKey != nil {
-				if !c.inKey(pc) {
-					// A user fetch that changes the key: the observers
-					// are called out as on the slow path, with the
-					// commits so far flushed.
-					left, user = c.flush(inH, cycles, lu, n, left, user)
-					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
-					c.observe()
-					lim = c.limit(left, user, inH, pol)
-				}
-				wBase, wRec = c.clip(wBase, wRec)
-			}
-			p = &wRec[(pc-wBase)>>2]
 		} else {
-			c.handOver(wSlot, hits)
-			if pol == detailed {
-				left, user = c.flush(inH, cycles, lu, n, left, user)
+			// The line holding pc is probed in place: the window moves
+			// there when it may be a window at all (lineWindow), it hits
+			// and its records are current.
+			s := -1
+			if pol != functional && pc&3 == 0 && c.lineWindow(pc) {
+				s = c.IC.Slot(pc)
+			}
+			if s >= 0 && c.IC.Derived(s) && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
+				c.handOver(wSlot, hits)
+				wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+				if pol == detailed && c.OnKey != nil {
+					if !c.inKey(pc) {
+						// A user fetch that changes the key: the observers
+						// are called out as on the slow path, with the
+						// commits so far flushed.
+						left, user = c.flush(inH, cycles, lu, n, left, user)
+						cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+						c.observe()
+						lim = c.limit(left, user, inH, pol)
+					}
+					wBase, wRec = c.clip(wBase, wRec)
+				}
+				p = &wRec[(pc-wBase)>>2]
 			} else {
-				left, user = c.count(inH, n, left, user)
-			}
-			cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
-			if pol == detailed && c.OnKey != nil {
-				c.observe()
-			}
-			if mode == runToFault && c.missDue() {
-				return nil
-			}
-			if p, err = c.fetch(pol); err != nil {
-				return err
-			}
-			wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
-			if p == nil { // a decompression exception vectored to the handler
-				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+				c.handOver(wSlot, hits)
+				if pol == detailed {
+					left, user = c.flush(inH, cycles, lu, n, left, user)
+				} else {
+					left, user = c.count(inH, n, left, user)
+				}
+				cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
 				if pol == detailed && c.OnKey != nil {
 					c.observe()
 				}
-				if left <= 0 {
-					return c.budgetError()
+				if mode == runToFault && c.missDue() {
+					return nil
 				}
-				if pol == detailed && c.Trace == nil {
-					if rec := c.enterActivation(left); rec != nil {
-						left = c.replay(rec, left)
-						c.excReturn(c.pc)
-						if c.OnKey != nil {
-							c.observe()
-						}
-						wRec, wSlot = nil, -1
-						pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
-						if left <= 0 {
-							return c.budgetError()
-						}
-						if user <= 0 {
-							return nil
+				if p, err = c.fetch(pol); err != nil {
+					return err
+				}
+				wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
+				if p == nil { // a decompression exception vectored to the handler
+					pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+					if pol == detailed && c.OnKey != nil {
+						c.observe()
+					}
+					if left <= 0 {
+						return c.budgetError()
+					}
+					if pol == detailed && c.Trace == nil {
+						if rec := c.enterActivation(left); rec != nil {
+							left = c.replay(rec, left)
+							c.excReturn(c.pc)
+							if c.OnKey != nil {
+								c.observe()
+							}
+							wRec, wSlot = nil, -1
+							pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
+							if left <= 0 {
+								return c.budgetError()
+							}
+							if user <= 0 {
+								return nil
+							}
 						}
 					}
 				}
-			}
-			if lim = c.limit(left, user, inH, pol); p == nil {
-				continue
+				if lim = c.limit(left, user, inH, pol); p == nil {
+					continue
+				}
 			}
 		}
 
@@ -123,26 +133,26 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 
 		switch p.op {
 		case pSLL:
-			c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]<<(p.shamt&31))
 		case pSRL:
-			c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]>>(p.shamt&31))
 		case pSRA:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(p.shamt&31)))
 		case pSLLV:
-			c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]<<(r[p.rs&31]&31))
 		case pSRLV:
-			c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]>>(r[p.rs&31]&31))
 		case pSRAV:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(r[p.rs&31]&31)))
 		case pJR:
-			next = r[p.rs]
+			next = r[p.rs&31]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 			}
 		case pJALR:
 			c.setr(r, int(p.rd), pc+4)
-			next = r[p.rs]
+			next = r[p.rs&31]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
@@ -164,46 +174,46 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 		case pMFLO:
 			c.setr(r, int(p.rd), c.lo)
 		case pMULT:
-			prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
+			prod := int64(int32(r[p.rs&31])) * int64(int32(r[p.rt&31]))
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pMULTU:
-			prod := uint64(r[p.rs]) * uint64(r[p.rt])
+			prod := uint64(r[p.rs&31]) * uint64(r[p.rt&31])
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pDIV:
-			if r[p.rt] != 0 {
-				c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
-				c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
+			if r[p.rt&31] != 0 {
+				c.lo = uint32(int32(r[p.rs&31]) / int32(r[p.rt&31]))
+				c.hi = uint32(int32(r[p.rs&31]) % int32(r[p.rt&31]))
 			}
 		case pDIVU:
-			if r[p.rt] != 0 {
-				c.lo = r[p.rs] / r[p.rt]
-				c.hi = r[p.rs] % r[p.rt]
+			if r[p.rt&31] != 0 {
+				c.lo = r[p.rs&31] / r[p.rt&31]
+				c.hi = r[p.rs&31] % r[p.rt&31]
 			}
 		case pADD:
-			c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]+r[p.rt&31])
 		case pSUB:
-			c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]-r[p.rt&31])
 		case pAND:
-			c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]&r[p.rt&31])
 		case pOR:
-			c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]|r[p.rt&31])
 		case pXOR:
-			c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]^r[p.rt&31])
 		case pNOR:
-			c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
+			c.setr(r, int(p.rd), ^(r[p.rs&31] | r[p.rt&31]))
 		case pSLT:
-			c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
+			c.setr(r, int(p.rd), b2u(int32(r[p.rs&31]) < int32(r[p.rt&31])))
 		case pSLTU:
-			c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+			c.setr(r, int(p.rd), b2u(r[p.rs&31] < r[p.rt&31]))
 
 		case pBLTZ:
-			taken := int32(r[p.rs]) < 0
+			taken := int32(r[p.rs&31]) < 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGEZ:
-			taken := int32(r[p.rs]) >= 0
+			taken := int32(r[p.rs&31]) >= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
@@ -219,49 +229,49 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			}
 
 		case pBEQ:
-			taken := r[p.rs] == r[p.rt]
+			taken := r[p.rs&31] == r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBNE:
-			taken := r[p.rs] != r[p.rt]
+			taken := r[p.rs&31] != r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBLEZ:
-			taken := int32(r[p.rs]) <= 0
+			taken := int32(r[p.rs&31]) <= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGTZ:
-			taken := int32(r[p.rs]) > 0
+			taken := int32(r[p.rs&31]) > 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 
 		case pADDI:
-			c.setr(r, int(p.rt), r[p.rs]+p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]+p.imm)
 		case pSLTI:
-			c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
+			c.setr(r, int(p.rt), b2u(int32(r[p.rs&31]) < int32(p.imm)))
 		case pSLTIU:
-			c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
+			c.setr(r, int(p.rt), b2u(r[p.rs&31] < p.imm))
 		case pANDI:
-			c.setr(r, int(p.rt), r[p.rs]&p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]&p.imm)
 		case pORI:
-			c.setr(r, int(p.rt), r[p.rs]|p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]|p.imm)
 		case pXORI:
-			c.setr(r, int(p.rt), r[p.rs]^p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]^p.imm)
 		case pLUI:
 			c.setr(r, int(p.rt), p.imm)
 
 		case pMFC0:
-			c.setr(r, int(p.rt), c.c0[p.rd])
+			c.setr(r, int(p.rt), c.c0[p.rd&7])
 		case pMTC0:
-			c.c0[p.rd] = r[p.rt]
+			c.c0[p.rd&7] = r[p.rt&31]
 		case pIRET:
 			if !inH {
 				err = fmt.Errorf("cpu: iret outside handler at %#x", pc)
@@ -279,75 +289,105 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			lim = 0 // close the exception interval below
 
 		case pLB:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
-			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(int32(int8(b[0]))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			}
 		case pLBU:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
-			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(b[0]))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			}
 		case pLH:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(int32(int16(binary.LittleEndian.Uint16(b)))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			}
 		case pLHU:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lhu at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(binary.LittleEndian.Uint16(b)))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			}
 		case pLW:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned lw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			if b := c.Mem.Cached(addr); len(b) >= 4 {
+				c.setr(r, int(p.rt), binary.LittleEndian.Uint32(b))
+			} else {
+				c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			}
 
 		case pSB:
-			addr := r[p.rs] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt])) {
+			addr := r[p.rs&31] + p.imm
+			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 		case pSH:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt])) {
+			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 		case pSW:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt]) {
+			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 
 		case pSWIC:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			v := r[p.rt]
+			v := r[p.rt&31]
 			if pol == functional {
 				if c.Cfg.FunctionalBreak && inH {
 					// Deliberate fault injection for the equivalence
@@ -477,68 +517,77 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			if pol != functional {
 				hits++
 			}
-		} else if s := c.nextSlot(pc, pol); s >= 0 && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
-			c.handOver(wSlot, hits)
-			wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
-			if pol == detailed && c.OnKey != nil {
-				if !c.inKey(pc) {
-					// A user fetch that changes the key: the observers
-					// are called out as on the slow path, with the
-					// commits so far flushed.
-					left, user = c.flush(inH, cycles, lu, n, left, user)
-					cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
-					c.observe()
-					lim = c.limit(left, user, inH, pol)
-				}
-				wBase, wRec = c.clip(wBase, wRec)
-			}
-			p = &wRec[(pc-wBase)>>2]
 		} else {
-			c.handOver(wSlot, hits)
-			if pol == detailed {
-				left, user = c.flush(inH, cycles, lu, n, left, user)
+			// The line holding pc is probed in place: the window moves
+			// there when it may be a window at all (lineWindow), it hits
+			// and its records are current.
+			s := -1
+			if pol != functional && pc&3 == 0 && c.lineWindow(pc) {
+				s = c.IC.Slot(pc)
+			}
+			if s >= 0 && c.IC.Derived(s) && (pol != detailed || c.OnKey == nil || !inH || c.inKey(pc)) {
+				c.handOver(wSlot, hits)
+				wBase, wRec, wSlot, hits = c.IC.LineBase(pc), c.pcode[s*c.wpl:(s+1)*c.wpl], s, 1
+				if pol == detailed && c.OnKey != nil {
+					if !c.inKey(pc) {
+						// A user fetch that changes the key: the observers
+						// are called out as on the slow path, with the
+						// commits so far flushed.
+						left, user = c.flush(inH, cycles, lu, n, left, user)
+						cycles, lu, n, c.pc, c.lastLoad = 0, 0, 0, pc, lastLoad
+						c.observe()
+						lim = c.limit(left, user, inH, pol)
+					}
+					wBase, wRec = c.clip(wBase, wRec)
+				}
+				p = &wRec[(pc-wBase)>>2]
 			} else {
-				left, user = c.count(inH, n, left, user)
-			}
-			cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
-			if pol == detailed && c.OnKey != nil {
-				c.observe()
-			}
-			if mode == runToFault && c.missDue() {
-				return nil
-			}
-			if p, err = c.fetch(pol); err != nil {
-				return err
-			}
-			wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
-			if p == nil { // a decompression exception vectored to the handler
-				pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+				c.handOver(wSlot, hits)
+				if pol == detailed {
+					left, user = c.flush(inH, cycles, lu, n, left, user)
+				} else {
+					left, user = c.count(inH, n, left, user)
+				}
+				cycles, lu, n, hits, c.pc, c.lastLoad = 0, 0, 0, 0, pc, lastLoad
 				if pol == detailed && c.OnKey != nil {
 					c.observe()
 				}
-				if left <= 0 {
-					return c.budgetError()
+				if mode == runToFault && c.missDue() {
+					return nil
 				}
-				if pol == detailed && c.Trace == nil {
-					if rec := c.enterActivation(left); rec != nil {
-						left = c.replay(rec, left)
-						c.excReturn(c.pc)
-						if c.OnKey != nil {
-							c.observe()
-						}
-						wRec, wSlot = nil, -1
-						pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
-						if left <= 0 {
-							return c.budgetError()
-						}
-						if user <= 0 {
-							return nil
+				if p, err = c.fetch(pol); err != nil {
+					return err
+				}
+				wBase, wRec, wSlot = c.win.base, c.win.rec, c.win.slot
+				if p == nil { // a decompression exception vectored to the handler
+					pc, lastLoad, inH, r = c.pc, c.lastLoad, c.inHandler, &c.regs[c.bank]
+					if pol == detailed && c.OnKey != nil {
+						c.observe()
+					}
+					if left <= 0 {
+						return c.budgetError()
+					}
+					if pol == detailed && c.Trace == nil {
+						if rec := c.enterActivation(left); rec != nil {
+							left = c.replay(rec, left)
+							c.excReturn(c.pc)
+							if c.OnKey != nil {
+								c.observe()
+							}
+							wRec, wSlot = nil, -1
+							pc, lastLoad, inH, r = c.pc, c.lastLoad, false, &c.regs[c.bank]
+							if left <= 0 {
+								return c.budgetError()
+							}
+							if user <= 0 {
+								return nil
+							}
 						}
 					}
 				}
-			}
-			if lim = c.limit(left, user, inH, pol); p == nil {
-				continue
+				if lim = c.limit(left, user, inH, pol); p == nil {
+					continue
+				}
 			}
 		}
 
@@ -555,26 +604,26 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 
 		switch p.op {
 		case pSLL:
-			c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]<<(p.shamt&31))
 		case pSRL:
-			c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]>>(p.shamt&31))
 		case pSRA:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(p.shamt&31)))
 		case pSLLV:
-			c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]<<(r[p.rs&31]&31))
 		case pSRLV:
-			c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]>>(r[p.rs&31]&31))
 		case pSRAV:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(r[p.rs&31]&31)))
 		case pJR:
-			next = r[p.rs]
+			next = r[p.rs&31]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
 			}
 		case pJALR:
 			c.setr(r, int(p.rd), pc+4)
-			next = r[p.rs]
+			next = r[p.rs&31]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.JRPenalty)
 				c.Stats.CPIStack[CycleBranch] += uint64(c.Cfg.JRPenalty)
@@ -596,46 +645,46 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 		case pMFLO:
 			c.setr(r, int(p.rd), c.lo)
 		case pMULT:
-			prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
+			prod := int64(int32(r[p.rs&31])) * int64(int32(r[p.rt&31]))
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pMULTU:
-			prod := uint64(r[p.rs]) * uint64(r[p.rt])
+			prod := uint64(r[p.rs&31]) * uint64(r[p.rt&31])
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pDIV:
-			if r[p.rt] != 0 {
-				c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
-				c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
+			if r[p.rt&31] != 0 {
+				c.lo = uint32(int32(r[p.rs&31]) / int32(r[p.rt&31]))
+				c.hi = uint32(int32(r[p.rs&31]) % int32(r[p.rt&31]))
 			}
 		case pDIVU:
-			if r[p.rt] != 0 {
-				c.lo = r[p.rs] / r[p.rt]
-				c.hi = r[p.rs] % r[p.rt]
+			if r[p.rt&31] != 0 {
+				c.lo = r[p.rs&31] / r[p.rt&31]
+				c.hi = r[p.rs&31] % r[p.rt&31]
 			}
 		case pADD:
-			c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]+r[p.rt&31])
 		case pSUB:
-			c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]-r[p.rt&31])
 		case pAND:
-			c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]&r[p.rt&31])
 		case pOR:
-			c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]|r[p.rt&31])
 		case pXOR:
-			c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]^r[p.rt&31])
 		case pNOR:
-			c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
+			c.setr(r, int(p.rd), ^(r[p.rs&31] | r[p.rt&31]))
 		case pSLT:
-			c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
+			c.setr(r, int(p.rd), b2u(int32(r[p.rs&31]) < int32(r[p.rt&31])))
 		case pSLTU:
-			c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+			c.setr(r, int(p.rd), b2u(r[p.rs&31] < r[p.rt&31]))
 
 		case pBLTZ:
-			taken := int32(r[p.rs]) < 0
+			taken := int32(r[p.rs&31]) < 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGEZ:
-			taken := int32(r[p.rs]) >= 0
+			taken := int32(r[p.rs&31]) >= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
@@ -651,49 +700,49 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			}
 
 		case pBEQ:
-			taken := r[p.rs] == r[p.rt]
+			taken := r[p.rs&31] == r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBNE:
-			taken := r[p.rs] != r[p.rt]
+			taken := r[p.rs&31] != r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBLEZ:
-			taken := int32(r[p.rs]) <= 0
+			taken := int32(r[p.rs&31]) <= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 		case pBGTZ:
-			taken := int32(r[p.rs]) > 0
+			taken := int32(r[p.rs&31]) > 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
 				next = p.tgt
 			}
 
 		case pADDI:
-			c.setr(r, int(p.rt), r[p.rs]+p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]+p.imm)
 		case pSLTI:
-			c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
+			c.setr(r, int(p.rt), b2u(int32(r[p.rs&31]) < int32(p.imm)))
 		case pSLTIU:
-			c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
+			c.setr(r, int(p.rt), b2u(r[p.rs&31] < p.imm))
 		case pANDI:
-			c.setr(r, int(p.rt), r[p.rs]&p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]&p.imm)
 		case pORI:
-			c.setr(r, int(p.rt), r[p.rs]|p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]|p.imm)
 		case pXORI:
-			c.setr(r, int(p.rt), r[p.rs]^p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]^p.imm)
 		case pLUI:
 			c.setr(r, int(p.rt), p.imm)
 
 		case pMFC0:
-			c.setr(r, int(p.rt), c.c0[p.rd])
+			c.setr(r, int(p.rt), c.c0[p.rd&7])
 		case pMTC0:
-			c.c0[p.rd] = r[p.rt]
+			c.c0[p.rd&7] = r[p.rt&31]
 		case pIRET:
 			if !inH {
 				err = fmt.Errorf("cpu: iret outside handler at %#x", pc)
@@ -711,75 +760,105 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			lim = 0 // close the exception interval below
 
 		case pLB:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
-			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(int32(int8(b[0]))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			}
 		case pLBU:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
-			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(b[0]))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			}
 		case pLH:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(int32(int16(binary.LittleEndian.Uint16(b)))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			}
 		case pLHU:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned lhu at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(binary.LittleEndian.Uint16(b)))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			}
 		case pLW:
-			addr := r[p.rs] + p.imm
-			cyc += c.dRead(addr, pol)
+			addr := r[p.rs&31] + p.imm
+			if pol != functional && (pol == detailed && c.rp.open != nil || !c.DC.Hit(addr)) {
+				cyc += c.dAccess(addr, pol)
+			}
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned lw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			if b := c.Mem.Cached(addr); len(b) >= 4 {
+				c.setr(r, int(p.rt), binary.LittleEndian.Uint32(b))
+			} else {
+				c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			}
 
 		case pSB:
-			addr := r[p.rs] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt])) {
+			addr := r[p.rs&31] + p.imm
+			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 		case pSH:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt])) {
+			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 		case pSW:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt]) {
+			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
 				err = storeError(pc, addr)
 				goto fail
 			}
 			c.fstoreData(addr)
 
 		case pSWIC:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned swic at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			v := r[p.rt]
+			v := r[p.rt&31]
 			if pol == functional {
 				if c.Cfg.FunctionalBreak && inH {
 					// Deliberate fault injection for the equivalence
@@ -891,65 +970,65 @@ func (c *CPU) coreFunctional(pc, base uint32, rec []pinstr, r *[32]uint32, inH b
 		next := pc + 4
 		switch p.op {
 		case pSLL:
-			c.setr(r, int(p.rd), r[p.rt]<<p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]<<(p.shamt&31))
 		case pSRL:
-			c.setr(r, int(p.rd), r[p.rt]>>p.shamt)
+			c.setr(r, int(p.rd), r[p.rt&31]>>(p.shamt&31))
 		case pSRA:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>p.shamt))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(p.shamt&31)))
 		case pSLLV:
-			c.setr(r, int(p.rd), r[p.rt]<<(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]<<(r[p.rs&31]&31))
 		case pSRLV:
-			c.setr(r, int(p.rd), r[p.rt]>>(r[p.rs]&31))
+			c.setr(r, int(p.rd), r[p.rt&31]>>(r[p.rs&31]&31))
 		case pSRAV:
-			c.setr(r, int(p.rd), uint32(int32(r[p.rt])>>(r[p.rs]&31)))
+			c.setr(r, int(p.rd), uint32(int32(r[p.rt&31])>>(r[p.rs&31]&31)))
 		case pJR:
-			next = r[p.rs]
+			next = r[p.rs&31]
 		case pJALR:
 			c.setr(r, int(p.rd), pc+4)
-			next = r[p.rs]
+			next = r[p.rs&31]
 		case pMFHI:
 			c.setr(r, int(p.rd), c.hi)
 		case pMFLO:
 			c.setr(r, int(p.rd), c.lo)
 		case pMULT:
-			prod := int64(int32(r[p.rs])) * int64(int32(r[p.rt]))
+			prod := int64(int32(r[p.rs&31])) * int64(int32(r[p.rt&31]))
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pMULTU:
-			prod := uint64(r[p.rs]) * uint64(r[p.rt])
+			prod := uint64(r[p.rs&31]) * uint64(r[p.rt&31])
 			c.lo, c.hi = uint32(prod), uint32(prod>>32)
 		case pDIV:
-			if r[p.rt] != 0 {
-				c.lo = uint32(int32(r[p.rs]) / int32(r[p.rt]))
-				c.hi = uint32(int32(r[p.rs]) % int32(r[p.rt]))
+			if r[p.rt&31] != 0 {
+				c.lo = uint32(int32(r[p.rs&31]) / int32(r[p.rt&31]))
+				c.hi = uint32(int32(r[p.rs&31]) % int32(r[p.rt&31]))
 			}
 		case pDIVU:
-			if r[p.rt] != 0 {
-				c.lo = r[p.rs] / r[p.rt]
-				c.hi = r[p.rs] % r[p.rt]
+			if r[p.rt&31] != 0 {
+				c.lo = r[p.rs&31] / r[p.rt&31]
+				c.hi = r[p.rs&31] % r[p.rt&31]
 			}
 		case pADD:
-			c.setr(r, int(p.rd), r[p.rs]+r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]+r[p.rt&31])
 		case pSUB:
-			c.setr(r, int(p.rd), r[p.rs]-r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]-r[p.rt&31])
 		case pAND:
-			c.setr(r, int(p.rd), r[p.rs]&r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]&r[p.rt&31])
 		case pOR:
-			c.setr(r, int(p.rd), r[p.rs]|r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]|r[p.rt&31])
 		case pXOR:
-			c.setr(r, int(p.rd), r[p.rs]^r[p.rt])
+			c.setr(r, int(p.rd), r[p.rs&31]^r[p.rt&31])
 		case pNOR:
-			c.setr(r, int(p.rd), ^(r[p.rs] | r[p.rt]))
+			c.setr(r, int(p.rd), ^(r[p.rs&31] | r[p.rt&31]))
 		case pSLT:
-			c.setr(r, int(p.rd), b2u(int32(r[p.rs]) < int32(r[p.rt])))
+			c.setr(r, int(p.rd), b2u(int32(r[p.rs&31]) < int32(r[p.rt&31])))
 		case pSLTU:
-			c.setr(r, int(p.rd), b2u(r[p.rs] < r[p.rt]))
+			c.setr(r, int(p.rd), b2u(r[p.rs&31] < r[p.rt&31]))
 		case pBLTZ:
-			taken := int32(r[p.rs]) < 0
+			taken := int32(r[p.rs&31]) < 0
 			if taken {
 				next = p.tgt
 			}
 		case pBGEZ:
-			taken := int32(r[p.rs]) >= 0
+			taken := int32(r[p.rs&31]) >= 0
 			if taken {
 				next = p.tgt
 			}
@@ -959,97 +1038,117 @@ func (c *CPU) coreFunctional(pc, base uint32, rec []pinstr, r *[32]uint32, inH b
 			c.setr(r, 31, pc+4)
 			next = p.tgt
 		case pBEQ:
-			taken := r[p.rs] == r[p.rt]
+			taken := r[p.rs&31] == r[p.rt&31]
 			if taken {
 				next = p.tgt
 			}
 		case pBNE:
-			taken := r[p.rs] != r[p.rt]
+			taken := r[p.rs&31] != r[p.rt&31]
 			if taken {
 				next = p.tgt
 			}
 		case pBLEZ:
-			taken := int32(r[p.rs]) <= 0
+			taken := int32(r[p.rs&31]) <= 0
 			if taken {
 				next = p.tgt
 			}
 		case pBGTZ:
-			taken := int32(r[p.rs]) > 0
+			taken := int32(r[p.rs&31]) > 0
 			if taken {
 				next = p.tgt
 			}
 		case pADDI:
-			c.setr(r, int(p.rt), r[p.rs]+p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]+p.imm)
 		case pSLTI:
-			c.setr(r, int(p.rt), b2u(int32(r[p.rs]) < int32(p.imm)))
+			c.setr(r, int(p.rt), b2u(int32(r[p.rs&31]) < int32(p.imm)))
 		case pSLTIU:
-			c.setr(r, int(p.rt), b2u(r[p.rs] < p.imm))
+			c.setr(r, int(p.rt), b2u(r[p.rs&31] < p.imm))
 		case pANDI:
-			c.setr(r, int(p.rt), r[p.rs]&p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]&p.imm)
 		case pORI:
-			c.setr(r, int(p.rt), r[p.rs]|p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]|p.imm)
 		case pXORI:
-			c.setr(r, int(p.rt), r[p.rs]^p.imm)
+			c.setr(r, int(p.rt), r[p.rs&31]^p.imm)
 		case pLUI:
 			c.setr(r, int(p.rt), p.imm)
 		case pMFC0:
-			c.setr(r, int(p.rt), c.c0[p.rd])
+			c.setr(r, int(p.rt), c.c0[p.rd&7])
 		case pMTC0:
-			c.c0[p.rd] = r[p.rt]
+			c.c0[p.rd&7] = r[p.rt&31]
 		case pLB:
-			addr := r[p.rs] + p.imm
-			c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			addr := r[p.rs&31] + p.imm
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(int32(int8(b[0]))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int8(c.Mem.LoadByte(addr)))))
+			}
 		case pLBU:
-			addr := r[p.rs] + p.imm
-			c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			addr := r[p.rs&31] + p.imm
+			if b := c.Mem.Cached(addr); len(b) > 0 {
+				c.setr(r, int(p.rt), uint32(b[0]))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.LoadByte(addr)))
+			}
 		case pLH:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				return pc, n, lastLoad
 			}
-			c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(int32(int16(binary.LittleEndian.Uint16(b)))))
+			} else {
+				c.setr(r, int(p.rt), uint32(int32(int16(c.Mem.ReadHalf(addr)))))
+			}
 		case pLHU:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				return pc, n, lastLoad
 			}
-			c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			if b := c.Mem.Cached(addr); len(b) >= 2 {
+				c.setr(r, int(p.rt), uint32(binary.LittleEndian.Uint16(b)))
+			} else {
+				c.setr(r, int(p.rt), uint32(c.Mem.ReadHalf(addr)))
+			}
 		case pLW:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				return pc, n, lastLoad
 			}
-			c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			if b := c.Mem.Cached(addr); len(b) >= 4 {
+				c.setr(r, int(p.rt), binary.LittleEndian.Uint32(b))
+			} else {
+				c.setr(r, int(p.rt), c.Mem.ReadWord(addr))
+			}
 		case pSB:
-			addr := r[p.rs] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt])) {
+			addr := r[p.rs&31] + p.imm
+			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
 				return pc, n, lastLoad
 			}
 			c.fstoreData(addr)
 		case pSH:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				return pc, n, lastLoad
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt])) {
+			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
 				return pc, n, lastLoad
 			}
 			c.fstoreData(addr)
 		case pSW:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				return pc, n, lastLoad
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt]) {
+			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
 				return pc, n, lastLoad
 			}
 			c.fstoreData(addr)
 		case pSWIC:
-			addr := r[p.rs] + p.imm
+			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				return pc, n, lastLoad
 			}
-			v := r[p.rt]
+			v := r[p.rt&31]
 			if c.Cfg.FunctionalBreak && inH {
 				v ^= 4
 			}

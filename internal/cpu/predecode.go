@@ -33,7 +33,7 @@ import (
 // the last resolved line, or move to a predecoded line that hits,
 // skip the slow fetch path (run's fetch window).
 // Handler RAM is not cached, so it is predecoded once at Load and
-// patched on stores into [handlerPC, handlerEnd) (noteHandlerStore).
+// patched on stores into it (noteHandlerStore).
 //
 // Config.PredecodeCheck turns every fetch into a coherence oracle
 // (cached record vs a fresh decode of the backing word);
@@ -270,10 +270,10 @@ func (c *CPU) resetPredecode() {
 // handler executes from uncached RAM, so this is the only decode it
 // ever needs unless a store patches it (noteHandlerStore).
 func (c *CPU) predecodeHandler() {
-	if c.handlerPC == 0 || c.handlerEnd <= c.handlerPC || c.handlerPC&3 != 0 {
+	if c.handlerPC == 0 || c.handlerLen == 0 || c.handlerPC&3 != 0 {
 		return
 	}
-	n := int((c.handlerEnd - c.handlerPC + 3) / 4)
+	n := int((uint64(c.handlerLen) + 3) / 4)
 	c.hdec = make([]pinstr, n)
 	for i := 0; i < n; i++ {
 		a := c.handlerPC + uint32(i*4)
@@ -302,30 +302,32 @@ func (c *CPU) slotRecord(pc uint32, slot int) *pinstr {
 	return &recs[int(pc>>2)&(c.wpl-1)]
 }
 
-// lineWindow reports whether the I-cache line at base may be a fetch
-// window: not when PredecodeCheck wants every fetch checked or when the
-// line overlaps handler RAM (whose fetches must not be served from the
-// I-cache). An observed detailed loop clips the window to the key range
-// (clip).
-func (c *CPU) lineWindow(base uint32) bool {
-	end := base + uint32(c.Cfg.ICache.LineBytes)
-	return !c.Cfg.PredecodeCheck && (end <= c.handlerPC || base >= c.handlerEnd)
+// lineWindow reports whether the I-cache line holding addr may be a
+// fetch window: not when PredecodeCheck wants every fetch checked or
+// DisablePredecode every word decoded, nor when the line overlaps
+// handler RAM (whose fetches must not be served from the I-cache). The
+// overlap is tested by offset, so handler RAM that ends at 2^32 counts.
+// An observed detailed loop clips the window to the key range (clip).
+func (c *CPU) lineWindow(addr uint32) bool {
+	n := uint32(c.Cfg.ICache.LineBytes)
+	base := addr &^ (n - 1)
+	return !c.Cfg.PredecodeCheck && !c.Cfg.DisablePredecode &&
+		base-c.handlerPC >= c.handlerLen && (c.handlerPC-base >= n || c.handlerLen == 0)
 }
 
 // fillNative installs the line at base from backed memory — the
-// hardware refill — and returns the bus cycles it takes. The records
-// are copied from the native decode store (fdec), so a line that
-// returns after an eviction is not decoded again; words outside the
-// native extent are decoded from the line.
-func (c *CPU) fillNative(base uint32) int {
+// hardware refill — and returns its slot and the bus cycles it takes.
+// The records are copied from the native decode store (fdec), so a
+// line that returns after an eviction is not decoded again; words
+// outside the native extent are decoded from the line.
+func (c *CPU) fillNative(base uint32) (int, int) {
 	line := c.fillBuf
 	stall := c.Mem.ReadBlock(base, line)
-	c.IC.Fill(base, line)
+	slot := c.IC.Fill(base, line)
 	if c.Cfg.DisablePredecode {
-		return stall
+		return slot, stall
 	}
 	c.fdecEnsure()
-	slot := c.IC.Slot(base)
 	recs := c.pcode[slot*c.wpl : (slot+1)*c.wpl]
 	for i := range recs {
 		a := base + uint32(4*i)
@@ -340,7 +342,7 @@ func (c *CPU) fillNative(base uint32) int {
 		recs[i] = c.fdec[j]
 	}
 	c.IC.SetDerived(slot)
-	return stall
+	return slot, stall
 }
 
 // goldenLine builds the decompressed line at base from the golden text
@@ -362,7 +364,7 @@ func (c *CPU) goldenLine(base uint32) []byte {
 // Cheap range check on the hot store path; sb/sh/sw cannot cross a word
 // boundary (sh/sw alignment is enforced before this).
 func (c *CPU) noteHandlerStore(addr uint32) {
-	if c.hdec == nil || addr < c.handlerPC || addr >= c.handlerEnd {
+	if c.hdec == nil || !c.inHandlerRAM(addr) {
 		return
 	}
 	c.dropRecordings()

@@ -44,7 +44,7 @@ type MachineState struct {
 	CompStart  uint32 `json:"comp_start"`
 	CompEnd    uint32 `json:"comp_end"`
 	HandlerPC  uint32 `json:"handler_pc"`
-	HandlerEnd uint32 `json:"handler_end"`
+	HandlerEnd uint32 `json:"handler_end"` // 0 with a nonzero HandlerPC: 2^32
 
 	// Golden decompressed text (hardware-decompress mode); empty when
 	// the image has none.
@@ -85,7 +85,7 @@ func (c *CPU) CaptureState() MachineState {
 		CompStart:  c.compStart,
 		CompEnd:    c.compEnd,
 		HandlerPC:  c.handlerPC,
-		HandlerEnd: c.handlerEnd,
+		HandlerEnd: c.handlerPC + c.handlerLen,
 
 		Halted:   c.halted,
 		ExitCode: c.exitCode,
@@ -132,7 +132,7 @@ func (c *CPU) RestoreState(st MachineState) {
 	c.savedBank = st.SavedBank
 
 	c.compStart, c.compEnd = st.CompStart, st.CompEnd
-	c.handlerPC, c.handlerEnd = st.HandlerPC, st.HandlerEnd
+	c.handlerPC, c.handlerLen = st.HandlerPC, handlerLen(st.HandlerPC, st.HandlerEnd)
 	c.goldenText = nil
 	if len(st.GoldenData) > 0 || st.GoldenName != "" {
 		data := make([]byte, len(st.GoldenData))
@@ -178,4 +178,13 @@ func (c *CPU) RestoreState(st MachineState) {
 	if !c.Cfg.DisablePredecode {
 		c.predecodeHandler()
 	}
+}
+
+// handlerLen is the length of handler RAM from base to end, where an
+// end of 0 stands for 2^32. A reversed extent is none.
+func handlerLen(base, end uint32) uint32 {
+	if end != 0 && end < base {
+		return 0
+	}
+	return end - base
 }

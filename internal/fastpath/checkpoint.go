@@ -143,7 +143,8 @@ func (ck *Checkpoint) checkConfig() error {
 // checkGeometry refuses core state whose geometry would index out of
 // range or size an allocation: a register bank other than 0 or 1; a
 // handler extent that starts unaligned, is reversed or is not backed by
-// memory (handler RAM is predecoded word by word); a compressed region
+// memory (handler RAM is predecoded word by word; an end of 0 with a
+// nonzero start is RAM ending at 2^32); a compressed region
 // that is unaligned (the functional store indexes it by word), reversed
 // or larger than cpu.MaxCompressedRegion; a functional-store word outside
 // the I-cache lines of that region.
@@ -152,7 +153,7 @@ func (ck *Checkpoint) checkGeometry(m *mem.Memory) error {
 	if uint(st.Bank) > 1 || uint(st.SavedBank) > 1 {
 		return invalid("register bank %d, saved bank %d (want 0 or 1)", st.Bank, st.SavedBank)
 	}
-	if h, e := st.HandlerPC, st.HandlerEnd; (h != 0 || e != 0) && (h&3 != 0 || h >= e || !m.BackedRange(h, e)) {
+	if h, e := st.HandlerPC, st.HandlerEnd; (h != 0 || e != 0) && (h&3 != 0 || e != 0 && h >= e || !m.BackedRange(h, e-1) || !m.Backed(e-1)) {
 		return invalid("handler extent [%#x, %#x) is not word-aligned, ordered and backed by memory", h, e)
 	}
 	s, e := st.CompStart, st.CompEnd

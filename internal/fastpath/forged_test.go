@@ -131,6 +131,33 @@ func TestForgedCheckpointsRefused(t *testing.T) {
 	}
 }
 
+// TestCheckpointHandlerInLastPage: handler RAM ending exactly at 2^32,
+// which a checkpoint records with an end of 0, is accepted when its
+// page is backed and comes back with the same extent; unbacked, it is
+// refused.
+func TestCheckpointHandlerInLastPage(t *testing.T) {
+	ck := sortCheckpoint(t, rtd.Options{Scheme: rtd.SchemeDict, ShadowRF: true})
+	ck.Machine.HandlerPC, ck.Machine.HandlerEnd = 0xFFFF0000, 0
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadApply(path); !errors.Is(err, fastpath.ErrInvalidCheckpoint) {
+		t.Fatalf("handler RAM on an unbacked page: want ErrInvalidCheckpoint, got %v", err)
+	}
+	ck.Memory.Pages = append(ck.Memory.Pages, mem.PageState{Index: 0xFFFF, Data: make([]byte, 1<<16)})
+	if err := ck.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	c, _, err := loadApply(path)
+	if err != nil {
+		t.Fatalf("handler RAM ending at 2^32 refused: %v", err)
+	}
+	if st := c.CaptureState(); st.HandlerPC != 0xFFFF0000 || st.HandlerEnd != 0 {
+		t.Fatalf("restored handler extent [%#x, %#x), want [0xffff0000, 0)", st.HandlerPC, st.HandlerEnd)
+	}
+}
+
 // TestForgedImageRegionRefused: a dict image whose compressed region
 // is unaligned, reversed, oversized or runs past its own .text segment
 // decodes, but cpu.Load refuses it with an ErrInvalidImage error before

@@ -97,11 +97,24 @@ func (m *Memory) page(addr uint32, create bool) []byte {
 	return p
 }
 
+// Cached returns addr's page from addr on when the page cache holds the
+// page, or nil; it changes nothing. It inlines, so a load whose page is
+// cached reads it without a call (LoadByte, ReadHalf and ReadWord are
+// the loads for every page).
+func (m *Memory) Cached(addr uint32) []byte {
+	if s := &m.pcache[addr>>pageShift&7]; s.idx == addr>>pageShift && s.data != nil {
+		return s.data[addr&(pageSize-1):]
+	}
+	return nil
+}
+
 // Backed reports whether addr has ever been written (i.e. belongs to a
 // loaded segment or touched page). The CPU uses it to distinguish the
-// virtual decompressed region (never loaded) from real memory.
+// virtual decompressed region (never loaded) from real memory. It
+// resolves the page through the page cache, so the read of a backed
+// line that usually follows it finds the page there.
 func (m *Memory) Backed(addr uint32) bool {
-	return m.pages[addr>>pageShift] != nil
+	return m.page(addr, false) != nil
 }
 
 // BackedRange reports whether every page of [lo, hi) is backed (an

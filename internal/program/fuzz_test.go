@@ -45,6 +45,11 @@ func FuzzImageLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(wrapped)
+	topOverlap, err := program.Encode(topOverlapImage())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(topOverlap)
 	var legacy bytes.Buffer
 	zw := gzip.NewWriter(&legacy)
 	zw.Write([]byte(`{"format":"clr32-image","version":1,"image":{"Entry":4194304}}`))
@@ -97,6 +102,40 @@ func wrappedSort(tb testing.TB) *program.Image {
 	}
 	main.Size = -main.Addr + 8
 	return im
+}
+
+// topOverlapImage has a .text page ending exactly at 2^32 and a .data
+// segment inside it: End() of the lower segment wraps to 0, so compared
+// in 32 bits the two would not overlap.
+func topOverlapImage() *program.Image {
+	return &program.Image{
+		Entry: 0xFFFFF000,
+		Segments: []*program.Segment{
+			{Name: program.SegText, Base: 0xFFFFF000, Data: make([]byte, 0x1000)},
+			{Name: program.SegData, Base: 0xFFFFF800, Data: make([]byte, 0x100)},
+		},
+	}
+}
+
+// TestValidateOverlapAtTop: segments that overlap below 2^32 are
+// refused when the lower one ends exactly at 2^32, by Validate and so
+// by Load; the upper one alone is valid.
+func TestValidateOverlapAtTop(t *testing.T) {
+	im := topOverlapImage()
+	if err := im.Validate(); err == nil || !strings.Contains(err.Error(), "overlap") {
+		t.Fatalf("Validate accepted .data inside a .text ending at 2^32: %v", err)
+	}
+	data, err := program.Encode(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := program.Load(bytes.NewReader(data)); err == nil {
+		t.Fatal("Load accepted the overlapping segments")
+	}
+	im.Segments = im.Segments[:1]
+	if err := im.Validate(); err != nil {
+		t.Fatalf("a .text page ending at 2^32 is valid: %v", err)
+	}
 }
 
 // TestValidateRefusesWrappedProcedure: a procedure running past the

@@ -231,7 +231,8 @@ func (im *Image) Validate() error {
 	segs := append([]*Segment(nil), im.Segments...)
 	sort.Slice(segs, func(i, j int) bool { return segs[i].Base < segs[j].Base })
 	for i := 1; i < len(segs); i++ {
-		if segs[i-1].End() > segs[i].Base {
+		// In 64 bits: a segment ending at 2^32 has End() 0.
+		if uint64(segs[i-1].Base)+uint64(len(segs[i-1].Data)) > uint64(segs[i].Base) {
 			return fmt.Errorf("program: segments %s and %s overlap", segs[i-1].Name, segs[i].Name)
 		}
 	}
