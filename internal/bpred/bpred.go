@@ -31,11 +31,6 @@ func New(entries int) *Predictor {
 
 func (p *Predictor) idx(pc uint32) uint32 { return pc >> 2 & p.mask }
 
-// Predict returns the predicted direction for the branch at pc.
-func (p *Predictor) Predict(pc uint32) bool {
-	return p.table[p.idx(pc)] >= 2
-}
-
 // Update trains the predictor with the resolved direction and reports
 // whether the prediction was correct.
 func (p *Predictor) Update(pc uint32, taken bool) bool {

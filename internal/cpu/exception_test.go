@@ -38,11 +38,18 @@ copy:   lw    $t3, 0($t1)
 // lines on demand.
 func buildCopyCompressed(t *testing.T, src string, shadowRF bool) *program.Image {
 	t.Helper()
+	return buildWithHandler(t, src, copyHandler, shadowRF)
+}
+
+// buildWithHandler is buildCopyCompressed with the handler assembled
+// from handlerSrc, which must fill lines as copyHandler does.
+func buildWithHandler(t *testing.T, src, handlerSrc string, shadowRF bool) *program.Image {
+	t.Helper()
 	native, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := asm.Assemble(copyHandler)
+	handler, err := asm.Assemble(handlerSrc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -435,12 +435,13 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 // (handOver) before any other I-cache operation, before every callout
 // and at every return; a swic ends an I-cache window.
 //
-// Fetching from the window, moving it, and a load that hits the
-// D-cache (cache.Hit, which changes nothing on a miss) from a page the
-// memory's page cache holds (mem.Cached) make no call. The loop calls
-// out on a miss, a branch (the predictor), a store, a swic, a syscall,
-// and on every load while a handler activation is being recorded
-// (dAccess records it).
+// Fetching from the window, moving it, a load that hits the D-cache
+// (cache.Hit, which changes nothing on a miss) from a page the
+// memory's page cache holds (mem.Cached), and a store to such a page
+// that needs no coherence work (plainStore) make no call. The loop
+// calls out on a miss, a branch (the predictor), any other store, a
+// swic, a syscall, and on every load while a handler activation is
+// being recorded (dAccess records it).
 func (c *CPU) run(left, user int64, mode int) error {
 	const pol = detailed
 	if c.halted {
@@ -642,20 +643,20 @@ func (c *CPU) run(left, user int64, mode int) error {
 			taken := int32(r[p.rs&31]) < 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGEZ:
 			taken := int32(r[p.rs&31]) >= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 
 		case pJ:
-			next = p.tgt
+			next = p.imm
 		case pJAL:
 			c.setr(r, 31, pc+4)
-			next = p.tgt
+			next = p.imm
 			if !inH && pol == detailed && c.calls != nil {
 				c.calls[[2]uint32{pc, next}]++
 			}
@@ -664,25 +665,25 @@ func (c *CPU) run(left, user int64, mode int) error {
 			taken := r[p.rs&31] == r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBNE:
 			taken := r[p.rs&31] != r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBLEZ:
 			taken := int32(r[p.rs&31]) <= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGTZ:
 			taken := int32(r[p.rs&31]) > 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 
 		case pADDI:
@@ -785,33 +786,45 @@ func (c *CPU) run(left, user int64, mode int) error {
 
 		case pSB:
 			addr := r[p.rs&31] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) > 0 && c.plainStore(addr) {
+				b[0] = byte(r[p.rt&31])
+			} else {
+				if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSH:
 			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) >= 2 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint16(b, uint16(r[p.rt&31]))
+			} else {
+				if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSW:
 			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) >= 4 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint32(b, r[p.rt&31])
+			} else {
+				if !c.Mem.WriteWord(addr, r[p.rt&31]) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 
 		case pSWIC:
 			addr := r[p.rs&31] + p.imm

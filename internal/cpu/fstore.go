@@ -169,3 +169,14 @@ func (c *CPU) fstoreData(addr uint32) {
 		c.dropRecordings()
 	}
 }
+
+// plainStore reports whether a data store to addr needs none of
+// fstoreData's work: no activation is being recorded, and addr lies
+// outside handler RAM, the compressed region, the native extent and
+// the recordings' loaded span. run writes such a store's page inline.
+// Each range is tested by offset, so it inlines.
+func (c *CPU) plainStore(addr uint32) bool {
+	return c.rp.open == nil && addr-c.handlerPC >= c.handlerLen &&
+		addr-c.compStart >= c.compEnd-c.compStart &&
+		addr-c.fdBase >= c.fdEnd-c.fdBase && addr-c.rp.lo >= c.rp.span
+}

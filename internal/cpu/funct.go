@@ -210,20 +210,20 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			taken := int32(r[p.rs&31]) < 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGEZ:
 			taken := int32(r[p.rs&31]) >= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 
 		case pJ:
-			next = p.tgt
+			next = p.imm
 		case pJAL:
 			c.setr(r, 31, pc+4)
-			next = p.tgt
+			next = p.imm
 			if !inH && pol == detailed && c.calls != nil {
 				c.calls[[2]uint32{pc, next}]++
 			}
@@ -232,25 +232,25 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			taken := r[p.rs&31] == r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBNE:
 			taken := r[p.rs&31] != r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBLEZ:
 			taken := int32(r[p.rs&31]) <= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGTZ:
 			taken := int32(r[p.rs&31]) > 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 
 		case pADDI:
@@ -353,33 +353,45 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 
 		case pSB:
 			addr := r[p.rs&31] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) > 0 && c.plainStore(addr) {
+				b[0] = byte(r[p.rt&31])
+			} else {
+				if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSH:
 			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) >= 2 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint16(b, uint16(r[p.rt&31]))
+			} else {
+				if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSW:
 			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) >= 4 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint32(b, r[p.rt&31])
+			} else {
+				if !c.Mem.WriteWord(addr, r[p.rt&31]) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 
 		case pSWIC:
 			addr := r[p.rs&31] + p.imm
@@ -681,20 +693,20 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			taken := int32(r[p.rs&31]) < 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGEZ:
 			taken := int32(r[p.rs&31]) >= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 
 		case pJ:
-			next = p.tgt
+			next = p.imm
 		case pJAL:
 			c.setr(r, 31, pc+4)
-			next = p.tgt
+			next = p.imm
 			if !inH && pol == detailed && c.calls != nil {
 				c.calls[[2]uint32{pc, next}]++
 			}
@@ -703,25 +715,25 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			taken := r[p.rs&31] == r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBNE:
 			taken := r[p.rs&31] != r[p.rt&31]
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBLEZ:
 			taken := int32(r[p.rs&31]) <= 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGTZ:
 			taken := int32(r[p.rs&31]) > 0
 			cyc += c.branch(pc, taken, pol)
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 
 		case pADDI:
@@ -824,33 +836,45 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 
 		case pSB:
 			addr := r[p.rs&31] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) > 0 && c.plainStore(addr) {
+				b[0] = byte(r[p.rt&31])
+			} else {
+				if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSH:
 			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				err = fmt.Errorf("cpu: unaligned sh at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) >= 2 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint16(b, uint16(r[p.rt&31]))
+			} else {
+				if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSW:
 			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				err = fmt.Errorf("cpu: unaligned sw at %#x (addr %#x)", pc, addr)
 				goto fail
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
-				err = storeError(pc, addr)
-				goto fail
+			if b := c.Mem.Cached(addr); len(b) >= 4 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint32(b, r[p.rt&31])
+			} else {
+				if !c.Mem.WriteWord(addr, r[p.rt&31]) {
+					err = storeError(pc, addr)
+					goto fail
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 
 		case pSWIC:
 			addr := r[p.rs&31] + p.imm
@@ -1025,37 +1049,37 @@ func (c *CPU) coreFunctional(pc, base uint32, rec []pinstr, r *[32]uint32, inH b
 		case pBLTZ:
 			taken := int32(r[p.rs&31]) < 0
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGEZ:
 			taken := int32(r[p.rs&31]) >= 0
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pJ:
-			next = p.tgt
+			next = p.imm
 		case pJAL:
 			c.setr(r, 31, pc+4)
-			next = p.tgt
+			next = p.imm
 		case pBEQ:
 			taken := r[p.rs&31] == r[p.rt&31]
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBNE:
 			taken := r[p.rs&31] != r[p.rt&31]
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBLEZ:
 			taken := int32(r[p.rs&31]) <= 0
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pBGTZ:
 			taken := int32(r[p.rs&31]) > 0
 			if taken {
-				next = p.tgt
+				next = p.imm
 			}
 		case pADDI:
 			c.setr(r, int(p.rt), r[p.rs&31]+p.imm)
@@ -1121,28 +1145,40 @@ func (c *CPU) coreFunctional(pc, base uint32, rec []pinstr, r *[32]uint32, inH b
 			}
 		case pSB:
 			addr := r[p.rs&31] + p.imm
-			if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
-				return pc, n, lastLoad
+			if b := c.Mem.Cached(addr); len(b) > 0 && c.plainStore(addr) {
+				b[0] = byte(r[p.rt&31])
+			} else {
+				if !c.Mem.StoreByte(addr, byte(r[p.rt&31])) {
+					return pc, n, lastLoad
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSH:
 			addr := r[p.rs&31] + p.imm
 			if addr&1 != 0 {
 				return pc, n, lastLoad
 			}
-			if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
-				return pc, n, lastLoad
+			if b := c.Mem.Cached(addr); len(b) >= 2 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint16(b, uint16(r[p.rt&31]))
+			} else {
+				if !c.Mem.WriteHalf(addr, uint16(r[p.rt&31])) {
+					return pc, n, lastLoad
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSW:
 			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {
 				return pc, n, lastLoad
 			}
-			if !c.Mem.WriteWord(addr, r[p.rt&31]) {
-				return pc, n, lastLoad
+			if b := c.Mem.Cached(addr); len(b) >= 4 && c.plainStore(addr) {
+				binary.LittleEndian.PutUint32(b, r[p.rt&31])
+			} else {
+				if !c.Mem.WriteWord(addr, r[p.rt&31]) {
+					return pc, n, lastLoad
+				}
+				c.fstoreData(addr)
 			}
-			c.fstoreData(addr)
 		case pSWIC:
 			addr := r[p.rs&31] + p.imm
 			if addr&3 != 0 {

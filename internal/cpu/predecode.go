@@ -103,12 +103,13 @@ const (
 	pSWIC
 )
 
-// pinstr is one predecoded instruction. It is a plain comparable value
-// (PredecodeCheck relies on ==) holding everything the execution loops
-// need without touching the raw encoding: operand register numbers,
-// the load-use hazard sources, the op-specific immediate and the
-// absolute control-flow target (both computable at decode time because
-// a record is bound to its address).
+// pinstr is one predecoded instruction, 16 bytes, so four share a
+// host cache line. It is a plain comparable value (PredecodeCheck
+// relies on ==) holding everything the execution loops need without
+// touching the raw encoding: operand register numbers, the load-use
+// hazard sources and the op-specific immediate, which for a branch or
+// jump is its absolute target (computable at decode time because a
+// record is bound to its address).
 type pinstr struct {
 	op    pop
 	rs    uint8
@@ -118,8 +119,7 @@ type pinstr struct {
 	srcA  int8 // isa.SrcRegs, for the load-use interlock
 	srcB  int8
 	ldst  int8   // isa.LoadDest
-	imm   uint32 // op-specific: sign- or zero-extended, or lui value
-	tgt   uint32 // absolute branch/jump target
+	imm   uint32 // sign- or zero-extended immediate, lui value, or branch/jump target
 	raw   uint32 // original encoding (tracing, errors, coherence check)
 }
 
@@ -198,19 +198,19 @@ func decodeInstr(pc, w uint32) pinstr {
 		case isa.RtBGEZ:
 			p.op = pBGEZ
 		}
-		p.tgt = isa.BranchTarget(pc, w)
+		p.imm = isa.BranchTarget(pc, w)
 	case isa.OpJ:
-		p.op, p.tgt = pJ, isa.JumpTarget(pc, w)
+		p.op, p.imm = pJ, isa.JumpTarget(pc, w)
 	case isa.OpJAL:
-		p.op, p.tgt = pJAL, isa.JumpTarget(pc, w)
+		p.op, p.imm = pJAL, isa.JumpTarget(pc, w)
 	case isa.OpBEQ:
-		p.op, p.tgt = pBEQ, isa.BranchTarget(pc, w)
+		p.op, p.imm = pBEQ, isa.BranchTarget(pc, w)
 	case isa.OpBNE:
-		p.op, p.tgt = pBNE, isa.BranchTarget(pc, w)
+		p.op, p.imm = pBNE, isa.BranchTarget(pc, w)
 	case isa.OpBLEZ:
-		p.op, p.tgt = pBLEZ, isa.BranchTarget(pc, w)
+		p.op, p.imm = pBLEZ, isa.BranchTarget(pc, w)
 	case isa.OpBGTZ:
-		p.op, p.tgt = pBGTZ, isa.BranchTarget(pc, w)
+		p.op, p.imm = pBGTZ, isa.BranchTarget(pc, w)
 	case isa.OpADDI, isa.OpADDIU:
 		p.op, p.imm = pADDI, uint32(isa.SImm(w))
 	case isa.OpSLTI:

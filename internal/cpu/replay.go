@@ -422,14 +422,14 @@ func (c *CPU) eligible(rec *recording, compile bool) bool {
 		next := pc + 4
 		switch st.kind {
 		case wsJump:
-			next = c.hdec[off].tgt
+			next = c.hdec[off].imm
 		case wsBranch:
 			if len(ev) == 0 || ev[0]&3 == evLoad || ev[0]&3 == evSwic || ev[0]&^3 != pc {
 				return false
 			}
 			taken := ev[0]&3 == evTaken
 			if taken {
-				next = c.hdec[off].tgt
+				next = c.hdec[off].imm
 			}
 			if compile {
 				t := c.BP.Transfer(pc)

@@ -52,8 +52,9 @@ type Memory struct {
 	// Direct-mapped page cache: accesses cluster on a handful of pages
 	// (stack, handler tables, compressed indices, dictionary), and pages
 	// are never removed, so caching resolved lookups is always coherent
-	// and skips the map on the hot path. Eight slots keep the
-	// decompressor's interleaved indices/dictionary/stack streams from
+	// and skips the map on the hot path. Eight slots, indexed by
+	// slotOf, keep the decompressor's interleaved indices/dictionary/
+	// stack streams and the program's code, data and stack pages from
 	// thrashing a single entry.
 	pcache [8]pageSlot
 
@@ -80,9 +81,17 @@ type pageSlot struct {
 	data []byte
 }
 
+// slotOf is the page cache slot of page idx. The fold gives the
+// program layout's region pages distinct slots: native code (0x40),
+// compressed data (0x1000), .data (0x2000), the stack's top page
+// (0x6FFF) and handler RAM (0x7F00) take slots 0, 1, 2, 6 and 7.
+func slotOf(idx uint32) uint32 {
+	return (idx ^ idx>>3 ^ idx>>12) & 7
+}
+
 func (m *Memory) page(addr uint32, create bool) []byte {
 	idx := addr >> pageShift
-	s := &m.pcache[idx&7]
+	s := &m.pcache[slotOf(idx)]
 	if s.data != nil && s.idx == idx {
 		return s.data
 	}
@@ -102,7 +111,7 @@ func (m *Memory) page(addr uint32, create bool) []byte {
 // cached reads it without a call (LoadByte, ReadHalf and ReadWord are
 // the loads for every page).
 func (m *Memory) Cached(addr uint32) []byte {
-	if s := &m.pcache[addr>>pageShift&7]; s.idx == addr>>pageShift && s.data != nil {
+	if s := &m.pcache[slotOf(addr>>pageShift)]; s.idx == addr>>pageShift && s.data != nil {
 		return s.data[addr&(pageSize-1):]
 	}
 	return nil

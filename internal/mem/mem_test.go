@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -222,5 +223,100 @@ func TestBackedBound(t *testing.T) {
 	}
 	if len(r.pages) != 0 {
 		t.Fatal("refused Restore backed memory")
+	}
+}
+
+// regionPages are the pages of the program layout's regions: native
+// code, compressed data, .data, the stack's top and handler RAM.
+var regionPages = []uint32{
+	program.NativeBase >> pageShift,
+	program.CompDataBase >> pageShift,
+	program.DataBase >> pageShift,
+	(program.StackTop - 4) >> pageShift,
+	program.HandlerBase >> pageShift,
+}
+
+// TestRegionPagesTakeDistinctSlots: the regions' pages each keep a page
+// cache slot of their own, so a native refill does not evict the data
+// page, and once touched all five stay cached.
+func TestRegionPagesTakeDistinctSlots(t *testing.T) {
+	seen := map[uint32]uint32{}
+	for _, p := range regionPages {
+		s := slotOf(p)
+		if q, ok := seen[s]; ok {
+			t.Errorf("pages %#x and %#x share page cache slot %d", q, p, s)
+		}
+		seen[s] = p
+	}
+	m := New(DefaultBus())
+	for _, p := range regionPages {
+		m.WriteWord(p<<pageShift, p)
+	}
+	for _, p := range regionPages {
+		if b := m.Cached(p << pageShift); len(b) != pageSize || &b[0] != &m.pages[p][0] {
+			t.Errorf("page %#x is not cached after all five were touched", p)
+		}
+	}
+}
+
+// TestPageCacheRandomTrace: over the region pages and pages that share
+// their slots, a random trace of Cached, LoadByte, ReadWord, StoreByte,
+// WriteWord and stores through Cached's slice (as the CPU's inline
+// store makes them) agrees with the backing map and a shadow of every
+// byte stored; Cached returns the backing page itself or nil.
+func TestPageCacheRandomTrace(t *testing.T) {
+	pages := append([]uint32{}, regionPages...)
+	for _, p := range regionPages {
+		pages = append(pages, p^8, p^0x1000, p+1) // colliding or not, backed on first store
+	}
+	rng := rand.New(rand.NewSource(1))
+	m := New(DefaultBus())
+	shadow := map[uint32]byte{}
+	for i := 0; i < 200_000; i++ {
+		p := pages[rng.Intn(len(pages))]
+		a := p<<pageShift | uint32(rng.Intn(64))<<2 | uint32(rng.Intn(4))
+		w := a &^ 3
+		switch rng.Intn(6) {
+		case 0:
+			b := m.Cached(a)
+			if b == nil {
+				break
+			}
+			if pg := m.pages[p]; pg == nil || &b[0] != &pg[a&(pageSize-1)] {
+				t.Fatalf("step %d: Cached(%#x) is not the backing page", i, a)
+			}
+		case 1:
+			if got := m.LoadByte(a); got != shadow[a] {
+				t.Fatalf("step %d: LoadByte(%#x) = %#x, want %#x", i, a, got, shadow[a])
+			}
+		case 2:
+			want := uint32(shadow[w]) | uint32(shadow[w+1])<<8 | uint32(shadow[w+2])<<16 | uint32(shadow[w+3])<<24
+			if got := m.ReadWord(w); got != want {
+				t.Fatalf("step %d: ReadWord(%#x) = %#x, want %#x", i, w, got, want)
+			}
+		case 3:
+			v := byte(rng.Intn(256))
+			m.StoreByte(a, v)
+			shadow[a] = v
+		case 4:
+			v := rng.Uint32()
+			m.WriteWord(w, v)
+			for k := uint32(0); k < 4; k++ {
+				shadow[w+k] = byte(v >> (8 * k))
+			}
+		case 5:
+			v := byte(rng.Intn(256))
+			if b := m.Cached(a); b != nil {
+				b[0] = v
+			} else {
+				m.StoreByte(a, v)
+			}
+			shadow[a] = v
+		}
+	}
+	for a, v := range shadow {
+		if got := m.pages[a>>pageShift][a&(pageSize-1)]; got != v {
+			t.Fatalf("backing byte at %#x = %#x, want %#x", a, got, v)
+		}
 	}
 }
