@@ -76,9 +76,12 @@ type Config struct {
 	// equivalence battery use it as a predecode-coherence oracle.
 	PredecodeCheck bool
 	// ReplayCheck turns off handler-activation replay (replay.go) and
-	// makes it an oracle instead: every activation is interpreted, and
-	// one whose BADVA already has a recording must record the same
-	// events, static totals and exit state, or the simulation fails.
+	// makes the forward recorder's oracle of it instead: every
+	// activation is still recorded where it would be and then
+	// interpreted, and one the recorder accepted, the first at its
+	// BADVA included, must make the recorded D-cache, branch and swic
+	// events, store nothing and end with the recorded static totals and
+	// exit state, or the simulation fails.
 	ReplayCheck bool
 	// ReplayBreak deliberately drops the first D-cache event of every
 	// replayed activation. It exists solely as the differential
@@ -193,7 +196,7 @@ type CPU struct {
 	// [call site, target], once CallEdges made it; only the call path
 	// reads it.
 	calls map[[2]uint32]uint64
-	// rp holds the recorded handler activations run replays (replay.go).
+	// rp holds the handler activations run replays (replay.go).
 	rp recordings
 
 	// The functional policy's fetch source (see fstore.go). fsWord/fsOK

@@ -440,8 +440,8 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 // memory's page cache holds (mem.Cached), and a store to such a page
 // that needs no coherence work (plainStore) make no call. The loop
 // calls out on a miss, a branch (the predictor), any other store, a
-// swic, a syscall, and on every load while a handler activation is
-// being recorded (dAccess records it).
+// swic, a syscall, and on every load while ReplayCheck checks a
+// handler activation (dAccess logs it).
 func (c *CPU) run(left, user int64, mode int) error {
 	const pol = detailed
 	if c.halted {
@@ -450,7 +450,7 @@ func (c *CPU) run(left, user int64, mode int) error {
 	if left <= 0 {
 		return c.budgetError()
 	}
-	c.rp.open = nil // an activation cut short by an error is not recorded
+	c.rp.open = nil // an activation cut short by an error is not checked
 	if pol == detailed && c.OnKey != nil {
 		c.observe()
 	}
@@ -1060,8 +1060,8 @@ func (c *CPU) predict(pc uint32, taken bool, pol policy) uint64 {
 // dAccess performs the D-cache access for a load (the detailed and warm
 // policies) and returns stall cycles (the detailed policy). Stores are
 // write-through/no-allocate and charge no stall (write buffer). run
-// calls it only when Hit, which it inlines, misses, or while a handler
-// activation is being recorded.
+// calls it only when Hit, which it inlines, misses, or while
+// ReplayCheck checks a handler activation.
 func (c *CPU) dAccess(addr uint32, pol policy) uint64 {
 	if c.rp.open != nil {
 		c.rp.open.recordLoad(addr)
@@ -1079,6 +1079,12 @@ func (c *CPU) dMiss(addr uint32, pol policy) uint64 {
 	if pol == warm {
 		return 0
 	}
+	return c.loadStall()
+}
+
+// loadStall charges the bus burst of a D-cache line fill and returns
+// its stall cycles.
+func (c *CPU) loadStall() uint64 {
 	stall := c.Mem.Burst(c.Cfg.DCache.LineBytes)
 	c.Stats.LoadStalls += uint64(stall)
 	c.Stats.CPIStack[CycleLoadStall] += uint64(stall)

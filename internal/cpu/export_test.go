@@ -4,9 +4,20 @@ package cpu
 // interpreter loop, never in its leaf core.
 func LoopOnly(c *CPU) { c.loopOnly = true }
 
-// Replays reports how many handler activations the CPU replayed from a
-// recording (or, under ReplayCheck, checked against one).
-func (c *CPU) Replays() uint64 { return c.rp.replays }
+// RecordWork is what the replay cache did in a run (replay.go).
+type RecordWork struct {
+	Activations uint64 // detailed exception entries that could replay
+	Recorded    uint64 // forward runs that made a recording
+	Refused     uint64 // forward runs refused, the BADVA stored ineligible
+	Steps       uint64 // instructions the forward runs executed
+	Replays     uint64 // activations replayed, or checked under ReplayCheck
+}
+
+// Work reports c's replay-cache counts.
+func (c *CPU) Work() RecordWork {
+	w := c.rp.work
+	return RecordWork{w.activations, w.recorded, w.refused, w.steps, w.replays}
+}
 
 // CorruptReplay plants a fault in one compiled stream of every
 // recording compiled so far, and reports how many it changed: "bp"
@@ -16,7 +27,7 @@ func (c *CPU) Replays() uint64 { return c.rp.replays }
 func CorruptReplay(c *CPU, stream string) int {
 	n := 0
 	for _, rec := range c.rp.byBadva {
-		if rec == &ineligible || !rec.walked || rec.events != nil {
+		if rec == &ineligible {
 			continue
 		}
 		switch stream {

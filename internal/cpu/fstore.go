@@ -154,9 +154,9 @@ func (c *CPU) materialiseLine(pc uint32) error {
 
 // fstoreData performs a data store's coherence work for every policy:
 // handler-RAM predecode patching, decode-store invalidation of the
-// stored-to word and the handler recordings' (replay.go): a store makes
-// the activation being recorded ineligible, and a store into words a
-// recording loaded from drops them all — O(1) per store. The
+// stored-to word and the handler recordings' (replay.go): a store fails
+// the ReplayCheck of the activation being checked, and a store into
+// words a recording loaded from drops them all — O(1) per store. The
 // invalidation also keeps fdec true to memory for the detailed engine's
 // refills (fillNative).
 func (c *CPU) fstoreData(addr uint32) {
@@ -171,7 +171,7 @@ func (c *CPU) fstoreData(addr uint32) {
 }
 
 // plainStore reports whether a data store to addr needs none of
-// fstoreData's work: no activation is being recorded, and addr lies
+// fstoreData's work: no activation is being checked, and addr lies
 // outside handler RAM, the compressed region, the native extent and
 // the recordings' loaded span. run writes such a store's page inline.
 // Each range is tested by offset, so it inlines.

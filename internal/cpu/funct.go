@@ -17,7 +17,7 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 	if left <= 0 {
 		return c.budgetError()
 	}
-	c.rp.open = nil // an activation cut short by an error is not recorded
+	c.rp.open = nil // an activation cut short by an error is not checked
 	if pol == detailed && c.OnKey != nil {
 		c.observe()
 	}
@@ -500,7 +500,7 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 	if left <= 0 {
 		return c.budgetError()
 	}
-	c.rp.open = nil // an activation cut short by an error is not recorded
+	c.rp.open = nil // an activation cut short by an error is not checked
 	if pol == detailed && c.OnKey != nil {
 		c.observe()
 	}

@@ -78,7 +78,12 @@ type loopResult struct {
 	busBytes  uint64
 }
 
-func (r loopResult) String() string { return fmt.Sprintf("%+v", struct{ loopResult }{r}) }
+// String prints r's fields; fields is loopResult without this method,
+// which a struct embedding loopResult would promote and so recurse.
+func (r loopResult) String() string {
+	type fields loopResult
+	return fmt.Sprintf("%+v", fields(r))
+}
 
 type driver func(c *cpu.CPU) (int32, error)
 

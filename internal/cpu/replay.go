@@ -5,17 +5,21 @@ package cpu
 // A decompression-handler activation that stores nothing but swic and
 // reads no register before writing it is a pure function of its entry
 // state: the system registers (BADVA among them), the memory it loads
-// from and the handler code. The detailed policy records the first
-// such activation at each BADVA: the D-cache loads, branch outcomes
-// and swic stores it makes, in order; the charges no machine state
-// changes (static totals); and its exit state. A later activation at
-// the same BADVA, entered with the same system registers, skips the
-// interpreter and applies the recording's effect, adding the static
-// totals in one step.
+// from and the handler code. At the first activation at each BADVA the
+// detailed policy records it by a forward run (record): it executes the
+// handler from its entry on a private copy of the registers, hi/lo and
+// c0, only reading memory, and collects what the interpreter would do:
+// the D-cache loads, branch outcomes and swic stores, in order; the
+// charges no machine state changes (static totals); and the exit
+// state. That activation and every later one at the same BADVA,
+// entered with the same system registers, then skip the interpreter:
+// replay applies the recording's effect, adding the static totals in
+// one step.
 //
-// On its first use a recording is compiled (walk) into one stream per
-// hardware unit. The units share no state, so the streams are applied
-// one after the other; within a stream the recorded order holds:
+// The forward run logs the loads, branches and swics it executes, and
+// compile turns the log into one stream per hardware unit. The units
+// share no state, so the streams are applied one after the other;
+// within a stream the executed order holds:
 //   - the predictor: one bpred.Transfer per counter the branches index,
 //     which gives the end state and mispredicts from each start state;
 //   - the D-cache: runs of loads to one line, the first of each an
@@ -28,34 +32,46 @@ package cpu
 // caches' LRU stamps, the predictor's counters, the bus counters and
 // the cache and burst observers' events; only the host work differs.
 //
-// Both eligibility checks are made on the recorded run itself, so no
-// annotation is trusted: walk follows the handler code along the
-// recorded branch outcomes and refuses an activation that stores,
-// jumps through a register, divides, traps, or reads a register (hi
-// and lo included) it has not written. A recording stays valid while
-// its inputs do: a store into handler RAM or into the words any
-// recording loaded from drops them all (fstoreData), entry compares
-// every system register (so an mtc0 anywhere re-records), and Load,
-// RestoreState and a changed Config start afresh.
+// The forward run is the only place eligibility is decided, and it
+// trusts no annotation: it refuses at the first instruction that
+// stores, jumps through a register, divides, traps or is illegal, at a
+// read of a register (hi and lo included) not yet written, at an
+// unaligned load or swic, and where the activation would leave handler
+// RAM. A refused BADVA is stored as ineligible and interpreted from
+// then on. A forward run that would outlast the budget left is
+// abandoned and the activation interpreted; one that outlasts
+// recordCap (a handler that never reaches its iret) is refused. A
+// recording stays valid while its inputs do: a store into handler RAM
+// or into the words any recording loaded from drops them all
+// (fstoreData), entry compares every system register (so an mtc0
+// anywhere re-records), and Load, RestoreState and a changed Config
+// start afresh.
 //
 // Replay runs only in run's slow path, where fetch raised the
 // exception, and only where the interpreted activation would run
-// through its iret in one stretch: not under a Trace, a
-// predictor observer (BP.OnResolve, which wants every branch),
-// PredecodeCheck or DisablePredecode, and not when the budget or the
-// observers' cut falls inside the activation. Config.ReplayCheck
-// re-interprets every activation and compares it with its recording,
-// whose events it keeps for that; otherwise they are dropped once
-// compiled.
+// through its iret in one stretch: not under a Trace, a predictor
+// observer (BP.OnResolve, which wants every branch), PredecodeCheck or
+// DisablePredecode, and not when the budget or the observers' cut falls
+// inside the activation; the recording is kept for a later activation
+// then. Config.ReplayCheck interprets every activation instead, with
+// run's hooks collecting its events, and compares each one the forward
+// run accepted, the first at its BADVA included, with the recording:
+// the events, which the forward run keeps only then, the static totals
+// and the exit state.
 
 import (
+	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
 	"repro/internal/bpred"
 )
+
+// recordCap bounds a forward run: a handler still running after this
+// many instructions is interpreted, and its BADVA is not recorded again.
+// It also keeps every count in a recording's streams within 32 bits.
+const recordCap = 1 << 16
 
 // Event tags, in the low two bits of an event word: load and swic
 // addresses are word-aligned (a load's D-cache line holds its whole
@@ -71,15 +87,13 @@ const (
 // recording is one handler activation, keyed by its entry c0.
 type recording struct {
 	c0In   [8]uint32 // system registers at entry, BADVA among them
-	events []uint32  // nil once compiled, unless ReplayCheck wants them
 	n      uint64    // instructions, the iret included
 	static Stats     // charges no machine state changes
-	walked bool      // eligibility checked (walk), wrote and hiLo set
-	stored bool      // the activation made a data store
+	events []uint32  // under ReplayCheck only: the events run's hooks must see
 
-	// The compiled streams (walk). A swic run is a header, its word
-	// count times two plus one if it keeps its line's records, then
-	// (address, word) pairs; recs holds the kept records, wpl per run.
+	// The compiled streams. A swic run is a header, its word count times
+	// two plus one if it keeps its line's records, then (address, word)
+	// pairs; recs holds the kept records, wpl per run.
 	bp    []bpred.Transfer
 	loads []loadRun
 	swic  []uint32
@@ -104,27 +118,46 @@ type loadRun struct{ addr, n uint32 }
 // interpreting it is never wrong.
 var ineligible recording
 
+// checked is an activation run interprets under ReplayCheck, to be
+// compared with rec at its iret (closeRecording).
+type checked struct {
+	rec    *recording
+	events []uint32 // what run's hooks saw
+	stored bool     // the activation made a data store
+	entry  Stats    // Stats at entry
+	bank   int      // the activation's register bank
+	regs   [32]uint32
+	hi, lo uint32 // the bank, hi and lo at entry
+}
+
 // recordings is the per-CPU replay cache; never serialised.
 type recordings struct {
 	byBadva map[uint32]*recording
-	open    *recording // the activation being recorded, nil when none
-	buf     recording  // open's storage, reused
-	entry   Stats      // Stats when open was entered
-	bank    int        // open's register bank
-	cfg     Config     // the configuration the recordings were made under (MaxInstr zeroed)
+	open    *checked // the activation being checked, nil when none
+	buf     checked  // open's storage, reused
+	cfg     Config   // the configuration the recordings were made under (MaxInstr zeroed)
 	// [lo, lo+span) covers every word a recording loaded from.
 	lo, span uint32
-	steps    []walkStep // walk's view of handler RAM, built on first use
-	replays  uint64     // activations replayed, or checked under ReplayCheck
+	work     recordWork
 
-	// The streams walk compiles, and their storage. grp maps a counter
-	// to its Transfer's place in bp.s, where it is current only if the
-	// Transfer there indexes that counter.
-	bp    arena[bpred.Transfer]
-	loads arena[loadRun]
-	swic  arena[uint32]
-	recs  arena[pinstr]
-	grp   []uint32
+	// The streams record compiles, and their storage. grp maps a
+	// counter to its Transfer's place in bp.s, in its low half, where it
+	// is current only if its high half is gen, the forward run's number.
+	bp     arena[bpred.Transfer]
+	loads  arena[loadRun]
+	swic   arena[uint32]
+	recs   arena[pinstr]
+	grp    []uint64
+	gen    uint32
+	events []uint32
+}
+
+// recordWork counts what the replay cache did, for tests: detailed
+// exception entries it saw, forward runs that made a recording or were
+// refused, instructions the forward runs executed, and activations
+// replayed (or checked under ReplayCheck).
+type recordWork struct {
+	activations, recorded, refused, steps, replays uint64
 }
 
 // arena collects one stream of the recording being compiled in s, and
@@ -148,19 +181,20 @@ func (a *arena[T]) keep() []T {
 	return d
 }
 
-// dropRecordings forgets every recording, the open one included.
+// dropRecordings forgets every recording. An open check keeps its own,
+// so a store that drops them still fails it.
 func (c *CPU) dropRecordings() {
-	c.rp.byBadva, c.rp.open, c.rp.steps = nil, nil, nil
+	c.rp.byBadva = nil
 	c.rp.lo, c.rp.span = 0, 0
 }
 
 // enterActivation is called by run at a detailed-policy exception
-// entry it may replay (see the file comment for when). It returns the
-// recording to replay, or nil; then it opens a recording of the
-// activation if none matches its entry (or, under ReplayCheck, one to
-// compare with the match).
+// entry it may replay (see the file comment for when). It records the
+// activation if no recording matches its entry, and returns the
+// recording to replay, or nil; under ReplayCheck it returns nil and
+// opens the check of an activation that has a recording.
 func (c *CPU) enterActivation(left int64) *recording {
-	if c.hdec == nil || c.BP.OnResolve != nil {
+	if c.hdec == nil || c.BP.OnResolve != nil || c.Cfg.PredecodeCheck && !c.Cfg.ReplayCheck {
 		return nil
 	}
 	cfg := c.Cfg
@@ -169,26 +203,328 @@ func (c *CPU) enterActivation(left int64) *recording {
 		c.dropRecordings()
 		c.rp.cfg = cfg
 	}
+	c.rp.work.activations++
 	rec := c.rp.byBadva[c.c0[5]]
-	if rec == &ineligible {
+	if rec == nil || rec.c0In != c.c0 && rec != &ineligible {
+		rec = c.record(left)
+	}
+	if rec == nil || rec == &ineligible {
 		return nil
 	}
-	if rec != nil && rec.c0In == c.c0 {
-		if !rec.walked && !c.walk(rec) {
-			return nil
-		}
-		if !c.Cfg.ReplayCheck && !c.Cfg.PredecodeCheck && c.limit(left, 0, true, detailed) >= rec.n {
-			return rec
-		}
-		if !c.Cfg.ReplayCheck {
-			return nil
-		}
+	if c.Cfg.ReplayCheck {
+		o := &c.rp.buf
+		o.rec, o.events, o.stored = rec, o.events[:0], false
+		o.entry, o.bank, o.regs, o.hi, o.lo = c.Stats, c.bank, c.regs[c.bank], c.hi, c.lo
+		c.rp.open = o
+		return nil
 	}
-	c.rp.buf.c0In, c.rp.buf.stored = c.c0, false
-	c.rp.buf.events = c.rp.buf.events[:0]
-	c.rp.open, c.rp.entry, c.rp.bank = &c.rp.buf, c.Stats, c.bank
+	if c.limit(left, 0, true, detailed) >= rec.n {
+		return rec
+	}
 	return nil
 }
+
+// record makes the recording of the activation just entered by a
+// forward run (see the file comment) and stores it under its BADVA, or
+// ineligible there if the run is refused. It returns what it stored,
+// or nil when the run would outlast left, the budget, and so tells
+// nothing.
+func (c *CPU) record(left int64) *recording {
+	rp := &c.rp
+	if len(rp.grp) != c.BP.Entries() {
+		rp.grp = make([]uint64, c.BP.Entries())
+	}
+	ev := rp.events[:0]
+	lim := uint64(min(left, recordCap))
+
+	hdec, base := c.hdec, c.handlerPC
+	r, hi, lo, c0 := c.regs[c.bank], c.hi, c.lo, c.c0
+	// wrote holds the registers written so far and, in bit 0, hi/lo
+	// ($zero reads are free and its writes are dropped).
+	wrote := uint32(0)
+	var n, lu, swics uint64
+	lastLoad := -1
+	pc := base
+	ok := false
+	for {
+		// A handler pc is word-aligned: the handler starts at an aligned
+		// base and only branches and jumps with decoded targets move it.
+		i := (pc - base) >> 2
+		if uint64(i) >= uint64(len(hdec)) || n == lim {
+			break
+		}
+		p := &hdec[i]
+		if (uint32(1)<<uint8(p.srcA)|uint32(1)<<uint8(p.srcB))&^1&^wrote != 0 { // -1 (none) shifts out
+			break
+		}
+		if lastLoad >= 0 && (int(p.srcA) == lastLoad || int(p.srcB) == lastLoad) {
+			lu++
+		}
+		lastLoad = int(p.ldst)
+		n++
+		next := pc + 4
+		d, v := uint8(0), uint32(0) // the register written, and its value
+		switch p.op {
+		case pSLL:
+			d, v = p.rd, r[p.rt&31]<<(p.shamt&31)
+		case pSRL:
+			d, v = p.rd, r[p.rt&31]>>(p.shamt&31)
+		case pSRA:
+			d, v = p.rd, uint32(int32(r[p.rt&31])>>(p.shamt&31))
+		case pSLLV:
+			d, v = p.rd, r[p.rt&31]<<(r[p.rs&31]&31)
+		case pSRLV:
+			d, v = p.rd, r[p.rt&31]>>(r[p.rs&31]&31)
+		case pSRAV:
+			d, v = p.rd, uint32(int32(r[p.rt&31])>>(r[p.rs&31]&31))
+		case pMFHI, pMFLO:
+			if wrote&1 == 0 {
+				goto done
+			}
+			d, v = p.rd, lo
+			if p.op == pMFHI {
+				v = hi
+			}
+		case pMULT:
+			prod := int64(int32(r[p.rs&31])) * int64(int32(r[p.rt&31]))
+			lo, hi = uint32(prod), uint32(prod>>32)
+			wrote |= 1
+		case pMULTU:
+			prod := uint64(r[p.rs&31]) * uint64(r[p.rt&31])
+			lo, hi = uint32(prod), uint32(prod>>32)
+			wrote |= 1
+		case pADD:
+			d, v = p.rd, r[p.rs&31]+r[p.rt&31]
+		case pSUB:
+			d, v = p.rd, r[p.rs&31]-r[p.rt&31]
+		case pAND:
+			d, v = p.rd, r[p.rs&31]&r[p.rt&31]
+		case pOR:
+			d, v = p.rd, r[p.rs&31]|r[p.rt&31]
+		case pXOR:
+			d, v = p.rd, r[p.rs&31]^r[p.rt&31]
+		case pNOR:
+			d, v = p.rd, ^(r[p.rs&31] | r[p.rt&31])
+		case pSLT:
+			d, v = p.rd, b2u(int32(r[p.rs&31]) < int32(r[p.rt&31]))
+		case pSLTU:
+			d, v = p.rd, b2u(r[p.rs&31] < r[p.rt&31])
+		case pADDI:
+			d, v = p.rt, r[p.rs&31]+p.imm
+		case pSLTI:
+			d, v = p.rt, b2u(int32(r[p.rs&31]) < int32(p.imm))
+		case pSLTIU:
+			d, v = p.rt, b2u(r[p.rs&31] < p.imm)
+		case pANDI:
+			d, v = p.rt, r[p.rs&31]&p.imm
+		case pORI:
+			d, v = p.rt, r[p.rs&31]|p.imm
+		case pXORI:
+			d, v = p.rt, r[p.rs&31]^p.imm
+		case pLUI:
+			d, v = p.rt, p.imm
+		case pMFC0:
+			d, v = p.rt, c0[p.rd&7]
+		case pMTC0:
+			c0[p.rd&7] = r[p.rt&31]
+		case pJ:
+			next = p.imm
+		case pJAL:
+			d, v, next = 31, pc+4, p.imm
+
+		case pBLTZ, pBGEZ, pBEQ, pBNE, pBLEZ, pBGTZ:
+			a, b := r[p.rs&31], r[p.rt&31]
+			var taken bool
+			switch p.op {
+			case pBLTZ:
+				taken = int32(a) < 0
+			case pBGEZ:
+				taken = int32(a) >= 0
+			case pBEQ:
+				taken = a == b
+			case pBNE:
+				taken = a != b
+			case pBLEZ:
+				taken = int32(a) <= 0
+			default:
+				taken = int32(a) > 0
+			}
+			ev = append(ev, pc|(evNotTaken+b2u(taken)))
+			if taken {
+				next = p.imm
+			}
+
+		case pLB, pLBU, pLH, pLHU, pLW:
+			addr := r[p.rs&31] + p.imm
+			// The last word is refused so that the loaded-from extent
+			// needs no wrap-around.
+			if addr&loadAlign[p.op-pLB] != 0 || addr >= 1<<32-4 {
+				goto done
+			}
+			a := addr &^ 3
+			d = p.rt
+			if b := c.Mem.Cached(a); len(b) >= 4 {
+				v = binary.LittleEndian.Uint32(b)
+			} else {
+				v = c.Mem.ReadWord(a)
+			}
+			v >>= 8 * (addr & 3) // memory is little-endian
+			switch p.op {
+			case pLB:
+				v = uint32(int32(int8(v)))
+			case pLBU:
+				v = uint32(uint8(v))
+			case pLH:
+				v = uint32(int32(int16(v)))
+			case pLHU:
+				v = uint32(uint16(v))
+			}
+			ev = append(ev, a|evLoad)
+
+		case pSWIC:
+			a := r[p.rs&31] + p.imm
+			if a&3 != 0 {
+				goto done
+			}
+			ev = append(ev, a|evSwic, r[p.rt&31])
+			swics++
+
+		case pIRET:
+			c0[6] &^= 1
+			ok = true
+			goto done
+
+		default: // stores, jr/jalr, div/divu, syscall, break, illegal
+			goto done
+		}
+		if d != 0 {
+			r[d&31] = v
+			wrote |= 1 << (d & 31)
+		}
+		pc = next
+	}
+done:
+	rp.work.steps += n
+	rp.events = ev
+	if !ok && n == lim && lim < recordCap {
+		return nil // cut by the budget: interpreted, and recorded another time
+	}
+	if rp.byBadva == nil {
+		rp.byBadva = make(map[uint32]*recording)
+	}
+	badva := c.c0[5]
+	if !ok {
+		rp.work.refused++
+		rp.byBadva[badva] = &ineligible
+		return &ineligible
+	}
+	rp.work.recorded++
+	rec := &recording{c0In: c.c0, n: n, wrote: wrote &^ 1, regs: r, hiLo: wrote&1 != 0, hi: hi, lo: lo, c0Out: c0}
+	s := &rec.static
+	s.HandlerInstrs = n
+	s.LoadUseStalls = lu
+	s.CPIStack[CycleHandler] = n + swics*uint64(c.Cfg.SwicExtraCycles)
+	s.CPIStack[CycleLoadUse] = lu * uint64(c.Cfg.LoadUsePenalty)
+	s.CPIStack[CycleExcService] = uint64(c.Cfg.IretCycles)
+	s.Cycles = s.CPIStack[CycleHandler] + s.CPIStack[CycleLoadUse] + s.CPIStack[CycleExcService]
+	c.compile(rec, ev)
+	if c.Cfg.ReplayCheck {
+		rec.events = slices.Clone(ev)
+	}
+	rp.byBadva[badva] = rec
+	return rec
+}
+
+// compile builds rec's streams from the events of its forward run: each
+// branch is added to its counter's Transfer, each load extends the last
+// load run or starts one, and each swic extends the open swic run or
+// closes it (keepLine) and starts one. It also grows the loaded-from
+// extent by the loads.
+func (c *CPU) compile(rec *recording, ev []uint32) {
+	rp := &c.rp
+	if rp.gen++; rp.gen == 0 { // every stamp in grp would be current
+		clear(rp.grp)
+		rp.gen = 1
+	}
+	gen := uint64(rp.gen) << 32
+	bp, loads, sw, run := rp.bp.s[:0], rp.loads.s[:0], rp.swic.s[:0], -1
+	rp.recs.s = rp.recs.s[:0]
+	dShift := bits.TrailingZeros32(uint32(c.Cfg.DCache.LineBytes))
+	iShift := bits.TrailingZeros32(uint32(c.Cfg.ICache.LineBytes))
+	lo, hi := uint32(0), uint32(0) // the words loaded from, empty while equal
+	for i := 0; i < len(ev); i++ {
+		e := ev[i]
+		switch a := e &^ 3; e & 3 {
+		case evLoad:
+			if k := len(loads) - 1; k >= 0 && loads[k].addr>>dShift == a>>dShift {
+				loads[k].n++
+			} else {
+				loads = append(loads, loadRun{a, 1})
+			}
+			if lo == hi {
+				lo, hi = a, a+4
+			}
+			lo, hi = min(lo, a), max(hi, a+4)
+		case evSwic:
+			if run < 0 || sw[run+1]>>iShift != a>>iShift {
+				rp.swic.s = sw
+				c.keepLine(run)
+				run = len(sw)
+				sw = append(sw, 0)
+			}
+			i++
+			sw = append(sw, a, ev[i])
+			sw[run] += 2
+		default:
+			t := c.BP.Transfer(a)
+			g := rp.grp[t.Index()]
+			if g&^(1<<32-1) != gen {
+				g = gen | uint64(len(bp))
+				rp.grp[t.Index()] = g
+				bp = append(bp, t)
+			}
+			bp[uint32(g)].Add(e&3 == evTaken)
+		}
+	}
+	rp.bp.s, rp.loads.s, rp.swic.s = bp, loads, sw
+	c.keepLine(run)
+	rec.bp, rec.loads, rec.swic, rec.recs = rp.bp.keep(), rp.loads.keep(), rp.swic.keep(), rp.recs.keep()
+	if lo != hi {
+		if rp.span != 0 {
+			lo, hi = min(lo, rp.lo), max(hi, rp.lo+rp.span)
+		}
+		rp.lo, rp.span = lo, hi-lo
+	}
+}
+
+// keepLine closes the swic run whose header is at run (none if
+// negative): a run that writes every word of its line keeps the line's
+// predecoded records, decoded from the words it leaves there.
+func (c *CPU) keepLine(run int) {
+	if run < 0 || c.wpl > 64 {
+		return
+	}
+	sw, recs := c.rp.swic.s, &c.rp.recs.s
+	w := sw[run+1 : run+1+int(sw[run])]
+	var have uint64
+	for i := 0; i < len(w); i += 2 {
+		have |= 1 << (w[i] >> 2 & uint32(c.wpl-1))
+	}
+	if have != 1<<c.wpl-1 {
+		return
+	}
+	base := w[0] &^ uint32(4*c.wpl-1)
+	k := len(*recs)
+	*recs = slices.Grow(*recs, c.wpl)[:k+c.wpl]
+	for i := 0; i < len(w); i += 2 {
+		j := w[i] >> 2 & uint32(c.wpl-1)
+		(*recs)[k+int(j)] = decodeInstr(base+4*j, w[i+1])
+	}
+	sw[run] |= 1
+}
+
+// loadAlign is the alignment mask of each load, from pLB on.
+var loadAlign = [...]uint32{pLB - pLB: 0, pLBU - pLB: 0, pLH - pLB: 1, pLHU - pLB: 1, pLW - pLB: 3}
 
 // replay applies rec's compiled streams as the interpreter would run
 // the activation from exception entry through the iret, and returns
@@ -206,12 +542,10 @@ func (c *CPU) replay(rec *recording, left int64) int64 {
 		}
 		s := c.DC.Lookup(r.addr)
 		if s < 0 {
-			dyn += c.dMiss(r.addr, detailed)
+			s = c.DC.Fill(c.DC.LineBase(r.addr), nil)
+			dyn += c.loadStall()
 		}
 		if n > 1 {
-			if s < 0 {
-				s = c.DC.Slot(r.addr)
-			}
 			c.DC.Hits(s, n-1)
 		}
 	}
@@ -245,7 +579,7 @@ func (c *CPU) replay(rec *recording, left int64) int64 {
 	c.inHandler = false
 	c.bank = c.savedBank
 	c.pc, c.lastLoad = rec.c0Out[4], -1
-	c.rp.replays++
+	c.rp.work.replays++
 	return left - int64(rec.n)
 }
 
@@ -269,33 +603,31 @@ func addStats(acc *Stats, d *Stats) {
 	}
 }
 
-// recordLoad, recordBranch and recordSwic append the open recording's
-// events; run's hooks call them only while one is open.
-func (r *recording) recordLoad(addr uint32) { r.events = append(r.events, addr&^3|evLoad) }
+// recordLoad, recordBranch and recordSwic append the checked
+// activation's events; run's hooks call them only while one is open.
+func (o *checked) recordLoad(addr uint32) { o.events = append(o.events, addr&^3|evLoad) }
 
-func (r *recording) recordBranch(pc uint32, taken bool) {
+func (o *checked) recordBranch(pc uint32, taken bool) {
 	t := uint32(evNotTaken)
 	if taken {
 		t = evTaken
 	}
-	r.events = append(r.events, pc|t)
+	o.events = append(o.events, pc|t)
 }
 
-func (r *recording) recordSwic(addr, v uint32) { r.events = append(r.events, addr|evSwic, v) }
+func (o *checked) recordSwic(addr, v uint32) { o.events = append(o.events, addr|evSwic, v) }
 
-// closeRecording ends the open recording at its iret, with Stats
-// flushed through it, and stores it under its BADVA (or, under
-// ReplayCheck, compares it with the one stored there). An activation
-// that stored or moved other counters is stored as ineligible; the
-// rest of the eligibility check (walk) waits for the recording's first
-// use, except under ReplayCheck, which compares exit state by the
-// registers written.
+// closeRecording ends the checked activation at its iret, with Stats
+// flushed through it, and fails unless the interpreter did what its
+// recording says: the same events, no store, the static totals the
+// forward run derived and no other counter moved, and the same exit
+// state, every register outside the recording's written set as it was
+// at entry.
 func (c *CPU) closeRecording() error {
-	rec := c.rp.open
+	o := c.rp.open
 	c.rp.open = nil
-	e := &c.rp.entry
-	s := &rec.static
-	*s = Stats{}
+	rec, e := o.rec, &o.entry
+	var s Stats
 	s.HandlerInstrs = c.Stats.HandlerInstrs - e.HandlerInstrs
 	s.LoadUseStalls = c.Stats.LoadUseStalls - e.LoadUseStalls
 	for k := range s.CPIStack {
@@ -307,310 +639,51 @@ func (c *CPU) closeRecording() error {
 	loadStalls := c.Stats.LoadStalls - e.LoadStalls
 	s.Cycles = c.Stats.Cycles - e.Cycles - loadStalls - s.CPIStack[CycleBranch]
 	s.CPIStack[CycleLoadStall], s.CPIStack[CycleBranch] = 0, 0
-	// Nothing else may have moved.
 	probe := c.Stats
 	probe.Cycles, probe.HandlerInstrs, probe.LoadUseStalls, probe.LoadStalls, probe.CPIStack =
 		e.Cycles, e.HandlerInstrs, e.LoadUseStalls, e.LoadStalls, e.CPIStack
-	rec.n, rec.walked = s.HandlerInstrs, false
-	rec.regs, rec.hi, rec.lo, rec.c0Out = c.regs[c.rp.bank], c.hi, c.lo, c.c0
-	badva := rec.c0In[5]
-	if probe != *e || rec.stored || c.Cfg.ReplayCheck && !c.walk(rec) {
-		rec.n = 0
+	if diff := rec.diff(c, o, &s, probe != *e); diff != "" {
+		return fmt.Errorf("cpu: replay check: activation for %#x differs from its recording: %s", rec.c0In[5], diff)
 	}
-	if old := c.rp.byBadva[badva]; old != nil && old.c0In == rec.c0In {
-		if diff := old.diff(rec); diff != "" {
-			return fmt.Errorf("cpu: replay check: activation for %#x differs from its recording: %s", badva, diff)
-		}
-		c.rp.replays++
-		return nil
-	}
-	if c.rp.byBadva == nil {
-		c.rp.byBadva = make(map[uint32]*recording)
-	}
-	if rec.n == 0 {
-		c.rp.byBadva[badva] = &ineligible
-		return nil
-	}
-	keep := *rec
-	keep.events = slices.Clone(rec.events)
-	c.extend(rec.events)
-	c.rp.byBadva[badva] = &keep
+	c.rp.work.replays++
 	return nil
 }
 
-// extend grows the loaded-from extent by events' loads.
-func (c *CPU) extend(events []uint32) {
-	lo, hi := c.rp.lo, c.rp.lo+c.rp.span
-	for i := 0; i < len(events); i++ {
-		e := events[i]
-		switch e & 3 {
-		case evSwic:
-			i++
-		case evLoad:
-			if lo == hi {
-				lo, hi = e, e+4
-			}
-			lo, hi = min(lo, e), max(hi, e+4)
-		}
-	}
-	c.rp.lo, c.rp.span = lo, hi-lo
-}
-
-// walk follows the handler code from its entry along rec's branch
-// outcomes for the recorded instruction count, and keeps rec replayable
-// only if the activation stays in handler RAM, ends at its iret,
-// consumes every event in order, and executes only instructions whose
-// effect the recording captures, reading only registers it wrote. It
-// sets rec's written-register set and, outside ReplayCheck, compiles
-// its events into the arenas' streams and drops them. It reports
-// whether rec stays; one that does not gives its place in the cache to
-// ineligible. The handler code is the recorded run's: a store into
-// handler RAM drops every recording.
-func (c *CPU) walk(rec *recording) bool {
-	rec.walked = true
-	rp := &c.rp
-	compile := !c.Cfg.ReplayCheck
-	if compile && len(rp.grp) != c.BP.Entries() {
-		rp.grp = make([]uint32, c.BP.Entries())
-	}
-	rp.bp.s, rp.loads.s, rp.swic.s, rp.recs.s = rp.bp.s[:0], rp.loads.s[:0], rp.swic.s[:0], rp.recs.s[:0]
-	if c.eligible(rec, compile) {
-		if compile {
-			rec.bp, rec.loads, rec.swic, rec.recs = rp.bp.keep(), rp.loads.keep(), rp.swic.keep(), rp.recs.keep()
-			rec.events = nil
-		}
-		return true
-	}
-	if rp.byBadva[rec.c0In[5]] == rec {
-		rp.byBadva[rec.c0In[5]] = &ineligible
-	}
-	return false
-}
-
-// eligible is walk's check and, if compile, its compilation: each
-// branch is added to its counter's Transfer, each load extends the
-// last load run or starts one, and each swic extends the open swic run
-// or closes it (keep) and starts one.
-func (c *CPU) eligible(rec *recording, compile bool) bool {
-	rp := &c.rp
-	if rp.steps == nil {
-		rp.steps = walkSteps(c.hdec)
-	}
-	n, ev, steps := rec.n, rec.events, rp.steps
-	if n > math.MaxUint32 { // the streams count in 32 bits
-		return false
-	}
-	bp, loads, sw, run := &rp.bp.s, &rp.loads.s, &rp.swic.s, -1
-	dShift := bits.TrailingZeros32(uint32(c.Cfg.DCache.LineBytes))
-	iShift := bits.TrailingZeros32(uint32(c.Cfg.ICache.LineBytes))
-	wrote := uint32(0)
-	last := uint8(wsRefuse)
-	pc := c.handlerPC
-	for i := uint64(0); i < n; {
-		off := (pc - c.handlerPC) >> 2
-		if pc&3 != 0 || off >= uint32(len(steps)) {
-			return false
-		}
-		st := steps[off]
-		if st.reads&^wrote != 0 || uint64(st.n) > n-i { // or the activation ends before the step's last instruction
-			return false
-		}
-		wrote |= st.writes
-		i += uint64(st.n)
-		off += st.n - 1 // the step's last instruction
-		pc += 4 * (st.n - 1)
-		next := pc + 4
-		switch st.kind {
-		case wsJump:
-			next = c.hdec[off].imm
-		case wsBranch:
-			if len(ev) == 0 || ev[0]&3 == evLoad || ev[0]&3 == evSwic || ev[0]&^3 != pc {
-				return false
-			}
-			taken := ev[0]&3 == evTaken
-			if taken {
-				next = c.hdec[off].imm
-			}
-			if compile {
-				t := c.BP.Transfer(pc)
-				g := rp.grp[t.Index()]
-				if int(g) >= len(*bp) || (*bp)[g].Index() != t.Index() {
-					g = uint32(len(*bp))
-					rp.grp[t.Index()] = g
-					*bp = append(*bp, t)
-				}
-				(*bp)[g].Add(taken)
-			}
-			ev = ev[1:]
-		case wsLoad:
-			if len(ev) == 0 || ev[0]&3 != evLoad {
-				return false
-			}
-			if k := len(*loads) - 1; compile && k >= 0 && (*loads)[k].addr>>dShift == ev[0]>>dShift {
-				(*loads)[k].n++
-			} else if compile {
-				*loads = append(*loads, loadRun{ev[0], 1})
-			}
-			ev = ev[1:]
-		case wsSwic:
-			if len(ev) < 2 || ev[0]&3 != evSwic {
-				return false
-			}
-			if a := ev[0] &^ 3; compile {
-				if run < 0 || (*sw)[run+1]>>iShift != a>>iShift {
-					c.keepLine(run)
-					run = len(*sw)
-					*sw = append(*sw, 0)
-				}
-				*sw = append(*sw, a, ev[1])
-				(*sw)[run] += 2
-			}
-			ev = ev[2:]
-		case wsIret:
-			if i != n {
-				return false
-			}
-		default:
-			return false
-		}
-		pc, last = next, st.kind
-	}
-	rec.wrote = wrote &^ 1
-	rec.hiLo = wrote&1 != 0
-	if compile {
-		c.keepLine(run)
-	}
-	return last == wsIret && len(ev) == 0
-}
-
-// keepLine closes the swic run whose header is at run (none if
-// negative): a run that writes every word of its line keeps the line's
-// predecoded records, decoded from the words it leaves there.
-func (c *CPU) keepLine(run int) {
-	if run < 0 || c.wpl > 64 {
-		return
-	}
-	sw, recs := c.rp.swic.s, &c.rp.recs.s
-	w := sw[run+1 : run+1+int(sw[run])]
-	var have uint64
-	for i := 0; i < len(w); i += 2 {
-		have |= 1 << (w[i] >> 2 & uint32(c.wpl-1))
-	}
-	if have != 1<<c.wpl-1 {
-		return
-	}
-	base := w[0] &^ uint32(4*c.wpl-1)
-	k := len(*recs)
-	*recs = slices.Grow(*recs, c.wpl)[:k+c.wpl]
-	for i := 0; i < len(w); i += 2 {
-		j := w[i] >> 2 & uint32(c.wpl-1)
-		(*recs)[k+int(j)] = decodeInstr(base+4*j, w[i+1])
-	}
-	sw[run] |= 1
-}
-
-// walkStep is what walk needs of the n instructions from a handler
-// word through the first one that is not plain: the registers they
-// read before writing them and all they write, bit 0 standing for
-// hi/lo ($zero reads are free and its writes are dropped), and how the
-// last of them moves the walk on.
-type walkStep struct {
-	reads, writes uint32
-	n             uint32
-	kind          uint8
-}
-
-// walkSteps is walk's view of the handler code in hdec: a plain
-// instruction is folded into the step of the word after it, and one in
-// the last word, after which the walk would leave handler RAM, refuses.
-func walkSteps(hdec []pinstr) []walkStep {
-	steps := make([]walkStep, len(hdec))
-	for i := len(hdec) - 1; i >= 0; i-- {
-		st := walkStepOf(&hdec[i])
-		st.n = 1
-		if st.kind == wsPlain && i+1 < len(steps) {
-			nx := steps[i+1]
-			st.reads |= nx.reads &^ st.writes
-			st.writes |= nx.writes
-			st.n += nx.n
-			st.kind = nx.kind
-		} else if st.kind == wsPlain {
-			st.kind = wsRefuse
-		}
-		steps[i] = st
-	}
-	return steps
-}
-
-// walkStep kinds.
-const (
-	wsPlain  = iota
-	wsJump   // j, jal
-	wsBranch // a conditional branch: one branch event
-	wsLoad   // one load event
-	wsSwic   // one swic event
-	wsIret
-	wsRefuse // stores, jr/jalr, div/divu, syscall, break, illegal
-)
-
-func walkStepOf(p *pinstr) walkStep {
-	reg := func(r uint8) uint32 { return 1 << r &^ 1 }
-	st := walkStep{kind: wsPlain}
-	if p.srcA > 0 {
-		st.reads |= 1 << p.srcA
-	}
-	if p.srcB > 0 {
-		st.reads |= 1 << p.srcB
-	}
-	switch p.op {
-	case pSLL, pSRL, pSRA, pSLLV, pSRLV, pSRAV, pADD, pSUB, pAND, pOR, pXOR, pNOR, pSLT, pSLTU:
-		st.writes = reg(p.rd)
-	case pMFHI, pMFLO:
-		st.reads |= 1
-		st.writes = reg(p.rd)
-	case pMULT, pMULTU:
-		st.writes = 1
-	case pADDI, pSLTI, pSLTIU, pANDI, pORI, pXORI, pLUI, pMFC0:
-		st.writes = reg(p.rt)
-	case pMTC0:
-	case pJ:
-		st.kind = wsJump
-	case pJAL:
-		st.kind, st.writes = wsJump, reg(31)
-	case pBLTZ, pBGEZ, pBEQ, pBNE, pBLEZ, pBGTZ:
-		st.kind = wsBranch
-	case pLB, pLBU, pLH, pLHU, pLW:
-		st.kind, st.writes = wsLoad, reg(p.rt)
-	case pSWIC:
-		st.kind = wsSwic
-	case pIRET:
-		st.kind = wsIret
-	default:
-		st.kind = wsRefuse
-	}
-	return st
-}
-
-// diff describes how o, a fresh recording of rec's activation, differs
-// from rec ("" when it does not).
-func (rec *recording) diff(o *recording) string {
+// diff describes how the checked activation o, which just ended with
+// static totals s (and moved other counters if moved), differs from
+// its recording rec ("" when it does not).
+func (rec *recording) diff(c *CPU, o *checked, s *Stats, moved bool) string {
 	switch {
-	case rec.n != o.n:
-		return fmt.Sprintf("%d replayable instructions, recorded %d", o.n, rec.n)
-	case rec.static != o.static:
-		return fmt.Sprintf("static totals %+v, recorded %+v", o.static, rec.static)
+	case o.stored:
+		return "the activation stored"
+	case moved:
+		return "counters outside the static totals moved"
+	case rec.n != s.HandlerInstrs:
+		return fmt.Sprintf("%d instructions, recorded %d", s.HandlerInstrs, rec.n)
+	case rec.static != *s:
+		return fmt.Sprintf("static totals %+v, recorded %+v", *s, rec.static)
 	case !slices.Equal(rec.events, o.events):
 		i := 0
 		for i < len(rec.events) && i < len(o.events) && rec.events[i] == o.events[i] {
 			i++
 		}
 		return fmt.Sprintf("event %d of %d differs (recorded %d)", i, len(o.events), len(rec.events))
-	case rec.wrote != o.wrote || rec.hiLo != o.hiLo || rec.hiLo && (rec.hi != o.hi || rec.lo != o.lo) ||
-		rec.c0Out != o.c0Out:
-		return "exit state differs"
+	case rec.c0Out != c.c0:
+		return "exit c0 differs"
 	}
-	for w := rec.wrote; w != 0; w &= w - 1 {
-		if i := bits.TrailingZeros32(w); rec.regs[i] != o.regs[i] {
+	hi, lo := o.hi, o.lo
+	if rec.hiLo {
+		hi, lo = rec.hi, rec.lo
+	}
+	if c.hi != hi || c.lo != lo {
+		return "exit hi/lo differs"
+	}
+	for i, v := range c.regs[o.bank] {
+		want := o.regs[i]
+		if rec.wrote>>i&1 != 0 {
+			want = rec.regs[i]
+		}
+		if v != want {
 			return fmt.Sprintf("exit value of register %d differs", i)
 		}
 	}

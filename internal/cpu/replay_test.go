@@ -50,7 +50,7 @@ func runReplay(t *testing.T, im *program.Image, cfg cpu.Config, check bool) repl
 	if err != nil {
 		r.err = err.Error()
 	}
-	r.out, r.replays = out.String(), c.Replays()
+	r.out, r.replays = out.String(), c.Work().Replays
 	ck := fastpath.Capture(c, nil)
 	ck.Config.ReplayCheck = false
 	if r.ck, err = json.Marshal(ck); err != nil {
@@ -345,7 +345,7 @@ filler:
 		// Run in budgeted steps until the first replays compiled their
 		// recordings (the same steps under ReplayCheck), then plant the
 		// fault and run to the end.
-		for budget := uint64(500); c.Replays() < 5; budget += 500 {
+		for budget := uint64(500); c.Work().Replays < 5; budget += 500 {
 			c.Cfg.MaxInstr = budget
 			if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "budget") {
 				t.Fatalf("%s: run ended before any replay: %v", stream, err)
@@ -359,7 +359,7 @@ filler:
 		if _, err := c.Run(); err != nil {
 			r.err = err.Error()
 		}
-		r.replays = c.Replays()
+		r.replays = c.Work().Replays
 		ck := fastpath.Capture(c, nil)
 		ck.Config.ReplayCheck = false
 		if r.ck, err = json.Marshal(ck); err != nil {
@@ -377,6 +377,53 @@ filler:
 	for _, stream := range []string{"bp", "load", "record"} {
 		if got := run(stream, false); got.err == want.err && bytes.Equal(got.ck, want.ck) {
 			t.Errorf("a fault in the %s stream left the replayed machine equal to the interpreted one (%d replays)", stream, got.replays)
+		}
+	}
+}
+
+// TestRecordingWork pins what the replay cache does on program 0 of
+// the bench-shaped go dict+RF and cc1 CodePack+RF images at a small
+// scale: activations seen, forward runs that recorded and that were
+// refused, the instructions those runs executed, and activations
+// replayed. Every activation of these handlers replays, the first at
+// each BADVA included. The counts are deterministic, so an eligibility
+// regression that silently drops replays fails here.
+func TestRecordingWork(t *testing.T) {
+	for _, tc := range []struct {
+		bench, scheme string
+		scale         float64
+		want          cpu.RecordWork
+	}{
+		{"go", "dict", 0.05, cpu.RecordWork{Activations: 1336, Recorded: 633, Steps: 31650, Replays: 1336}},
+		{"cc1", "codepack", 0.01, cpu.RecordWork{Activations: 780, Recorded: 391, Steps: 289552, Replays: 780}},
+	} {
+		p, _ := synth.ByName(tc.bench)
+		native, err := synth.Build(p.Scale(tc.scale))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Compress(native, core.Options{Scheme: program.Scheme(tc.scheme), ShadowRF: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// ReplayCheck records the same and checks every activation the
+		// replaying run replays, the first at each BADVA included.
+		for _, check := range []bool{false, true} {
+			cfg := cpu.DefaultConfig()
+			cfg.ReplayCheck = check
+			c, err := cpu.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Load(res.Image); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := c.Work(); got != tc.want {
+				t.Errorf("%s %s+RF (ReplayCheck %v): replay work %+v, want %+v", tc.bench, tc.scheme, check, got, tc.want)
+			}
 		}
 	}
 }

@@ -233,11 +233,11 @@ var storingHandler = strings.Replace(copyHandler, "__copy_handler:\n", `__copy_h
         STORE $t4, 256($k0)
 `, 1)
 
-// TestStoreInRecordedActivation: a store inside an activation being
-// recorded makes it ineligible when it closes. Every line of excProgram
-// faults once, so each recording is one closed activation that walk has
-// not seen. The functional policy records nothing and must end as the
-// plain copy handler's run does.
+// TestStoreInRecordedActivation: the forward run refuses an activation
+// that stores, so its BADVA is stored as ineligible and the activation
+// is interpreted, store included. Every line of excProgram faults once.
+// The functional policy records nothing and must end as the plain copy
+// handler's run does.
 func TestStoreInRecordedActivation(t *testing.T) {
 	_, want := runImage(t, buildCopyCompressed(t, excProgram, true))
 	for _, w := range storeWidths {
