@@ -37,12 +37,16 @@ func DefaultSampleConfig() SampleConfig { return fastpath.DefaultSampleConfig() 
 // no timing — the returned RunResult's Stats are all zero, and the
 // work shows up in FunctStats instead.
 func FunctionalRun(im *Image, cfg MachineConfig) (RunResult, FunctStats, error) {
-	cfg.Functional = true
-	r, c, err := run(im, cfg)
+	var out bytes.Buffer
+	c, err := machine(im, cfg, &out)
 	if err != nil {
 		return RunResult{}, FunctStats{}, err
 	}
-	return r, c.FStats, nil
+	code, err := fastpath.Functional(c)
+	if err != nil {
+		return RunResult{}, FunctStats{}, err
+	}
+	return RunResult{ExitCode: code, Output: out.String(), Stats: c.Stats}, c.FStats, nil
 }
 
 // SampledRun executes the image under SMARTS-style sampled simulation:

@@ -12,6 +12,7 @@ import (
 	rtd "repro"
 	"repro/internal/codec"
 	"repro/internal/cpu"
+	"repro/internal/fastpath"
 	"repro/internal/program"
 )
 
@@ -36,7 +37,6 @@ import (
 func functionalDivergences(im *rtd.Image, cfg cpu.Config, breakFunctional bool) ([]string, error) {
 	run := func(functional bool) (*cpu.CPU, string, int32, error) {
 		c2 := cfg
-		c2.Functional = functional
 		c2.FunctionalBreak = functional && breakFunctional
 		c, err := cpu.New(c2)
 		if err != nil {
@@ -46,6 +46,10 @@ func functionalDivergences(im *rtd.Image, cfg cpu.Config, breakFunctional bool) 
 		c.Out = &out
 		if err := c.Load(im); err != nil {
 			return nil, "", 0, err
+		}
+		if functional {
+			code, err := fastpath.Functional(c)
+			return c, out.String(), code, err
 		}
 		code, err := c.Run()
 		return c, out.String(), code, err

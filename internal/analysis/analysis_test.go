@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/isa"
@@ -74,33 +75,6 @@ func TestShippedHandlersClean(t *testing.T) {
 	}
 }
 
-// TestCoreLintOption checks the core.Compress wiring: Options.Lint
-// populates Result.Lint and a shipped benchmark comes back clean.
-func TestCoreLintOption(t *testing.T) {
-	p, _ := synth.ByName("pegwit")
-	im, err := synth.Build(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Compress(im, core.Options{Scheme: program.SchemeDict, Lint: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lint == nil {
-		t.Fatal("Options.Lint set but Result.Lint is nil")
-	}
-	if !res.Lint.Clean() {
-		t.Errorf("lint not clean: native=%v compressed=%v", res.Lint.Native, res.Lint.Compressed)
-	}
-	res, err = core.Compress(im, core.Options{Scheme: program.SchemeDict})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Lint != nil {
-		t.Error("Result.Lint populated without Options.Lint")
-	}
-}
-
 // TestCFGShape sanity-checks block splitting and edges on a handler CFG.
 func TestCFGShape(t *testing.T) {
 	seg, err := decomp.Build(decomp.Variant{Scheme: program.SchemeDict})
@@ -128,8 +102,8 @@ func TestCFGShape(t *testing.T) {
 			t.Errorf("block %d unreachable in dict handler", i)
 		}
 	}
-	if g.End() != seg.Base+uint32(len(seg.Data)) {
-		t.Errorf("CFG end %#x != segment end %#x", g.End(), seg.Base+uint32(len(seg.Data)))
+	if end := g.Blocks[len(g.Blocks)-1].Last().PC + isa.InstrBytes; end != seg.Base+uint32(len(seg.Data)) {
+		t.Errorf("CFG end %#x != segment end %#x", end, seg.Base+uint32(len(seg.Data)))
 	}
 }
 
@@ -159,16 +133,53 @@ func TestLivenessOnHandler(t *testing.T) {
 	}
 }
 
-// TestDeadProcs: shipped benchmarks have no unreachable procedures.
+// TestDeadProcs checks the whole-procedure dead-code findings: a
+// procedure nothing reaches is reported at its entry, and a shipped
+// benchmark has none.
 func TestDeadProcs(t *testing.T) {
+	fixture, err := asm.Assemble(`
+        .text
+        .proc main
+main:   jal   used
+        move  $a0, $zero
+        ori   $v0, $zero, 10
+        syscall
+        .endp
+        .proc used
+used:   jr    $ra
+        .endp
+        .proc unused
+unused: jr    $ra
+        .endp
+        .entry main
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dead := deadProcs(fixture); len(dead) != 1 || dead[0] != "unused" {
+		t.Errorf("fixture dead procedures = %v, want [unused]", dead)
+	}
 	p, _ := synth.ByName("pegwit")
 	im, err := synth.Build(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dead := analysis.DeadProcs(im); len(dead) != 0 {
+	if dead := deadProcs(im); len(dead) != 0 {
 		t.Errorf("synth image reports dead procs: %v", dead)
 	}
+}
+
+// deadProcs returns the procedures with a dead-code finding at their
+// entry, which the analyzer makes for a procedure it proves unreachable
+// (a dead block inside a live procedure is reported at the block).
+func deadProcs(im *program.Image) []string {
+	var dead []string
+	for _, f := range analysis.AnalyzeImage(im).Findings {
+		if p := im.ProcByName(f.Unit); f.Rule == analysis.RuleDeadCode && p != nil && p.Addr == f.PC {
+			dead = append(dead, f.Unit)
+		}
+	}
+	return dead
 }
 
 func BenchmarkAnalyzeImage(b *testing.B) {

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // Instr is one decoded instruction inside a unit.
 type Instr struct {
@@ -46,20 +42,6 @@ type CFG struct {
 	Blocks []*Block
 
 	blockAt map[uint32]int // leader PC -> block index
-}
-
-// End returns the first address past the unit.
-func (g *CFG) End() uint32 {
-	last := g.Blocks[len(g.Blocks)-1].Last()
-	return last.PC + isa.InstrBytes
-}
-
-// BlockAt returns the index of the block starting at pc, or -1.
-func (g *CFG) BlockAt(pc uint32) int {
-	if i, ok := g.blockAt[pc]; ok {
-		return i
-	}
-	return -1
 }
 
 // Reachable returns the set of block indices reachable from block 0.
@@ -263,18 +245,4 @@ func (g *CFG) ReversePostorder() []int {
 		po[i], po[j] = po[j], po[i]
 	}
 	return po
-}
-
-// Preds returns the predecessor lists of every block.
-func (g *CFG) Preds() [][]int {
-	preds := make([][]int, len(g.Blocks))
-	for _, b := range g.Blocks {
-		for _, s := range b.Succs {
-			preds[s] = append(preds[s], b.Index)
-		}
-	}
-	for _, p := range preds {
-		sort.Ints(p)
-	}
-	return preds
 }

@@ -119,20 +119,6 @@ func (r *Report) AtLeast(min Severity) []Finding {
 // Count returns how many findings have severity >= min.
 func (r *Report) Count(min Severity) int { return len(r.AtLeast(min)) }
 
-// Rules returns the distinct rule IDs present at severity >= min.
-func (r *Report) Rules(min Severity) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, f := range r.Findings {
-		if f.Severity >= min && !seen[f.Rule] {
-			seen[f.Rule] = true
-			out = append(out, f.Rule)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // regOrHILO names a register index for messages, where HI/LO use the
 // pseudo-indices below.
 const (

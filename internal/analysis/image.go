@@ -318,23 +318,6 @@ func (a *analyzer) reachability() {
 	}
 }
 
-// DeadProcs returns the names of procedures the analyzer proves
-// unreachable. internal/selective uses it to report (or exclude) lines
-// that can never fault a decompression.
-func DeadProcs(im *program.Image) map[string]bool {
-	rep := AnalyzeImage(im)
-	dead := map[string]bool{}
-	for _, f := range rep.Findings {
-		if f.Rule == RuleDeadCode && f.Unit != "" && im.ProcByName(f.Unit) != nil {
-			p := im.ProcByName(f.Unit)
-			if p.Addr == f.PC { // whole-procedure finding, not a block
-				dead[f.Unit] = true
-			}
-		}
-	}
-	return dead
-}
-
 // unclaimedCode scans code-segment bytes outside every procedure: the
 // layout engine pads the compressed region with nops, but anything else
 // is code the procedure table cannot account for (Info only — it is

@@ -89,9 +89,6 @@ func (b *Builder) need() *section {
 	return b.cur
 }
 
-// PC returns the address the next byte will be emitted at.
-func (b *Builder) PC() uint32 { return b.need().pc() }
-
 // Label defines sym at the current position. Redefinition at the same
 // address is tolerated (".proc main" followed by "main:" is idiomatic);
 // redefinition elsewhere is an error.

@@ -413,46 +413,3 @@ func (c *Cache) ReadWord(addr uint32) (w uint32, ok bool) {
 	off := addr & uint32(c.cfg.LineBytes-1)
 	return binary.LittleEndian.Uint32(c.data(s)[off : off+4]), true
 }
-
-// UpdateWord updates addr's word if its line is present (write-through
-// store hit); it never allocates.
-func (c *Cache) UpdateWord(addr uint32, w uint32) {
-	if !c.storesData {
-		return
-	}
-	if s := c.find(addr); s >= 0 {
-		ln := &c.lines[s]
-		ln.derived = false
-		off := addr & uint32(c.cfg.LineBytes-1)
-		binary.LittleEndian.PutUint32(c.data(s)[off:off+4], w)
-	}
-}
-
-// Invalidate drops addr's line if present.
-func (c *Cache) Invalidate(addr uint32) {
-	c.mruSlot = -1
-	if s := c.find(addr); s >= 0 {
-		c.lines[s].valid = false
-		c.lines[s].derived = false
-	}
-}
-
-// Flush invalidates every line and leaves statistics untouched.
-func (c *Cache) Flush() {
-	c.mruSlot = -1
-	for i := range c.lines {
-		c.lines[i].valid = false
-		c.lines[i].derived = false
-	}
-}
-
-// LineData returns a copy of the line containing addr, or nil if absent.
-func (c *Cache) LineData(addr uint32) []byte {
-	s := c.find(addr)
-	if s < 0 || !c.lines[s].stored {
-		return nil
-	}
-	out := make([]byte, c.cfg.LineBytes)
-	copy(out, c.data(s))
-	return out
-}

@@ -111,33 +111,6 @@ func TestSwicEvictedLineIsZeroed(t *testing.T) {
 	}
 }
 
-func TestInvalidateAndFlush(t *testing.T) {
-	c := MustNew(icacheCfg, true)
-	c.Fill(0x400000, make([]byte, 32))
-	c.Fill(0x400020, make([]byte, 32))
-	c.Invalidate(0x400000)
-	if c.Probe(0x400000) || !c.Probe(0x400020) {
-		t.Fatal("Invalidate wrong")
-	}
-	c.Flush()
-	if c.Probe(0x400020) {
-		t.Fatal("Flush wrong")
-	}
-}
-
-func TestUpdateWordOnlyOnHit(t *testing.T) {
-	c := MustNew(icacheCfg, true)
-	c.UpdateWord(0x400000, 7) // miss: must not allocate
-	if c.Probe(0x400000) {
-		t.Fatal("UpdateWord must not allocate")
-	}
-	c.Fill(0x400000, make([]byte, 32))
-	c.UpdateWord(0x400004, 7)
-	if w, _ := c.ReadWord(0x400004); w != 7 {
-		t.Fatal("UpdateWord on hit must write")
-	}
-}
-
 func TestLineBase(t *testing.T) {
 	c := MustNew(icacheCfg, false)
 	if c.LineBase(0x40001F) != 0x400000 || c.LineBase(0x400020) != 0x400020 {

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -38,9 +39,6 @@ func TestDerivedClearedOnEveryChange(t *testing.T) {
 		{"Fill evicting", func(c *Cache) { c.Fill(other, line); c.Fill(third, line) }},
 		{"WriteWord resident", func(c *Cache) { c.WriteWord(a+4, 1) }},
 		{"WriteWord claim evicting", func(c *Cache) { c.WriteWord(other, 1); c.WriteWord(third, 1) }},
-		{"UpdateWord", func(c *Cache) { c.UpdateWord(a+8, 1) }},
-		{"Invalidate", func(c *Cache) { c.Invalidate(a) }},
-		{"Flush", func(c *Cache) { c.Flush() }},
 		{"Restore", func(c *Cache) {
 			if err := c.Restore(c.Snapshot()); err != nil {
 				t.Fatal(err)
@@ -65,9 +63,7 @@ func TestDerivedClearedOnEveryChange(t *testing.T) {
 		{"Hits", func(c *Cache) { c.Hits(c.Slot(a), 3) }},
 		{"Probe", func(c *Cache) { c.Probe(a) }},
 		{"ReadWord", func(c *Cache) { c.ReadWord(a) }},
-		{"LineData", func(c *Cache) { c.LineData(a) }},
 		{"Snapshot", func(c *Cache) { c.Snapshot() }},
-		{"UpdateWord absent", func(c *Cache) { c.UpdateWord(other, 1) }},
 		{"Fill other set", func(c *Cache) { c.Fill(a+uint32(icacheCfg.LineBytes), line) }},
 	}
 	for _, tc := range keeps {
@@ -102,7 +98,7 @@ func TestSlotAPI(t *testing.T) {
 		t.Fatal("SlotData differs from the filled line")
 	}
 	c.WriteWord(0x1044, 0x01020304)
-	if !bytes.Equal(c.SlotData(s), c.LineData(0x1040)) {
+	if binary.LittleEndian.Uint32(c.SlotData(s)[4:]) != 0x01020304 {
 		t.Fatal("SlotData is not the live line")
 	}
 
@@ -138,12 +134,6 @@ func TestProbeUsesMRUHintCoherently(t *testing.T) {
 	if !c.Access(0) || !c.Probe(4) {
 		t.Fatal("resident line not seen")
 	}
-	c.Invalidate(0)
-	if c.Probe(4) {
-		t.Fatal("Probe saw an invalidated line through the MRU hint")
-	}
-	c.Fill(0, nil)
-	c.Access(0)
 	c.Fill(64, nil) // evicts line 0 from the single-way set
 	if c.Probe(0) {
 		t.Fatal("Probe saw an evicted line through the MRU hint")

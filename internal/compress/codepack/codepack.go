@@ -290,11 +290,3 @@ func (c *Compressed) LATBytes() []byte {
 func (c *Compressed) CompressedSize() int {
 	return len(c.Stream) + len(c.TableBytes()) + len(c.LATBytes())
 }
-
-// Ratio returns compressed size / original size (Equation 1).
-func (c *Compressed) Ratio() float64 {
-	if c.Instrs == 0 {
-		return 1
-	}
-	return float64(c.CompressedSize()) / float64(4*c.Instrs)
-}

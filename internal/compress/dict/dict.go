@@ -182,14 +182,6 @@ func (c *Compressed) CompressedSize() int {
 	return len(c.DictBytes()) + len(c.IndexBytes())
 }
 
-// Ratio returns compressed size / original size (Equation 1).
-func (c *Compressed) Ratio() float64 {
-	if len(c.Indices) == 0 {
-		return 1
-	}
-	return float64(c.CompressedSize()) / float64(4*len(c.Indices))
-}
-
 // Decompress is the reference (non-simulated) decoder used by tests: it
 // must reproduce the original text exactly.
 func (c *Compressed) Decompress() []byte {
@@ -198,14 +190,4 @@ func (c *Compressed) Decompress() []byte {
 		binary.LittleEndian.PutUint32(out[4*i:], c.Dict[x])
 	}
 	return out
-}
-
-// ShiftFor returns the right-shift that maps a native byte offset to an
-// index-stream byte offset (1 for 16-bit indices: offset/2; 2 for 8-bit).
-// The software decompressor uses this to avoid a mapping table (§3.1).
-func (c *Compressed) ShiftFor() uint {
-	if c.Bits == Index8 {
-		return 2
-	}
-	return 1
 }

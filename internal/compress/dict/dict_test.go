@@ -69,7 +69,7 @@ func TestRatioFormula(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := 0.5 + float64(len(c.Dict))/float64(total)
-		if got := c.Ratio(); got < want-1e-9 || got > want+1e-9 {
+		if got := float64(c.CompressedSize()) / float64(4*total); got < want-1e-9 || got > want+1e-9 {
 			t.Fatalf("ratio = %f, want %f", got, want)
 		}
 	}
@@ -120,13 +120,7 @@ func TestIndex8Serialisation(t *testing.T) {
 	if len(ib) != 4 {
 		t.Fatalf("index bytes = %d", len(ib))
 	}
-	if c.ShiftFor() != 2 {
-		t.Fatal("shift for 8-bit should be 2")
-	}
 	c16, _ := Compress(wordsToBytes(words), Index16)
-	if c16.ShiftFor() != 1 {
-		t.Fatal("shift for 16-bit should be 1")
-	}
 	if len(c16.IndexBytes()) != 8 {
 		t.Fatal("16-bit index bytes wrong")
 	}

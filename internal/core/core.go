@@ -12,7 +12,6 @@ import (
 	"slices"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/codec"
 	_ "repro/internal/codec/all" // register every shipped codec
 	"repro/internal/compress/dict"
@@ -39,23 +38,6 @@ type Options struct {
 	// profile-guided placement the paper proposes as future work (§5.3).
 	// Procedures not listed follow in their original relative order.
 	Order []string
-	// Lint runs the static analyzer (internal/analysis) over both the
-	// input image and the rewritten image, returning warning-or-worse
-	// findings in Result.Lint. It catches broken handlers, bad
-	// re-layouts and unmapped branch targets in milliseconds, without a
-	// lockstep simulation run.
-	Lint bool
-}
-
-// LintResult carries the static-analysis findings of a linted run.
-type LintResult struct {
-	Native     []analysis.Finding // findings in the input image
-	Compressed []analysis.Finding // findings in the rewritten image
-}
-
-// Clean reports whether the lint pass found nothing at Warning or above.
-func (l *LintResult) Clean() bool {
-	return l == nil || len(l.Native)+len(l.Compressed) == 0
 }
 
 // Result is a compressed program plus its size accounting.
@@ -65,9 +47,6 @@ type Result struct {
 	OriginalSize int // bytes of the original .text
 	StoredSize   int // bytes of memory the code occupies after compression
 	NativeBytes  int // bytes left as native code (selective compression)
-
-	// Lint holds static-analysis findings when Options.Lint is set.
-	Lint *LintResult
 }
 
 // Ratio returns StoredSize/OriginalSize (Equation 1 of the paper).
@@ -192,19 +171,12 @@ func CompressWith(native *program.Image, cdc codec.Codec, opts Options) (*Result
 	if err := im.Validate(); err != nil {
 		return nil, fmt.Errorf("core: compressed image invalid: %v", err)
 	}
-	res := &Result{
+	return &Result{
 		Image:        im,
 		OriginalSize: len(text.Data),
 		StoredSize:   len(enc.Dict) + len(enc.Indices) + len(enc.LAT) + lay.nativeLen(),
 		NativeBytes:  lay.nativeLen(),
-	}
-	if opts.Lint {
-		res.Lint = &LintResult{
-			Native:     analysis.AnalyzeImage(native).AtLeast(analysis.Warning),
-			Compressed: analysis.AnalyzeImage(im).AtLeast(analysis.Warning),
-		}
-	}
-	return res, nil
+	}, nil
 }
 
 // codecName maps compression options to a registry name: the dict

@@ -219,10 +219,11 @@ func TestCacheLinesMatchGolden(t *testing.T) {
 		text := res.Image.Segment(program.SegText)
 		checked := 0
 		for addr := text.Base; addr < text.End(); addr += 32 {
-			line := r.cpu.IC.LineData(addr)
-			if line == nil {
+			s := r.cpu.IC.Slot(addr)
+			if s < 0 {
 				continue
 			}
+			line := r.cpu.IC.SlotData(s)
 			checked++
 			want := text.Data[addr-text.Base:]
 			for i := 0; i < 32 && int(addr-text.Base)+i < len(text.Data); i++ {

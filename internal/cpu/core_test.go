@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -255,7 +256,7 @@ func runEnd(t *testing.T, im *program.Image, cfg cpu.Config, loopOnly bool, driv
 
 // runToEnd is a whole functional run.
 func runToEnd(c *cpu.CPU) error {
-	_, err := c.Run()
+	_, err := c.RunFunctionalFor(math.MaxUint64)
 	return err
 }
 
@@ -263,7 +264,6 @@ func runToEnd(c *cpu.CPU) error {
 // returns the core's end.
 func compareCore(t *testing.T, label string, im *program.Image, cfg cpu.Config, drive func(*cpu.CPU) error) coreEnd {
 	t.Helper()
-	cfg.Functional = true
 	got, want := runEnd(t, im, cfg, false, drive), runEnd(t, im, cfg, true, drive)
 	switch {
 	case got.err != want.err:
@@ -434,7 +434,7 @@ func TestCoreLimits(t *testing.T) {
 	for _, name := range []string{"native", "dict", "allops/codepack,rf=false"} {
 		im := imageNamed(t, imgs, name)
 		cfg := cpu.DefaultConfig()
-		cfg.MaxInstr, cfg.Functional = 1_000_000, true
+		cfg.MaxInstr = 1_000_000
 		total := runEnd(t, im, cfg, true, runToEnd).state.FStats
 		n := total.Instrs + total.HandlerInstrs
 		if name != "native" {

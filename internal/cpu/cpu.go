@@ -13,12 +13,20 @@ import (
 
 	"repro/internal/bpred"
 	"repro/internal/cache"
+	"repro/internal/isa"
 	"repro/internal/mem"
 	"repro/internal/program"
 )
 
 // Config describes the simulated machine. DefaultConfig matches the
-// paper's Table 1.
+// paper's Table 1. It picks no interpreter policy: the entry point
+// alone does. Run, RunDetailedFor and its kin run the detailed one;
+// RunFunctionalFor runs the functional one (identical architectural
+// semantics, no timing model: no caches, no branch predictor, no cycle
+// accounting, see fstore.go; work is counted in CPU.FStats and
+// cpu.Stats stays untouched); RunFunctionalSampled runs the warm one
+// (which makes the detailed engine's cache and predictor state changes
+// and charges nothing).
 type Config struct {
 	ICache cache.Config
 	DCache cache.Config
@@ -46,15 +54,6 @@ type Config struct {
 	// Run returns an error when it is exceeded. 0 means no bound.
 	MaxInstr uint64
 
-	// Functional makes Run() use the interpreter's functional policy:
-	// identical architectural semantics, no timing model — no caches,
-	// no branch predictor, no cycle accounting (see fstore.go). Work is
-	// counted in CPU.FStats; cpu.Stats stays untouched. The entry points
-	// pick their own policy regardless of this flag: RunFunctionalFor
-	// the functional one, RunFunctionalSampled the warm one (which makes
-	// the detailed engine's cache and predictor state changes and
-	// charges nothing), RunDetailedFor and its kin the detailed one.
-	Functional bool
 	// FunctionalBreak deliberately corrupts the functional policy's
 	// handler swic stores (one bit per word). It exists solely as the
 	// equivalence battery's negative control: a broken functional
@@ -320,12 +319,12 @@ func (c *CPU) Load(im *program.Image) error {
 		}
 		c.goldenText = im.Segment(program.SegText)
 		c.compStart, c.compEnd = ci.CompStart, ci.CompEnd
-		c.c0[0] = ci.CompStart   // DBASE
-		c.c0[1] = ci.DictBase    // DICT
-		c.c0[2] = ci.IndicesBase // INDICES
-		c.c0[3] = ci.LATBase     // LAT
+		c.c0[isa.C0DBase] = ci.CompStart
+		c.c0[isa.C0Dict] = ci.DictBase
+		c.c0[isa.C0Indices] = ci.IndicesBase
+		c.c0[isa.C0LAT] = ci.LATBase
 		if ci.ShadowRF {
-			c.c0[6] |= 2 // StatusShadowRF
+			c.c0[isa.C0Status] |= isa.StatusShadowRF
 		}
 	}
 	c.fdBase, c.fdEnd = 0, 0
@@ -383,13 +382,6 @@ func (c *CPU) PC() uint32 { return c.pc }
 // Reg returns register r of the active file.
 func (c *CPU) Reg(r int) uint32 { return c.regs[c.bank][r] }
 
-// SetReg writes register r of the active file ($zero writes are dropped).
-func (c *CPU) SetReg(r int, v uint32) {
-	if r != 0 {
-		c.regs[c.bank][r] = v
-	}
-}
-
 // UserReg returns register r of the user (non-shadow) file, regardless
 // of the active bank. Final-state comparisons use it so a machine that
 // halts inside the handler is still comparable.
@@ -420,16 +412,10 @@ func (c *CPU) inHandlerRAM(addr uint32) bool {
 	return addr-c.handlerPC < c.handlerLen
 }
 
-// Run executes instructions until the program exits or a limit is hit.
-// It returns the exit code (0 if still running when maxInstr was reached
-// with MaxInstr==0 semantics, see Config).
+// Run executes instructions on the detailed policy until the program
+// exits or a limit is hit. It returns the exit code (0 if still running
+// when maxInstr was reached with MaxInstr==0 semantics, see Config).
 func (c *CPU) Run() (int32, error) {
-	if c.Cfg.Functional {
-		if err := c.runFunctional(c.budget(), noLimit, runOn); err != nil {
-			return -1, err
-		}
-		return c.exitCode, nil
-	}
 	if err := c.run(c.budget(), noLimit, runOn); err != nil {
 		return -1, err
 	}

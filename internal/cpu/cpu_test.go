@@ -2,11 +2,25 @@ package cpu
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
 )
+
+// runPolicy runs c to the end on the functional policy, as
+// fastpath.Functional does, or else on the detailed one (Run).
+func runPolicy(c *CPU, functional bool) (int32, error) {
+	if !functional {
+		return c.Run()
+	}
+	if _, err := c.RunFunctionalFor(math.MaxUint64); err != nil {
+		return -1, err
+	}
+	_, code := c.Halted()
+	return code, nil
+}
 
 func run(t *testing.T, src string) (*CPU, int32, string) {
 	t.Helper()
@@ -323,15 +337,14 @@ main:   b main
 	for _, functional := range []bool{false, true} {
 		c, _ := New(DefaultConfig())
 		c.Cfg.MaxInstr = 1000
-		c.Cfg.Functional = functional
 		if err := c.Load(im); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(); err == nil || !strings.Contains(err.Error(), "budget") {
+		if _, err := runPolicy(c, functional); err == nil || !strings.Contains(err.Error(), "budget") {
 			t.Fatalf("functional=%v: err = %v", functional, err)
 		}
 		for _, again := range []func() error{
-			func() error { _, err := c.Run(); return err },
+			func() error { _, err := runPolicy(c, functional); return err },
 			func() error { _, err := c.RunDetailedFor(10); return err },
 			func() error { _, err := c.RunFunctionalFor(10); return err },
 		} {

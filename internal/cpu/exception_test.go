@@ -162,10 +162,11 @@ func TestHandlerFilledLinesMatchGolden(t *testing.T) {
 	// to the golden program text.
 	checked := 0
 	for addr := text.Base; addr < text.End(); addr += 32 {
-		line := c.IC.LineData(addr)
-		if line == nil {
+		s := c.IC.Slot(addr)
+		if s < 0 {
 			continue
 		}
+		line := c.IC.SlotData(s)
 		checked++
 		for i, b := range line {
 			a := addr + uint32(i)

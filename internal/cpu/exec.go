@@ -381,13 +381,13 @@ func (c *CPU) raiseDecompress(pc uint32, pol policy) error {
 	} else {
 		c.lastExc, c.excRepet = pc, 0
 	}
-	c.c0[4] = pc    // EPC
-	c.c0[5] = pc    // BADVA
-	c.c0[6] |= 1    // StatusEXL
+	c.c0[isa.C0EPC] = pc
+	c.c0[isa.C0BadVA] = pc
+	c.c0[isa.C0Status] |= isa.StatusEXL
 	c.lastLoad = -1 // the flush drains the pipeline
 	c.inHandler = true
 	c.savedBank = c.bank
-	if c.c0[6]&2 != 0 { // shadow register file enabled
+	if c.c0[isa.C0Status]&isa.StatusShadowRF != 0 {
 		c.bank = 1
 	}
 	c.pc = c.handlerPC
@@ -712,9 +712,9 @@ func (c *CPU) run(left, user int64, mode int) error {
 			}
 			c.inHandler = false
 			c.bank = c.savedBank
-			c.c0[6] &^= 1
-			lastLoad = -1  // redirect drains the pipeline
-			next = c.c0[4] // EPC
+			c.c0[isa.C0Status] &^= isa.StatusEXL
+			lastLoad = -1 // redirect drains the pipeline
+			next = c.c0[isa.C0EPC]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.IretCycles)
 				c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)

@@ -315,14 +315,12 @@ func TestCallEdges(t *testing.T) {
 	}
 	edges := func(t *testing.T, im *program.Image, functional bool) map[[2]uint32]uint64 {
 		t.Helper()
-		cfg := DefaultConfig()
-		cfg.Functional = functional
-		c, _ := New(cfg)
+		c, _ := New(DefaultConfig())
 		calls := c.CallEdges()
 		if err := c.Load(im); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Run(); err != nil {
+		if _, err := runPolicy(c, functional); err != nil {
 			t.Fatal(err)
 		}
 		return calls

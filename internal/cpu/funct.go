@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"repro/internal/isa"
 )
 
 // runWarm is run compiled for the warm policy.
@@ -279,9 +280,9 @@ func (c *CPU) runWarm(left, user int64, mode int) error {
 			}
 			c.inHandler = false
 			c.bank = c.savedBank
-			c.c0[6] &^= 1
-			lastLoad = -1  // redirect drains the pipeline
-			next = c.c0[4] // EPC
+			c.c0[isa.C0Status] &^= isa.StatusEXL
+			lastLoad = -1 // redirect drains the pipeline
+			next = c.c0[isa.C0EPC]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.IretCycles)
 				c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)
@@ -762,9 +763,9 @@ func (c *CPU) runFunctional(left, user int64, mode int) error {
 			}
 			c.inHandler = false
 			c.bank = c.savedBank
-			c.c0[6] &^= 1
-			lastLoad = -1  // redirect drains the pipeline
-			next = c.c0[4] // EPC
+			c.c0[isa.C0Status] &^= isa.StatusEXL
+			lastLoad = -1 // redirect drains the pipeline
+			next = c.c0[isa.C0EPC]
 			if pol == detailed {
 				cyc += uint64(c.Cfg.IretCycles)
 				c.Stats.CPIStack[CycleExcService] += uint64(c.Cfg.IretCycles)

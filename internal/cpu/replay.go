@@ -66,6 +66,7 @@ import (
 	"slices"
 
 	"repro/internal/bpred"
+	"repro/internal/isa"
 )
 
 // recordCap bounds a forward run: a handler still running after this
@@ -204,7 +205,7 @@ func (c *CPU) enterActivation(left int64) *recording {
 		c.rp.cfg = cfg
 	}
 	c.rp.work.activations++
-	rec := c.rp.byBadva[c.c0[5]]
+	rec := c.rp.byBadva[c.c0[isa.C0BadVA]]
 	if rec == nil || rec.c0In != c.c0 && rec != &ineligible {
 		rec = c.record(left)
 	}
@@ -390,7 +391,7 @@ func (c *CPU) record(left int64) *recording {
 			swics++
 
 		case pIRET:
-			c0[6] &^= 1
+			c0[isa.C0Status] &^= isa.StatusEXL
 			ok = true
 			goto done
 
@@ -412,7 +413,7 @@ done:
 	if rp.byBadva == nil {
 		rp.byBadva = make(map[uint32]*recording)
 	}
-	badva := c.c0[5]
+	badva := c.c0[isa.C0BadVA]
 	if !ok {
 		rp.work.refused++
 		rp.byBadva[badva] = &ineligible

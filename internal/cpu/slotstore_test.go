@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -69,15 +70,35 @@ type slotCase struct {
 }
 
 func slotCases() []slotCase {
-	refill := func(c *CPU, sym map[string]uint32) { c.IC.Invalidate(sym["fins"]) }
-	flush := func(c *CPU, _ map[string]uint32) { c.IC.Flush() }
+	// evict drops lines the way a run does, by filling lines of an
+	// address range the program never fetches: every way of the set
+	// holding fins's line, or of every set.
+	evict := func(every bool) func(*CPU, map[string]uint32) {
+		return func(c *CPU, sym map[string]uint32) {
+			cfg := c.IC.Config()
+			lb, span := uint32(cfg.LineBytes), uint32(cfg.Sets()*cfg.LineBytes)
+			lines := []uint32{sym["fins"] % span &^ (lb - 1)}
+			if every {
+				lines = lines[:0]
+				for off := uint32(0); off < span; off += lb {
+					lines = append(lines, off)
+				}
+			}
+			for w := uint32(0); w < uint32(cfg.Ways); w++ {
+				for _, off := range lines {
+					c.IC.Fill(0x7000_0000+w*span+off, make([]byte, lb))
+				}
+			}
+		}
+	}
+	refill, flush := evict(false), evict(true)
 	// patchLine re-fills the line holding sym[at] with its current
 	// bytes, except that word, which becomes w.
 	patchLine := func(at string, w uint32) func(*CPU, map[string]uint32) {
 		return func(c *CPU, sym map[string]uint32) {
 			a := sym[at]
 			base := c.IC.LineBase(a)
-			line := c.IC.LineData(base)
+			line := bytes.Clone(c.IC.SlotData(c.IC.Slot(base)))
 			binary.LittleEndian.PutUint32(line[a-base:], w)
 			c.IC.Fill(base, line)
 		}
@@ -204,8 +225,9 @@ marker: ori   $a0, $zero, 1
 	}
 }
 
-// runSlotCase runs one case in one fetch mode and returns the machine.
-func runSlotCase(t *testing.T, tc slotCase, mode func(*Config)) *CPU {
+// runSlotCase runs one case in one fetch mode, on the functional or
+// the detailed policy, and returns the machine.
+func runSlotCase(t *testing.T, tc slotCase, mode func(*Config), functional bool) *CPU {
 	t.Helper()
 	im, err := asm.Assemble(tc.src)
 	if err != nil {
@@ -239,7 +261,7 @@ func runSlotCase(t *testing.T, tc slotCase, mode func(*Config)) *CPU {
 		}
 		tc.poke(c, im.Symbols)
 	}
-	code, err := c.Run()
+	code, err := runPolicy(c, functional)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -263,7 +285,7 @@ func TestSlotStoreCoherence(t *testing.T) {
 			var ref *CPU
 			for _, m := range modes {
 				var c *CPU
-				t.Run(m.name, func(t *testing.T) { c = runSlotCase(t, tc, m.set) })
+				t.Run(m.name, func(t *testing.T) { c = runSlotCase(t, tc, m.set, false) })
 				if c == nil {
 					continue
 				}
@@ -278,7 +300,7 @@ func TestSlotStoreCoherence(t *testing.T) {
 			}
 			if tc.poke == nil {
 				t.Run("functional", func(t *testing.T) {
-					runSlotCase(t, tc, func(c *Config) { c.Functional = true })
+					runSlotCase(t, tc, func(*Config) {}, true)
 				})
 			}
 			if tc.name == "direct-mapped-eviction" && ref != nil && ref.IC.Stats.Evictions < 40 {
@@ -313,16 +335,14 @@ tail:
 	}
 	text.Data = append(text.Data, 0xAA, 0xBB)
 	for _, functional := range []bool{false, true} {
-		cfg := DefaultConfig()
-		cfg.Functional = functional
-		c, err := New(cfg)
+		c, err := New(DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := c.Load(im); err != nil {
 			t.Fatal(err)
 		}
-		if code, err := c.Run(); err != nil || code != 3 {
+		if code, err := runPolicy(c, functional); err != nil || code != 3 {
 			t.Errorf("functional=%v: exit %d, %v; want 3", functional, code, err)
 		}
 	}

@@ -30,15 +30,15 @@ var storePolicies = []struct {
 	functional bool
 }{{"detailed", false}, {"functional", true}}
 
-// newStoreCPU loads im on a machine for the policy, with icfg as its
-// I-cache unless icfg is zero.
-func newStoreCPU(t *testing.T, im *program.Image, icfg cache.Config, functional bool) *CPU {
+// newStoreCPU loads im on a machine with icfg as its I-cache unless
+// icfg is zero.
+func newStoreCPU(t *testing.T, im *program.Image, icfg cache.Config) *CPU {
 	t.Helper()
 	cfg := DefaultConfig()
 	if icfg != (cache.Config{}) {
 		cfg.ICache = icfg
 	}
-	cfg.MaxInstr, cfg.Functional = 1_000_000, functional
+	cfg.MaxInstr = 1_000_000
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -99,8 +99,8 @@ hins:   ori   $v1, $zero, 1
 		im := assembleT(t, src)
 		for _, pol := range storePolicies {
 			t.Run(w.store+"/"+pol.name, func(t *testing.T) {
-				c := newStoreCPU(t, im, cache.Config{}, pol.functional)
-				code, err := c.Run()
+				c := newStoreCPU(t, im, cache.Config{})
+				code, err := runPolicy(c, pol.functional)
 				if err != nil || code != 0x17 {
 					t.Fatalf("exit %#x, err %v; want 0x17", code, err)
 				}
@@ -140,8 +140,8 @@ g:      jr    $ra
 		im := assembleT(t, src)
 		for _, pol := range storePolicies {
 			t.Run(w.store+"/"+pol.name, func(t *testing.T) {
-				c := newStoreCPU(t, im, icfg, pol.functional)
-				code, err := c.Run()
+				c := newStoreCPU(t, im, icfg)
+				code, err := runPolicy(c, pol.functional)
 				if err != nil || code != 0x17 {
 					t.Fatalf("exit %#x, err %v; want 0x17", code, err)
 				}
@@ -192,7 +192,7 @@ func TestStoreIntoRecordedSpan(t *testing.T) {
 			t.Run(w.store+"/"+pol.name, func(t *testing.T) {
 				for _, store := range []string{"nop", w.store + " $zero, 0($t0)"} {
 					im := buildCopyCompressed(t, spanProgram(store), true)
-					c := newStoreCPU(t, im, cache.Config{}, pol.functional)
+					c := newStoreCPU(t, im, cache.Config{})
 					if pol.functional {
 						if _, err := c.RunDetailedFor(3); err != nil {
 							t.Fatal(err)
@@ -201,7 +201,7 @@ func TestStoreIntoRecordedSpan(t *testing.T) {
 							t.Fatal("the detailed period recorded nothing")
 						}
 					}
-					code, err := c.Run()
+					code, err := runPolicy(c, pol.functional)
 					if err != nil || code != 3 {
 						t.Fatalf("%s: exit %d, err %v; want 3", store, code, err)
 					}
@@ -244,8 +244,8 @@ func TestStoreInRecordedActivation(t *testing.T) {
 		im := buildWithHandler(t, excProgram, strings.Replace(storingHandler, "STORE", w.store, 1), true)
 		for _, pol := range storePolicies {
 			t.Run(w.store+"/"+pol.name, func(t *testing.T) {
-				c := newStoreCPU(t, im, cache.Config{}, pol.functional)
-				code, err := c.Run()
+				c := newStoreCPU(t, im, cache.Config{})
+				code, err := runPolicy(c, pol.functional)
 				if err != nil || code != want {
 					t.Fatalf("exit %d, err %v; want %d", code, err, want)
 				}
@@ -286,8 +286,8 @@ func TestStoreIntoCompressedRegion(t *testing.T) {
 		im := buildCopyCompressed(t, src, true)
 		for _, pol := range storePolicies {
 			t.Run(w.store+"/"+pol.name, func(t *testing.T) {
-				c := newStoreCPU(t, im, cache.Config{}, pol.functional)
-				if _, err := c.Run(); err != nil {
+				c := newStoreCPU(t, im, cache.Config{})
+				if _, err := runPolicy(c, pol.functional); err != nil {
 					t.Fatal(err)
 				}
 				if c.Mem.Cached(program.CompBase) == nil {
@@ -334,16 +334,16 @@ more:   ` + w.store + `  $t2, 0($t0)
 `
 		for _, pol := range storePolicies {
 			t.Run(w.store+"/"+pol.name, func(t *testing.T) {
-				c := newStoreCPU(t, assembleT(t, first), cache.Config{}, pol.functional)
-				code, err := c.Run()
+				c := newStoreCPU(t, assembleT(t, first), cache.Config{})
+				code, err := runPolicy(c, pol.functional)
 				if err != nil || code != 0x55 {
 					t.Fatalf("exit %#x, err %v; want 0x55", code, err)
 				}
 				if !c.Mem.Backed(0x30000000) {
 					t.Error("the stored-to page is not backed")
 				}
-				c = newStoreCPU(t, assembleT(t, runaway), cache.Config{}, pol.functional)
-				_, err = c.Run()
+				c = newStoreCPU(t, assembleT(t, runaway), cache.Config{})
+				_, err = runPolicy(c, pol.functional)
 				if !errors.Is(err, mem.ErrBacked) {
 					t.Fatalf("runaway stores: err %v, want mem.ErrBacked", err)
 				}

@@ -61,12 +61,6 @@ func Variants() []Variant {
 	}
 }
 
-// Region returns the handler RAM address range the decompressor executes
-// from (fetched in parallel with the I-cache, paper §4.1).
-func Region() (base, size uint32) {
-	return program.HandlerBase, program.HandlerSize
-}
-
 // Source returns the handler's assembly source text.
 func Source(v Variant) (string, error) {
 	switch v.Scheme {
@@ -143,15 +137,6 @@ func assemble(name, src string) (*program.Segment, error) {
 		return nil, fmt.Errorf("decomp: %s handler exceeds handler RAM", name)
 	}
 	return seg, nil
-}
-
-// StaticInstrs returns the handler's static size in instructions.
-func StaticInstrs(v Variant) (int, error) {
-	seg, err := Build(v)
-	if err != nil {
-		return 0, err
-	}
-	return len(seg.Data) / 4, nil
 }
 
 const header = `

@@ -55,11 +55,11 @@ func TestHandlerSizes(t *testing.T) {
 	// magnitude and the expected orderings.
 	sizes := map[string]int{}
 	for _, v := range allVariants() {
-		n, err := StaticInstrs(v)
+		seg, err := Build(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sizes[v.String()] = n
+		sizes[v.String()] = len(seg.Data) / 4
 	}
 	d := sizes["dict"]
 	if d < 20 || d > 32 {

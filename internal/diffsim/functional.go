@@ -1,15 +1,14 @@
 package diffsim
 
 // Functional-lockstep oracle: every image kind is additionally run on
-// the functional fast-forward engine (internal/cpu with
-// Config.Functional) and its final architectural state is compared
-// against the detailed lockstep result for the same image. The
-// functional engine is the detailed engine's own loop under its
-// functional policy: it shares execute, retire, exception entry and
-// budget code and differs only in its fetch source — flat per-region
-// decode stores over an exception-materialised code store instead of
-// cache-resident predecode — so a divergence localises a bug to
-// exactly that source.
+// the functional fast-forward engine (fastpath.Functional) and its
+// final architectural state is compared against the detailed lockstep
+// result for the same image. The functional engine is the detailed
+// engine's own loop under its functional policy: it shares execute,
+// retire, exception entry and budget code and differs only in its
+// fetch source — flat per-region decode stores over an
+// exception-materialised code store instead of cache-resident
+// predecode — so a divergence localises a bug to exactly that source.
 // Timing state is out of scope by construction; the comparison covers
 // syscall output, exit code, the user register bank (masking $k0/$k1,
 // which the single-register-file decompressor is architecturally
@@ -22,6 +21,7 @@ import (
 	"fmt"
 
 	"repro/internal/cpu"
+	"repro/internal/fastpath"
 	"repro/internal/program"
 	"repro/internal/verify"
 )
@@ -51,7 +51,6 @@ func checkFunctional(images []*program.Image, results []*verify.MultiResult, opt
 // its detailed lockstep result.
 func functionalMismatch(im *program.Image, det *verify.MultiResult, opts Options) string {
 	cfg := cpu.DefaultConfig()
-	cfg.Functional = true
 	cfg.FunctionalBreak = opts.FunctionalBreak
 	cfg.MaxInstr = functionalBudget
 	if opts.ICacheBytes > 0 {
@@ -66,7 +65,7 @@ func functionalMismatch(im *program.Image, det *verify.MultiResult, opts Options
 	if err := c.Load(im); err != nil {
 		return fmt.Sprintf("load: %v", err)
 	}
-	code, err := c.Run()
+	code, err := fastpath.Functional(c)
 	if err != nil {
 		return fmt.Sprintf("run: %v", err)
 	}

@@ -200,8 +200,8 @@ func (s *Suite) nativeRun(st *benchState, cacheKB int) (runOutcome, error) {
 // optionsKey names every field of core.Options that changes the
 // compression result: two options with one key give the same Result.
 func optionsKey(opts core.Options) string {
-	return fmt.Sprintf("%s/rf=%v/bits=%d/native=%q/order=%q/lint=%v",
-		opts.Scheme, opts.ShadowRF, opts.IndexBits, sortedNames(opts.NativeProcs), opts.Order, opts.Lint)
+	return fmt.Sprintf("%s/rf=%v/bits=%d/native=%q/order=%q",
+		opts.Scheme, opts.ShadowRF, opts.IndexBits, sortedNames(opts.NativeProcs), opts.Order)
 }
 
 // runKey names one compressed run: the options and the I-cache size.

@@ -1,13 +1,19 @@
 package fastpath
 
-import "repro/internal/cpu"
+import (
+	"math"
+
+	"repro/internal/cpu"
+)
 
 // Functional runs the loaded machine to completion entirely on the
-// functional engine, regardless of Config.Functional. Work lands in
-// c.FStats; c.Stats stays zero (no cycles are ever charged).
+// functional policy (cpu.CPU.RunFunctionalFor with no user-instruction
+// limit). Work lands in c.FStats; c.Stats stays zero (no cycles are
+// ever charged).
 func Functional(c *cpu.CPU) (int32, error) {
-	prev := c.Cfg.Functional
-	c.Cfg.Functional = true
-	defer func() { c.Cfg.Functional = prev }()
-	return c.Run()
+	if _, err := c.RunFunctionalFor(math.MaxUint64); err != nil {
+		return -1, err
+	}
+	_, code := c.Halted()
+	return code, nil
 }

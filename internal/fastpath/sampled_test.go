@@ -68,12 +68,11 @@ func buildRegistryImage(t *testing.T, w perfwatch.Workload, scale float64) *prog
 
 // newRegistryMachine builds a fresh loaded machine for a registry
 // workload's cache size.
-func newRegistryMachine(t *testing.T, im *program.Image, cacheKB int, functional bool) *cpu.CPU {
+func newRegistryMachine(t *testing.T, im *program.Image, cacheKB int) *cpu.CPU {
 	t.Helper()
 	cfg := cpu.DefaultConfig()
 	cfg.ICache.SizeBytes = cacheKB * 1024
 	cfg.MaxInstr = 2_000_000_000
-	cfg.Functional = functional
 	c, err := cpu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,11 +118,11 @@ func TestWarmFidelity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := newRegistryMachine(t, res.Image, tc.kb, false)
+		d := newRegistryMachine(t, res.Image, tc.kb)
 		if _, err := d.Run(); err != nil {
 			t.Fatal(err)
 		}
-		f := newRegistryMachine(t, res.Image, tc.kb, false)
+		f := newRegistryMachine(t, res.Image, tc.kb)
 		for halted := false; !halted; {
 			var pending bool
 			if halted, pending, err = f.RunFunctionalSampled(math.MaxUint64); err != nil {
@@ -180,13 +179,13 @@ func TestSampledRegistryAccuracy(t *testing.T) {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
 			im := buildRegistryImage(t, w, scale)
-			ex := newRegistryMachine(t, im, w.CacheKB, false)
+			ex := newRegistryMachine(t, im, w.CacheKB)
 			if _, err := ex.Run(); err != nil {
 				t.Fatal(err)
 			}
 			exact := float64(ex.Stats.Cycles) / float64(ex.Stats.Instrs)
 
-			c := newRegistryMachine(t, im, w.CacheKB, false)
+			c := newRegistryMachine(t, im, w.CacheKB)
 			res, err := fastpath.Sampled(c, fastpath.DefaultSampleConfig())
 			if err != nil {
 				t.Fatal(err)
@@ -219,7 +218,7 @@ func TestSampledDeterminism(t *testing.T) {
 	w := perfwatch.Registry()[1] // go/dict: exercises windows, bursts, and fast-forward
 	im := buildRegistryImage(t, w, 0.1)
 	run := func() *fastpath.SampleResult {
-		c := newRegistryMachine(t, im, w.CacheKB, false)
+		c := newRegistryMachine(t, im, w.CacheKB)
 		res, err := fastpath.Sampled(c, fastpath.DefaultSampleConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -238,11 +237,11 @@ func TestSampledDeterminism(t *testing.T) {
 func TestSampledHugeWindowIsExact(t *testing.T) {
 	w := perfwatch.Registry()[1] // go/dict
 	im := buildRegistryImage(t, w, 0.1)
-	ex := newRegistryMachine(t, im, w.CacheKB, false)
+	ex := newRegistryMachine(t, im, w.CacheKB)
 	if _, err := ex.Run(); err != nil {
 		t.Fatal(err)
 	}
-	c := newRegistryMachine(t, im, w.CacheKB, false)
+	c := newRegistryMachine(t, im, w.CacheKB)
 	res, err := fastpath.Sampled(c, fastpath.SampleConfig{Window: 1 << 40, Interval: 1})
 	if err != nil {
 		t.Fatal(err)

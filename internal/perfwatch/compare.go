@@ -113,16 +113,6 @@ func CompareEntries(old, new Entry) Comparison {
 	return c
 }
 
-// SimChanged reports whether any workload's simulated metrics differ.
-func (c Comparison) SimChanged() bool {
-	for _, d := range c.Deltas {
-		if d.Status == StatusSlower || d.Status == StatusFaster || d.Status == StatusChanged {
-			return true
-		}
-	}
-	return false
-}
-
 // Format renders the comparison as an aligned table. verbose adds the
 // per-field simulated diffs under each changed workload.
 func (c Comparison) Format(w io.Writer, verbose bool) {

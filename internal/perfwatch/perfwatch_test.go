@@ -147,9 +147,6 @@ func TestTrajectoryRoundTrip(t *testing.T) {
 			t.Errorf("%s: cycle delta %v on identical runs", d.Workload, d.CycleDelta)
 		}
 	}
-	if c.SimChanged() {
-		t.Error("identical runs reported a simulated change")
-	}
 }
 
 // TestTrajectoryKeep checks the entry-retention cap.
@@ -398,9 +395,6 @@ func TestShippedBaselineSelfCompare(t *testing.T) {
 		if d.Status != StatusSame {
 			t.Errorf("%s: status %s (note %q, diffs %v), want same", d.Workload, d.Status, d.Note, d.SimDiffs)
 		}
-	}
-	if c.SimChanged() {
-		t.Error("self-comparison reported a simulated change")
 	}
 	if vs := (GatePolicy{}).Check(c); len(vs) != 0 {
 		t.Errorf("self-comparison violated the gate: %+v", vs)

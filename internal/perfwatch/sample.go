@@ -54,22 +54,6 @@ func NewSimMetrics(s cpu.Stats) SimMetrics {
 	return m
 }
 
-// CPI returns cycles per committed user instruction.
-func (m SimMetrics) CPI() float64 {
-	if m.Instrs == 0 {
-		return 0
-	}
-	return float64(m.Cycles) / float64(m.Instrs)
-}
-
-// MissRatio returns non-speculative I-cache misses per user instruction.
-func (m SimMetrics) MissRatio() float64 {
-	if m.Instrs == 0 {
-		return 0
-	}
-	return float64(m.IMissNative+m.IMissCompressed) / float64(m.Instrs)
-}
-
 // Diff returns a human-readable line per field that differs between the
 // two metric sets (empty = exactly equal). Field order is stable.
 func (m SimMetrics) Diff(o SimMetrics) []string {

@@ -69,7 +69,7 @@ type Cost struct {
 
 // Add accumulates o into c. Counter fields sum; ExcCyclesMax merges as
 // a maximum (the max over disjoint interval sets is the max of their
-// maxima, so Merge and the recorder share this one definition).
+// maxima, so every sum of records shares this one definition).
 func (c *Cost) Add(o Cost) { c.add(&o) }
 
 // add is Add through a pointer, for the ledger's derived views.

@@ -16,9 +16,10 @@ import (
 	"repro/internal/synth"
 )
 
-// FuzzImageLoad feeds arbitrary bytes to the image loader. Load must
-// either reject them with an error or accept an image whose encoding
-// loads again and re-encodes byte-equal. It must never panic. A file in
+// FuzzImageLoad feeds arbitrary bytes to the image loader, Decode
+// (which LoadFile runs on the file's bytes). Decode must either reject
+// them with an error or accept an image whose encoding loads again and
+// re-encodes byte-equal. It must never panic. A file in
 // the retired gzip+JSON format must get ErrLegacyImage. The seed corpus
 // holds the package tests' sample image and a compressed random synth
 // program, a truncation of each, sort.s with a procedure table that
@@ -58,7 +59,7 @@ func FuzzImageLoad(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		im, err := program.Load(bytes.NewReader(data))
+		im, err := program.Decode(data)
 		if err != nil {
 			if bytes.HasPrefix(data, []byte{0x1f, 0x8b}) && !errors.Is(err, program.ErrLegacyImage) {
 				t.Fatalf("gzip input not classified as legacy: %v", err)
@@ -119,7 +120,7 @@ func topOverlapImage() *program.Image {
 
 // TestValidateOverlapAtTop: segments that overlap below 2^32 are
 // refused when the lower one ends exactly at 2^32, by Validate and so
-// by Load; the upper one alone is valid.
+// by Decode; the upper one alone is valid.
 func TestValidateOverlapAtTop(t *testing.T) {
 	im := topOverlapImage()
 	if err := im.Validate(); err == nil || !strings.Contains(err.Error(), "overlap") {
@@ -129,8 +130,8 @@ func TestValidateOverlapAtTop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := program.Load(bytes.NewReader(data)); err == nil {
-		t.Fatal("Load accepted the overlapping segments")
+	if _, err := program.Decode(data); err == nil {
+		t.Fatal("Decode accepted the overlapping segments")
 	}
 	im.Segments = im.Segments[:1]
 	if err := im.Validate(); err != nil {
@@ -139,7 +140,7 @@ func TestValidateOverlapAtTop(t *testing.T) {
 }
 
 // TestValidateRefusesWrappedProcedure: a procedure running past the
-// 32-bit address space is refused by Validate and so by Load, whichever
+// 32-bit address space is refused by Validate and so by Decode, whichever
 // place it holds in the table.
 func TestValidateRefusesWrappedProcedure(t *testing.T) {
 	im := wrappedSort(t)
@@ -150,8 +151,8 @@ func TestValidateRefusesWrappedProcedure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := program.Load(bytes.NewReader(data)); err == nil {
-		t.Fatal("Load accepted the wrapped procedure table")
+	if _, err := program.Decode(data); err == nil {
+		t.Fatal("Decode accepted the wrapped procedure table")
 	}
 	// The last procedure of the table is checked too.
 	im = wrappedSort(t)

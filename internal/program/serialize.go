@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"sort"
 )
@@ -100,27 +99,6 @@ func Decode(data []byte) (*Image, error) {
 		return nil, err
 	}
 	return im, nil
-}
-
-// Save writes the image to w.
-func Save(w io.Writer, im *Image) error {
-	data, err := Encode(im)
-	if err != nil {
-		return err
-	}
-	if _, err := w.Write(data); err != nil {
-		return fmt.Errorf("program: writing image: %w", err)
-	}
-	return nil
-}
-
-// Load reads an image from r and validates it.
-func Load(r io.Reader) (*Image, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("program: reading image: %w", err)
-	}
-	return Decode(data)
 }
 
 // SaveFile writes the image to path.

@@ -34,11 +34,11 @@ func sampleImage() *Image {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	im := sampleImage()
-	var buf bytes.Buffer
-	if err := Save(&buf, im); err != nil {
+	data, err := Encode(im)
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		{"duplicate symbols", file(func(f *imageFile) { f.Symbols[1].Name = "a" }), "out of order"},
 		{"entry outside segments", file(func(f *imageFile) { f.Entry = 4 }), "not inside any segment"},
 	} {
-		_, err := Load(bytes.NewReader(tc.data))
+		_, err := Decode(tc.data)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
 		}
@@ -125,11 +125,11 @@ func TestSaveIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		var buf bytes.Buffer
-		if err := Save(&buf, im); err != nil {
+		data, err := Encode(im)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf.Bytes(), first) {
+		if !bytes.Equal(data, first) {
 			t.Fatalf("save %d differs from the first", i+2)
 		}
 	}
@@ -147,25 +147,22 @@ func TestSaveIsDeterministic(t *testing.T) {
 }
 
 func TestLoadRejectsWrongFormat(t *testing.T) {
-	var buf bytes.Buffer
-	im := sampleImage()
-	if err := Save(&buf, im); err != nil {
+	data, err := Encode(sampleImage())
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
-	// Load the valid one first to prove the baseline works.
-	if _, err := Load(bytes.NewReader(data)); err != nil {
+	// Decode the valid one first to prove the baseline works.
+	if _, err := Decode(data); err != nil {
 		t.Fatal(err)
 	}
 	// An invalid image (overlapping segments) must fail validation.
 	bad := sampleImage()
 	bad.Segments = append(bad.Segments, seg(".dup", 0x400000, 1))
-	var buf2 bytes.Buffer
-	if err := Save(&buf2, bad); err != nil {
+	if data, err = Encode(bad); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(&buf2); err == nil {
-		t.Fatal("invalid image must fail Load validation")
+	if _, err := Decode(data); err == nil {
+		t.Fatal("invalid image must fail Decode validation")
 	}
 }
 
@@ -186,7 +183,7 @@ func TestDisassembleImage(t *testing.T) {
 	}
 }
 
-// Property: arbitrary generated images survive Save/Load byte-exactly.
+// Property: arbitrary generated images survive Encode/Decode byte-exactly.
 func TestQuickSaveLoadRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -206,11 +203,11 @@ func TestQuickSaveLoadRoundTrip(t *testing.T) {
 		}
 		im.Entry = im.Segments[0].Base
 		im.Symbols["e"] = im.Entry
-		var buf bytes.Buffer
-		if err := Save(&buf, im); err != nil {
+		data, err := Encode(im)
+		if err != nil {
 			return false
 		}
-		got, err := Load(&buf)
+		got, err := Decode(data)
 		if err != nil {
 			return false
 		}

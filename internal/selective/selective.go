@@ -22,7 +22,6 @@ import (
 	"io"
 	"sort"
 
-	"repro/internal/analysis"
 	"repro/internal/cpu"
 	"repro/internal/profile"
 	"repro/internal/program"
@@ -121,32 +120,4 @@ func Profile(im *program.Image, cfg cpu.Config) (*profile.Profile, cpu.Stats, er
 		return nil, cpu.Stats{}, fmt.Errorf("selective: profiling run: %v", err)
 	}
 	return rec.Profile(), c.Stats, nil
-}
-
-// DeadCode returns the procedures the static analyzer proves
-// unreachable from the entry point. Keeping such a procedure native
-// wastes exactly the bytes selective compression exists to save — it
-// can never execute, so it can never cost a decompression — and a
-// profiled selection can never justify it (its metric is zero). Callers
-// without a training run use this as the static floor: dead procedures
-// always go to the compressed region.
-func DeadCode(im *program.Image) map[string]bool {
-	return analysis.DeadProcs(im)
-}
-
-// PruneDead removes statically-dead procedures from a native selection
-// and returns the names it dropped, sorted. Select never picks them
-// when given a real profile; this guards hand-written or heuristic
-// selections.
-func PruneDead(selected map[string]bool, im *program.Image) []string {
-	dead := DeadCode(im)
-	var dropped []string
-	for name := range selected {
-		if dead[name] {
-			delete(selected, name)
-			dropped = append(dropped, name)
-		}
-	}
-	sort.Strings(dropped)
-	return dropped
 }

@@ -245,37 +245,3 @@ func TestFromProfileTieBreakAndOutside(t *testing.T) {
 		}
 	}
 }
-
-func TestPruneDead(t *testing.T) {
-	im, err := asm.Assemble(`
-        .text
-        .proc main
-main:   jal   used
-        move  $a0, $zero
-        ori   $v0, $zero, 10
-        syscall
-        .endp
-        .proc used
-used:   jr    $ra
-        .endp
-        .proc unused
-unused: jr    $ra
-        .endp
-        .entry main
-`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dead := DeadCode(im)
-	if !dead["unused"] || dead["used"] || dead["main"] {
-		t.Fatalf("dead set wrong: %v", dead)
-	}
-	sel := map[string]bool{"main": true, "unused": true}
-	dropped := PruneDead(sel, im)
-	if len(dropped) != 1 || dropped[0] != "unused" {
-		t.Fatalf("dropped %v", dropped)
-	}
-	if !sel["main"] || sel["unused"] {
-		t.Fatalf("selection after prune: %v", sel)
-	}
-}

@@ -120,10 +120,6 @@ func (t *Collector) Attach(c *cpu.CPU) {
 	}
 }
 
-// CPU returns the machine the collector is attached to (nil before
-// Attach).
-func (t *Collector) CPU() *cpu.CPU { return t.cpu }
-
 // ExcEnter implements cpu.TelemetrySink.
 func (t *Collector) ExcEnter(pc uint32, cycle uint64) {
 	t.openPC, t.openAt, t.hasOpen = pc, cycle, true

@@ -56,28 +56,6 @@ func (h *Histogram) Observe(v uint64) {
 	}
 }
 
-// Merge folds o's samples into h. Log2 buckets make this exact: the
-// merged histogram is identical to one that observed both sample
-// streams directly. Merging an empty or nil histogram is a no-op; Name
-// and Unit are kept from h (merging histograms of different units is
-// the caller's mistake to avoid).
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.Count == 0 {
-		return
-	}
-	if h.Count == 0 || o.Min < h.Min {
-		h.Min = o.Min
-	}
-	if o.Max > h.Max {
-		h.Max = o.Max
-	}
-	h.Count += o.Count
-	h.Sum += o.Sum
-	for i, n := range o.Buckets {
-		h.Buckets[i] += n
-	}
-}
-
 // Mean returns the average sample (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h.Count == 0 {

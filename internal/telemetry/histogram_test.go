@@ -61,51 +61,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	// Merging two histograms must equal observing both streams directly.
-	a := NewHistogram("a", "cycles")
-	b := NewHistogram("b", "cycles")
-	direct := NewHistogram("d", "cycles")
-	for i, v := range []uint64{0, 3, 8, 9, 1 << 30, 17, 2, 2, 512} {
-		if i%2 == 0 {
-			a.Observe(v)
-		} else {
-			b.Observe(v)
-		}
-		direct.Observe(v)
-	}
-	a.Merge(b)
-	if a.Count != direct.Count || a.Sum != direct.Sum || a.Min != direct.Min || a.Max != direct.Max {
-		t.Fatalf("merged count/sum/min/max %d/%d/%d/%d, direct %d/%d/%d/%d",
-			a.Count, a.Sum, a.Min, a.Max, direct.Count, direct.Sum, direct.Min, direct.Max)
-	}
-	if a.Buckets != direct.Buckets {
-		t.Fatalf("merged buckets %v\ndirect buckets %v", a.Buckets, direct.Buckets)
-	}
-	if a.Quantile(0.5) != direct.Quantile(0.5) || a.Quantile(0.99) != direct.Quantile(0.99) {
-		t.Fatal("merged quantiles differ from direct observation")
-	}
-
-	// Merging empty or nil is a no-op.
-	before := *a
-	a.Merge(NewHistogram("empty", "cycles"))
-	a.Merge(nil)
-	if *a != before {
-		t.Fatal("merging empty/nil changed the histogram")
-	}
-
-	// Merging INTO an empty histogram adopts the other's min (the
-	// zero-value Min of an empty histogram must not win).
-	empty := NewHistogram("e", "cycles")
-	src := NewHistogram("s", "cycles")
-	src.Observe(7)
-	src.Observe(9)
-	empty.Merge(src)
-	if empty.Min != 7 || empty.Max != 9 || empty.Count != 2 {
-		t.Fatalf("empty.Merge(src): min/max/count = %d/%d/%d", empty.Min, empty.Max, empty.Count)
-	}
-}
-
 func TestHistogramEdgeCases(t *testing.T) {
 	// Zero observations: all digests are zero, rendering doesn't panic.
 	var empty Histogram
